@@ -59,7 +59,6 @@ from .sde_core import (
     BatchNoise,
     CoupledPath,
     PerturbationSpec,
-    batch_states,
     build_time_grid,
     constant_direction,
     frozen_regime_path,

@@ -8,6 +8,7 @@ manifests can embed the configuration verbatim.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -72,6 +73,10 @@ class ModelConfig:
         params = d.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("model.params must be an object")
+        try:
+            inspect.signature(MODEL_BUILDERS[name]).bind(**params)
+        except TypeError as e:
+            raise ConfigError(f"model.params do not fit model {name!r}: {e}") from e
         return cls(name=name, params=params)
 
     def build(self) -> ModelSpec:
@@ -214,6 +219,10 @@ class NorrisConfig:
         window = d.get("window", [0.0, 0.5])
         if not (isinstance(window, list) and len(window) == 2):
             raise ConfigError("norris.window must be a [t1, t2] pair")
+        if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in window):
+            raise ConfigError("norris.window entries must be numbers")
+        if not 0 <= window[0] < window[1]:
+            raise ConfigError("norris.window must satisfy 0 <= t1 < t2")
         eps = d.get("eps_grid", [0.03, 0.01, 0.003, 0.001])
         if not (isinstance(eps, list) and len(eps) >= 2):
             raise ConfigError("norris.eps_grid must list at least two levels")

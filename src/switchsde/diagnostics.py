@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DataError
-from .flows import batch_flows
+from .flows import batch_flows, evolve_flows
 from .levy_noise import (
     LevyMeasureSpec,
     as_rng,
@@ -344,22 +344,10 @@ def window_integrals(
     and evolves with the frozen regime; both integrands are squared
     projections onto the chosen direction, integrated by the trapezoid rule.
     """
-    t1, _ = params.window
-    k1 = grid_index(base.times, t1)
-    kmat = np.eye(model.n)
-    if k1 > 0:
-        jacs = model.drift_jac(base.X[:k1], base.alpha[:k1])
-        dts = np.diff(base.times[: k1 + 1])
-        for k in range(k1):
-            kmat = kmat - kmat @ (jacs[k] * dts[k])
+    k1 = grid_index(base.times, params.window[0])
+    K0 = evolve_flows(model, base).K[k1] if k1 > 0 else None
     frozen = frozen_regime_path(model, params.regime, params.window, base)
-    steps = frozen.n_steps
-    Ks = np.empty((steps + 1, model.n, model.n))
-    Ks[0] = kmat
-    jacs = model.drift_jac(frozen.X[:-1], frozen.alpha[:-1])
-    dts = np.diff(frozen.times)
-    for k in range(steps):
-        Ks[k + 1] = Ks[k] - Ks[k] @ (jacs[k] * dts[k])
+    Ks = evolve_flows(model, frozen, K0=K0).K
     a = frozen.alpha
     v_of_x = fld.value(frozen.X, a)
     w_of_x = drift_field_bracket(model, fld, frozen.X, a)

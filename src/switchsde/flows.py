@@ -25,10 +25,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UnsupportedConfigError
+from .errors import NumericError, UnsupportedConfigError
 from .levy_noise import LevyMeasureSpec, as_rng
 from .models import ModelSpec
 from .sde_core import (
+    OVERFLOW_GUARD,
     BatchNoise,
     CoupledPath,
     PerturbationSpec,
@@ -225,14 +226,12 @@ def batch_flows(
     K0=None,
     want_J: bool = False,
     want_Q: bool = True,
-    observer=None,
 ) -> BatchFlowResult:
     """Evolve state and flows for a bundle of paths sharing one grid.
 
     x0 (and K0) may carry extra leading axes over (n_paths, n); the noise
     broadcasts across them, which gives common-random-number bundles for
-    finite-difference starts.  An observer callable receives
-    (k, t_k, X_k, K_k) at every grid index, before the step is taken.
+    finite-difference starts.
     """
     if x0 is None:
         x0 = model.x0
@@ -248,8 +247,6 @@ def batch_flows(
     sqrt_dS = np.sqrt(noise.dS)
     sig = model.sigma
     for k in range(times.size - 1):
-        if observer is not None:
-            observer(k, times[k], x, K)
         dt = times[k + 1] - times[k]
         a = noise.alpha[:, k]
         if Q is not None:
@@ -261,12 +258,8 @@ def batch_flows(
         K = K - K @ g
         dw = sqrt_dS[:, k, None] * noise.normals[:, k]
         x = x + model.drift(x, a) * dt + dw @ sig.T
-        if not np.all(np.isfinite(x)):
-            raise UnsupportedConfigError(
-                f"batched state became non-finite at step {k + 1}; refine the grid"
-            )
-    if observer is not None:
-        observer(times.size - 1, times[-1], x, K)
+        if not np.abs(x).max() <= OVERFLOW_GUARD:
+            raise NumericError(f"a batched state left the trusted range at step {k + 1}")
     return BatchFlowResult(X=x, J=J, K=K, Q=Q)
 
 

@@ -515,10 +515,10 @@ def check_H3(
 class DecompositionSpec:
     """Split of the driving noise at the fixed unit jump-size cutoff.
 
-    `truncated` keeps the measure on (0, 1); jumps of size >= 1 arrive at
+    `truncated` keeps the measure on (0, 1); jumps larger than 1 arrive at
     finite rate lambda1 and contribute an independent compound Poisson sum of
     heavy displacements xi, each a centered Gaussian with variance mixed over
-    the normalized tail of nu.
+    the normalized tail of nu above 1, up to the measure's upper cutoff.
     """
 
     original: LevyMeasureSpec
@@ -533,42 +533,17 @@ class DecompositionSpec:
 
 def decompose_large_jumps(spec: LevyMeasureSpec) -> DecompositionSpec:
     if spec.upper_cutoff is not None and spec.upper_cutoff <= LARGE_JUMP_CUTOFF:
-        raise SpecError("measure has no mass at or above the unit cutoff; nothing to split")
+        raise SpecError("measure has no mass above the unit cutoff; nothing to split")
     lam1 = spec.mass(LARGE_JUMP_CUTOFF)
     if not math.isfinite(lam1):
         raise SpecError("tail mass above the unit cutoff must be finite")
     if lam1 <= 0:
-        raise SpecError("measure has no mass at or above the unit cutoff; nothing to split")
-    truncated = replace(spec, upper_cutoff=LARGE_JUMP_CUTOFF)
-
-    if spec.kind == "stable":
-        beta = spec.alpha / 2.0
-
-        def inv(u):
-            return (1.0 - u) ** (-1.0 / beta)
-
-    elif spec.kind == "atoms":
-        sizes = np.array([s for s, w in spec.atoms if s >= LARGE_JUMP_CUTOFF])
-        rates = np.array([w for s, w in spec.atoms if s >= LARGE_JUMP_CUTOFF])
-        cdf = np.cumsum(rates) / rates.sum()
-
-        def inv(u):
-            return sizes[np.searchsorted(cdf, u, side="left")]
-
-    else:
-        hi = spec._hi()
-        grid = np.linspace(LARGE_JUMP_CUTOFF, hi, 4097)
-        dens = spec.density_at(grid)
-        cmass = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))]
-        )
-        cdf = cmass / cmass[-1]
-
-        def inv(u):
-            return np.interp(u, cdf, grid)
-
+        raise SpecError("measure has no mass above the unit cutoff; nothing to split")
     return DecompositionSpec(
-        original=spec, truncated=truncated, lambda1=lam1, _mixing_inverse=inv
+        original=spec,
+        truncated=replace(spec, upper_cutoff=LARGE_JUMP_CUTOFF),
+        lambda1=lam1,
+        _mixing_inverse=_truncated_size_sampler(spec, LARGE_JUMP_CUTOFF),
     )
 
 

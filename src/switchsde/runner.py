@@ -100,19 +100,22 @@ def _chunk_ranges(n: int):
     return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
 
 
-def _map_chunks(fn, cfg_dict, n_paths: int, workers: int):
+def _run_chunk(body, cfg_dict: dict, lo: int, hi: int):
+    """Rebuild the run inside the worker and hand it to one chunk body."""
+    cfg = RunConfig.from_dict(cfg_dict)
+    return body(cfg, cfg.model.build(), cfg.levy.build(), lo, hi)
+
+
+def _map_chunks(body, cfg_dict, n_paths: int, workers: int):
     ranges = _chunk_ranges(n_paths)
     if workers <= 1:
-        return [fn(cfg_dict, lo, hi) for lo, hi in ranges]
+        return [_run_chunk(body, cfg_dict, lo, hi) for lo, hi in ranges]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, cfg_dict, lo, hi) for lo, hi in ranges]
+        futures = [pool.submit(_run_chunk, body, cfg_dict, lo, hi) for lo, hi in ranges]
         return [f.result() for f in futures]
 
 
-def _simulate_chunk(cfg_dict: dict, lo: int, hi: int):
-    cfg = RunConfig.from_dict(cfg_dict)
-    model = cfg.model.build()
-    levy = cfg.levy.build()
+def _simulate_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     sim = cfg.simulation
     terminals = np.empty((hi - lo, model.n))
     events = np.empty(hi - lo, dtype=int)
@@ -152,10 +155,7 @@ def run_simulate(cfg: RunConfig) -> dict:
     return write_manifest(out, "simulate", cfg, summary, time.perf_counter() - t0)
 
 
-def _flows_chunk(cfg_dict: dict, lo: int, hi: int):
-    cfg = RunConfig.from_dict(cfg_dict)
-    model = cfg.model.build()
-    levy = cfg.levy.build()
+def _flows_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     sim = cfg.simulation
     defects = np.empty(hi - lo)
     excesses = np.empty(hi - lo)
@@ -229,10 +229,7 @@ def run_hormander(cfg: RunConfig) -> dict:
     return write_manifest(out, "hormander", cfg, summary, time.perf_counter() - t0)
 
 
-def _covariance_chunk(cfg_dict: dict, lo: int, hi: int):
-    cfg = RunConfig.from_dict(cfg_dict)
-    model = cfg.model.build()
-    levy = cfg.levy.build()
+def _covariance_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     sim = cfg.simulation
     seed = np.random.SeedSequence([cfg.seed, STREAM_TAILS, lo])
     noise = sample_batch_noise(model, levy, sim.horizon, sim.n_steps, hi - lo, seed)
@@ -386,10 +383,7 @@ def run_gradrep(cfg: RunConfig) -> dict:
     return write_manifest(out, "gradrep", cfg, summary, time.perf_counter() - t0)
 
 
-def _density_chunk(cfg_dict: dict, lo: int, hi: int):
-    cfg = RunConfig.from_dict(cfg_dict)
-    model = cfg.model.build()
-    levy = cfg.levy.build()
+def _density_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     sim = cfg.simulation
     comp = cfg.density.component
     if model.rates.state_dependent:

@@ -12,9 +12,10 @@ increment.  The full noise record (subordinator path, normals, event marks)
 is retained so perturbed and frozen-regime re-integrations reuse identical
 randomness.
 
-A batched engine handles constant-rate models: all paths share one uniform
-grid and regime changes take effect at the first grid point at or after
-their event time (the per-path reference engine refines the grid exactly).
+Batched noise serves constant-rate models: all paths share one uniform grid
+and regime changes take effect at the first grid point at or after their
+event time (the per-path reference engine refines the grid exactly).
+``flows.batch_flows`` integrates a bundle against it.
 """
 
 from __future__ import annotations
@@ -163,12 +164,16 @@ def simulate_path(
     return _integrate(model, times, sub, dS, z, ev_times, ev_marks, eps=0.0, pert=None)
 
 
-def _integrate(model, times, sub, dS, z, ev_times, ev_marks, eps, pert) -> CoupledPath:
+def _integrate(
+    model, times, sub, dS, z, ev_times, ev_marks, eps, pert, x0=None, alpha0=None
+) -> CoupledPath:
+    """Euler loop along one noise record, from (x0, alpha0) or the model's start."""
     n_steps = times.size - 1
     X = np.empty((n_steps + 1, model.n))
     alpha = np.empty(n_steps + 1, dtype=int)
-    X[0] = model.x0
-    alpha[0] = model.alpha0
+    X[0] = model.x0 if x0 is None else x0
+    cur = model.alpha0 if alpha0 is None else alpha0
+    alpha[0] = cur
     sqrt_dS = np.sqrt(dS)
     dH = None
     if pert is not None and eps != 0.0:
@@ -178,14 +183,13 @@ def _integrate(model, times, sub, dS, z, ev_times, ev_marks, eps, pert) -> Coupl
     for j, t in enumerate(ev_times):
         if 0.0 < t < times[-1]:
             ev_idx.setdefault(grid_index(times, t), []).append(ev_marks[j])
-    cur = model.alpha0
     for k in range(n_steps):
         dt = times[k + 1] - times[k]
         dw = sqrt_dS[k] * z[k]
         x_next = _step_state(model, X[k], cur, dt, dw)
         if dH is not None:
             x_next = x_next + eps * (model.sigma @ dH[k])
-        if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > OVERFLOW_GUARD:
+        if not np.abs(x_next).max() <= OVERFLOW_GUARD:
             raise NumericError(
                 f"state left the trusted range at step {k + 1} (t={times[k + 1]:.6g})"
             )
@@ -246,38 +250,24 @@ def frozen_regime_path(
     k1 = grid_index(base.times, t1)
     k2 = grid_index(base.times, t2)
     times = base.times[k1 : k2 + 1]
-    n_steps = times.size - 1
-    X = np.empty((n_steps + 1, model.n))
-    X[0] = base.X[k1]
-    for k in range(n_steps):
-        dt = times[k + 1] - times[k]
-        dw = np.sqrt(base.dS[k1 + k]) * base.normals[k1 + k]
-        X[k + 1] = _step_state(model, X[k], regime, dt, dw)
-        if not np.all(np.isfinite(X[k + 1])) or np.max(np.abs(X[k + 1])) > OVERFLOW_GUARD:
-            raise NumericError(f"state left the trusted range at step {k + 1}")
-    sub = SubordinatorPath(
-        times=times,
-        values=base.S[k1 : k2 + 1].copy(),
-        drift_rate=base.sub.drift_rate,
-        jump_times=base.sub.jump_times,
-        jump_sizes=base.sub.jump_sizes,
-    )
-    return CoupledPath(
-        times=times,
-        X=X,
-        alpha=np.full(n_steps + 1, regime, dtype=int),
-        S=base.S[k1 : k2 + 1],
-        dS=base.dS[k1:k2],
-        normals=base.normals[k1:k2],
-        event_times=np.empty(0),
-        event_marks=np.empty(0),
-        sub=sub,
+    sub = replace(base.sub, times=times, values=base.S[k1 : k2 + 1].copy())
+    return _integrate(
+        model,
+        times,
+        sub,
+        base.dS[k1:k2],
+        base.normals[k1:k2],
+        (),
+        (),
         eps=base.eps,
+        pert=None,
+        x0=base.X[k1],
+        alpha0=regime,
     )
 
 
 # ---------------------------------------------------------------------------
-# batched engine (constant-rate models, shared uniform grid)
+# batched noise (constant-rate models, shared uniform grid)
 
 
 @dataclass
@@ -344,24 +334,3 @@ def sample_batch_noise(
                     alpha[p, k:] = nxt
                     cur = nxt
     return BatchNoise(times=times, dS=dS, normals=z, alpha=alpha, n_paths=n_paths)
-
-
-def batch_states(
-    model: ModelSpec, noise: BatchNoise, x0=None, guard: bool = True
-) -> np.ndarray:
-    """Terminal states for every path; x0 may carry extra leading axes over the bundle."""
-    if x0 is None:
-        x0 = model.x0
-    x0 = np.asarray(x0, dtype=float)
-    x = np.broadcast_to(x0, np.broadcast_shapes(x0.shape, (noise.n_paths, model.n))).copy()
-    times = noise.times
-    sqrt_dS = np.sqrt(noise.dS)
-    for k in range(times.size - 1):
-        dt = times[k + 1] - times[k]
-        a = noise.alpha[:, k]
-        dw = sqrt_dS[:, k, None] * noise.normals[:, k]
-        x = x + model.drift(x, a) * dt + dw @ model.sigma.T
-        if guard and (k % 64 == 0 or k == times.size - 2):
-            if not np.all(np.isfinite(x)) or np.abs(x).max() > OVERFLOW_GUARD:
-                raise NumericError(f"a batched state left the trusted range at step {k + 1}")
-    return x

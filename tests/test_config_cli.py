@@ -196,6 +196,16 @@ def test_bad_override_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_model_params_and_reversed_window_are_usage_errors(tmp_path, capsys):
+    bogus = dict(SMALL, model={"name": "kalman", "params": {"bogus": 1}})
+    assert main(["simulate", "--config", write_config(tmp_path, bogus)]) == 2
+    assert "bogus" in capsys.readouterr().err
+    for window in ([0.5, 0.25], ["0", 0.5]):
+        bad_window = dict(SMALL, norris={"window": window})
+        assert main(["norris", "--config", write_config(tmp_path, bad_window)]) == 2
+        assert "norris.window" in capsys.readouterr().err
+
+
 def test_density_pipeline(tmp_path, capsys):
     payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=400))
     cfg = write_config(tmp_path, payload)

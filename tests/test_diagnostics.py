@@ -22,11 +22,13 @@ from switchsde import (
     drift_field_bracket,
     eigen_tail,
     gradient_representation_check,
+    grid_index,
     kde_density,
     ks_calibration,
     ks_statistic,
     make_kalman,
     make_linear,
+    make_two_regime_linear,
     make_zero_drift,
     negative_moment,
     norris_joint_probability,
@@ -94,6 +96,13 @@ def test_ks_calibration_null_rate():
 
 def test_decomposition_rebuild_same_law():
     res = decomposition_ks_test(LEVY, horizon=1.0, n_samples=4000, seed=0)
+    assert res.pvalue >= 0.01
+
+
+def test_decomposition_rebuild_same_law_truncated():
+    # heavy jumps must come from (1, upper_cutoff), not from the untruncated tail
+    spec = LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0)
+    res = decomposition_ks_test(spec, horizon=1.0, n_samples=8000, seed=0)
     assert res.pvalue >= 0.01
 
 
@@ -248,6 +257,40 @@ def test_window_integrals_zero_drift():
     i_field, i_bracket = window_integrals(model, base, params, constant_field(model.sigma))
     assert i_bracket == 0.0
     assert i_field == pytest.approx(0.5, abs=1e-12)
+
+
+def test_window_integrals_opening_after_zero():
+    # K runs along the base regimes up to t1, then in the frozen regime with the
+    # frozen state; both integrals by the trapezoid rule on the window grid
+    model = make_two_regime_linear()
+    base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=5)
+    k1, k2 = grid_index(base.times, 0.25), grid_index(base.times, 0.75)
+    assert len(set(base.alpha[: k1 + 1])) == 2  # the prefix crosses a switch
+    params = NorrisParams(
+        window=(0.25, 0.75), regime=2, direction=[1.0, 0.0], eps_grid=[0.1]
+    )
+    fld = scaled_cos_field(model.sigma)
+    i_field, i_bracket = window_integrals(model, base, params, fld)
+
+    K = np.eye(2)
+    for k in range(k1):
+        dt = base.times[k + 1] - base.times[k]
+        K = K - K @ (model.drift_jac(base.X[k], base.alpha[k]) * dt)
+    x = base.X[k1].copy()
+    y_field, y_bracket = [], []
+    for k in range(k1, k2 + 1):
+        v = params.direction @ K
+        y_field.append(np.sum((v @ fld.value(x, 2)) ** 2))
+        y_bracket.append(np.sum((v @ drift_field_bracket(model, fld, x, 2)) ** 2))
+        if k == k2:
+            break
+        dt = base.times[k + 1] - base.times[k]
+        K = K - K @ (model.drift_jac(x, 2) * dt)
+        dw = math.sqrt(base.dS[k]) * base.normals[k]
+        x = x + model.drift(x, 2) * dt + model.sigma @ dw
+    t = base.times[k1 : k2 + 1]
+    assert i_field == pytest.approx(np.trapezoid(y_field, t), rel=1e-12)
+    assert i_bracket == pytest.approx(np.trapezoid(y_bracket, t), rel=1e-12)
 
 
 def test_norris_curve_monotonicity_rule():

@@ -191,13 +191,9 @@ def test_batch_flows_match_per_path_recursions():
         np.testing.assert_allclose(res.Q[p], Q, rtol=1e-12, atol=1e-14)
 
 
-def test_batch_flows_observer_and_broadcast():
+def test_batch_flows_broadcast_start():
     model = make_kalman()
     noise = sample_batch_noise(model, LEVY_TRUNC, 0.5, 8, 4, seed=5)
-    seen = []
-    batch_flows(model, noise, observer=lambda k, t, x, K: seen.append((k, t)))
-    assert [k for k, _ in seen] == list(range(9))
-    assert seen[-1][1] == 0.5
     starts = model.x0 + np.linspace(0.0, 1.0, 3)[:, None, None] * np.ones((1, 1, 2))
     res = batch_flows(model, noise, x0=starts)
     assert res.X.shape == (3, 4, 2) and res.K.shape == (3, 4, 2, 2)

@@ -200,6 +200,24 @@ def test_decomposition_constants():
     assert abs(med - 4.0) < 0.15
 
 
+def test_truncated_split_draws_below_upper_cutoff():
+    # tail of u^-3/2 on (1, 4), normalized: F(s) = 2 (1 - s^-1/2), median (3/4)^-2 = 16/9
+    decomp = decompose_large_jumps(LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0))
+    assert decomp.lambda1 == pytest.approx(1.0, abs=1e-14)
+    s = decomp.sample_mixing(100_000, seed=22)
+    assert s.min() > 1.0 and s.max() <= 4.0
+    assert abs(np.median(s) - 16.0 / 9.0) < 0.02
+
+
+def test_atom_split_matches_tail_rate():
+    # the atom at 2 is the whole tail (lambda1 = 1); the atom at 0.5 stays in the truncated part
+    spec = LevyMeasureSpec(kind="atoms", alpha=None, atoms=((0.5, 2.0), (2.0, 1.0)))
+    decomp = decompose_large_jumps(spec)
+    assert decomp.lambda1 == pytest.approx(1.0)
+    assert np.all(decomp.sample_mixing(1000, seed=3) == 2.0)
+    assert decomp.truncated.mass(0.0) == pytest.approx(2.0)
+
+
 def test_decomposition_rejects_trivial_split():
     with pytest.raises(SpecError):
         decompose_large_jumps(LevyMeasureSpec(alpha=1.0, upper_cutoff=0.5))

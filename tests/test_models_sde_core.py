@@ -1,7 +1,7 @@
 """Tests for the model builders and the coupled Euler engines.
 
 The per-path engine is checked by re-deriving every step from the stored
-noise record with plain arithmetic; the batched engine must agree with the
+noise record with plain arithmetic; the batched integrator must agree with the
 per-path rule applied row by row on the same noise.
 """
 
@@ -18,7 +18,7 @@ from switchsde import (
     PerturbationSpec,
     SpecError,
     UnsupportedConfigError,
-    batch_states,
+    batch_flows,
     build_time_grid,
     constant_direction,
     constant_rates,
@@ -234,13 +234,13 @@ def test_overflow_raises_numeric_error():
         simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=0)
     noise = sample_batch_noise(model, LEVY, 1.0, 512, 4, seed=0)
     with pytest.raises(NumericError):
-        batch_states(model, noise)
+        batch_flows(model, noise)
 
 
 def test_batch_matches_per_row_arithmetic():
     model = make_two_regime_linear()
     noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 8, seed=17)
-    out = batch_states(model, noise)
+    out = batch_flows(model, noise, want_Q=False).X
     for p in range(8):
         x = model.x0.copy()
         for k in range(16):
@@ -261,7 +261,7 @@ def test_batch_frozen_regime_and_broadcast_start():
     noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 8, 6, seed=2, regime_frozen=2)
     assert np.all(noise.alpha == 2)
     starts = np.stack([model.x0, model.x0 + 0.5])  # (2, n) over the bundle
-    out = batch_states(model, noise, x0=starts[:, None, :])
+    out = batch_flows(model, noise, x0=starts[:, None, :], want_Q=False).X
     assert out.shape == (2, 6, 2)
 
 
