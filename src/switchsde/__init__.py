@@ -56,22 +56,24 @@ from .models import (
     validate_model,
 )
 from .sde_core import (
+    BatchFlowResult,
     BatchNoise,
     CoupledPath,
     PerturbationSpec,
     build_time_grid,
     constant_direction,
+    batch_flows,
     frozen_regime_path,
+    frozen_regime_paths,
     grid_index,
     sample_batch_noise,
     simulate_path,
+    simulate_paths,
     simulate_perturbed_path,
 )
 from .flows import (
-    BatchFlowResult,
     CovarianceRecord,
     FlowRecord,
-    batch_flows,
     directional_derivative,
     evolve_flows,
     finite_difference_check,

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DataError
-from .flows import batch_flows, evolve_flows
+from .flows import batch_flows
 from .levy_noise import (
     LevyMeasureSpec,
     as_rng,
@@ -26,7 +26,7 @@ from .levy_noise import (
     sample_xi,
 )
 from .models import ModelSpec
-from .sde_core import frozen_regime_path, grid_index, sample_batch_noise, simulate_path
+from .sde_core import frozen_regime_path, frozen_regime_paths, sample_batch_noise, simulate_paths
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -344,14 +344,16 @@ def window_integrals(
     and evolves with the frozen regime; both integrands are squared
     projections onto the chosen direction, integrated by the trapezoid rule.
     """
-    k1 = grid_index(base.times, params.window[0])
-    K0 = evolve_flows(model, base).K[k1] if k1 > 0 else None
-    frozen = frozen_regime_path(model, params.regime, params.window, base)
-    Ks = evolve_flows(model, frozen, K0=K0).K
+    return _frozen_integrals(
+        model, frozen_regime_path(model, params.regime, params.window, base), params, fld
+    )
+
+
+def _frozen_integrals(model, frozen, params: NorrisParams, fld: TestField):
     a = frozen.alpha
     v_of_x = fld.value(frozen.X, a)
     w_of_x = drift_field_bracket(model, fld, frozen.X, a)
-    vk = np.einsum("a,kab->kb", params.direction, Ks)
+    vk = np.einsum("a,kab->kb", params.direction, frozen.K)
     y_field = np.einsum("kb,kbv->kv", vk, v_of_x)
     y_bracket = np.einsum("kb,kbv->kv", vk, w_of_x)
     i_field = float(np.trapezoid(np.sum(y_field**2, axis=1), frozen.times))
@@ -391,10 +393,13 @@ def norris_joint_probability(
     """Monte Carlo curve eps -> P(I_bracket >= eps^q, I_field <= eps)."""
     i_field = np.empty(n_paths)
     i_bracket = np.empty(n_paths)
-    for p in range(n_paths):
-        rng = as_rng(np.random.SeedSequence([seed, 9301, p]))
-        base = simulate_path(model, levy, horizon, grid_step, seed=rng)
-        i_field[p], i_bracket[p] = window_integrals(model, base, params, fld)
+    for lo in range(0, n_paths, 64):  # 64-path bundles, as in the runner's chunks
+        hi = min(lo + 64, n_paths)
+        seeds = [np.random.SeedSequence([seed, 9301, p]) for p in range(lo, hi)]
+        bases = simulate_paths(model, levy, horizon, grid_step, seeds)
+        frozen = frozen_regime_paths(model, params.regime, params.window, bases)
+        for p, fr in enumerate(frozen, start=lo):
+            i_field[p], i_bracket[p] = _frozen_integrals(model, fr, params, fld)
     eps = params.eps_grid
     thresholds = np.array([params.threshold(e) for e in eps])
     counts = np.array(

@@ -7,11 +7,12 @@ by their own Euler recursions (K is never obtained by matrix inversion):
     K_{k+1} = K_k - K_k grad_b(X_k, alpha_k) dt_k,    K_0 = I.
 
 Both stay within exp(grad_bound * t) in operator norm, and the product J K
-drifts from the identity only through the O(dt) commutator defect.  The
-directional derivative D of the state with respect to a Cameron-Martin shift
-h of the Brownian layer satisfies the same linearized recursion with forcing
-sigma * dH(S), and the reduced covariance accumulates the left-endpoint
-Stieltjes sums
+drifts from the identity only through the O(dt) commutator defect.  Both ride
+along the state in the one step loop, ``sde_core.batch_flows`` (re-exported
+here), so every ``CoupledPath`` carries them.  The directional derivative D of
+the state with respect to a Cameron-Martin shift h of the Brownian layer
+satisfies the same linearized recursion with forcing sigma * dH(S), and the
+reduced covariance accumulates the left-endpoint Stieltjes sums
 
     Q_t = sum_k K_{t_k} sigma sigma^T K_{t_k}^T dS_k,      M_t = J_t Q_t J_t^T.
 
@@ -25,14 +26,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericError, UnsupportedConfigError
+from .errors import UnsupportedConfigError
 from .levy_noise import LevyMeasureSpec, as_rng
 from .models import ModelSpec
 from .sde_core import (
-    OVERFLOW_GUARD,
-    BatchNoise,
     CoupledPath,
     PerturbationSpec,
+    batch_flows,
     sample_batch_noise,
     simulate_perturbed_path,
 )
@@ -69,22 +69,9 @@ def product_defect_tolerance(n: int, grad_bound: float, horizon: float, dt: floa
     return 10.0 * n * grad_bound**2 * np.exp(2.0 * grad_bound * horizon) * dt
 
 
-def evolve_flows(
-    model: ModelSpec, path: CoupledPath, J0=None, K0=None
-) -> FlowRecord:
-    n = model.n
-    steps = path.n_steps
-    J = np.empty((steps + 1, n, n))
-    K = np.empty((steps + 1, n, n))
-    J[0] = np.eye(n) if J0 is None else np.asarray(J0, dtype=float)
-    K[0] = np.eye(n) if K0 is None else np.asarray(K0, dtype=float)
-    jacs = model.drift_jac(path.X[:-1], path.alpha[:-1])
-    dts = np.diff(path.times)
-    for k in range(steps):
-        g = jacs[k] * dts[k]
-        J[k + 1] = J[k] + g @ J[k]
-        K[k + 1] = K[k] - K[k] @ g
-    return FlowRecord(times=path.times, J=J, K=K)
+def evolve_flows(model: ModelSpec, path: CoupledPath) -> FlowRecord:
+    """The flows J and K that the engine recorded along the path."""
+    return FlowRecord(times=path.times, J=path.J, K=path.K)
 
 
 @dataclass
@@ -205,62 +192,6 @@ def finite_difference_check(
         slope=slope,
         chain_slope=chain_slope,
     )
-
-
-# ---------------------------------------------------------------------------
-# batched flow evolution
-
-
-@dataclass
-class BatchFlowResult:
-    X: np.ndarray  # (..., P, n)
-    J: np.ndarray | None
-    K: np.ndarray | None
-    Q: np.ndarray | None
-
-
-def batch_flows(
-    model: ModelSpec,
-    noise: BatchNoise,
-    x0=None,
-    K0=None,
-    want_J: bool = False,
-    want_Q: bool = True,
-) -> BatchFlowResult:
-    """Evolve state and flows for a bundle of paths sharing one grid.
-
-    x0 (and K0) may carry extra leading axes over (n_paths, n); the noise
-    broadcasts across them, which gives common-random-number bundles for
-    finite-difference starts.
-    """
-    if x0 is None:
-        x0 = model.x0
-    x0 = np.asarray(x0, dtype=float)
-    lead = np.broadcast_shapes(x0.shape[:-1], (noise.n_paths,))
-    n = model.n
-    x = np.broadcast_to(x0, lead + (n,)).copy()
-    eye = np.eye(n)
-    K = np.broadcast_to(eye if K0 is None else np.asarray(K0, dtype=float), lead + (n, n)).copy()
-    J = np.broadcast_to(eye, lead + (n, n)).copy() if want_J else None
-    Q = np.zeros(lead + (n, n)) if want_Q else None
-    times = noise.times
-    sqrt_dS = np.sqrt(noise.dS)
-    sig = model.sigma
-    for k in range(times.size - 1):
-        dt = times[k + 1] - times[k]
-        a = noise.alpha[:, k]
-        if Q is not None:
-            r = K @ sig  # (..., n, d)
-            Q = Q + np.einsum("...ad,...bd->...ab", r, r) * noise.dS[:, k, None, None]
-        g = model.drift_jac(x, a) * dt
-        if want_J:
-            J = J + g @ J
-        K = K - K @ g
-        dw = sqrt_dS[:, k, None] * noise.normals[:, k]
-        x = x + model.drift(x, a) * dt + dw @ sig.T
-        if not np.abs(x).max() <= OVERFLOW_GUARD:
-            raise NumericError(f"a batched state left the trusted range at step {k + 1}")
-    return BatchFlowResult(X=x, J=J, K=K, Q=Q)
 
 
 def sample_covariances(

@@ -144,7 +144,7 @@ class LevyMeasureSpec:
     # -- integrals ---------------------------------------------------------
 
     def mass(self, a: float, b: float | None = None) -> float:
-        """nu((a, b)) intersected with the effective support; b=None means the upper end."""
+        """nu((a, b]) intersected with the effective support; b=None means the upper end."""
         hi = self._hi() if b is None else min(b, self._hi())
         a = max(a, self._lo())
         if hi <= a:
@@ -154,7 +154,7 @@ class LevyMeasureSpec:
             upper = 0.0 if math.isinf(hi) else hi ** (-beta)
             return (a ** (-beta) - upper) / beta
         if self.kind == "atoms":
-            return float(sum(w for s, w in self.atoms if a < s < hi))
+            return float(sum(w for s, w in self.atoms if a < s <= hi))
         val, _ = integrate.quad(
             lambda u: float(self.density(np.asarray(u))),
             a,
@@ -281,7 +281,7 @@ class SubordinatorPath:
 
 
 def _truncated_size_sampler(spec: LevyMeasureSpec, lo: float) -> Callable:
-    """Inverse-CDF sampler for jump sizes on (lo, hi) under the normalized tail of nu."""
+    """Inverse-CDF sampler for jump sizes on (lo, hi] under the normalized tail of nu."""
     hi = spec._hi()
     if spec.kind == "stable":
         beta = spec.alpha / 2.0
@@ -293,8 +293,8 @@ def _truncated_size_sampler(spec: LevyMeasureSpec, lo: float) -> Callable:
 
         return draw
     if spec.kind == "atoms":
-        sizes = np.array([s for s, w in spec.atoms if lo < s < hi])
-        rates = np.array([w for s, w in spec.atoms if lo < s < hi])
+        sizes = np.array([s for s, w in spec.atoms if lo < s <= hi])
+        rates = np.array([w for s, w in spec.atoms if lo < s <= hi])
         if sizes.size == 0:
             return lambda u: np.zeros_like(u)
         cdf = np.cumsum(rates) / rates.sum()
@@ -601,7 +601,7 @@ def levy_measure_of_L(spec: LevyMeasureSpec, y, d: int | None = None) -> float:
         total = 0.0
         hi = spec._hi()
         for s, w in spec.atoms:
-            if s < hi:
+            if s <= hi:
                 total += w * (2.0 * math.pi * s) ** (-d / 2.0) * math.exp(-r2 / (2.0 * s))
         return total
 

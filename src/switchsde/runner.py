@@ -34,7 +34,7 @@ from .errors import ConfigError
 from .flows import batch_flows, evolve_flows, product_defect_tolerance, reduced_covariance
 from .hormander import estimate_kappa1
 from .levy_noise import check_H3, decompose_large_jumps
-from .sde_core import sample_batch_noise, simulate_path
+from .sde_core import sample_batch_noise, simulate_paths
 
 CHUNK = 64
 
@@ -115,18 +115,20 @@ def _map_chunks(body, cfg_dict, n_paths: int, workers: int):
         return [f.result() for f in futures]
 
 
+def _chunk_paths(cfg: RunConfig, model, levy, stream: int, lo: int, hi: int):
+    seeds = [np.random.SeedSequence([cfg.seed, stream, idx]) for idx in range(lo, hi)]
+    return simulate_paths(model, levy, cfg.simulation.horizon, cfg.simulation.grid_step, seeds)
+
+
 def _simulate_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
-    sim = cfg.simulation
-    terminals = np.empty((hi - lo, model.n))
-    events = np.empty(hi - lo, dtype=int)
-    saved = []
-    for i, idx in enumerate(range(lo, hi)):
-        seed = np.random.SeedSequence([cfg.seed, STREAM_SIMULATE, idx])
-        cp = simulate_path(model, levy, sim.horizon, sim.grid_step, seed=seed)
-        terminals[i] = cp.X[-1]
-        events[i] = cp.event_times.size
-        if cfg.output.save_paths and idx < cfg.output.max_saved_paths:
-            saved.append((idx, path_csv_rows(cp)))
+    paths = _chunk_paths(cfg, model, levy, STREAM_SIMULATE, lo, hi)
+    terminals = np.array([cp.X[-1] for cp in paths])
+    events = np.array([cp.event_times.size for cp in paths])
+    saved = [
+        (idx, path_csv_rows(cp))
+        for idx, cp in enumerate(paths, start=lo)
+        if cfg.output.save_paths and idx < cfg.output.max_saved_paths
+    ]
     return terminals, events, saved
 
 
@@ -156,20 +158,18 @@ def run_simulate(cfg: RunConfig) -> dict:
 
 
 def _flows_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
-    sim = cfg.simulation
+    paths = _chunk_paths(cfg, model, levy, STREAM_FLOWS, lo, hi)
     defects = np.empty(hi - lo)
     excesses = np.empty(hi - lo)
     min_eigs = np.empty(hi - lo)
     profile = None
-    for i, idx in enumerate(range(lo, hi)):
-        seed = np.random.SeedSequence([cfg.seed, STREAM_FLOWS, idx])
-        cp = simulate_path(model, levy, sim.horizon, sim.grid_step, seed=seed)
+    for i, cp in enumerate(paths):
         fl = evolve_flows(model, cp)
         defects[i] = fl.max_product_defect()
         excesses[i] = fl.exp_bound_excess(model.grad_bound)
         cov = reduced_covariance(model, cp, fl)
         min_eigs[i] = float(np.linalg.eigvalsh(cov.Q[-1])[0])
-        if idx == 0:
+        if lo + i == 0:
             profile = np.column_stack([cp.times, fl.product_defect()])
     return defects, excesses, min_eigs, profile
 
@@ -387,12 +387,8 @@ def _density_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     sim = cfg.simulation
     comp = cfg.density.component
     if model.rates.state_dependent:
-        vals = np.empty(hi - lo)
-        for i, idx in enumerate(range(lo, hi)):
-            seed = np.random.SeedSequence([cfg.seed, STREAM_DENSITY, idx])
-            cp = simulate_path(model, levy, sim.horizon, sim.grid_step, seed=seed)
-            vals[i] = cp.X[-1, comp]
-        return (vals,)
+        paths = _chunk_paths(cfg, model, levy, STREAM_DENSITY, lo, hi)
+        return (np.array([cp.X[-1, comp] for cp in paths]),)
     seed = np.random.SeedSequence([cfg.seed, STREAM_DENSITY, lo])
     noise = sample_batch_noise(model, levy, sim.horizon, sim.n_steps, hi - lo, seed)
     res = batch_flows(model, noise, want_Q=False)

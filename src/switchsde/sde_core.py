@@ -1,33 +1,33 @@
-"""Coupled simulation of the state and the regime chain.
+"""Coupled simulation of the state, its flows and the regime chain.
 
-The state follows an explicit Euler scheme on a grid refined to include every
-switching event time:
+The state follows an explicit Euler scheme
 
     X_{k+1} = X_k + b(X_k, alpha_k) dt_k + sigma (W_{S_{t_{k+1}}} - W_{S_{t_k}}),
 
-with the regime updated at event times from the left limits (X_{s-},
-alpha_{s-}) via the mark-partition rule.  The per-step driver increment is
-sqrt(dS_k) Z_k with Z_k standard normal, exact in law given the subordinator
-increment.  The full noise record (subordinator path, normals, event marks)
-is retained so perturbed and frozen-regime re-integrations reuse identical
-randomness.
+with the per-step driver increment sqrt(dS_k) Z_k, exact in law given the
+subordinator increment; the flows J, K and the reduced covariance Q (see
+``flows``) ride along, and the regime changes at switching events from the
+left limits (X_{s-}, alpha_{s-}) via the mark-partition rule.
 
-Batched noise serves constant-rate models: all paths share one uniform grid
-and regime changes take effect at the first grid point at or after their
-event time (the per-path reference engine refines the grid exactly).
-``flows.batch_flows`` integrates a bundle against it.
+``batch_flows`` is the one step loop.  It integrates a bundle of noise records
+on a shared grid or on per-path grids padded at the end with zero-length
+steps (dt = 0, dS = 0), which are exact no-ops.  Only the samplers differ: the
+per-path engine (``simulate_paths``) refines each path's grid to its event
+times and keeps the full record, so perturbed and frozen-regime
+re-integrations reuse identical randomness; batched noise
+(``sample_batch_noise``, constant rates only) shares one uniform grid and
+applies an event at the first grid point at or after its arrival time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DataError, NumericError, UnsupportedConfigError
 from .levy_noise import (
     LevyMeasureSpec,
-    SubordinatorPath,
     as_rng,
     sample_increments,
     sample_subordinator_path,
@@ -89,14 +89,16 @@ def constant_direction(value, upto: float) -> PerturbationSpec:
     return PerturbationSpec(breakpoints=np.array([0.0, upto]), values=v[None, :])
 
 
+
+
 @dataclass
 class CoupledPath:
-    """State, regime, and the complete noise record on one refined grid.
+    """State, regime, flows and the complete noise record on one refined grid.
 
-    alpha[k] is the regime in force on [times[k], times[k+1]); X and S are
-    the values at the grid points.  normals, dS, event times/marks, and the
-    subordinator path are sufficient to re-integrate against the identical
-    noise.
+    alpha[k] is the regime in force on [times[k], times[k+1]); X, S and the
+    flows J, K are the values at the grid points.  normals, dS and the event
+    times/marks are sufficient to re-integrate against the identical noise.
+    A frozen-regime window carries no J, and its K continues the base path's.
     """
 
     times: np.ndarray
@@ -107,16 +109,15 @@ class CoupledPath:
     normals: np.ndarray
     event_times: np.ndarray
     event_marks: np.ndarray
-    sub: SubordinatorPath
-    eps: float = 0.0
+    J: np.ndarray | None = None
+    K: np.ndarray | None = None
 
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
 
     def state_at_time(self, t: float) -> np.ndarray:
-        k = grid_index(self.times, t)
-        return self.X[k]
+        return self.X[grid_index(self.times, t)]
 
 
 def grid_index(times: np.ndarray, t: float, tol: float = 1e-10) -> int:
@@ -138,77 +139,35 @@ def build_time_grid(horizon: float, grid_step: float, extra_times=()) -> np.ndar
     return times[keep]
 
 
-def _step_state(model, x, a, dt, dw):
-    return x + model.drift(x, a) * dt + model.sigma @ dw
+def simulate_paths(
+    model: ModelSpec, levy: LevyMeasureSpec, horizon: float, grid_step: float, seeds
+) -> list[CoupledPath]:
+    """Reference per-path engine with exact event-time grid refinement.
+
+    Each seed draws its own record in a fixed order (switching events, the grid
+    refined to contain them, the subordinator on that grid, the normals); the
+    records are integrated as one padded bundle.
+    """
+    records = []
+    for seed in seeds:
+        rng = as_rng(seed)
+        ev_times = ev_marks = np.empty(0)
+        if model.rates.m0 > 1:
+            events = simulate_regime_events(model.rates.m0, model.rates.bound, horizon, rng)
+            ev_times, ev_marks = events.times, events.marks
+        times = build_time_grid(horizon, grid_step, ev_times)
+        sub = sample_subordinator_path(levy, horizon, seed=rng, times=times)
+        dS = sub.increments()
+        z = rng.standard_normal((dS.size, model.d))
+        records.append(CoupledPath(times, None, None, sub.values, dS, z, ev_times, ev_marks))
+    return _integrate_records(model, records)
 
 
 def simulate_path(
-    model: ModelSpec,
-    levy: LevyMeasureSpec,
-    horizon: float,
-    grid_step: float,
-    seed=None,
+    model: ModelSpec, levy: LevyMeasureSpec, horizon: float, grid_step: float, seed=None
 ) -> CoupledPath:
-    """Reference per-path engine with exact event-time grid refinement."""
-    rng = as_rng(seed)
-    if model.rates.m0 > 1:
-        events = simulate_regime_events(model.rates.m0, model.rates.bound, horizon, rng)
-    else:
-        events = None
-    ev_times = events.times if events is not None else np.empty(0)
-    ev_marks = events.marks if events is not None else np.empty(0)
-    times = build_time_grid(horizon, grid_step, ev_times)
-    sub = sample_subordinator_path(levy, horizon, seed=rng, times=times)
-    dS = sub.increments()
-    z = rng.standard_normal((dS.size, model.d))
-    return _integrate(model, times, sub, dS, z, ev_times, ev_marks, eps=0.0, pert=None)
-
-
-def _integrate(
-    model, times, sub, dS, z, ev_times, ev_marks, eps, pert, x0=None, alpha0=None
-) -> CoupledPath:
-    """Euler loop along one noise record, from (x0, alpha0) or the model's start."""
-    n_steps = times.size - 1
-    X = np.empty((n_steps + 1, model.n))
-    alpha = np.empty(n_steps + 1, dtype=int)
-    X[0] = model.x0 if x0 is None else x0
-    cur = model.alpha0 if alpha0 is None else alpha0
-    alpha[0] = cur
-    sqrt_dS = np.sqrt(dS)
-    dH = None
-    if pert is not None and eps != 0.0:
-        H = pert.integral(sub.values)
-        dH = np.diff(H, axis=0)
-    ev_idx: dict[int, list[float]] = {}
-    for j, t in enumerate(ev_times):
-        if 0.0 < t < times[-1]:
-            ev_idx.setdefault(grid_index(times, t), []).append(ev_marks[j])
-    for k in range(n_steps):
-        dt = times[k + 1] - times[k]
-        dw = sqrt_dS[k] * z[k]
-        x_next = _step_state(model, X[k], cur, dt, dw)
-        if dH is not None:
-            x_next = x_next + eps * (model.sigma @ dH[k])
-        if not np.abs(x_next).max() <= OVERFLOW_GUARD:
-            raise NumericError(
-                f"state left the trusted range at step {k + 1} (t={times[k + 1]:.6g})"
-            )
-        X[k + 1] = x_next
-        for mark in ev_idx.get(k + 1, ()):
-            cur = partition_point(model.rates, X[k + 1], cur, mark)
-        alpha[k + 1] = cur
-    return CoupledPath(
-        times=times,
-        X=X,
-        alpha=alpha,
-        S=sub.values,
-        dS=dS,
-        normals=z,
-        event_times=np.asarray(ev_times, dtype=float),
-        event_marks=np.asarray(ev_marks, dtype=float),
-        sub=sub,
-        eps=eps,
-    )
+    """One path of ``simulate_paths``."""
+    return simulate_paths(model, levy, horizon, grid_step, [seed])[0]
 
 
 def simulate_perturbed_path(
@@ -222,70 +181,103 @@ def simulate_perturbed_path(
     """
     if pert.d != model.d:
         raise DataError(f"perturbation direction has d={pert.d}, model expects {model.d}")
-    return _integrate(
-        model,
-        base.times,
-        base.sub,
-        base.dS,
-        base.normals,
-        base.event_times,
-        base.event_marks,
-        eps=pert.eps,
-        pert=pert,
-    )
+    dH = np.diff(pert.integral(base.S), axis=0)
+    shifts = [pert.eps * (dH @ model.sigma.T)] if pert.eps != 0.0 else None
+    return _integrate_records(model, [base], shifts=shifts)[0]
 
 
-def frozen_regime_path(
-    model: ModelSpec, regime: int, window: tuple[float, float], base: CoupledPath
-) -> CoupledPath:
-    """Evolve the state with the regime frozen over [t1, t2], reusing base noise.
+def frozen_regime_paths(
+    model: ModelSpec, regime: int, window: tuple[float, float], bases
+) -> list[CoupledPath]:
+    """Evolve each base state with the regime frozen over [t1, t2], reusing its noise.
 
-    Starts from the base state at t1; window endpoints must be grid points.
+    A window starts from its base path's X and K at t1 and carries no J;
+    window endpoints must be grid points of every base path.
     """
     t1, t2 = window
     if not 0 <= t1 < t2:
         raise ValueError(f"need 0 <= t1 < t2, got {window}")
     if not 1 <= regime <= model.rates.m0:
         raise ValueError(f"regime must lie in 1..{model.rates.m0}")
-    k1 = grid_index(base.times, t1)
-    k2 = grid_index(base.times, t2)
-    times = base.times[k1 : k2 + 1]
-    sub = replace(base.sub, times=times, values=base.S[k1 : k2 + 1].copy())
-    return _integrate(
-        model,
-        times,
-        sub,
-        base.dS[k1:k2],
-        base.normals[k1:k2],
-        (),
-        (),
-        eps=base.eps,
-        pert=None,
-        x0=base.X[k1],
-        alpha0=regime,
+    ks = [(grid_index(b.times, t1), grid_index(b.times, t2)) for b in bases]
+    windows = [
+        CoupledPath(b.times[k1 : k2 + 1], None, None, b.S[k1 : k2 + 1], b.dS[k1:k2],
+                    b.normals[k1:k2], np.empty(0), np.empty(0))
+        for b, (k1, k2) in zip(bases, ks)
+    ]
+    x0 = np.stack([b.X[k1] for b, (k1, _) in zip(bases, ks)])
+    K0 = np.stack([b.K[k1] for b, (k1, _) in zip(bases, ks)])
+    return _integrate_records(model, windows, x0=x0, K0=K0, alpha0=regime, want_J=False)
+
+
+def frozen_regime_path(
+    model: ModelSpec, regime: int, window: tuple[float, float], base: CoupledPath
+) -> CoupledPath:
+    """One window of ``frozen_regime_paths``."""
+    return frozen_regime_paths(model, regime, window, [base])[0]
+
+
+def _pad(rows, width: int, edge: bool = False) -> np.ndarray:
+    """Stack rows of unequal length, padded to width with zeros or their last entry."""
+    out = np.zeros((len(rows), width) + rows[0].shape[1:])
+    for p, row in enumerate(rows):
+        out[p, : len(row)] = row
+        if edge:
+            out[p, len(row) :] = row[-1]
+    return out
+
+
+def _integrate_records(model, records, shifts=None, want_J=True, **start) -> list[CoupledPath]:
+    """Integrate per-path noise records as one bundle padded with zero-length steps."""
+    width = max(r.times.size for r in records)
+    events = [
+        (p, grid_index(r.times, t), mark)
+        for p, r in enumerate(records)
+        for t, mark in zip(r.event_times, r.event_marks)
+        if 0.0 < t < r.times[-1]
+    ]
+    noise = BatchNoise(
+        _pad([r.times for r in records], width, edge=True),
+        _pad([r.dS for r in records], width - 1),
+        _pad([r.normals for r in records], width - 1),
+        len(records),
+        events,
     )
+    shift = None if shifts is None else _pad(shifts, width - 1)
+    res = batch_flows(model, noise, shift=shift, want_J=want_J, want_Q=False, record=True, **start)
+    out = []
+    for p, r in enumerate(records):
+        c = slice(r.times.size)
+        X, alpha, K = res.X_path[p, c], res.alpha_path[p, c], res.K_path[p, c]
+        out.append(replace(r, X=X, alpha=alpha, J=res.J_path[p, c] if want_J else None, K=K))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# batched noise (constant-rate models, shared uniform grid)
+# bundles of noise records and the one step loop
 
 
 @dataclass
 class BatchNoise:
-    """Noise for a bundle of paths on a shared uniform grid.
+    """Noise for a bundle of paths on one shared grid or one grid per path.
 
-    alpha[p, k] is path p's regime on step k; switching events are applied at
-    the first grid point at or after their arrival time.
+    times is (K+1,) for a shared grid, or (P, K+1) with each path's grid
+    padded at its end by repeats of its last point; padded steps carry dS = 0
+    and zero normals.  events lists (path, grid index, mark) triples, each
+    path's in time order.
     """
 
-    times: np.ndarray  # (K+1,)
+    times: np.ndarray
     dS: np.ndarray  # (P, K)
     normals: np.ndarray  # (P, K, d)
-    alpha: np.ndarray  # (P, K+1) int
     n_paths: int
+    events: list = field(default_factory=list)
 
     def coarsen(self) -> "BatchNoise":
-        """Merge adjacent step pairs into one step of the same driver path."""
+        """Merge adjacent step pairs into one step of the same driver path.
+
+        An event at fine grid index j takes effect at coarse index ceil(j/2).
+        """
         k = self.dS.shape[1]
         if k % 2:
             raise DataError("coarsening needs an even number of steps")
@@ -296,13 +288,8 @@ class BatchNoise:
         )
         with np.errstate(invalid="ignore", divide="ignore"):
             z2 = np.where(d2[..., None] > 0, num / np.sqrt(d2)[..., None], 0.0)
-        return BatchNoise(
-            times=self.times[0::2],
-            dS=d2,
-            normals=z2,
-            alpha=self.alpha[:, 0::2],
-            n_paths=self.n_paths,
-        )
+        events = [(p, (j + 1) // 2, mark) for p, j, mark in self.events]
+        return BatchNoise(self.times[..., 0::2], d2, z2, self.n_paths, events)
 
 
 def sample_batch_noise(
@@ -312,7 +299,6 @@ def sample_batch_noise(
     n_steps: int,
     n_paths: int,
     seed=None,
-    regime_frozen: int | None = None,
 ) -> BatchNoise:
     if model.rates.state_dependent:
         raise UnsupportedConfigError("the batched engine requires state-independent rates")
@@ -320,17 +306,95 @@ def sample_batch_noise(
     times = np.linspace(0.0, horizon, n_steps + 1)
     dS = sample_increments(levy, np.diff(times), n_paths, rng)
     z = rng.standard_normal((n_paths, n_steps, model.d))
-    alpha = np.full((n_paths, n_steps + 1), model.alpha0, dtype=np.int64)
-    if regime_frozen is not None:
-        alpha[:] = regime_frozen
-    elif model.rates.m0 > 1:
-        for p in range(n_paths):
-            ev = simulate_regime_events(model.rates.m0, model.rates.bound, horizon, rng)
-            cur = model.alpha0
-            for t, mark in zip(ev.times, ev.marks):
-                nxt = partition_point(model.rates, None, cur, mark)
-                if nxt != cur:
-                    k = int(np.searchsorted(times, t, side="left"))
-                    alpha[p, k:] = nxt
-                    cur = nxt
-    return BatchNoise(times=times, dS=dS, normals=z, alpha=alpha, n_paths=n_paths)
+    events = []
+    for p in range(n_paths if model.rates.m0 > 1 else 0):
+        ev = simulate_regime_events(model.rates.m0, model.rates.bound, horizon, rng)
+        index = np.searchsorted(times, ev.times, side="left")
+        events.extend((p, j, mark) for j, mark in zip(index.tolist(), ev.marks.tolist()))
+    return BatchNoise(times=times, dS=dS, normals=z, n_paths=n_paths, events=events)
+
+
+@dataclass
+class BatchFlowResult:
+    """Values at the end of the grid; the *_path fields hold every grid point."""
+
+    X: np.ndarray  # (..., P, n)
+    J: np.ndarray | None
+    K: np.ndarray | None
+    Q: np.ndarray | None
+    X_path: np.ndarray | None = None  # (..., P, K+1, n)
+    alpha_path: np.ndarray | None = None  # (P, K+1)
+    J_path: np.ndarray | None = None  # (..., P, K+1, n, n)
+    K_path: np.ndarray | None = None  # (..., P, K+1, n, n)
+
+
+def batch_flows(
+    model: ModelSpec,
+    noise: BatchNoise,
+    x0=None,
+    K0=None,
+    alpha0=None,
+    shift=None,
+    want_J: bool = False,
+    want_Q: bool = True,
+    record: bool = False,
+) -> BatchFlowResult:
+    """Evolve state, regime, flows and reduced covariance for a bundle of paths.
+
+    x0 (and K0) may carry extra leading axes over (n_paths, n); the noise
+    broadcasts across them, which gives common-random-number bundles for
+    finite-difference starts.  alpha0 is one regime or one per path; shift
+    (n_paths, K, n) is added to the state increments.  After step j - 1 an
+    event (p, j, mark) moves path p's regime by the mark rule at X_j.
+    """
+    x0 = np.asarray(model.x0 if x0 is None else x0, dtype=float)
+    lead = np.broadcast_shapes(x0.shape[:-1], (noise.n_paths,))
+    n = model.n
+    x = np.broadcast_to(x0, lead + (n,)).copy()
+    eye = np.eye(n)
+    K = np.broadcast_to(eye if K0 is None else np.asarray(K0, dtype=float), lead + (n, n)).copy()
+    J = np.broadcast_to(eye, lead + (n, n)).copy() if want_J else None
+    Q = np.zeros(lead + (n, n)) if want_Q else None
+    a = np.full(noise.n_paths, model.alpha0 if alpha0 is None else alpha0, dtype=np.int64)
+    at_state = model.rates.state_dependent
+    if at_state and len(lead) > 1 and noise.events:
+        raise UnsupportedConfigError("state-dependent switching needs one start per path")
+    events: dict[int, list] = {}
+    for p, j, mark in noise.events:
+        events.setdefault(j, []).append((p, mark))
+    steps = noise.dS.shape[1]
+    dts = np.diff(noise.times, axis=-1).T  # (K,) shared grid, (K, P) per-path grids
+    dt_x, dt_g = (dts[..., None], dts[..., None, None]) if dts.ndim == 2 else (dts, dts)
+    sqrt_dS = np.sqrt(noise.dS)
+    sig = model.sigma
+    Xs = np.empty(lead + (steps + 1, n)) if record else None
+    alphas = np.empty((noise.n_paths, steps + 1), dtype=np.int64) if record else None
+    Js = np.empty(lead + (steps + 1, n, n)) if record and want_J else None
+    Ks = np.empty(lead + (steps + 1, n, n)) if record else None
+    for k in range(steps + 1):
+        for p, mark in events.get(k, ()):
+            a[p] = partition_point(model.rates, x[p] if at_state else None, a[p], mark)
+        if record:
+            Xs[..., k, :] = x
+            alphas[:, k] = a
+            Ks[..., k, :, :] = K
+            if want_J:
+                Js[..., k, :, :] = J
+        if k == steps:
+            break
+        if Q is not None:
+            r = K @ sig  # (..., n, d)
+            Q = Q + np.einsum("...ad,...bd->...ab", r, r) * noise.dS[:, k, None, None]
+        g = model.drift_jac(x, a) * dt_g[k]
+        if want_J:
+            J = J + g @ J
+        K = K - K @ g
+        dw = sqrt_dS[:, k, None] * noise.normals[:, k]
+        x = x + model.drift(x, a) * dt_x[k] + dw @ sig.T
+        if shift is not None:
+            x = x + shift[:, k]
+        if not np.abs(x).max() <= OVERFLOW_GUARD:
+            raise NumericError(f"a state left the trusted range at step {k + 1}")
+    return BatchFlowResult(
+        X=x, J=J, K=K, Q=Q, X_path=Xs, alpha_path=alphas, J_path=Js, K_path=Ks
+    )

@@ -71,7 +71,8 @@ def sigmoid_two_state(bound: float, w, b0: float = 0.0) -> RateMatrixSpec:
         if x is None:
             raise UnsupportedConfigError("state-dependent rates need a state value")
         u = float(np.dot(w, np.asarray(x, dtype=float))) + b0
-        p = 1.0 / (1.0 + np.exp(-u))
+        with np.errstate(over="ignore"):  # exp(-u) = inf gives p = 0 exactly
+            p = 1.0 / (1.0 + np.exp(-u))
         q12 = bound * p
         q21 = bound * (1.0 - p)
         return np.array([[-q12, q12], [q21, -q21]])

@@ -168,7 +168,8 @@ def test_representation_residual_zero_drift():
 def test_batch_flows_match_per_path_recursions():
     model = make_two_regime_linear()
     noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 32, 6, seed=21)
-    res = batch_flows(model, noise, want_J=True, want_Q=True)
+    res = batch_flows(model, noise, want_J=True, want_Q=True, record=True)
+    assert np.any(res.alpha_path != model.alpha0)  # the recorded regime paths switch
     for p in range(6):
         x = model.x0.copy()
         J = np.eye(2)
@@ -176,7 +177,7 @@ def test_batch_flows_match_per_path_recursions():
         Q = np.zeros((2, 2))
         for k in range(32):
             dt = noise.times[k + 1] - noise.times[k]
-            a = int(noise.alpha[p, k])
+            a = int(res.alpha_path[p, k])
             r = K @ model.sigma
             Q = Q + (r @ r.T) * noise.dS[p, k]
             g = model.drift_jac(x, a) * dt

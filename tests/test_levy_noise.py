@@ -218,6 +218,18 @@ def test_atom_split_matches_tail_rate():
     assert decomp.truncated.mass(0.0) == pytest.approx(2.0)
 
 
+def test_atom_at_unit_cutoff_belongs_to_truncated_part():
+    # atoms count on (a, hi], so the split at 1 partitions the mass: 2 below, 1 above
+    spec = LevyMeasureSpec(kind="atoms", alpha=None, atoms=((1.0, 2.0), (2.0, 1.0)))
+    decomp = decompose_large_jumps(spec)
+    assert decomp.truncated.mass(0.0) + decomp.lambda1 == spec.mass(0.0) == 3.0
+    assert decomp.truncated.mass(0.0) == 2.0
+    assert decomp.truncated.mean_between(0.0, 1.0) == 2.0
+    incr = sample_increments(decomp.truncated, np.array([1.0]), 2000, seed=4)[:, 0]
+    assert np.all(np.isin(incr, np.arange(0.0, 40.0)))  # sums of unit jumps
+    assert incr.max() > 0.0
+
+
 def test_decomposition_rejects_trivial_split():
     with pytest.raises(SpecError):
         decompose_large_jumps(LevyMeasureSpec(alpha=1.0, upper_cutoff=0.5))

@@ -6,11 +6,15 @@ per-path rule applied row by row on the same noise.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchsde import (
+    BatchNoise,
     DataError,
     LevyMeasureSpec,
     ModelSpec,
@@ -32,6 +36,7 @@ from switchsde import (
     make_zero_drift,
     sample_batch_noise,
     simulate_path,
+    simulate_paths,
     simulate_perturbed_path,
     validate_model,
 )
@@ -153,6 +158,18 @@ def test_euler_steps_rederived_from_noise_record():
     assert path.state_at_time(1.0) is not None
 
 
+def test_bundled_paths_equal_lone_paths():
+    # one padded bundle gives each seed the path it gets alone, bit for bit
+    model = make_two_regime_linear(switch_rate=3.0, state_dependent=True)
+    seeds = [3, 4, 5, 6]
+    paths = simulate_paths(model, LEVY, 1.0, 1 / 32, seeds)
+    assert len({cp.times.size for cp in paths}) > 1  # refined grids of unequal length
+    for seed, cp in zip(seeds, paths):
+        lone = simulate_path(model, LEVY, 1.0, 1 / 32, seed=seed)
+        for name in ("times", "S", "normals", "X", "alpha", "J", "K"):
+            assert getattr(cp, name).tobytes() == getattr(lone, name).tobytes(), name
+
+
 def test_regime_changes_at_event_times():
     model = make_two_regime_linear()
     found = False
@@ -240,29 +257,40 @@ def test_overflow_raises_numeric_error():
 def test_batch_matches_per_row_arithmetic():
     model = make_two_regime_linear()
     noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 8, seed=17)
-    out = batch_flows(model, noise, want_Q=False).X
+    res = batch_flows(model, noise, want_Q=False, record=True)
+    alpha = res.alpha_path
+    assert np.any(alpha != model.alpha0)  # the recorded regime paths switch
     for p in range(8):
         x = model.x0.copy()
         for k in range(16):
             dt = noise.times[k + 1] - noise.times[k]
             dw = math.sqrt(noise.dS[p, k]) * noise.normals[p, k]
-            x = x + model.drift(x, noise.alpha[p, k]) * dt + model.sigma @ dw
-        np.testing.assert_allclose(out[p], x, rtol=1e-12)
+            x = x + model.drift(x, alpha[p, k]) * dt + model.sigma @ dw
+            np.testing.assert_allclose(res.X_path[p, k + 1], x, rtol=1e-12)
+        np.testing.assert_allclose(res.X[p], x, rtol=1e-12)
 
 
 def test_batch_rejects_state_dependent_rates():
     model = make_two_regime_linear(state_dependent=True, rate_direction=[1.0, 0.0])
     with pytest.raises(UnsupportedConfigError):
         sample_batch_noise(model, LEVY, 1.0, 8, 4, seed=0)
+    # a switch at X_j is defined for one start per path, not for a start bundle
+    noise = BatchNoise(np.linspace(0.0, 1.0, 5), np.ones((2, 4)), np.zeros((2, 4, 1)), 2,
+                       events=[(0, 2, 0.5)])
+    starts = np.zeros((3, 1, 2))
+    with pytest.raises(UnsupportedConfigError):
+        batch_flows(model, noise, x0=starts)
+    assert batch_flows(model, noise).X.shape == (2, 2)
 
 
 def test_batch_frozen_regime_and_broadcast_start():
     model = make_two_regime_linear()
-    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 8, 6, seed=2, regime_frozen=2)
-    assert np.all(noise.alpha == 2)
+    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 8, 6, seed=2)
+    frozen = replace(noise, events=[])
     starts = np.stack([model.x0, model.x0 + 0.5])  # (2, n) over the bundle
-    out = batch_flows(model, noise, x0=starts[:, None, :], want_Q=False).X
-    assert out.shape == (2, 6, 2)
+    res = batch_flows(model, frozen, x0=starts[:, None, :], alpha0=2, want_Q=False, record=True)
+    assert np.all(res.alpha_path == 2)
+    assert res.X.shape == (2, 6, 2) and res.X_path.shape == (2, 6, 9, 2)
 
 
 def test_coarsen_preserves_driver_increments():
@@ -279,3 +307,79 @@ def test_coarsen_preserves_driver_increments():
     )
     with pytest.raises(DataError):
         sample_batch_noise(model, LEVY, 1.0, 7, 2, seed=0).coarsen()
+
+
+def test_coarsened_switching_noise_keeps_fine_regimes_at_even_points():
+    model = make_two_regime_linear(switch_rate=4.0)
+    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 20, seed=31)
+    fine = batch_flows(model, noise, want_Q=False, record=True).alpha_path
+    coarse = batch_flows(model, noise.coarsen(), want_Q=False, record=True).alpha_path
+    # some switch lands at an odd fine index, between two coarse points
+    assert np.any(fine[:, 1::2] != fine[:, 0:-1:2])
+    np.testing.assert_array_equal(coarse, fine[:, ::2])
+
+
+PADDING_MODELS = {
+    "zero_drift": make_zero_drift(n=2, d=1, sigma=[[0.0], [1.0]]),
+    "linear": make_linear([[0.0, 1.0], [-1.0, -0.2]]),
+    "sin_bounded": make_sin_bounded(n=2, amp=(0.8, 0.5), freq=(1.0, 2.0)),
+    "two_regime_linear": make_two_regime_linear(switch_rate=3.0),
+    "two_regime_linear_state": make_two_regime_linear(
+        switch_rate=3.0, state_dependent=True, rate_direction=[1.0, 0.0]
+    ),
+}
+
+
+def _noise_record(model, steps, rng):
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.2, steps))])
+    dS = rng.exponential(0.1, steps)
+    normals = rng.standard_normal((steps, model.d))
+    n_events = rng.integers(0, 4) if model.rates.m0 > 1 else 0
+    index = np.sort(rng.integers(1, steps + 1, n_events))
+    marks = rng.uniform(0.0, model.rates.mark_space(), n_events)
+    return times, dS, normals, index, marks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(PADDING_MODELS)),
+    steps=st.integers(1, 10),
+    extra=st.lists(st.integers(1, 10), min_size=1, max_size=4),
+    slot=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zero_length_padding_is_an_exact_no_op(family, steps, extra, slot, seed):
+    # a path integrated alone on its own grid, and padded inside a bundle of
+    # longer paths, agrees bit for bit in X, alpha, J, K and Q at its last point
+    model = PADDING_MODELS[family]
+    rng = np.random.default_rng(seed)
+    lengths = [steps + e for e in extra]
+    slot = slot % (len(lengths) + 1)
+    lengths.insert(slot, steps)
+    records = [_noise_record(model, m, rng) for m in lengths]
+    starts = model.x0 + rng.normal(scale=0.5, size=(len(lengths), model.n))
+    width = max(lengths)
+    times = np.stack([np.pad(r[0], (0, width - m), mode="edge") for r, m in zip(records, lengths)])
+    bundle = BatchNoise(
+        times=times,
+        dS=np.stack([np.pad(r[1], (0, width - m)) for r, m in zip(records, lengths)]),
+        normals=np.stack([np.pad(r[2], ((0, width - m), (0, 0))) for r, m in zip(records, lengths)]),
+        n_paths=len(lengths),
+        events=[(p, j, mark) for p, r in enumerate(records) for j, mark in zip(r[3], r[4])],
+    )
+    times1, dS1, normals1, index1, marks1 = records[slot]
+    alone = BatchNoise(
+        times=times1,
+        dS=dS1[None],
+        normals=normals1[None],
+        n_paths=1,
+        events=[(0, j, mark) for j, mark in zip(index1, marks1)],
+    )
+    kw = dict(want_J=True, want_Q=True, record=True)
+    one = batch_flows(model, alone, x0=starts[slot : slot + 1], **kw)
+    many = batch_flows(model, bundle, x0=starts, **kw)
+    for name in ("X_path", "alpha_path", "J_path", "K_path"):
+        a = getattr(one, name)[0, : steps + 1]
+        b = getattr(many, name)[slot, : steps + 1]
+        assert a.tobytes() == b.tobytes(), name
+    assert one.Q[0].tobytes() == many.Q[slot].tobytes()

@@ -7,6 +7,7 @@ Both constants below are frozen from those formulas at lam = t = 1.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,17 @@ def test_sigmoid_rates_need_a_state():
         spec.at(None)
     q = spec.at(np.array([0.0]))
     np.testing.assert_allclose(q, [[-1.0, 1.0], [1.0, -1.0]])
+
+
+def test_sigmoid_rates_finite_at_extreme_states():
+    # exp(-u) overflows for u < -709; the logistic must still saturate to 0 or 1 silently
+    spec = sigmoid_two_state(2.0, w=[1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low = spec.at(np.array([-800.0]))
+        high = spec.at(np.array([800.0]))
+    np.testing.assert_array_equal(low, [[0.0, 0.0], [2.0, -2.0]])
+    np.testing.assert_array_equal(high, [[-2.0, 2.0], [0.0, 0.0]])
 
 
 def test_event_stream_generation():
