@@ -34,7 +34,9 @@ class ModelSpec:
     returns the order-m derivative tensor with shape (..., n*m axes..., n),
     entry [a1..am, r] = d^m b_r / d x_a1 .. d x_am; it unlocks analytic
     bracket recursion.  grad_bound must dominate the operator norm of the
-    Jacobian over all (x, regime).
+    Jacobian over all (x, regime).  affine = (mats (m0, n, n), shifts (m0, n)),
+    when set, states that b(x, i) = mats[i-1] x + shifts[i-1]; the step loop
+    then evolves the flows once per regime path instead of once per start.
     """
 
     name: str
@@ -49,6 +51,7 @@ class ModelSpec:
     x0: np.ndarray = None
     alpha0: int = 1
     params: dict = field(default_factory=dict)
+    affine: tuple | None = None
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
@@ -63,12 +66,22 @@ class ModelSpec:
             raise SpecError(f"alpha0 must lie in 1..{self.rates.m0}, got {self.alpha0}")
         if self.grad_bound < 0:
             raise SpecError("grad_bound must be nonnegative")
+        if self.affine is not None:
+            mats, shifts = (np.asarray(v, dtype=float) for v in self.affine)
+            m0, n = self.rates.m0, self.n
+            if mats.shape != (m0, n, n) or shifts.shape != (m0, n):
+                raise SpecError(
+                    f"affine data must have shapes {(m0, n, n)} and {(m0, n)}, "
+                    f"got {mats.shape} and {shifts.shape}"
+                )
+            self.affine = (mats, shifts)
 
 
 def validate_model(model: ModelSpec, points=None, rtol: float = 1e-5) -> float:
     """Check drift_jac against central differences of drift at probe points.
 
-    Returns the worst scaled deviation; raises SpecError beyond rtol.
+    With affine data set, drift and drift_jac must also equal A_i x + c_i and
+    A_i there.  Returns the worst scaled deviation; raises SpecError beyond rtol.
     """
     if points is None:
         rng = np.random.default_rng(2024)
@@ -91,6 +104,16 @@ def validate_model(model: ModelSpec, points=None, rtol: float = 1e-5) -> float:
                     f"drift Jacobian disagrees with finite differences by {dev:.2e} "
                     f"at x={x}, regime {a}"
                 )
+            if model.affine is None:
+                continue
+            A, c = model.affine[0][a - 1], model.affine[1][a - 1]
+            for what, got, want in (("drift", model.drift(x, a), A @ x + c), ("Jacobian", jac, A)):
+                dev = float(np.abs(np.asarray(got) - want).max() / (1.0 + np.abs(want).max()))
+                worst = max(worst, dev)
+                if dev > rtol:
+                    raise SpecError(
+                        f"affine data disagree with the {what} by {dev:.2e} at x={x}, regime {a}"
+                    )
     return worst
 
 
@@ -131,6 +154,7 @@ def make_zero_drift(n: int = 1, d: int | None = None, sigma=None, x0=None) -> Mo
         grad_bound=0.0,
         x0=x0,
         params={"n": n, "d": d},
+        affine=(np.zeros((1, n, n)), np.zeros((1, n))),
     )
 
 
@@ -143,6 +167,10 @@ def _linear_callbacks(mats: np.ndarray, shifts: np.ndarray):
 
     def drift(x, a):
         x = np.asarray(x, dtype=float)
+        if mats.shape[0] == 1:
+            # one plain product-sum per row instead of one BLAS call per row;
+            # BLAS may fuse multiply-adds, so A @ x can differ in the last bit
+            return np.einsum("rc,...c->...r", mats[0], x) + shifts[0]
         ai = _regime_index(a)
         A = mats[ai]
         c = shifts[ai]
@@ -209,6 +237,7 @@ def make_linear(
         x0=x0,
         alpha0=alpha0,
         params={"mats": mats.tolist(), "shifts": shifts.tolist()},
+        affine=(mats, shifts),
     )
 
 

@@ -346,15 +346,29 @@ def batch_flows(
     finite-difference starts.  alpha0 is one regime or one per path; shift
     (n_paths, K, n) is added to the state increments.  After step j - 1 an
     event (p, j, mark) moves path p's regime by the mark rule at X_j.
+
+    For a model with affine data the Jacobian does not depend on x, so J, K
+    and Q are evolved once per path (once per bundle for one regime on a
+    shared grid) and broadcast over the start axes of the result.
     """
     x0 = np.asarray(model.x0 if x0 is None else x0, dtype=float)
     lead = np.broadcast_shapes(x0.shape[:-1], (noise.n_paths,))
     n = model.n
     x = np.broadcast_to(x0, lead + (n,)).copy()
+    steps = noise.dS.shape[1]
+    dts = np.diff(noise.times, axis=-1).T  # (K,) shared grid, (K, P) per-path grids
+    dt_x, dt_g = (dts[..., None], dts[..., None, None]) if dts.ndim == 2 else (dts, dts)
+    jac, flow_lead = model.drift_jac, lead
+    if model.affine is not None:
+        mats, m0 = model.affine[0], model.rates.m0
+        jac = (lambda x, a: mats[0]) if m0 == 1 else (lambda x, a: mats[a - 1])
+        per_path = (noise.n_paths,) if m0 > 1 or dts.ndim == 2 else ()
+        flow_lead = np.broadcast_shapes(np.shape(K0)[:-2] if K0 is not None else (), per_path)
     eye = np.eye(n)
-    K = np.broadcast_to(eye if K0 is None else np.asarray(K0, dtype=float), lead + (n, n)).copy()
-    J = np.broadcast_to(eye, lead + (n, n)).copy() if want_J else None
-    Q = np.zeros(lead + (n, n)) if want_Q else None
+    K = eye if K0 is None else np.asarray(K0, dtype=float)
+    K = np.broadcast_to(K, flow_lead + (n, n)).copy()
+    J = np.broadcast_to(eye, flow_lead + (n, n)).copy() if want_J else None
+    Q = np.zeros(np.broadcast_shapes(flow_lead, (noise.n_paths,)) + (n, n)) if want_Q else None
     a = np.full(noise.n_paths, model.alpha0 if alpha0 is None else alpha0, dtype=np.int64)
     at_state = model.rates.state_dependent
     if at_state and len(lead) > 1 and noise.events:
@@ -362,15 +376,12 @@ def batch_flows(
     events: dict[int, list] = {}
     for p, j, mark in noise.events:
         events.setdefault(j, []).append((p, mark))
-    steps = noise.dS.shape[1]
-    dts = np.diff(noise.times, axis=-1).T  # (K,) shared grid, (K, P) per-path grids
-    dt_x, dt_g = (dts[..., None], dts[..., None, None]) if dts.ndim == 2 else (dts, dts)
     sqrt_dS = np.sqrt(noise.dS)
     sig = model.sigma
     Xs = np.empty(lead + (steps + 1, n)) if record else None
     alphas = np.empty((noise.n_paths, steps + 1), dtype=np.int64) if record else None
-    Js = np.empty(lead + (steps + 1, n, n)) if record and want_J else None
-    Ks = np.empty(lead + (steps + 1, n, n)) if record else None
+    Js = np.empty(flow_lead + (steps + 1, n, n)) if record and want_J else None
+    Ks = np.empty(flow_lead + (steps + 1, n, n)) if record else None
     for k in range(steps + 1):
         for p, mark in events.get(k, ()):
             a[p] = partition_point(model.rates, x[p] if at_state else None, a[p], mark)
@@ -385,7 +396,7 @@ def batch_flows(
         if Q is not None:
             r = K @ sig  # (..., n, d)
             Q = Q + np.einsum("...ad,...bd->...ab", r, r) * noise.dS[:, k, None, None]
-        g = model.drift_jac(x, a) * dt_g[k]
+        g = jac(x, a) * dt_g[k]
         if want_J:
             J = J + g @ J
         K = K - K @ g
@@ -395,6 +406,13 @@ def batch_flows(
             x = x + shift[:, k]
         if not np.abs(x).max() <= OVERFLOW_GUARD:
             raise NumericError(f"a state left the trusted range at step {k + 1}")
+    J, K, Q = (_widen(v, lead + (n, n)) for v in (J, K, Q))
+    Js, Ks = (_widen(v, lead + (steps + 1, n, n)) for v in (Js, Ks))
     return BatchFlowResult(
         X=x, J=J, K=K, Q=Q, X_path=Xs, alpha_path=alphas, J_path=Js, K_path=Ks
     )
+
+
+def _widen(v, shape):
+    """v broadcast to shape as a writable array; v itself when it has that shape."""
+    return v if v is None or v.shape == shape else np.broadcast_to(v, shape).copy()

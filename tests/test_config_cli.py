@@ -6,9 +6,12 @@ whose file digests are reproducible across worker counts.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchsde import ConfigError, RunConfig
 from switchsde.cli import main
@@ -47,6 +50,81 @@ def test_round_trip_preserves_values():
     assert cfg.levy.upper_cutoff == 4.0
     assert cfg.simulation.n_paths == 24
     assert cfg.output.max_saved_paths == 3
+    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_positive = st.one_of(st.integers(1, 10**6), st.floats(1e-6, 1e6))
+_number = st.one_of(st.integers(-(10**6), 10**6), st.floats(-1e6, 1e6))
+_floats = st.lists(st.floats(-1e3, 1e3), max_size=3)
+
+
+def _section(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_window = st.tuples(st.floats(0.0, 10.0), st.floats(1e-3, 10.0)).map(lambda t: [t[0], t[0] + t[1]])
+
+VALID_CONFIGS = _section(
+    seed=st.integers(0, 2**32),
+    workers=st.integers(1, 64),
+    model=st.sampled_from([
+        {"name": "kalman"},
+        {"name": "zero_drift", "params": {"n": 3, "d": 1}},
+        {"name": "linear", "params": {"mats": [[0.0, 1.0], [-1.0, 0.0]]}},
+        {"name": "sin_bounded", "params": {"amp": [0.5], "freq": [2.0]}},
+        {"name": "two_regime_linear", "params": {"switch_rate": 2.0, "state_dependent": True}},
+    ]),
+    levy=st.one_of(
+        _section(
+            kind=st.just("stable"),
+            alpha=_positive,
+            small_jump_cutoff=_positive,
+            upper_cutoff=st.one_of(st.none(), _positive),
+        ),
+        st.fixed_dictionaries({"kind": st.just("tabulated"), "table": st.text(min_size=1)}),
+    ),
+    simulation=_section(
+        horizon=_positive, grid_step=_positive, n_steps=st.integers(1, 10**6),
+        n_paths=st.integers(1, 10**6),
+    ),
+    output=_section(dir=st.text(), save_paths=st.booleans(), max_saved_paths=st.integers(0, 100)),
+    hormander=_section(
+        depth=st.integers(1, 6), radius=_positive, n_samples=st.integers(1, 10**4),
+        mode=st.sampled_from(["auto", "analytic", "fd"]), threshold=_positive,
+    ),
+    tails=_section(n_thresholds=st.integers(3, 50), q_top=_positive, min_count=st.integers(1, 50)),
+    norris=_section(
+        window=_window, regime=st.integers(1, 4), direction=st.one_of(st.none(), _floats),
+        eps_grid=st.lists(_positive, min_size=2, max_size=5), beta=_positive, theta=_positive,
+        field_name=st.sampled_from(["scaled_cos", "constant"]), amp=_number, freq=_number,
+    ),
+    gradrep=_section(
+        eta=_positive, weights=_floats, truncate=st.booleans(), chunk=st.integers(1, 10**6)
+    ),
+    density=_section(
+        component=st.integers(0, 5), n_grid=st.integers(8, 4096),
+        bandwidth=st.one_of(st.none(), _positive),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=VALID_CONFIGS)
+def test_valid_configs_round_trip(raw):
+    cfg = RunConfig.from_dict(raw)
+    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    assert RunConfig.from_dict(json.loads(cfg.canonical_json())) == cfg
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "perfbench" / "configs").glob("*.json")) + [ROOT / "configs" / "kalman.json"],
+    ids=lambda p: p.relative_to(ROOT).as_posix(),
+)
+def test_shipped_configs_round_trip(path):
+    cfg = RunConfig.load(path)
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 

@@ -7,6 +7,7 @@ degenerate pair where K(t) = I - t A holds exactly on the grid.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,6 +364,28 @@ def test_gradient_representation_quick():
         gradient_representation_check(
             model, LEVY, 1.0, 63, 100, f=lambda x: x[:, 0], grad_f=lambda x: x
         )
+
+
+@pytest.mark.parametrize(
+    "model", [make_kalman(), make_zero_drift(n=2, d=1, sigma=[[0.0], [1.0]])], ids=lambda m: m.name
+)
+def test_gradient_representation_affine_path_is_bitwise(model):
+    # AC-12's verdict does not depend on whether the flows come from the
+    # affine data or from the drift callbacks
+    w = np.array([1.0, 0.7])
+    kw = dict(
+        horizon=1.0,
+        n_steps=64,
+        n_paths=2000,
+        f=lambda x: np.sin(x @ w),
+        grad_f=lambda x: np.cos(x @ w)[:, None] * w,
+        seed=4,
+        chunk=1000,
+    )
+    fast = gradient_representation_check(model, LEVY, **kw)
+    slow = gradient_representation_check(replace(model, affine=None), LEVY, **kw)
+    for name in ("residual", "se_mc", "fd_bias", "dt_bias", "lhs"):
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
 
 
 # -- kernel density ------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsde import (
+    MODEL_BUILDERS,
     BatchNoise,
     DataError,
     LevyMeasureSpec,
@@ -27,6 +28,7 @@ from switchsde import (
     constant_direction,
     constant_rates,
     frozen_regime_path,
+    frozen_regime_paths,
     grid_index,
     make_kalman,
     make_linear,
@@ -40,6 +42,7 @@ from switchsde import (
     simulate_perturbed_path,
     validate_model,
 )
+from switchsde.cli import main
 
 LEVY = LevyMeasureSpec(alpha=1.0)
 LEVY_TRUNC = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
@@ -75,6 +78,24 @@ def test_validate_model_catches_wrong_jacobian():
     )
     with pytest.raises(SpecError):
         validate_model(broken)
+
+
+def test_validate_model_rejects_disagreeing_affine_data(monkeypatch, tmp_path):
+    model = make_kalman()
+    mats, shifts = model.affine
+    wrong = replace(model, affine=(mats + 0.5, shifts))
+    for spec in (wrong, replace(model, affine=(mats, shifts + 1.0))):
+        with pytest.raises(SpecError, match="affine data disagree"):
+            validate_model(spec)
+    with pytest.raises(SpecError, match="affine data must have shapes"):
+        replace(model, affine=(np.zeros((2, 2, 2)), np.zeros((2, 2))))
+    # make_model validates every model it builds, so the CLI exits 2 on such a spec
+    monkeypatch.setitem(MODEL_BUILDERS, "kalman", lambda: wrong)
+    with pytest.raises(SpecError):
+        make_model("kalman")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": {"name": "kalman"}}')
+    assert main(["hormander", "--config", str(cfg)]) == 2
 
 
 def test_model_spec_shape_errors():
@@ -340,6 +361,18 @@ def _noise_record(model, steps, rng):
     return times, dS, normals, index, marks
 
 
+def _padded_bundle(records):
+    """Noise records of unequal length as one bundle padded with zero-length steps."""
+    width = max(r[1].size for r in records)
+    return BatchNoise(
+        times=np.stack([np.pad(r[0], (0, width - r[1].size), mode="edge") for r in records]),
+        dS=np.stack([np.pad(r[1], (0, width - r[1].size)) for r in records]),
+        normals=np.stack([np.pad(r[2], ((0, width - r[1].size), (0, 0))) for r in records]),
+        n_paths=len(records),
+        events=[(p, j, mark) for p, r in enumerate(records) for j, mark in zip(r[3], r[4])],
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     family=st.sampled_from(sorted(PADDING_MODELS)),
@@ -358,15 +391,7 @@ def test_zero_length_padding_is_an_exact_no_op(family, steps, extra, slot, seed)
     lengths.insert(slot, steps)
     records = [_noise_record(model, m, rng) for m in lengths]
     starts = model.x0 + rng.normal(scale=0.5, size=(len(lengths), model.n))
-    width = max(lengths)
-    times = np.stack([np.pad(r[0], (0, width - m), mode="edge") for r, m in zip(records, lengths)])
-    bundle = BatchNoise(
-        times=times,
-        dS=np.stack([np.pad(r[1], (0, width - m)) for r, m in zip(records, lengths)]),
-        normals=np.stack([np.pad(r[2], ((0, width - m), (0, 0))) for r, m in zip(records, lengths)]),
-        n_paths=len(lengths),
-        events=[(p, j, mark) for p, r in enumerate(records) for j, mark in zip(r[3], r[4])],
-    )
+    bundle = _padded_bundle(records)
     times1, dS1, normals1, index1, marks1 = records[slot]
     alone = BatchNoise(
         times=times1,
@@ -383,3 +408,75 @@ def test_zero_length_padding_is_an_exact_no_op(family, steps, extra, slot, seed)
         b = getattr(many, name)[slot, : steps + 1]
         assert a.tobytes() == b.tobytes(), name
     assert one.Q[0].tobytes() == many.Q[slot].tobytes()
+
+
+AFFINE_MODELS = {
+    "zero_drift": make_zero_drift(n=2, d=2),
+    "zero_drift_3x1": make_zero_drift(n=3, d=1, sigma=[[0.0], [0.0], [1.0]]),
+    "linear": make_linear([[0.3, -1.1], [0.7, -0.45]], shifts=[0.3, -0.1]),
+    "linear_3x1": make_linear(
+        [[-0.2, 1.3, 0.0], [0.1, -0.7, 0.9], [0.0, 0.4, -0.35]], sigma=[0.0, 0.0, 1.0]
+    ),
+    "kalman": make_kalman(),
+    "two_regime_linear": make_two_regime_linear(switch_rate=3.0),
+    "two_regime_linear_state": make_two_regime_linear(
+        switch_rate=3.0, state_dependent=True, rate_direction=[1.0, 0.0]
+    ),
+}
+
+
+def _assert_bitwise(fast, slow, names):
+    for name in names:
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(AFFINE_MODELS)),
+    grid=st.sampled_from(["shared", "coarsened", "padded", "simulate_paths"]),
+    n_starts=st.integers(0, 3),
+    want_J=st.booleans(),
+    want_Q=st.booleans(),
+    record=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_affine_fast_path_equals_callbacks(family, grid, n_starts, want_J, want_Q, record, seed):
+    # the flows evolved once per path (or once per bundle) and broadcast over
+    # the starts are bitwise the flows the drift callbacks give per start
+    model = AFFINE_MODELS[family]
+    slow = replace(model, affine=None)
+    rng = np.random.default_rng(seed)
+    if grid == "simulate_paths":
+        seeds = rng.integers(0, 2**32, 3).tolist()
+        bases = simulate_paths(model, LEVY_TRUNC, 1.0, 1 / 16, seeds)
+        again = simulate_paths(slow, LEVY_TRUNC, 1.0, 1 / 16, seeds)
+        regime = int(rng.integers(1, model.rates.m0 + 1))
+        windows = frozen_regime_paths(model, regime, (0.25, 0.75), bases)
+        windows_slow = frozen_regime_paths(slow, regime, (0.25, 0.75), bases)
+        for fast, ref in zip(bases + windows, again + windows_slow):
+            _assert_bitwise(fast, ref, ("times", "X", "alpha", "J", "K"))
+        return
+    n_paths = 4
+    if grid == "padded":
+        noise = _padded_bundle([_noise_record(model, m, rng) for m in rng.integers(1, 12, n_paths)])
+    else:
+        records = [_noise_record(model, 16, rng) for _ in range(n_paths)]
+        noise = replace(_padded_bundle(records), times=np.linspace(0.0, 1.0, 17))
+        if grid == "coarsened":
+            noise = noise.coarsen()
+    if n_starts == 0:
+        x0 = None
+    elif model.rates.state_dependent:  # one start per path
+        x0 = model.x0 + rng.normal(scale=0.5, size=(n_paths, model.n))
+    else:
+        x0 = model.x0 + rng.normal(scale=0.5, size=(n_starts, 1, model.n))
+    kw = dict(x0=x0, want_J=want_J, want_Q=want_Q, record=record)
+    _assert_bitwise(
+        batch_flows(model, noise, **kw),
+        batch_flows(slow, noise, **kw),
+        ("X", "J", "K", "Q", "X_path", "alpha_path", "J_path", "K_path"),
+    )
