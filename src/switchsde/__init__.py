@@ -15,16 +15,12 @@ from .levy_noise import (
     DecompositionSpec,
     H3Result,
     LevyMeasureSpec,
-    SubordinatedBMPath,
-    SubordinatorPath,
     as_rng,
     check_H3,
     decompose_large_jumps,
     levy_measure_of_L,
     load_tabulated_csv,
     sample_increments,
-    sample_subordinated_bm,
-    sample_subordinator_path,
     sample_xi,
     small_jump_drift,
     stable_laplace_coefficient,
@@ -60,7 +56,6 @@ from .sde_core import (
     BatchNoise,
     CoupledPath,
     PerturbationSpec,
-    build_time_grid,
     constant_direction,
     batch_flows,
     frozen_regime_path,

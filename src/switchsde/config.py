@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -24,17 +25,33 @@ def _reject_unknown(d: dict, allowed, where: str):
         raise ConfigError(f"unknown key {extra[0]!r} in {where}")
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number; booleans, NaN, infinities and huge integers are not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _number(d, key, where, default, positive=False, allow_none=False):
     if key not in d:
         return default
     v = d[key]
     if v is None and allow_none:
         return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
+    if not _is_number(v):
+        raise ConfigError(f"{where}.{key} must be a finite number")
     if positive and v <= 0:
         raise ConfigError(f"{where}.{key} must be positive")
     return float(v)
+
+
+def _number_list(values, where, positive=False) -> list:
+    if not all(_is_number(v) and (v > 0 or not positive) for v in values):
+        raise ConfigError(f"{where} entries must be {'positive ' * positive}finite numbers")
+    return [float(v) for v in values]
 
 
 def _integer(d, key, where, default, minimum=None):
@@ -219,21 +236,22 @@ class NorrisConfig:
         window = d.get("window", [0.0, 0.5])
         if not (isinstance(window, list) and len(window) == 2):
             raise ConfigError("norris.window must be a [t1, t2] pair")
-        if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in window):
-            raise ConfigError("norris.window entries must be numbers")
+        window = _number_list(window, "norris.window")
         if not 0 <= window[0] < window[1]:
             raise ConfigError("norris.window must satisfy 0 <= t1 < t2")
         eps = d.get("eps_grid", [0.03, 0.01, 0.003, 0.001])
         if not (isinstance(eps, list) and len(eps) >= 2):
             raise ConfigError("norris.eps_grid must list at least two levels")
         direction = d.get("direction")
-        if direction is not None and not isinstance(direction, list):
-            raise ConfigError("norris.direction must be a list of coordinates")
+        if direction is not None:
+            if not isinstance(direction, list):
+                raise ConfigError("norris.direction must be a list of coordinates")
+            _number_list(direction, "norris.direction")
         return cls(
-            window=[float(window[0]), float(window[1])],
+            window=window,
             regime=_integer(d, "regime", "norris", 1, minimum=1),
             direction=direction,
-            eps_grid=[float(e) for e in eps],
+            eps_grid=_number_list(eps, "norris.eps_grid", positive=True),
             beta=_number(d, "beta", "norris", 0.5, positive=True),
             theta=_number(d, "theta", "norris", 1.0, positive=True),
             field_name=_string(d, "field_name", "norris", "scaled_cos", choices={"scaled_cos", "constant"}),
@@ -260,7 +278,7 @@ class GradRepConfig:
             raise ConfigError("gradrep.truncate must be a boolean")
         return cls(
             eta=_number(d, "eta", "gradrep", 1e-3, positive=True),
-            weights=[float(w) for w in weights],
+            weights=_number_list(weights, "gradrep.weights"),
             truncate=truncate,
             chunk=_integer(d, "chunk", "gradrep", 20000, minimum=1),
         )

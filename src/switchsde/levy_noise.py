@@ -32,7 +32,6 @@ from .errors import DataError, SpecError, UnsupportedConfigError
 
 LARGE_JUMP_CUTOFF = 1.0
 QUAD_ABS_TOL = 1e-10
-_RECONSTRUCT_RTOL = 1e-12
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -248,36 +247,7 @@ def load_tabulated_csv(path) -> LevyMeasureSpec:
 
 
 # ---------------------------------------------------------------------------
-# subordinator paths
-
-
-@dataclass
-class SubordinatorPath:
-    """One realization of S on a time grid.
-
-    values[k] = drift_rate * times[k] + sum of jump_sizes with jump time <= times[k].
-    For the exactly-sampled stable kind each grid increment is recorded as one
-    jump at the right endpoint of its step and drift_rate is zero.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    drift_rate: float
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
-
-    def validate(self) -> None:
-        if np.any(np.diff(self.values) < 0):
-            raise DataError("subordinator path must be nondecreasing")
-        cum = np.concatenate([[0.0], np.cumsum(self.jump_sizes)])
-        idx = np.searchsorted(self.jump_times, self.times, side="right")
-        recon = self.drift_rate * self.times + cum[idx]
-        scale = 1.0 + np.abs(self.values)
-        if np.any(np.abs(recon - self.values) > _RECONSTRUCT_RTOL * scale):
-            raise DataError("subordinator path fails drift + jumps reconstruction")
+# clock increments
 
 
 def _truncated_size_sampler(spec: LevyMeasureSpec, lo: float) -> Callable:
@@ -317,74 +287,19 @@ def _truncated_size_sampler(spec: LevyMeasureSpec, lo: float) -> Callable:
     return draw
 
 
-def sample_subordinator_path(
-    spec: LevyMeasureSpec,
-    horizon: float,
-    grid_step: float | None = None,
-    seed=None,
-    times: np.ndarray | None = None,
-) -> SubordinatorPath:
-    """Sample S on a grid over [0, horizon].
-
-    Untruncated stable measures are sampled exactly per grid increment.  Any
-    truncated or tabulated measure is sampled as compensating drift below the
-    small-jump cutoff plus a compound Poisson stream of the larger jumps.
-    """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    rng = as_rng(seed)
-    if times is None:
-        if grid_step is None or grid_step <= 0:
-            raise ValueError("grid_step must be positive when no explicit grid is given")
-        n = max(1, int(round(horizon / grid_step)))
-        times = np.linspace(0.0, horizon, n + 1)
-    else:
-        times = np.asarray(times, dtype=float)
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise DataError("explicit grid must start at 0 and be strictly increasing")
-
-    if spec.kind == "stable" and spec.upper_cutoff is None:
-        beta = spec.alpha / 2.0
-        c = stable_laplace_coefficient(spec.alpha)
-        dts = np.diff(times)
-        incr = (c * dts) ** (1.0 / beta) * standard_positive_stable(beta, dts.size, rng)
-        values = np.concatenate([[0.0], np.cumsum(incr)])
-        return SubordinatorPath(
-            times=times,
-            values=values,
-            drift_rate=0.0,
-            jump_times=times[1:].copy(),
-            jump_sizes=incr,
-        )
-
-    delta = max(spec.small_jump_cutoff, spec._lo())
-    drift = spec.mean_between(0.0, delta)
-    lam = spec.mass(delta)
-    if not math.isfinite(lam):
-        raise SpecError("jump intensity above the cutoff is infinite; lower alpha or truncate")
-    count = rng.poisson(lam * horizon)
-    jt = np.sort(rng.uniform(0.0, horizon, count))
-    draw = _truncated_size_sampler(spec, delta)
-    js = draw(rng.uniform(size=count))
-    cum = np.concatenate([[0.0], np.cumsum(js)])
-    idx = np.searchsorted(jt, times, side="right")
-    values = drift * times + cum[idx]
-    return SubordinatorPath(
-        times=times, values=values, drift_rate=drift, jump_times=jt, jump_sizes=js
-    )
-
-
 def sample_increments(
     spec: LevyMeasureSpec, dts: np.ndarray, n_paths: int, seed=None
 ) -> np.ndarray:
-    """Batch per-step increments of S, shape (n_paths, len(dts)).
+    """Batch per-step increments of S, shape (n_paths, K).
 
-    Cells are independent, so the law matches per-path sampling on the same
-    grid; individual jump times inside a step are not recorded here.
+    dts is one (K,) grid shared by every path or one (n_paths, K) row per
+    path.  Cells are independent, each drawn from the law of an increment
+    over its own dt, and a cell with dt = 0 gets exactly 0; individual jump
+    times inside a step are not recorded.
     """
     rng = as_rng(seed)
     dts = np.asarray(dts, dtype=float)
-    k = dts.size
+    k = dts.shape[-1]
     if spec.kind == "stable" and spec.upper_cutoff is None:
         beta = spec.alpha / 2.0
         c = stable_laplace_coefficient(spec.alpha)
@@ -400,11 +315,12 @@ def sample_increments(
     out = np.empty((n_paths, k))
     out[:] = drift * dts
     # chunk rows so the flattened jump array stays modest
-    mean_jumps = lam * float(dts.sum())
+    mean_jumps = lam * float(dts.sum(axis=-1).max())
     rows = max(1, min(n_paths, int(5e6 / max(mean_jumps, 1.0)) + 1))
+    rates = lam * dts
     for start in range(0, n_paths, rows):
         stop = min(start + rows, n_paths)
-        counts = rng.poisson(lam * dts, (stop - start, k))
+        counts = rng.poisson(rates[start:stop] if dts.ndim == 2 else rates, (stop - start, k))
         total = int(counts.sum())
         if total == 0:
             continue
@@ -413,35 +329,6 @@ def sample_increments(
         sums = np.bincount(flat, weights=sizes, minlength=counts.size)
         out[start:stop] += sums.reshape(counts.shape)
     return out
-
-
-# ---------------------------------------------------------------------------
-# subordinated Brownian motion
-
-
-@dataclass
-class SubordinatedBMPath:
-    """Increments of W evaluated along a subordinator path.
-
-    increments[k] = sqrt(dS[k]) * normals[k]; the standard normals are kept so
-    a perturbed integration can reuse exactly the same Brownian randomness.
-    """
-
-    times: np.ndarray
-    dS: np.ndarray
-    normals: np.ndarray
-    increments: np.ndarray
-    d: int
-
-
-def sample_subordinated_bm(path: SubordinatorPath, d: int, seed=None) -> SubordinatedBMPath:
-    rng = as_rng(seed)
-    dS = path.increments()
-    if np.any(dS < 0):
-        raise DataError("subordinator increments must be nonnegative")
-    z = rng.standard_normal((dS.size, d))
-    incr = np.sqrt(dS)[:, None] * z
-    return SubordinatedBMPath(times=path.times, dS=dS, normals=z, increments=incr, d=d)
 
 
 # ---------------------------------------------------------------------------

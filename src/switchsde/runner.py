@@ -385,14 +385,10 @@ def run_gradrep(cfg: RunConfig) -> dict:
 
 def _density_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     sim = cfg.simulation
-    comp = cfg.density.component
-    if model.rates.state_dependent:
-        paths = _chunk_paths(cfg, model, levy, STREAM_DENSITY, lo, hi)
-        return (np.array([cp.X[-1, comp] for cp in paths]),)
     seed = np.random.SeedSequence([cfg.seed, STREAM_DENSITY, lo])
     noise = sample_batch_noise(model, levy, sim.horizon, sim.n_steps, hi - lo, seed)
     res = batch_flows(model, noise, want_Q=False)
-    return (res.X[..., comp],)
+    return (res.X[..., cfg.density.component],)
 
 
 def run_density(cfg: RunConfig) -> dict:

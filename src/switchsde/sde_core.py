@@ -9,14 +9,14 @@ subordinator increment; the flows J, K and the reduced covariance Q (see
 ``flows``) ride along, and the regime changes at switching events from the
 left limits (X_{s-}, alpha_{s-}) via the mark-partition rule.
 
-``batch_flows`` is the one step loop.  It integrates a bundle of noise records
-on a shared grid or on per-path grids padded at the end with zero-length
-steps (dt = 0, dS = 0), which are exact no-ops.  Only the samplers differ: the
-per-path engine (``simulate_paths``) refines each path's grid to its event
-times and keeps the full record, so perturbed and frozen-regime
-re-integrations reuse identical randomness; batched noise
-(``sample_batch_noise``, constant rates only) shares one uniform grid and
-applies an event at the first grid point at or after its arrival time.
+``batch_flows`` is the one step loop and ``sample_batch_noise`` the one noise
+sampler.  The sampler draws each path's switching events first and refines
+that path's grid to contain their times, so every switch lands exactly at
+its event time; the grids of a bundle are padded at the end with zero-length
+steps (dt = 0, dS = 0), which are exact no-ops, and a bundle without events
+shares one uniform grid.  The per-path engine (``simulate_paths``) draws one
+such path per seed and keeps its full record, so perturbed and frozen-regime
+re-integrations reuse identical randomness.
 """
 
 from __future__ import annotations
@@ -26,14 +26,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, NumericError, UnsupportedConfigError
-from .levy_noise import (
-    LevyMeasureSpec,
-    as_rng,
-    sample_increments,
-    sample_subordinator_path,
-)
+from .levy_noise import LevyMeasureSpec, as_rng, sample_increments
 from .models import ModelSpec
-from .switching import partition_point, simulate_regime_events
+from .switching import partition_point
 
 OVERFLOW_GUARD = 1e12
 
@@ -89,8 +84,6 @@ def constant_direction(value, upto: float) -> PerturbationSpec:
     return PerturbationSpec(breakpoints=np.array([0.0, upto]), values=v[None, :])
 
 
-
-
 @dataclass
 class CoupledPath:
     """State, regime, flows and the complete noise record on one refined grid.
@@ -128,38 +121,27 @@ def grid_index(times: np.ndarray, t: float, tol: float = 1e-10) -> int:
     raise DataError(f"time {t} is not a grid point")
 
 
-def build_time_grid(horizon: float, grid_step: float, extra_times=()) -> np.ndarray:
-    if horizon <= 0 or grid_step <= 0:
-        raise ValueError("horizon and grid_step must be positive")
-    n = max(1, int(round(horizon / grid_step)))
-    base = np.linspace(0.0, horizon, n + 1)
-    extra = np.asarray(extra_times, dtype=float)
-    times = np.unique(np.concatenate([base, extra[(extra > 0) & (extra < horizon)]]))
-    keep = np.concatenate([[True], np.diff(times) > 1e-15])
-    return times[keep]
-
-
 def simulate_paths(
     model: ModelSpec, levy: LevyMeasureSpec, horizon: float, grid_step: float, seeds
 ) -> list[CoupledPath]:
-    """Reference per-path engine with exact event-time grid refinement.
+    """Reference per-path engine: one ``sample_batch_noise`` path per seed.
 
-    Each seed draws its own record in a fixed order (switching events, the grid
-    refined to contain them, the subordinator on that grid, the normals); the
-    records are integrated as one padded bundle.
+    Each record keeps its refined grid without padding, S = cumsum(dS), the
+    normals and its events; the records are integrated as one padded bundle.
     """
+    if not (horizon > 0 and grid_step > 0):
+        raise ValueError(f"horizon and grid_step must be positive, got {horizon}, {grid_step}")
+    n = max(1, int(round(horizon / grid_step)))
     records = []
     for seed in seeds:
-        rng = as_rng(seed)
-        ev_times = ev_marks = np.empty(0)
-        if model.rates.m0 > 1:
-            events = simulate_regime_events(model.rates.m0, model.rates.bound, horizon, rng)
-            ev_times, ev_marks = events.times, events.marks
-        times = build_time_grid(horizon, grid_step, ev_times)
-        sub = sample_subordinator_path(levy, horizon, seed=rng, times=times)
-        dS = sub.increments()
-        z = rng.standard_normal((dS.size, model.d))
-        records.append(CoupledPath(times, None, None, sub.values, dS, z, ev_times, ev_marks))
+        noise = sample_batch_noise(model, levy, horizon, n, 1, seed)
+        index = [j for _, j, _ in noise.events]
+        size = n + 1 + len(index)
+        times = np.atleast_2d(noise.times)[0, :size]
+        dS, z = noise.dS[0, : size - 1], noise.normals[0, : size - 1]
+        S = np.concatenate([[0.0], np.cumsum(dS)])
+        marks = np.array([mark for _, _, mark in noise.events])
+        records.append(CoupledPath(times, None, None, S, dS, z, times[index], marks))
     return _integrate_records(model, records)
 
 
@@ -231,10 +213,9 @@ def _integrate_records(model, records, shifts=None, want_J=True, **start) -> lis
     """Integrate per-path noise records as one bundle padded with zero-length steps."""
     width = max(r.times.size for r in records)
     events = [
-        (p, grid_index(r.times, t), mark)
+        (p, j, mark)
         for p, r in enumerate(records)
-        for t, mark in zip(r.event_times, r.event_marks)
-        if 0.0 < t < r.times[-1]
+        for j, mark in zip(np.searchsorted(r.times, r.event_times, "right") - 1, r.event_marks)
     ]
     noise = BatchNoise(
         _pad([r.times for r in records], width, edge=True),
@@ -262,9 +243,9 @@ class BatchNoise:
     """Noise for a bundle of paths on one shared grid or one grid per path.
 
     times is (K+1,) for a shared grid, or (P, K+1) with each path's grid
-    padded at its end by repeats of its last point; padded steps carry dS = 0
-    and zero normals.  events lists (path, grid index, mark) triples, each
-    path's in time order.
+    padded at its end by repeats of its last point; padded steps carry
+    dS = 0, so their normals drive nothing.  events lists (path, grid index,
+    mark) triples, each path's in time order.
     """
 
     times: np.ndarray
@@ -300,17 +281,36 @@ def sample_batch_noise(
     n_paths: int,
     seed=None,
 ) -> BatchNoise:
-    if model.rates.state_dependent:
-        raise UnsupportedConfigError("the batched engine requires state-independent rates")
+    """Noise for a bundle of paths, each on its uniform grid refined to its event times.
+
+    Draws, in order: every path's switching events (counts, times, marks;
+    none for one regime), each cell's clock increment over its own dt, then
+    the normals.  Grids are padded at the end with zero-length steps to one
+    step count of the parity of n_steps; without events the bundle shares
+    the uniform (n_steps + 1,) grid.
+    """
     rng = as_rng(seed)
     times = np.linspace(0.0, horizon, n_steps + 1)
-    dS = sample_increments(levy, np.diff(times), n_paths, rng)
-    z = rng.standard_normal((n_paths, n_steps, model.d))
+    rate = model.rates.mark_space()
+    counts = rng.poisson(rate * horizon, n_paths) if model.rates.m0 > 1 else np.zeros(n_paths, int)
     events = []
-    for p in range(n_paths if model.rates.m0 > 1 else 0):
-        ev = simulate_regime_events(model.rates.m0, model.rates.bound, horizon, rng)
-        index = np.searchsorted(times, ev.times, side="left")
-        events.extend((p, j, mark) for j, mark in zip(index.tolist(), ev.marks.tolist()))
+    extra = int(counts.max(initial=0))
+    if extra:
+        total = int(counts.sum())
+        path = np.repeat(np.arange(n_paths), counts)
+        col = n_steps + 1 + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        pts = np.full((n_paths, n_steps + 1 + extra + extra % 2), horizon)
+        pts[:, : n_steps + 1] = times
+        pts[path, col] = rng.uniform(0.0, horizon, total)
+        marks = rng.uniform(0.0, rate, total)
+        # a stable sort puts an event after a grid point at the same time
+        order = np.argsort(pts, axis=1, kind="stable")
+        times = np.take_along_axis(pts, order, axis=1)
+        index = np.argsort(order, axis=1)[path, col]  # where each event column landed
+        keep = np.lexsort((index, path))
+        events = list(zip(path[keep].tolist(), index[keep].tolist(), marks[keep].tolist()))
+    dS = sample_increments(levy, np.diff(times, axis=-1), n_paths, rng)
+    z = rng.standard_normal(dS.shape + (model.d,))
     return BatchNoise(times=times, dS=dS, normals=z, n_paths=n_paths, events=events)
 
 

@@ -284,13 +284,43 @@ def test_bad_model_params_and_reversed_window_are_usage_errors(tmp_path, capsys)
         assert "norris.window" in capsys.readouterr().err
 
 
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys):
+    # Python's JSON reader takes NaN and Infinity literals; they must not reach the engine
+    for value in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"simulation": {"horizon": %s, "n_paths": 4}}' % value)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "simulation.horizon must be a finite number" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="levy.alpha"):
+        RunConfig.from_dict({"levy": {"alpha": float("nan")}})
+    with pytest.raises(ConfigError, match="norris.window"):
+        RunConfig.from_dict({"norris": {"window": [0.0, float("inf")]}})
+
+
+def test_non_numeric_list_entries_are_usage_errors(tmp_path, capsys):
+    cases = [
+        ("norris", {"norris": {"eps_grid": ["a", "b"]}}, "norris.eps_grid"),
+        ("norris", {"norris": {"eps_grid": [0.1, float("nan")]}}, "norris.eps_grid"),
+        ("norris", {"norris": {"eps_grid": [0.1, -0.01]}}, "norris.eps_grid"),
+        ("norris", {"norris": {"direction": [1.0, "x"]}}, "norris.direction"),
+        ("gradrep", {"gradrep": {"weights": [1.0, "a"]}}, "gradrep.weights"),
+        ("gradrep", {"gradrep": {"weights": [True, 0.7]}}, "gradrep.weights"),
+    ]
+    for command, payload, where in cases:
+        assert main([command, "--config", write_config(tmp_path, dict(SMALL, **payload))]) == 2
+        assert where in capsys.readouterr().err
+
+
 def test_density_pipeline(tmp_path, capsys):
-    payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=400))
-    cfg = write_config(tmp_path, payload)
-    out = tmp_path / "dens"
-    code, report = run_cli(capsys, "density", "--config", cfg, "--out", str(out))
-    assert code == 0
-    assert abs(report["summary"]["grid_mass"] - 1.0) < 0.05
-    rows = (out / "density.csv").read_text().strip().splitlines()
-    assert rows[0] == "x,density,se"
-    assert len(rows) == 257
+    # state-dependent rates run in the batched engine like constant ones
+    state = {"name": "two_regime_linear", "params": {"switch_rate": 3.0, "state_dependent": True}}
+    for model in (SMALL["model"], state):
+        payload = dict(SMALL, model=model, simulation=dict(SMALL["simulation"], n_paths=400))
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / model["name"]
+        code, report = run_cli(capsys, "density", "--config", cfg, "--out", str(out))
+        assert code == 0
+        assert abs(report["summary"]["grid_mass"] - 1.0) < 0.05
+        rows = (out / "density.csv").read_text().strip().splitlines()
+        assert rows[0] == "x,density,se"
+        assert len(rows) == 257

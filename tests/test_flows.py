@@ -175,8 +175,8 @@ def test_batch_flows_match_per_path_recursions():
         J = np.eye(2)
         K = np.eye(2)
         Q = np.zeros((2, 2))
-        for k in range(32):
-            dt = noise.times[k + 1] - noise.times[k]
+        for k in range(noise.dS.shape[1]):  # 32 uniform steps refined to the event times
+            dt = noise.times[p, k + 1] - noise.times[p, k]
             a = int(res.alpha_path[p, k])
             r = K @ model.sigma
             Q = Q + (r @ r.T) * noise.dS[p, k]

@@ -21,10 +21,10 @@ from switchsde import (
     decompose_large_jumps,
     levy_measure_of_L,
     load_tabulated_csv,
+    make_zero_drift,
     sample_increments,
-    sample_subordinated_bm,
-    sample_subordinator_path,
     sample_xi,
+    simulate_path,
     small_jump_drift,
     standard_positive_stable,
     xi_density,
@@ -141,51 +141,49 @@ def test_truncated_moments():
 
 
 def test_path_and_batch_share_one_law():
+    # cells over each path's own (refined, padded) grid add up to the law of
+    # one increment over the whole horizon, as the shared grid's cells do
     spec = LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0)
-    path = sample_subordinator_path(spec, 1.0, grid_step=0.125, seed=5)
-    assert path.times[0] == 0.0 and path.values[0] == 0.0
-    assert path.times.size == 9
-    assert np.all(np.diff(path.values) >= 0)
-    path.validate()
-
     n = 30_000
-    batch = sample_increments(spec, np.diff(path.times), n, seed=6)
-    singles = np.array(
-        [
-            sample_subordinator_path(spec, 1.0, grid_step=0.125, seed=1000 + k).values[-1]
-            for k in range(4000)
-        ]
-    )
-    d, p = stats.ks_2samp(batch.sum(axis=1), singles)
+    rng = np.random.default_rng(5)
+    cuts = np.sort(rng.uniform(0.0, 1.0, (n, 6)), axis=1)
+    rows = np.diff(np.column_stack([np.zeros(n), cuts, np.ones((n, 3))]), axis=1)
+    per_path = sample_increments(spec, rows, n, seed=6)
+    assert per_path.shape == (n, 9) and np.all(per_path >= 0)
+    assert np.all(per_path[:, -2:] == 0.0)  # the zero-length padding cells
+    shared = sample_increments(spec, np.full(8, 0.125), n, seed=7)
+    d, p = stats.ks_2samp(per_path.sum(axis=1), shared.sum(axis=1))
     assert p > 0.01
 
 
-def test_path_validate_catches_corruption():
-    spec = LevyMeasureSpec(alpha=1.0)
-    path = sample_subordinator_path(spec, 1.0, grid_step=0.25, seed=2)
-    path.values[-1] -= 2.0 * path.values[-1] + 1.0
-    with pytest.raises(DataError):
-        path.validate()
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LevyMeasureSpec(alpha=1.0),
+        LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0),
+        LevyMeasureSpec(kind="tabulated", alpha=None, density=lambda u: u**-1.5, support=(0.05, 2.0)),
+        LevyMeasureSpec(kind="atoms", alpha=None, atoms=((0.5, 40.0), (2.0, 10.0))),
+    ],
+    ids=["stable", "truncated", "tabulated", "atoms"],
+)
+def test_zero_length_cells_draw_exactly_zero(spec):
+    # padded (P, K) grids: every dt = 0 cell gets dS = +0.0, bit for bit
+    rng = np.random.default_rng(12)
+    dts = rng.uniform(0.0, 0.2, (64, 12))
+    dts[rng.uniform(size=dts.shape) < 0.3] = 0.0
+    dts[:, -3:] = 0.0
+    incr = sample_increments(spec, dts, 64, seed=13)
+    zero = dts == 0.0
+    assert incr[zero].tobytes() == np.zeros(int(zero.sum())).tobytes()
+    assert np.all(incr[~zero] >= 0.0) and incr[~zero].max() > 0.0
 
 
 def test_path_rejects_bad_horizon_and_grid():
+    model = make_zero_drift(n=1, d=1)
     spec = LevyMeasureSpec(alpha=1.0)
-    with pytest.raises(ValueError):
-        sample_subordinator_path(spec, 0.0, grid_step=0.1)
-    with pytest.raises(ValueError):
-        sample_subordinator_path(spec, 1.0, grid_step=0.0)
-    with pytest.raises(DataError):
-        sample_subordinator_path(spec, 1.0, times=np.array([0.1, 0.5, 1.0]))
-
-
-def test_subordinated_bm_increments():
-    spec = LevyMeasureSpec(alpha=1.0)
-    path = sample_subordinator_path(spec, 1.0, grid_step=0.25, seed=9)
-    bm = sample_subordinated_bm(path, d=3, seed=10)
-    assert bm.increments.shape == (4, 3)
-    np.testing.assert_allclose(
-        bm.increments, np.sqrt(path.increments())[:, None] * bm.normals
-    )
+    for horizon, grid_step in ((0.0, 0.1), (1.0, 0.0), (math.nan, 0.1), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            simulate_path(model, spec, horizon, grid_step, seed=0)
 
 
 def test_decomposition_constants():
@@ -298,8 +296,8 @@ def test_tabulated_csv_round_trip(tmp_path):
     assert spec.mean_between(0.25, 1.0) == pytest.approx(
         ref.mean_between(0.25, 1.0), rel=1e-3
     )
-    path = sample_subordinator_path(spec, 1.0, grid_step=0.25, seed=40)
-    path.validate()
+    incr = sample_increments(spec, np.array([[0.25, 0.5, 0.25, 0.0]]), 2000, seed=40)
+    assert np.all(incr[:, :3] >= 0) and np.all(incr[:, 3] == 0.0)
 
 
 def test_tabulated_csv_rejects_bad_tables(tmp_path):

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchsde import (
@@ -24,7 +24,6 @@ from switchsde import (
     SpecError,
     UnsupportedConfigError,
     batch_flows,
-    build_time_grid,
     constant_direction,
     constant_rates,
     frozen_regime_path,
@@ -37,15 +36,27 @@ from switchsde import (
     make_two_regime_linear,
     make_zero_drift,
     sample_batch_noise,
+    sample_increments,
     simulate_path,
     simulate_paths,
     simulate_perturbed_path,
     validate_model,
 )
 from switchsde.cli import main
+from switchsde.diagnostics import two_sample_ks
 
 LEVY = LevyMeasureSpec(alpha=1.0)
 LEVY_TRUNC = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
+
+PADDING_MODELS = {
+    "zero_drift": make_zero_drift(n=2, d=1, sigma=[[0.0], [1.0]]),
+    "linear": make_linear([[0.0, 1.0], [-1.0, -0.2]]),
+    "sin_bounded": make_sin_bounded(n=2, amp=(0.8, 0.5), freq=(1.0, 2.0)),
+    "two_regime_linear": make_two_regime_linear(switch_rate=3.0),
+    "two_regime_linear_state": make_two_regime_linear(
+        switch_rate=3.0, state_dependent=True, rate_direction=[1.0, 0.0]
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -152,14 +163,27 @@ def test_make_model_registry():
 
 
 def test_grid_building_and_lookup():
-    times = build_time_grid(1.0, 0.25, extra_times=[0.3, 1.7, 0.0])
-    np.testing.assert_allclose(times, [0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
-    assert grid_index(times, 0.3) == 2
-    assert grid_index(times, 1.0) == 5
+    # a path's grid is the uniform grid plus its event times, in time order
+    model = make_two_regime_linear(switch_rate=3.0)
+    path = simulate_path(model, LEVY, horizon=1.0, grid_step=0.25, seed=0)
+    assert path.event_times.size == 3
+    expect = np.sort(np.concatenate([np.linspace(0.0, 1.0, 5), path.event_times]))
+    assert path.times.tobytes() == expect.tobytes()
+    for t in path.event_times:
+        assert path.times[grid_index(path.times, t)] == t
+    assert grid_index(path.times, 1.0) == path.times.size - 1
     with pytest.raises(DataError):
-        grid_index(times, 0.4)
+        grid_index(path.times, 0.5 * (path.times[1] + path.times[2]))
+    # a bundle pads every path's refined grid with repeats of the horizon
+    noise = sample_batch_noise(model, LEVY, 1.0, 4, 6, seed=1)
+    counts = np.bincount([p for p, _, _ in noise.events], minlength=6)
+    assert noise.dS.shape[1] == 4 + counts.max() + counts.max() % 2
+    for p in range(6):
+        real = noise.times[p, : 5 + counts[p]]
+        assert np.all(np.diff(real) >= 0) and np.all(noise.times[p, 5 + counts[p] :] == 1.0)
+        assert np.all(np.isin(np.linspace(0.0, 1.0, 5), real))
     with pytest.raises(ValueError):
-        build_time_grid(0.0, 0.1)
+        simulate_path(model, LEVY, 1.0, 0.0, seed=0)
 
 
 def test_euler_steps_rederived_from_noise_record():
@@ -218,13 +242,15 @@ def test_perturbation_table_arithmetic():
         PerturbationSpec(breakpoints=[1.0, 0.5], values=[[1.0]])
 
 
-def test_zero_eps_reproduces_base_bitwise():
-    model = make_two_regime_linear()
-    base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=3)
-    pert = constant_direction([1.0], upto=10.0)  # eps defaults to 0
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(sorted(PADDING_MODELS)), seed=st.integers(0, 2**32 - 1))
+def test_zero_eps_reproduces_base_bitwise(family, seed):
+    model = PADDING_MODELS[family]
+    base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=seed)
+    pert = constant_direction([1.0] * model.d, upto=10.0)  # eps defaults to 0
     again = simulate_perturbed_path(model, base, pert)
-    assert np.array_equal(again.X, base.X)
-    assert np.array_equal(again.alpha, base.alpha)
+    for name in ("times", "X", "alpha", "J", "K"):
+        assert getattr(again, name).tobytes() == getattr(base, name).tobytes(), name
 
 
 def test_perturbed_zero_drift_shifts_by_integral():
@@ -281,10 +307,11 @@ def test_batch_matches_per_row_arithmetic():
     res = batch_flows(model, noise, want_Q=False, record=True)
     alpha = res.alpha_path
     assert np.any(alpha != model.alpha0)  # the recorded regime paths switch
+    steps = noise.dS.shape[1]  # 16 uniform steps refined to the event times
     for p in range(8):
         x = model.x0.copy()
-        for k in range(16):
-            dt = noise.times[k + 1] - noise.times[k]
+        for k in range(steps):
+            dt = noise.times[p, k + 1] - noise.times[p, k]
             dw = math.sqrt(noise.dS[p, k]) * noise.normals[p, k]
             x = x + model.drift(x, alpha[p, k]) * dt + model.sigma @ dw
             np.testing.assert_allclose(res.X_path[p, k + 1], x, rtol=1e-12)
@@ -293,8 +320,9 @@ def test_batch_matches_per_row_arithmetic():
 
 def test_batch_rejects_state_dependent_rates():
     model = make_two_regime_linear(state_dependent=True, rate_direction=[1.0, 0.0])
-    with pytest.raises(UnsupportedConfigError):
-        sample_batch_noise(model, LEVY, 1.0, 8, 4, seed=0)
+    # the batched engine takes state-dependent rates with one start per path
+    switching = sample_batch_noise(model, LEVY, 1.0, 8, 4, seed=0)
+    assert switching.events and batch_flows(model, switching).X.shape == (4, 2)
     # a switch at X_j is defined for one start per path, not for a start bundle
     noise = BatchNoise(np.linspace(0.0, 1.0, 5), np.ones((2, 4)), np.zeros((2, 4, 1)), 2,
                        events=[(0, 2, 0.5)])
@@ -304,6 +332,33 @@ def test_batch_rejects_state_dependent_rates():
     assert batch_flows(model, noise).X.shape == (2, 2)
 
 
+def test_single_regime_noise_keeps_its_draw_order():
+    # no events: the shared uniform grid, then dS, then the normals, as drawn by hand
+    model = make_kalman()
+    for levy in (LEVY, LEVY_TRUNC):
+        noise = sample_batch_noise(model, levy, 1.0, 16, 5, seed=9)
+        rng = np.random.default_rng(9)
+        times = np.linspace(0.0, 1.0, 17)
+        dS = sample_increments(levy, np.diff(times), 5, rng)
+        z = rng.standard_normal((5, 16, model.d))
+        assert noise.times.tobytes() == times.tobytes() and noise.events == []
+        assert noise.dS.tobytes() == dS.tobytes() and noise.normals.tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("state_dependent", [False, True], ids=["constant", "state"])
+def test_engines_agree_in_law(state_dependent):
+    # per-path records and one batched bundle come from one sampler; their
+    # terminal states must pass a two-sample KS test in each coordinate
+    model = make_two_regime_linear(switch_rate=3.0, state_dependent=state_dependent)
+    n = 2000
+    seeds = [np.random.SeedSequence([2024, p]) for p in range(n)]
+    per_path = np.array([cp.X[-1] for cp in simulate_paths(model, LEVY_TRUNC, 1.0, 1 / 16, seeds)])
+    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, n, np.random.SeedSequence([2024, n]))
+    batched = batch_flows(model, noise, want_Q=False).X
+    for c in range(model.n):
+        assert two_sample_ks(per_path[:, c], batched[:, c]).pvalue > 0.01, c
+
+
 def test_batch_frozen_regime_and_broadcast_start():
     model = make_two_regime_linear()
     noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 8, 6, seed=2)
@@ -311,23 +366,39 @@ def test_batch_frozen_regime_and_broadcast_start():
     starts = np.stack([model.x0, model.x0 + 0.5])  # (2, n) over the bundle
     res = batch_flows(model, frozen, x0=starts[:, None, :], alpha0=2, want_Q=False, record=True)
     assert np.all(res.alpha_path == 2)
-    assert res.X.shape == (2, 6, 2) and res.X_path.shape == (2, 6, 9, 2)
+    assert res.X.shape == (2, 6, 2) and res.X_path.shape == (2, 6, noise.dS.shape[1] + 1, 2)
 
 
-def test_coarsen_preserves_driver_increments():
-    model = make_zero_drift(n=1, d=1)
-    noise = sample_batch_noise(model, LEVY, 1.0, 16, 5, seed=23)
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["zero_drift", "two_regime_linear", "two_regime_linear_state"]),
+    n_steps=st.integers(1, 16),
+    n_paths=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="zero_drift", n_steps=16, n_paths=5, seed=23)
+@example(family="two_regime_linear", n_steps=16, n_paths=1, seed=0)  # 19 refined steps
+def test_coarsen_preserves_driver_increments(family, n_steps, n_paths, seed):
+    # on shared and on refined per-path grids, merged step pairs carry the
+    # same clock and driver increments, and events move to ceil(j / 2)
+    model = PADDING_MODELS[family]
+    noise = sample_batch_noise(model, LEVY, 1.0, n_steps, n_paths, seed=seed)
+    steps = noise.dS.shape[1]
+    assert steps % 2 == n_steps % 2  # the padding keeps the step parity
+    if steps % 2:
+        with pytest.raises(DataError):
+            noise.coarsen()
+        return
     half = noise.coarsen()
-    assert half.dS.shape == (5, 8)
-    np.testing.assert_allclose(half.times, noise.times[::2])
-    np.testing.assert_allclose(half.dS, noise.dS[:, ::2] + noise.dS[:, 1::2])
+    assert half.dS.shape == (n_paths, steps // 2)
+    assert half.times.tobytes() == noise.times[..., ::2].tobytes()
+    assert half.dS.tobytes() == (noise.dS[:, ::2] + noise.dS[:, 1::2]).tobytes()
     fine = np.sqrt(noise.dS)[..., None] * noise.normals
     merged = fine[:, 0::2] + fine[:, 1::2]
     np.testing.assert_allclose(
-        np.sqrt(half.dS)[..., None] * half.normals, merged, atol=1e-14
+        np.sqrt(half.dS)[..., None] * half.normals, merged, rtol=1e-12, atol=1e-14
     )
-    with pytest.raises(DataError):
-        sample_batch_noise(model, LEVY, 1.0, 7, 2, seed=0).coarsen()
+    assert half.events == [(p, (j + 1) // 2, mark) for p, j, mark in noise.events]
 
 
 def test_coarsened_switching_noise_keeps_fine_regimes_at_even_points():
@@ -338,17 +409,6 @@ def test_coarsened_switching_noise_keeps_fine_regimes_at_even_points():
     # some switch lands at an odd fine index, between two coarse points
     assert np.any(fine[:, 1::2] != fine[:, 0:-1:2])
     np.testing.assert_array_equal(coarse, fine[:, ::2])
-
-
-PADDING_MODELS = {
-    "zero_drift": make_zero_drift(n=2, d=1, sigma=[[0.0], [1.0]]),
-    "linear": make_linear([[0.0, 1.0], [-1.0, -0.2]]),
-    "sin_bounded": make_sin_bounded(n=2, amp=(0.8, 0.5), freq=(1.0, 2.0)),
-    "two_regime_linear": make_two_regime_linear(switch_rate=3.0),
-    "two_regime_linear_state": make_two_regime_linear(
-        switch_rate=3.0, state_dependent=True, rate_direction=[1.0, 0.0]
-    ),
-}
 
 
 def _noise_record(model, steps, rng):
