@@ -28,16 +28,11 @@ from .levy_noise import (
     xi_density,
 )
 from .switching import (
-    PRMEventStream,
     RateMatrixSpec,
-    RegimePath,
     constant_rates,
-    longest_constant_interval,
     no_switching,
     partition_point,
     sigmoid_two_state,
-    simulate_regime_events,
-    simulate_regime_path,
     validate_rates,
 )
 from .models import (
@@ -67,13 +62,11 @@ from .sde_core import (
     simulate_perturbed_path,
 )
 from .flows import (
-    CovarianceRecord,
-    FlowRecord,
     directional_derivative,
-    evolve_flows,
+    exp_bound_excess,
     finite_difference_check,
+    product_defect,
     product_defect_tolerance,
-    reduced_covariance,
     representation_residual,
     sample_covariances,
 )

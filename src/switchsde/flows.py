@@ -1,4 +1,4 @@
-"""Jacobi flows, directional derivatives, and the reduced covariance.
+"""Jacobi flows, directional derivatives, and checks of the flow pair.
 
 Along a simulated path the forward flow J and its candidate inverse K evolve
 by their own Euler recursions (K is never obtained by matrix inversion):
@@ -9,15 +9,18 @@ by their own Euler recursions (K is never obtained by matrix inversion):
 Both stay within exp(grad_bound * t) in operator norm, and the product J K
 drifts from the identity only through the O(dt) commutator defect.  Both ride
 along the state in the one step loop, ``sde_core.batch_flows`` (re-exported
-here), so every ``CoupledPath`` carries them.  The directional derivative D of
-the state with respect to a Cameron-Martin shift h of the Brownian layer
-satisfies the same linearized recursion with forcing sigma * dH(S), and the
-reduced covariance accumulates the left-endpoint Stieltjes sums
+here), so every ``CoupledPath`` carries them; ``product_defect`` and
+``exp_bound_excess`` measure both properties on any stack of recorded flows.
+The same loop accumulates the reduced covariance, the left-endpoint
+Stieltjes sums
 
-    Q_t = sum_k K_{t_k} sigma sigma^T K_{t_k}^T dS_k,      M_t = J_t Q_t J_t^T.
+    Q_t = sum_k K_{t_k} sigma sigma^T K_{t_k}^T dS_k,      M_t = J_t Q_t J_t^T,
 
+which ``batch_flows(want_Q=True, record=True)`` returns at every grid point.
 For drift-free models K = I and M_t = S_t I (sigma = I), which the tests pin
-to floating-point accuracy.
+to floating-point accuracy.  The directional derivative D of the state with
+respect to a Cameron-Martin shift h of the Brownian layer satisfies the same
+linearized recursion as J with forcing sigma * dH(S).
 """
 
 from __future__ import annotations
@@ -38,61 +41,28 @@ from .sde_core import (
 )
 
 
-@dataclass
-class FlowRecord:
-    times: np.ndarray
-    J: np.ndarray  # (K+1, n, n)
-    K: np.ndarray  # (K+1, n, n)
+def product_defect(J: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Frobenius norm of J K - I for stacks of flows with any leading axes."""
+    return np.linalg.norm(J @ K - np.eye(J.shape[-1]), axis=(-2, -1))
 
-    def product_defect(self) -> np.ndarray:
-        """Frobenius norm of J_t K_t - I at every grid point."""
-        eye = np.eye(self.J.shape[1])
-        return np.linalg.norm(self.J @ self.K - eye, axis=(1, 2))
 
-    def max_product_defect(self) -> float:
-        return float(self.product_defect().max())
+def exp_bound_excess(
+    J: np.ndarray, K: np.ndarray, times: np.ndarray, grad_bound: float
+) -> float:
+    """max over all grid points of max(|J|, |K|) / exp(grad_bound * t) - 1.
 
-    def operator_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        nj = np.linalg.svd(self.J, compute_uv=False)[:, 0]
-        nk = np.linalg.svd(self.K, compute_uv=False)[:, 0]
-        return nj, nk
-
-    def exp_bound_excess(self, grad_bound: float) -> float:
-        """max over the grid of max(|J|, |K|) / exp(grad_bound * t) - 1."""
-        nj, nk = self.operator_norms()
-        envelope = np.exp(grad_bound * self.times)
-        return float((np.maximum(nj, nk) / envelope).max() - 1.0)
+    J and K are (..., K+1, n, n) with any leading axes; times broadcasts
+    against their grid axes.
+    """
+    nj = np.linalg.svd(J, compute_uv=False)[..., 0]
+    nk = np.linalg.svd(K, compute_uv=False)[..., 0]
+    envelope = np.exp(grad_bound * times)
+    return float((np.maximum(nj, nk) / envelope).max() - 1.0)
 
 
 def product_defect_tolerance(n: int, grad_bound: float, horizon: float, dt: float) -> float:
     """First-order bound on the flow-inverse defect of the Euler pair."""
     return 10.0 * n * grad_bound**2 * np.exp(2.0 * grad_bound * horizon) * dt
-
-
-def evolve_flows(model: ModelSpec, path: CoupledPath) -> FlowRecord:
-    """The flows J and K that the engine recorded along the path."""
-    return FlowRecord(times=path.times, J=path.J, K=path.K)
-
-
-@dataclass
-class CovarianceRecord:
-    times: np.ndarray
-    Q: np.ndarray  # (K+1, n, n)
-    M: np.ndarray  # (K+1, n, n)
-
-    def min_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.Q)[:, 0]
-
-
-def reduced_covariance(
-    model: ModelSpec, path: CoupledPath, flow: FlowRecord
-) -> CovarianceRecord:
-    """Left-endpoint Stieltjes accumulation of K sigma sigma^T K^T against dS."""
-    r = flow.K[:-1] @ model.sigma  # (steps, n, d)
-    contrib = np.einsum("kad,kbd->kab", r, r) * path.dS[:, None, None]
-    q = np.concatenate([np.zeros((1, model.n, model.n)), np.cumsum(contrib, axis=0)])
-    m = flow.J @ q @ np.swapaxes(flow.J, 1, 2)
-    return CovarianceRecord(times=path.times, Q=q, M=m)
 
 
 @dataclass
@@ -124,15 +94,18 @@ def directional_derivative(
 def representation_residual(
     model: ModelSpec,
     path: CoupledPath,
-    flow: FlowRecord,
+    K: np.ndarray,
     deriv: DirectionalDerivativeRecord,
 ) -> float:
-    """max_t | K_t D_t - sum_{s<=t} K_s sigma dH_s |, the flow-transport identity."""
+    """max_t | K_t D_t - sum_{s<=t} K_s sigma dH_s |, the flow-transport identity.
+
+    K is the path's inverse flow at every grid point, (K+1, n, n).
+    """
     H = deriv.pert.integral(path.S)
     dH = np.diff(H, axis=0)
-    forced = np.einsum("kab,kb->ka", flow.K[:-1] @ model.sigma, dH)
+    forced = np.einsum("kab,kb->ka", K[:-1] @ model.sigma, dH)
     rhs = np.vstack([np.zeros(model.n), np.cumsum(forced, axis=0)])
-    lhs = np.einsum("kab,kb->ka", flow.K, deriv.D)
+    lhs = np.einsum("kab,kb->ka", K, deriv.D)
     return float(np.linalg.norm(lhs - rhs, axis=1).max())
 
 

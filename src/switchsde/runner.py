@@ -1,9 +1,17 @@
 """Run pipelines behind the CLI subcommands.
 
 Every pipeline writes its data files plus a manifest.json into the output
-directory.  Path-level work is chunked in fixed blocks of 64 and every path
-draws its randomness from SeedSequence([master_seed, stream, path_index]),
-so results are bit-identical for any worker count; the manifest records a
+directory.  Path-level work is chunked in fixed blocks of 64 paths, and no
+draw depends on which worker runs a block:
+
+- ``simulate`` and ``norris`` seed every path on its own, from
+  SeedSequence([master_seed, stream, path_index]);
+- ``flows``, ``tails`` and ``density`` seed every 64-path chunk, from
+  SeedSequence([master_seed, stream, first_path_index]);
+- ``gradrep`` seeds every block of ``gradrep.chunk`` paths, from
+  SeedSequence([master_seed, stream, block_index]), in one process.
+
+So results are bit-identical for any worker count; the manifest records a
 sha256 digest of each data file to make that checkable.
 """
 
@@ -31,14 +39,14 @@ from .diagnostics import (
     NorrisParams,
 )
 from .errors import ConfigError
-from .flows import batch_flows, evolve_flows, product_defect_tolerance, reduced_covariance
+from .flows import batch_flows, exp_bound_excess, product_defect, product_defect_tolerance
 from .hormander import estimate_kappa1
 from .levy_noise import check_H3, decompose_large_jumps
 from .sde_core import sample_batch_noise, simulate_paths
 
 CHUNK = 64
 
-# per-purpose seed streams; paths use SeedSequence([master, stream, index])
+# per-purpose seed streams, see the module docstring
 STREAM_SIMULATE = 11
 STREAM_FLOWS = 12
 STREAM_TAILS = 13
@@ -115,13 +123,9 @@ def _map_chunks(body, cfg_dict, n_paths: int, workers: int):
         return [f.result() for f in futures]
 
 
-def _chunk_paths(cfg: RunConfig, model, levy, stream: int, lo: int, hi: int):
-    seeds = [np.random.SeedSequence([cfg.seed, stream, idx]) for idx in range(lo, hi)]
-    return simulate_paths(model, levy, cfg.simulation.horizon, cfg.simulation.grid_step, seeds)
-
-
 def _simulate_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
-    paths = _chunk_paths(cfg, model, levy, STREAM_SIMULATE, lo, hi)
+    seeds = [np.random.SeedSequence([cfg.seed, STREAM_SIMULATE, idx]) for idx in range(lo, hi)]
+    paths = simulate_paths(model, levy, cfg.simulation.horizon, cfg.simulation.grid_step, seeds)
     terminals = np.array([cp.X[-1] for cp in paths])
     events = np.array([cp.event_times.size for cp in paths])
     saved = [
@@ -158,20 +162,19 @@ def run_simulate(cfg: RunConfig) -> dict:
 
 
 def _flows_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
-    paths = _chunk_paths(cfg, model, levy, STREAM_FLOWS, lo, hi)
-    defects = np.empty(hi - lo)
-    excesses = np.empty(hi - lo)
-    min_eigs = np.empty(hi - lo)
+    sim = cfg.simulation
+    seed = np.random.SeedSequence([cfg.seed, STREAM_FLOWS, lo])
+    noise = sample_batch_noise(model, levy, sim.horizon, sim.n_steps, hi - lo, seed)
+    res = batch_flows(model, noise, want_J=True, want_Q=True, record=True)
+    # padded steps repeat the last J, K and t, so maxima over the grid are unchanged
+    defects = product_defect(res.J_path, res.K_path)  # (P, K+1)
+    excess = exp_bound_excess(res.J_path, res.K_path, noise.times, model.grad_bound)
+    min_eig = np.linalg.eigvalsh(res.Q)[:, 0].min()
     profile = None
-    for i, cp in enumerate(paths):
-        fl = evolve_flows(model, cp)
-        defects[i] = fl.max_product_defect()
-        excesses[i] = fl.exp_bound_excess(model.grad_bound)
-        cov = reduced_covariance(model, cp, fl)
-        min_eigs[i] = float(np.linalg.eigvalsh(cov.Q[-1])[0])
-        if lo + i == 0:
-            profile = np.column_stack([cp.times, fl.product_defect()])
-    return defects, excesses, min_eigs, profile
+    if lo == 0:
+        size = sim.n_steps + 1 + sum(p == 0 for p, _, _ in noise.events)
+        profile = np.column_stack([np.atleast_2d(noise.times)[0, :size], defects[0, :size]])
+    return defects.max(), excess, min_eig, profile
 
 
 def run_flows(cfg: RunConfig) -> dict:
@@ -180,20 +183,17 @@ def run_flows(cfg: RunConfig) -> dict:
     model = cfg.model.build()
     sim = cfg.simulation
     results = _map_chunks(_flows_chunk, cfg.to_dict(), sim.n_paths, cfg.workers)
-    defects = np.concatenate([r[0] for r in results])
-    excesses = np.concatenate([r[1] for r in results])
-    min_eigs = np.concatenate([r[2] for r in results])
-    profile = next(r[3] for r in results if r[3] is not None)
-    write_csv(out / "defect_profile.csv", "t,defect", profile)
+    defects, excesses, min_eigs, profiles = zip(*results)
+    write_csv(out / "defect_profile.csv", "t,defect", profiles[0])
     tol = product_defect_tolerance(model.n, model.grad_bound, sim.horizon, sim.grid_step)
     summary = {
-        "n_paths": int(defects.size),
-        "max_product_defect": float(defects.max()),
+        "n_paths": sim.n_paths,
+        "max_product_defect": float(max(defects)),
         "defect_tolerance": tol,
-        "max_exp_bound_excess": float(excesses.max()),
-        "min_covariance_eigenvalue": float(min_eigs.min()),
-        "within_defect_tolerance": bool(defects.max() <= tol),
-        "within_exp_bound": bool(excesses.max() <= 10.0 * sim.grid_step),
+        "max_exp_bound_excess": float(max(excesses)),
+        "min_covariance_eigenvalue": float(min(min_eigs)),
+        "within_defect_tolerance": bool(max(defects) <= tol),
+        "within_exp_bound": bool(max(excesses) <= 10.0 * sim.grid_step),
     }
     return write_manifest(out, "flows", cfg, summary, time.perf_counter() - t0)
 
@@ -340,6 +340,11 @@ def run_gradrep(cfg: RunConfig) -> dict:
     out = _prepare_outdir(cfg)
     model = cfg.model.build()
     levy = cfg.levy.build()
+    if model.rates.state_dependent:
+        raise ConfigError(
+            "gradrep shares each path's noise across shifted starts, "
+            "which state-dependent switching rates do not allow"
+        )
     w = np.asarray(cfg.gradrep.weights, dtype=float)
     if w.size != model.n:
         raise ConfigError(

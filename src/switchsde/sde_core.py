@@ -326,6 +326,7 @@ class BatchFlowResult:
     alpha_path: np.ndarray | None = None  # (P, K+1)
     J_path: np.ndarray | None = None  # (..., P, K+1, n, n)
     K_path: np.ndarray | None = None  # (..., P, K+1, n, n)
+    Q_path: np.ndarray | None = None  # (..., P, K+1, n, n)
 
 
 def batch_flows(
@@ -382,6 +383,7 @@ def batch_flows(
     alphas = np.empty((noise.n_paths, steps + 1), dtype=np.int64) if record else None
     Js = np.empty(flow_lead + (steps + 1, n, n)) if record and want_J else None
     Ks = np.empty(flow_lead + (steps + 1, n, n)) if record else None
+    Qs = np.empty(Q.shape[:-2] + (steps + 1, n, n)) if record and want_Q else None
     for k in range(steps + 1):
         for p, mark in events.get(k, ()):
             a[p] = partition_point(model.rates, x[p] if at_state else None, a[p], mark)
@@ -391,6 +393,8 @@ def batch_flows(
             Ks[..., k, :, :] = K
             if want_J:
                 Js[..., k, :, :] = J
+            if want_Q:
+                Qs[..., k, :, :] = Q
         if k == steps:
             break
         if Q is not None:
@@ -407,9 +411,9 @@ def batch_flows(
         if not np.abs(x).max() <= OVERFLOW_GUARD:
             raise NumericError(f"a state left the trusted range at step {k + 1}")
     J, K, Q = (_widen(v, lead + (n, n)) for v in (J, K, Q))
-    Js, Ks = (_widen(v, lead + (steps + 1, n, n)) for v in (Js, Ks))
+    Js, Ks, Qs = (_widen(v, lead + (steps + 1, n, n)) for v in (Js, Ks, Qs))
     return BatchFlowResult(
-        X=x, J=J, K=K, Q=Q, X_path=Xs, alpha_path=alphas, J_path=Js, K_path=Ks
+        X=x, J=J, K=K, Q=Q, X_path=Xs, alpha_path=alphas, J_path=Js, K_path=Ks, Q_path=Qs
     )
 
 

@@ -7,6 +7,12 @@ consecutive half-open intervals, one per target state j != i in increasing j,
 packed from 0 with lengths q_ij(x).  A mark inside the interval of j moves
 the chain to j; a mark beyond the packed region leaves the state unchanged.
 Rate callbacks must satisfy 0 <= q_ij <= K off the diagonal and zero row sums.
+
+This module holds the rates and the mark rule only.  The chain itself runs
+inside the engine: ``sde_core.sample_batch_noise`` draws each path's event
+times and marks, and ``sde_core.batch_flows`` applies ``partition_point`` at
+the left limit of the state, so the regime is always simulated jointly with
+the diffusion.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, SpecError, UnsupportedConfigError
-from .levy_noise import as_rng
+from .errors import SpecError, UnsupportedConfigError
 
 ROW_SUM_TOL = 1e-9
 
@@ -136,96 +141,3 @@ def partition_point(spec: RateMatrixSpec, x, i: int, z: float) -> int:
             return j
         left += width
     return i
-
-
-@dataclass
-class PRMEventStream:
-    """Event times and marks of the switching Poisson random measure."""
-
-    horizon: float
-    rate: float
-    times: np.ndarray
-    marks: np.ndarray
-
-    def validate(self) -> None:
-        if np.any(np.diff(self.times) < 0):
-            raise DataError("event times must be sorted")
-        if self.times.size and (self.times[0] < 0 or self.times[-1] > self.horizon):
-            raise DataError("event times must lie in [0, horizon]")
-        if np.any(self.marks < 0) or np.any(self.marks >= self.rate):
-            raise DataError("marks must lie in [0, rate)")
-
-
-def simulate_regime_events(
-    m0: int, bound: float, horizon: float, seed=None
-) -> PRMEventStream:
-    """Poisson stream with rate m0*(m0-1)*bound and uniform marks; empty when horizon=0."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    rate = m0 * (m0 - 1) * bound
-    rng = as_rng(seed)
-    if horizon == 0 or rate == 0:
-        return PRMEventStream(horizon, rate, np.empty(0), np.empty(0))
-    count = rng.poisson(rate * horizon)
-    times = np.sort(rng.uniform(0.0, horizon, count))
-    marks = rng.uniform(0.0, rate, count)
-    return PRMEventStream(horizon, rate, times, marks)
-
-
-@dataclass
-class RegimePath:
-    """Piecewise-constant regime path: states[k] holds on [times[k], times[k+1])."""
-
-    times: np.ndarray  # switch times, starting at 0
-    states: np.ndarray
-    horizon: float
-
-    def state_at(self, t: float) -> int:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return int(self.states[idx])
-
-    def occupancy(self, state: int) -> float:
-        bounds = np.concatenate([self.times, [self.horizon]])
-        mask = self.states == state
-        return float(np.sum(np.diff(bounds)[mask]))
-
-
-def simulate_regime_path(
-    spec: RateMatrixSpec, alpha0: int, horizon: float, seed=None, x=None
-) -> RegimePath:
-    """Evolve the regime alone, valid when rates do not depend on the state x.
-
-    For state-dependent rates the chain is only defined jointly with the
-    diffusion; pass a frozen x to force evaluation at that point.
-    """
-    if spec.state_dependent and x is None:
-        raise UnsupportedConfigError(
-            "state-dependent rates cannot be simulated without the coupled path"
-        )
-    rng = as_rng(seed)
-    events = simulate_regime_events(spec.m0, spec.bound, horizon, rng)
-    times = [0.0]
-    states = [alpha0]
-    cur = alpha0
-    for t, z in zip(events.times, events.marks):
-        nxt = partition_point(spec, x, cur, z)
-        if nxt != cur:
-            times.append(float(t))
-            states.append(nxt)
-            cur = nxt
-    return RegimePath(np.array(times), np.array(states, dtype=int), horizon)
-
-
-def longest_constant_interval(event_times, horizon: float) -> tuple[float, float]:
-    """Endpoints of the longest gap between consecutive events in [0, horizon].
-
-    With k events the gap length is at least horizon / (k + 1); ties resolve
-    to the earliest gap.
-    """
-    t = np.sort(np.asarray(event_times, dtype=float))
-    if t.size and (t[0] < 0 or t[-1] > horizon):
-        raise DataError("event times must lie in [0, horizon]")
-    pts = np.concatenate([[0.0], t, [horizon]])
-    gaps = np.diff(pts)
-    k = int(np.argmax(gaps))
-    return float(pts[k]), float(pts[k + 1])

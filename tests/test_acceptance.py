@@ -17,29 +17,32 @@ from switchsde import (
     LevyMeasureSpec,
     NorrisParams,
     RunConfig,
+    batch_flows,
     check_H3,
     constant_direction,
     constant_field,
     decomposition_ks_test,
     eigen_tail,
     estimate_kappa1,
-    evolve_flows,
+    exp_bound_excess,
     finite_difference_check,
     gradient_representation_check,
     ks_calibration,
     make_kalman,
+    make_linear,
     make_sin_bounded,
     make_two_regime_linear,
     make_zero_drift,
     negative_moment,
     norris_joint_probability,
+    product_defect,
     product_defect_tolerance,
-    reduced_covariance,
+    sample_batch_noise,
     sample_covariances,
     sample_increments,
     scaled_cos_field,
     simulate_path,
-    simulate_regime_path,
+    simulate_paths,
     constant_rates,
 )
 from switchsde.runner import run_simulate
@@ -65,9 +68,9 @@ def test_ac01_flow_inverse_defect_bound():
     dt = 1e-3
     tol = product_defect_tolerance(model.n, model.grad_bound, 1.0, dt)
     worst = 0.0
-    for seed in range(100):
-        path = simulate_path(model, LEVY, horizon=1.0, grid_step=dt, seed=seed)
-        worst = max(worst, evolve_flows(model, path).max_product_defect())
+    for lo in range(0, 100, 64):
+        for path in simulate_paths(model, LEVY, 1.0, dt, range(lo, min(lo + 64, 100))):
+            worst = max(worst, float(product_defect(path.J, path.K).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= tol and elapsed < 10.0
     report(
@@ -82,9 +85,9 @@ def test_ac02_flow_norm_envelope():
     model = make_sin_bounded(n=2, amp=(0.8, 0.5), freq=(1.0, 2.0))
     dt = 1.0 / 256
     worst = -np.inf
-    for seed in range(1000):
-        path = simulate_path(model, LEVY, horizon=1.0, grid_step=dt, seed=seed)
-        worst = max(worst, evolve_flows(model, path).exp_bound_excess(model.grad_bound))
+    for lo in range(0, 1000, 64):
+        for path in simulate_paths(model, LEVY, 1.0, dt, range(lo, min(lo + 64, 1000))):
+            worst = max(worst, exp_bound_excess(path.J, path.K, path.times, model.grad_bound))
     ok = worst <= 10.0 * dt
     report(
         "AC-02",
@@ -98,11 +101,12 @@ def test_ac03_driftless_covariance_is_the_clock():
     model = make_zero_drift(n=2, d=2)
     worst = 0.0
     for seed in range(50):
-        path = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 512, seed=seed)
-        flow = evolve_flows(model, path)
-        cov = reduced_covariance(model, path, flow)
-        expect = path.S[:, None, None] * np.eye(2)
-        worst = max(worst, float(np.max(np.abs(cov.M - expect))))
+        noise = sample_batch_noise(model, LEVY, 1.0, 512, 1, seed)
+        res = batch_flows(model, noise, want_J=True, want_Q=True, record=True)
+        J, Q = res.J_path[0], res.Q_path[0]
+        M = J @ Q @ np.swapaxes(J, 1, 2)
+        expect = np.concatenate([[0.0], np.cumsum(noise.dS[0])])[:, None, None] * np.eye(2)
+        worst = max(worst, float(np.max(np.abs(M - expect))))
     ok = worst <= 1e-12
     report("AC-03", ok, f"max |M_t - S_t I| = {worst:.3e} <= 1e-12 over 50 paths")
 
@@ -129,12 +133,12 @@ def test_ac04_perturbation_response_slope():
 
 def test_ac05_regime_marginal_matches_two_state_law():
     t0 = time.perf_counter()
-    spec = constant_rates([[-1.0, 1.0], [1.0, -1.0]])
+    # the engine's own chain: zero drift, so only the regime moves
+    model = make_linear(np.zeros((2, 1, 1)), rates=constant_rates([[-1.0, 1.0], [1.0, -1.0]]))
     n = 100_000
-    hits = 0
-    for k in range(n):
-        hits += simulate_regime_path(spec, 1, 1.0, seed=k).state_at(1.0) == 1
-    p_hat = hits / n
+    noise = sample_batch_noise(model, LEVY, 1.0, 16, n, seed=0)
+    res = batch_flows(model, noise, want_Q=False, record=True)
+    p_hat = float(np.mean(res.alpha_path[:, -1] == 1))
     se = math.sqrt(P_SAME_STATE * (1 - P_SAME_STATE) / n)
     elapsed = time.perf_counter() - t0
     ok = abs(p_hat - P_SAME_STATE) <= 3 * se and elapsed < 30.0

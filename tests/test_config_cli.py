@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchsde import ConfigError, RunConfig
+from switchsde import ConfigError, RunConfig, runner
 from switchsde.cli import main
 
 SMALL = {
@@ -210,17 +210,20 @@ def test_simulate_writes_paths_and_manifest(tmp_path, capsys):
 def test_worker_count_does_not_change_results(tmp_path, capsys):
     payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=70))
     cfg = write_config(tmp_path, payload)
-    digests = {}
-    for workers, name in [(1, "w1"), (2, "w2")]:
-        out = tmp_path / name
-        code, _ = run_cli(
-            capsys, "simulate", "--config", cfg, "--out", str(out),
-            "--workers", str(workers),
-        )
-        assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        digests[name] = {k: v["sha256"] for k, v in manifest["files"].items()}
-    assert digests["w1"] == digests["w2"]
+    for command in ("simulate", "flows"):
+        runs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"{command}_w{workers}"
+            code, _ = run_cli(
+                capsys, command, "--config", cfg, "--out", str(out),
+                "--workers", str(workers),
+            )
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            digests = {k: v["sha256"] for k, v in manifest["files"].items()}
+            runs[workers] = (digests, manifest["summary"])
+        assert runs[1] == runs[2]
+    assert set(runs[1][0]) == {"defect_profile.csv"}
 
 
 def test_flows_and_verdict(tmp_path, capsys):
@@ -309,6 +312,17 @@ def test_non_numeric_list_entries_are_usage_errors(tmp_path, capsys):
     for command, payload, where in cases:
         assert main([command, "--config", write_config(tmp_path, dict(SMALL, **payload))]) == 2
         assert where in capsys.readouterr().err
+
+
+def test_gradrep_rejects_state_dependent_rates_before_simulating(tmp_path, capsys, monkeypatch):
+    # shifted starts share each path's noise, so a state-dependent switch is undefined
+    monkeypatch.setattr(
+        runner, "gradient_representation_check", lambda *a, **k: pytest.fail("simulated")
+    )
+    state = {"name": "two_regime_linear", "params": {"state_dependent": True}}
+    cfg = write_config(tmp_path, dict(SMALL, model=state))
+    assert main(["gradrep", "--config", cfg, "--out", str(tmp_path / "g")]) == 2
+    assert "state-dependent" in capsys.readouterr().err
 
 
 def test_density_pipeline(tmp_path, capsys):

@@ -16,19 +16,20 @@ from switchsde import (
     batch_flows,
     constant_direction,
     directional_derivative,
-    evolve_flows,
+    exp_bound_excess,
     finite_difference_check,
     make_kalman,
     make_linear,
     make_sin_bounded,
     make_two_regime_linear,
     make_zero_drift,
+    product_defect,
     product_defect_tolerance,
-    reduced_covariance,
     representation_residual,
     sample_batch_noise,
     sample_covariances,
     simulate_path,
+    simulate_paths,
 )
 
 LEVY = LevyMeasureSpec(alpha=1.0)
@@ -37,50 +38,47 @@ LEVY_TRUNC = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
 
 def test_zero_drift_flows_are_identity():
     model = make_zero_drift(n=2, d=2)
-    path = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=0)
-    flow = evolve_flows(model, path)
-    assert flow.max_product_defect() == 0.0
+    noise = sample_batch_noise(model, LEVY, 1.0, 64, 1, seed=0)
+    res = batch_flows(model, noise, want_J=True, want_Q=True, record=True)
+    J, K, Q = res.J_path[0], res.K_path[0], res.Q_path[0]
+    assert product_defect(J, K).max() == 0.0
     eye = np.eye(2)
-    assert np.array_equal(flow.J, np.broadcast_to(eye, flow.J.shape))
-    assert np.array_equal(flow.K, np.broadcast_to(eye, flow.K.shape))
+    assert np.array_equal(J, np.broadcast_to(eye, J.shape))
+    assert np.array_equal(K, np.broadcast_to(eye, K.shape))
     # sigma sigma^T = I: the reduced covariance is the subordinator clock itself
-    cov = reduced_covariance(model, path, flow)
-    expect = path.S[:, None, None] * eye
-    assert np.max(np.abs(cov.M - expect)) == 0.0
-    assert np.max(np.abs(cov.Q - expect)) == 0.0
+    S = np.concatenate([[0.0], np.cumsum(noise.dS[0])])
+    expect = S[:, None, None] * eye
+    assert np.max(np.abs(J @ Q @ np.swapaxes(J, 1, 2) - expect)) == 0.0
+    assert np.max(np.abs(Q - expect)) == 0.0
 
 
 def test_kalman_flows_exact_inverse():
     # nilpotent Jacobian: (I + gA)(I - gA) = I - g^2 A^2 = I exactly
     model = make_kalman()
-    path = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 128, seed=4)
-    flow = evolve_flows(model, path)
-    assert flow.max_product_defect() == 0.0
-    cov = reduced_covariance(model, path, flow)
+    noise = sample_batch_noise(model, LEVY, 1.0, 128, 1, seed=4)
+    res = batch_flows(model, noise, want_J=True, want_Q=True, record=True)
+    assert product_defect(res.J_path, res.K_path).max() == 0.0
     # Q is zero at t=0, rank 1 after one step, full rank once K has rotated
     # the noise column into the first coordinate
-    assert np.all(cov.min_eigenvalues()[:2] == 0.0)
-    assert np.all(cov.min_eigenvalues()[2:] > 0)
+    min_eigs = np.linalg.eigvalsh(res.Q_path[0])[:, 0]
+    assert np.all(min_eigs[:2] == 0.0)
+    assert np.all(min_eigs[2:] > 0)
 
 
 def test_defect_within_tolerance_under_switching():
     model = make_two_regime_linear()
     dt = 1e-3
     tol = product_defect_tolerance(model.n, model.grad_bound, 1.0, dt)
-    worst = 0.0
-    for seed in range(20):
-        path = simulate_path(model, LEVY, horizon=1.0, grid_step=dt, seed=seed)
-        flow = evolve_flows(model, path)
-        worst = max(worst, flow.max_product_defect())
+    paths = simulate_paths(model, LEVY, 1.0, dt, range(20))
+    worst = max(float(product_defect(p.J, p.K).max()) for p in paths)
     assert worst <= tol
 
 
 def test_exponential_norm_envelope():
     model = make_sin_bounded(n=2, amp=(0.8, 0.5), freq=(1.0, 2.0))
     path = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 256, seed=7)
-    flow = evolve_flows(model, path)
     # Euler flows exceed exp(L t) by at most O(dt)
-    assert flow.exp_bound_excess(model.grad_bound) <= 10.0 / 256
+    assert exp_bound_excess(path.J, path.K, path.times, model.grad_bound) <= 10.0 / 256
 
 
 def test_flow_against_matrix_exponential():
@@ -88,12 +86,11 @@ def test_flow_against_matrix_exponential():
     A = np.array([[0.0, 1.0], [-1.0, -0.5]])
     model = make_linear(A, sigma=[[0.0], [1.0]])
     path = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 4096, seed=1)
-    flow = evolve_flows(model, path)
     from scipy.linalg import expm
 
     target = expm(A)
-    assert np.max(np.abs(flow.J[-1] - target)) < 5e-4
-    assert np.max(np.abs(flow.K[-1] - np.linalg.inv(target))) < 5e-4
+    assert np.max(np.abs(path.J[-1] - target)) < 5e-4
+    assert np.max(np.abs(path.K[-1] - np.linalg.inv(target))) < 5e-4
 
 
 def test_directional_derivative_linear_exact():
@@ -138,31 +135,29 @@ def test_representation_identity_within_first_order_budget():
     # exact triangle bound sum ||K g^2 D|| + ||K g sigma dH||
     model = make_two_regime_linear()
     base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=15)
-    flow = evolve_flows(model, base)
     pert = constant_direction([1.0], upto=50.0)
     deriv = directional_derivative(model, base, pert)
-    residual = representation_residual(model, base, flow, deriv)
+    residual = representation_residual(model, base, base.K, deriv)
 
     dts = np.diff(base.times)
     g = model.drift_jac(base.X[:-1], base.alpha[:-1]) * dts[:, None, None]
     dH = np.diff(pert.integral(base.S), axis=0) @ model.sigma.T
-    norm_k = np.linalg.norm(flow.K[:-1], ord=2, axis=(1, 2))
+    norm_k = np.linalg.norm(base.K[:-1], ord=2, axis=(1, 2))
     norm_g = np.linalg.norm(g, ord=2, axis=(1, 2))
     norm_d = np.linalg.norm(deriv.D[:-1], axis=1)
     budget = float(np.sum(norm_k * norm_g**2 * norm_d
                           + norm_k * norm_g * np.linalg.norm(dH, axis=1)))
     assert 0.0 < residual <= budget
     # the budget itself is small next to the transported signal
-    signal = np.abs(np.einsum("kab,kb->ka", flow.K, deriv.D)).max()
+    signal = np.abs(np.einsum("kab,kb->ka", base.K, deriv.D)).max()
     assert budget < 0.1 * signal
 
 
 def test_representation_residual_zero_drift():
     model = make_zero_drift(n=1, d=1)
     base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 32, seed=2)
-    flow = evolve_flows(model, base)
     deriv = directional_derivative(model, base, constant_direction([1.0], 50.0))
-    assert representation_residual(model, base, flow, deriv) == 0.0
+    assert representation_residual(model, base, base.K, deriv) == 0.0
 
 
 def test_batch_flows_match_per_path_recursions():
@@ -178,6 +173,8 @@ def test_batch_flows_match_per_path_recursions():
         for k in range(noise.dS.shape[1]):  # 32 uniform steps refined to the event times
             dt = noise.times[p, k + 1] - noise.times[p, k]
             a = int(res.alpha_path[p, k])
+            # Q_path holds the left-endpoint sum over the steps before t_k
+            np.testing.assert_allclose(res.Q_path[p, k], Q, rtol=1e-12, atol=1e-14)
             r = K @ model.sigma
             Q = Q + (r @ r.T) * noise.dS[p, k]
             g = model.drift_jac(x, a) * dt

@@ -538,5 +538,5 @@ def test_affine_fast_path_equals_callbacks(family, grid, n_starts, want_J, want_
     _assert_bitwise(
         batch_flows(model, noise, **kw),
         batch_flows(slow, noise, **kw),
-        ("X", "J", "K", "Q", "X_path", "alpha_path", "J_path", "K_path"),
+        ("X", "J", "K", "Q", "X_path", "alpha_path", "J_path", "K_path", "Q_path"),
     )

@@ -15,18 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsde import (
-    DataError,
-    PRMEventStream,
-    RateMatrixSpec,
+    LevyMeasureSpec,
     SpecError,
     UnsupportedConfigError,
+    batch_flows,
     constant_rates,
-    longest_constant_interval,
+    make_linear,
     no_switching,
     partition_point,
+    sample_batch_noise,
     sigmoid_two_state,
-    simulate_regime_events,
-    simulate_regime_path,
     validate_rates,
 )
 
@@ -124,88 +122,19 @@ def test_sigmoid_rates_finite_at_extreme_states():
     np.testing.assert_array_equal(high, [[-2.0, 2.0], [0.0, 0.0]])
 
 
-def test_event_stream_generation():
-    ev = simulate_regime_events(2, 1.0, 3.0, seed=1)
-    ev.validate()
-    assert ev.rate == 2.0
-    assert np.all(np.diff(ev.times) >= 0)
-    assert simulate_regime_events(2, 1.0, 0.0, seed=1).times.size == 0
-    assert simulate_regime_events(1, 1.0, 5.0, seed=1).times.size == 0
-    with pytest.raises(ValueError):
-        simulate_regime_events(2, 1.0, -1.0)
-    # mean count: rate * horizon = 6
-    counts = [simulate_regime_events(2, 1.0, 3.0, seed=k).times.size for k in range(4000)]
-    assert abs(np.mean(counts) - 6.0) < 4 * np.std(counts) / math.sqrt(len(counts))
-
-
-def test_event_stream_validate_rejects_corruption():
-    ev = PRMEventStream(1.0, 2.0, np.array([0.5, 0.2]), np.array([0.1, 0.1]))
-    with pytest.raises(DataError):
-        ev.validate()
-    ev = PRMEventStream(1.0, 2.0, np.array([0.5]), np.array([2.0]))
-    with pytest.raises(DataError):
-        ev.validate()
-
-
-def test_regime_path_lookup_and_occupancy():
-    path = simulate_regime_path(constant_rates(Q3, bound=3.0), 1, 4.0, seed=5)
-    assert path.states[0] == 1 and path.times[0] == 0.0
-    assert np.all(np.diff(path.times) > 0)
-    assert set(np.unique(path.states)) <= {1, 2, 3}
-    # states[k] holds on [times[k], times[k+1])
-    for k in range(path.times.size - 1):
-        assert path.state_at(path.times[k]) == path.states[k]
-        mid = 0.5 * (path.times[k] + path.times[k + 1])
-        assert path.state_at(mid) == path.states[k]
-    total = sum(path.occupancy(s) for s in (1, 2, 3))
-    assert total == pytest.approx(4.0, abs=1e-12)
-
-
 def test_two_state_marginal_and_occupancy():
-    spec = constant_rates([[-1.0, 1.0], [1.0, -1.0]])
+    # the chain as the engine runs it: zero drift, so only the regime moves
+    model = make_linear(np.zeros((2, 1, 1)), rates=constant_rates([[-1.0, 1.0], [1.0, -1.0]]))
     n = 40_000
-    same = np.empty(n)
-    occ = np.empty(n)
-    for k in range(n):
-        path = simulate_regime_path(spec, 1, 1.0, seed=k)
-        same[k] = path.state_at(1.0) == 1
-        occ[k] = path.occupancy(1)
+    noise = sample_batch_noise(model, LevyMeasureSpec(alpha=1.0), 1.0, 8, n, seed=0)
+    res = batch_flows(model, noise, want_Q=False, record=True)
+    # mean event count: rate * horizon = m0 (m0 - 1) K * 1 = 2
+    counts = np.bincount([p for p, _, _ in noise.events], minlength=n)
+    assert abs(counts.mean() - 2.0) < 4 * counts.std(ddof=1) / math.sqrt(n)
+    same = res.alpha_path[:, -1] == 1
+    # alpha_path[:, k] holds on [t_k, t_{k+1}); padded steps have dt = 0
+    occ = np.sum((res.alpha_path[:, :-1] == 1) * np.diff(noise.times, axis=1), axis=1)
     se_same = math.sqrt(P_SAME_STATE * (1 - P_SAME_STATE) / n)
     assert abs(same.mean() - P_SAME_STATE) < 4 * se_same
     se_occ = occ.std(ddof=1) / math.sqrt(n)
     assert abs(occ.mean() - E_OCCUPANCY) < 4 * se_occ
-
-
-def test_state_dependent_path_requires_frozen_state():
-    spec = sigmoid_two_state(2.0, w=[10.0])
-    with pytest.raises(UnsupportedConfigError):
-        simulate_regime_path(spec, 1, 1.0, seed=0)
-    # frozen far in the positive tail: q12 ~ 2, q21 ~ 0, so state 2 absorbs
-    path = simulate_regime_path(spec, 1, 50.0, seed=0, x=np.array([10.0]))
-    assert path.states[-1] == 2
-    assert np.sum(path.states == 2) == 1
-
-
-def test_longest_interval_exact_cases():
-    assert longest_constant_interval([], 2.0) == (0.0, 2.0)
-    assert longest_constant_interval([0.5], 2.0) == (0.5, 2.0)
-    # tie between [0, 1) and [1, 2): earliest wins
-    assert longest_constant_interval([1.0], 2.0) == (0.0, 1.0)
-    assert longest_constant_interval([0.2, 0.3, 1.4], 2.0) == (0.3, 1.4)
-    with pytest.raises(DataError):
-        longest_constant_interval([2.5], 2.0)
-    with pytest.raises(DataError):
-        longest_constant_interval([-0.1], 2.0)
-
-
-@given(
-    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=12),
-)
-@settings(max_examples=200, deadline=None)
-def test_longest_interval_pigeonhole(times):
-    start, end = longest_constant_interval(times, 1.0)
-    assert 0.0 <= start <= end <= 1.0
-    assert end - start >= 1.0 / (len(times) + 1) - 1e-12
-    # endpoints come from the event set plus the window edges
-    pts = set(times) | {0.0, 1.0}
-    assert start in pts and end in pts
