@@ -49,22 +49,16 @@ from .models import (
 from .sde_core import (
     BatchFlowResult,
     BatchNoise,
-    CoupledPath,
     PerturbationSpec,
     constant_direction,
     batch_flows,
-    frozen_regime_path,
-    frozen_regime_paths,
-    grid_index,
     sample_batch_noise,
-    simulate_path,
-    simulate_paths,
-    simulate_perturbed_path,
 )
 from .flows import (
     directional_derivative,
     exp_bound_excess,
     finite_difference_check,
+    perturbation_shift,
     product_defect,
     product_defect_tolerance,
     representation_residual,

@@ -143,6 +143,12 @@ class LevyConfig:
 
 @dataclass
 class SimulationConfig:
+    """The time grid: n_steps steps of length grid_step = horizon / n_steps.
+
+    Either of grid_step and n_steps may be left out and is derived from the
+    other; given both, they must agree with the horizon.
+    """
+
     horizon: float = 1.0
     grid_step: float = 1.0 / 512
     n_steps: int = 512
@@ -151,10 +157,24 @@ class SimulationConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
         _reject_unknown(d, {"horizon", "grid_step", "n_steps", "n_paths"}, "simulation")
+        horizon = _number(d, "horizon", "simulation", 1.0, positive=True)
+        grid_step = _number(d, "grid_step", "simulation", None, positive=True)
+        n_steps = _integer(d, "n_steps", "simulation", None, minimum=1)
+        if n_steps is None and grid_step is not None:
+            # capped so that a vanishing grid_step fails the check below, not round()
+            n_steps = max(1, round(min(horizon / grid_step, 2.0**62)))
+        n_steps = n_steps or 512
+        if grid_step is None:
+            grid_step = horizon / n_steps
+        if not math.isclose(grid_step * n_steps, horizon, rel_tol=1e-9):
+            raise ConfigError(
+                f"simulation.grid_step ({grid_step!r}) times simulation.n_steps ({n_steps}) "
+                f"must equal simulation.horizon ({horizon!r})"
+            )
         return cls(
-            horizon=_number(d, "horizon", "simulation", 1.0, positive=True),
-            grid_step=_number(d, "grid_step", "simulation", 1.0 / 512, positive=True),
-            n_steps=_integer(d, "n_steps", "simulation", 512, minimum=1),
+            horizon=horizon,
+            grid_step=grid_step,
+            n_steps=n_steps,
             n_paths=_integer(d, "n_paths", "simulation", 256, minimum=1),
         )
 

@@ -26,7 +26,7 @@ from .levy_noise import (
     sample_xi,
 )
 from .models import ModelSpec
-from .sde_core import frozen_regime_path, frozen_regime_paths, sample_batch_noise, simulate_paths
+from .sde_core import BatchFlowResult, BatchNoise, sample_batch_noise
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -336,29 +336,37 @@ class NorrisParams:
 
 
 def window_integrals(
-    model: ModelSpec, base, params: NorrisParams, fld: TestField
-) -> tuple[float, float]:
-    """(I_field, I_bracket) on the frozen-regime window of one base path.
+    model: ModelSpec,
+    noise: BatchNoise,
+    res: BatchFlowResult,
+    params: NorrisParams,
+    fld: TestField,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path (I_field, I_bracket) on the frozen-regime window of a recorded bundle.
 
-    The inverse flow starts from its base-path value at the window opening
-    and evolves with the frozen regime; both integrands are squared
+    res is ``batch_flows(model, noise, record=True)``.  Each path's inverse
+    flow starts from its value at the window opening and evolves with the
+    frozen regime over the same noise; both integrands are squared
     projections onto the chosen direction, integrated by the trapezoid rule.
     """
-    return _frozen_integrals(
-        model, frozen_regime_path(model, params.regime, params.window, base), params, fld
+    if not 1 <= params.regime <= model.rates.m0:
+        raise ValueError(f"regime must lie in 1..{model.rates.m0}")
+    win, k1 = noise.window(*params.window)
+    rows = np.arange(noise.n_paths)
+    frozen = batch_flows(
+        model, win, x0=res.X_path[rows, k1], K0=res.K_path[rows, k1],
+        alpha0=params.regime, want_Q=False, record=True,
     )
+    X, a = frozen.X_path, frozen.alpha_path
+    vk = np.einsum("a,pkab->pkb", params.direction, frozen.K_path)
+    dt = np.diff(np.broadcast_to(win.times, a.shape), axis=1)
 
+    def trapezoid(w):
+        y = np.sum(np.einsum("pkb,pkbv->pkv", vk, w) ** 2, axis=-1)
+        # a running sum, so the zero-length padding leaves each path's value bit for bit
+        return np.cumsum(dt * (y[:, 1:] + y[:, :-1]) / 2.0, axis=1)[:, -1]
 
-def _frozen_integrals(model, frozen, params: NorrisParams, fld: TestField):
-    a = frozen.alpha
-    v_of_x = fld.value(frozen.X, a)
-    w_of_x = drift_field_bracket(model, fld, frozen.X, a)
-    vk = np.einsum("a,kab->kb", params.direction, frozen.K)
-    y_field = np.einsum("kb,kbv->kv", vk, v_of_x)
-    y_bracket = np.einsum("kb,kbv->kv", vk, w_of_x)
-    i_field = float(np.trapezoid(np.sum(y_field**2, axis=1), frozen.times))
-    i_bracket = float(np.trapezoid(np.sum(y_bracket**2, axis=1), frozen.times))
-    return i_field, i_bracket
+    return trapezoid(fld.value(X, a)), trapezoid(drift_field_bracket(model, fld, X, a))
 
 
 @dataclass
@@ -384,22 +392,24 @@ def norris_joint_probability(
     model: ModelSpec,
     levy: LevyMeasureSpec,
     horizon: float,
-    grid_step: float,
+    n_steps: int,
     params: NorrisParams,
     fld: TestField,
     n_paths: int,
     seed: int = 0,
 ) -> NorrisCurve:
-    """Monte Carlo curve eps -> P(I_bracket >= eps^q, I_field <= eps)."""
+    """Monte Carlo curve eps -> P(I_bracket >= eps^q, I_field <= eps).
+
+    Paths run in bundles of 64, each seeded by its first path index.
+    """
     i_field = np.empty(n_paths)
     i_bracket = np.empty(n_paths)
     for lo in range(0, n_paths, 64):  # 64-path bundles, as in the runner's chunks
         hi = min(lo + 64, n_paths)
-        seeds = [np.random.SeedSequence([seed, 9301, p]) for p in range(lo, hi)]
-        bases = simulate_paths(model, levy, horizon, grid_step, seeds)
-        frozen = frozen_regime_paths(model, params.regime, params.window, bases)
-        for p, fr in enumerate(frozen, start=lo):
-            i_field[p], i_bracket[p] = _frozen_integrals(model, fr, params, fld)
+        rng = np.random.SeedSequence([seed, 9301, lo])
+        noise = sample_batch_noise(model, levy, horizon, n_steps, hi - lo, rng)
+        res = batch_flows(model, noise, want_Q=False, record=True)
+        i_field[lo:hi], i_bracket[lo:hi] = window_integrals(model, noise, res, params, fld)
     eps = params.eps_grid
     thresholds = np.array([params.threshold(e) for e in eps])
     counts = np.array(

@@ -9,8 +9,9 @@ by their own Euler recursions (K is never obtained by matrix inversion):
 Both stay within exp(grad_bound * t) in operator norm, and the product J K
 drifts from the identity only through the O(dt) commutator defect.  Both ride
 along the state in the one step loop, ``sde_core.batch_flows`` (re-exported
-here), so every ``CoupledPath`` carries them; ``product_defect`` and
-``exp_bound_excess`` measure both properties on any stack of recorded flows.
+here), which records them at every grid point with ``record=True``;
+``product_defect`` and ``exp_bound_excess`` measure both properties on any
+stack of recorded flows.
 The same loop accumulates the reduced covariance, the left-endpoint
 Stieltjes sums
 
@@ -20,7 +21,9 @@ which ``batch_flows(want_Q=True, record=True)`` returns at every grid point.
 For drift-free models K = I and M_t = S_t I (sigma = I), which the tests pin
 to floating-point accuracy.  The directional derivative D of the state with
 respect to a Cameron-Martin shift h of the Brownian layer satisfies the same
-linearized recursion as J with forcing sigma * dH(S).
+linearized recursion as J with forcing sigma * dH(S).  The checks below take
+a bundle's noise and its recorded ``batch_flows`` result and work over every
+path of the bundle.
 """
 
 from __future__ import annotations
@@ -29,15 +32,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UnsupportedConfigError
+from .errors import DataError, UnsupportedConfigError
 from .levy_noise import LevyMeasureSpec, as_rng
 from .models import ModelSpec
 from .sde_core import (
-    CoupledPath,
+    BatchFlowResult,
+    BatchNoise,
     PerturbationSpec,
     batch_flows,
     sample_batch_noise,
-    simulate_perturbed_path,
 )
 
 
@@ -65,48 +68,64 @@ def product_defect_tolerance(n: int, grad_bound: float, horizon: float, dt: floa
     return 10.0 * n * grad_bound**2 * np.exp(2.0 * grad_bound * horizon) * dt
 
 
+def _driver_shift(model: ModelSpec, noise: BatchNoise, pert: PerturbationSpec) -> np.ndarray:
+    """sigma dH_k with dH_k = H(S_{t_{k+1}}) - H(S_{t_k}) at unit magnitude, (P, K, n)."""
+    return np.diff(pert.integral(noise.clock()), axis=1) @ model.sigma.T
+
+
+def perturbation_shift(model: ModelSpec, noise: BatchNoise, pert: PerturbationSpec):
+    """State shift per step of the run perturbed by eps * h, or None at eps = 0.
+
+    Pass it as ``batch_flows(model, noise, shift=...)``: the same noise and
+    event marks drive the perturbed run, with the regime evaluated at the
+    perturbed left limits.
+    """
+    if pert.d != model.d:
+        raise DataError(f"perturbation direction has d={pert.d}, model expects {model.d}")
+    return pert.eps * _driver_shift(model, noise, pert) if pert.eps != 0.0 else None
+
+
 @dataclass
 class DirectionalDerivativeRecord:
     times: np.ndarray
-    D: np.ndarray  # (K+1, n)
+    D: np.ndarray  # (P, K+1, n)
     pert: PerturbationSpec
 
 
 def directional_derivative(
-    model: ModelSpec, path: CoupledPath, pert: PerturbationSpec
+    model: ModelSpec, noise: BatchNoise, res: BatchFlowResult, pert: PerturbationSpec
 ) -> DirectionalDerivativeRecord:
-    """Linearized response of the state to the shift h, at unit magnitude.
+    """Linearized response of each recorded path to the shift h, at unit magnitude.
 
     D_{k+1} = D_k + grad_b(X_k, alpha_k) D_k dt_k + sigma dH_k with D_0 = 0,
     where dH_k is the exact increment of integral h over the subordinator step.
     """
-    steps = path.n_steps
-    H = pert.integral(path.S)
-    dH = np.diff(H, axis=0) @ model.sigma.T
-    D = np.zeros((steps + 1, model.n))
-    jacs = model.drift_jac(path.X[:-1], path.alpha[:-1])
-    dts = np.diff(path.times)
+    dH = _driver_shift(model, noise, pert)
+    P, steps = noise.dS.shape
+    D = np.zeros((P, steps + 1, model.n))
+    jacs = model.drift_jac(res.X_path[:, :-1], res.alpha_path[:, :-1])
+    dts = np.diff(np.broadcast_to(noise.times, (P, steps + 1)), axis=1)
     for k in range(steps):
-        D[k + 1] = D[k] + (jacs[k] @ D[k]) * dts[k] + dH[k]
-    return DirectionalDerivativeRecord(times=path.times, D=D, pert=pert)
+        drift = (jacs[:, k] @ D[:, k, :, None])[..., 0] * dts[:, k, None]
+        D[:, k + 1] = D[:, k] + drift + dH[:, k]
+    return DirectionalDerivativeRecord(times=noise.times, D=D, pert=pert)
 
 
 def representation_residual(
     model: ModelSpec,
-    path: CoupledPath,
-    K: np.ndarray,
+    noise: BatchNoise,
+    res: BatchFlowResult,
     deriv: DirectionalDerivativeRecord,
 ) -> float:
-    """max_t | K_t D_t - sum_{s<=t} K_s sigma dH_s |, the flow-transport identity.
+    """max over paths and t of | K_t D_t - sum_{s<=t} K_s sigma dH_s |.
 
-    K is the path's inverse flow at every grid point, (K+1, n, n).
+    This is the residual of the flow-transport identity.
     """
-    H = deriv.pert.integral(path.S)
-    dH = np.diff(H, axis=0)
-    forced = np.einsum("kab,kb->ka", K[:-1] @ model.sigma, dH)
-    rhs = np.vstack([np.zeros(model.n), np.cumsum(forced, axis=0)])
-    lhs = np.einsum("kab,kb->ka", K, deriv.D)
-    return float(np.linalg.norm(lhs - rhs, axis=1).max())
+    K = res.K_path
+    forced = np.einsum("pkab,pkb->pka", K[:, :-1], _driver_shift(model, noise, deriv.pert))
+    rhs = np.concatenate([np.zeros_like(forced[:, :1]), np.cumsum(forced, axis=1)], axis=1)
+    lhs = np.einsum("pkab,pkb->pka", K, deriv.D)
+    return float(np.linalg.norm(lhs - rhs, axis=-1).max())
 
 
 @dataclass
@@ -120,7 +139,8 @@ class FDCheckResult:
 
 def finite_difference_check(
     model: ModelSpec,
-    base: CoupledPath,
+    noise: BatchNoise,
+    res: BatchFlowResult,
     pert: PerturbationSpec,
     eps_list,
     f=None,
@@ -128,11 +148,12 @@ def finite_difference_check(
 ) -> FDCheckResult:
     """Compare (X^{eps h} - X) / eps against the directional derivative.
 
+    res is ``batch_flows(model, noise, record=True)`` from the model's start.
     Requires state-independent rates so the regime path is common to every
     magnitude.  With a smooth scalar observable f (and its gradient) the same
     first-order comparison is run through the chain rule.  Residuals are
-    maxima over the grid; the returned slopes are log-log fits against eps
-    and sit near 1 when the linearization is correct.
+    maxima over the grid and the paths; the returned slopes are log-log fits
+    against eps and sit near 1 when the linearization is correct.
     """
     if model.rates.state_dependent:
         raise UnsupportedConfigError(
@@ -141,16 +162,18 @@ def finite_difference_check(
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if np.any(eps <= 0):
         raise ValueError("eps values must be positive")
-    deriv = directional_derivative(model, base, pert)
+    deriv = directional_derivative(model, noise, res, pert)
+    X, alpha = res.X_path, res.alpha_path
     state_res = np.empty(eps.size)
     chain_res = np.empty(eps.size) if f is not None else None
     for i, e in enumerate(eps):
-        shifted = simulate_perturbed_path(model, base, replace(pert, eps=float(e)))
-        diff = (shifted.X - base.X) / e
-        state_res[i] = np.linalg.norm(diff - deriv.D, axis=1).max()
+        shift = perturbation_shift(model, noise, replace(pert, eps=float(e)))
+        shifted = batch_flows(model, noise, shift=shift, want_Q=False, record=True)
+        diff = (shifted.X_path - X) / e
+        state_res[i] = np.linalg.norm(diff - deriv.D, axis=-1).max()
         if f is not None:
-            df = (f(shifted.X, shifted.alpha) - f(base.X, base.alpha)) / e
-            lin = np.einsum("ka,ka->k", grad_f(base.X, base.alpha), deriv.D)
+            df = (f(shifted.X_path, shifted.alpha_path) - f(X, alpha)) / e
+            lin = np.einsum("pka,pka->pk", grad_f(X, alpha), deriv.D)
             chain_res[i] = np.abs(df - lin).max()
     slope = float(np.polyfit(np.log(eps), np.log(np.maximum(state_res, 1e-300)), 1)[0])
     chain_slope = None

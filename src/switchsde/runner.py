@@ -2,14 +2,10 @@
 
 Every pipeline writes its data files plus a manifest.json into the output
 directory.  Path-level work is chunked in fixed blocks of 64 paths, and no
-draw depends on which worker runs a block:
-
-- ``simulate`` and ``norris`` seed every path on its own, from
-  SeedSequence([master_seed, stream, path_index]);
-- ``flows``, ``tails`` and ``density`` seed every 64-path chunk, from
-  SeedSequence([master_seed, stream, first_path_index]);
-- ``gradrep`` seeds every block of ``gradrep.chunk`` paths, from
-  SeedSequence([master_seed, stream, block_index]), in one process.
+draw depends on which worker runs a block: every pipeline seeds each 64-path
+chunk from SeedSequence([master_seed, stream, first_path_index]), and
+``gradrep`` seeds each block of ``gradrep.chunk`` paths from
+SeedSequence([master_seed, stream, block_index]), in one process.
 
 So results are bit-identical for any worker count; the manifest records a
 sha256 digest of each data file to make that checkable.
@@ -42,7 +38,7 @@ from .errors import ConfigError
 from .flows import batch_flows, exp_bound_excess, product_defect, product_defect_tolerance
 from .hormander import estimate_kappa1
 from .levy_noise import check_H3, decompose_large_jumps
-from .sde_core import sample_batch_noise, simulate_paths
+from .sde_core import sample_batch_noise
 
 CHUNK = 64
 
@@ -65,11 +61,8 @@ def write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def path_csv_rows(cp) -> list:
-    rows = []
-    for k in range(cp.times.size):
-        rows.append([cp.times[k], cp.S[k], int(cp.alpha[k]), *cp.X[k]])
-    return rows
+def path_csv_rows(times, S, alpha, X) -> list:
+    return [[t, s, int(a), *x] for t, s, a, x in zip(times, S, alpha, X)]
 
 
 def file_digest(path: Path) -> str:
@@ -123,17 +116,26 @@ def _map_chunks(body, cfg_dict, n_paths: int, workers: int):
         return [f.result() for f in futures]
 
 
+def _real_points(noise, n_steps: int) -> np.ndarray:
+    """Each path's grid points before its padding: the uniform ones plus its events."""
+    counts = np.bincount([p for p, _, _ in noise.events], minlength=noise.n_paths)
+    return n_steps + 1 + counts
+
+
 def _simulate_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
-    seeds = [np.random.SeedSequence([cfg.seed, STREAM_SIMULATE, idx]) for idx in range(lo, hi)]
-    paths = simulate_paths(model, levy, cfg.simulation.horizon, cfg.simulation.grid_step, seeds)
-    terminals = np.array([cp.X[-1] for cp in paths])
-    events = np.array([cp.event_times.size for cp in paths])
+    sim = cfg.simulation
+    seed = np.random.SeedSequence([cfg.seed, STREAM_SIMULATE, lo])
+    noise = sample_batch_noise(model, levy, sim.horizon, sim.n_steps, hi - lo, seed)
+    res = batch_flows(model, noise, want_Q=False, record=True)
+    sizes = _real_points(noise, sim.n_steps)
+    times = np.broadcast_to(noise.times, res.alpha_path.shape)
+    S = noise.clock()
     saved = [
-        (idx, path_csv_rows(cp))
-        for idx, cp in enumerate(paths, start=lo)
+        (idx, path_csv_rows(*(v[p, : sizes[p]] for v in (times, S, res.alpha_path, res.X_path))))
+        for p, idx in enumerate(range(lo, hi))
         if cfg.output.save_paths and idx < cfg.output.max_saved_paths
     ]
-    return terminals, events, saved
+    return res.X, sizes - sim.n_steps - 1, saved
 
 
 def run_simulate(cfg: RunConfig) -> dict:
@@ -172,7 +174,7 @@ def _flows_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     min_eig = np.linalg.eigvalsh(res.Q)[:, 0].min()
     profile = None
     if lo == 0:
-        size = sim.n_steps + 1 + sum(p == 0 for p, _, _ in noise.events)
+        size = _real_points(noise, sim.n_steps)[0]
         profile = np.column_stack([np.atleast_2d(noise.times)[0, :size], defects[0, :size]])
     return defects.max(), excess, min_eig, profile
 
@@ -296,6 +298,8 @@ def run_norris(cfg: RunConfig) -> dict:
     model = cfg.model.build()
     levy = cfg.levy.build()
     nc = cfg.norris
+    if nc.regime > model.rates.m0:
+        raise ConfigError(f"norris.regime must lie in 1..{model.rates.m0}")
     direction = nc.direction if nc.direction is not None else [1.0] + [0.0] * (model.n - 1)
     params = NorrisParams(
         window=(nc.window[0], nc.window[1]),
@@ -313,7 +317,7 @@ def run_norris(cfg: RunConfig) -> dict:
         model,
         levy,
         cfg.simulation.horizon,
-        cfg.simulation.grid_step,
+        cfg.simulation.n_steps,
         params,
         fld,
         cfg.simulation.n_paths,

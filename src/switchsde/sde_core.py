@@ -14,14 +14,14 @@ sampler.  The sampler draws each path's switching events first and refines
 that path's grid to contain their times, so every switch lands exactly at
 its event time; the grids of a bundle are padded at the end with zero-length
 steps (dt = 0, dS = 0), which are exact no-ops, and a bundle without events
-shares one uniform grid.  The per-path engine (``simulate_paths``) draws one
-such path per seed and keeps its full record, so perturbed and frozen-regime
-re-integrations reuse identical randomness.
+shares one uniform grid.  A bundle's noise with ``batch_flows(record=True)``
+is the one path record: perturbed runs re-integrate the same noise with a
+shift, and ``BatchNoise.window`` cuts it to a frozen-regime window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,156 +84,6 @@ def constant_direction(value, upto: float) -> PerturbationSpec:
     return PerturbationSpec(breakpoints=np.array([0.0, upto]), values=v[None, :])
 
 
-@dataclass
-class CoupledPath:
-    """State, regime, flows and the complete noise record on one refined grid.
-
-    alpha[k] is the regime in force on [times[k], times[k+1]); X, S and the
-    flows J, K are the values at the grid points.  normals, dS and the event
-    times/marks are sufficient to re-integrate against the identical noise.
-    A frozen-regime window carries no J, and its K continues the base path's.
-    """
-
-    times: np.ndarray
-    X: np.ndarray
-    alpha: np.ndarray
-    S: np.ndarray
-    dS: np.ndarray
-    normals: np.ndarray
-    event_times: np.ndarray
-    event_marks: np.ndarray
-    J: np.ndarray | None = None
-    K: np.ndarray | None = None
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
-
-    def state_at_time(self, t: float) -> np.ndarray:
-        return self.X[grid_index(self.times, t)]
-
-
-def grid_index(times: np.ndarray, t: float, tol: float = 1e-10) -> int:
-    k = int(np.searchsorted(times, t))
-    for cand in (k - 1, k, k + 1):
-        if 0 <= cand < times.size and abs(times[cand] - t) <= tol:
-            return cand
-    raise DataError(f"time {t} is not a grid point")
-
-
-def simulate_paths(
-    model: ModelSpec, levy: LevyMeasureSpec, horizon: float, grid_step: float, seeds
-) -> list[CoupledPath]:
-    """Reference per-path engine: one ``sample_batch_noise`` path per seed.
-
-    Each record keeps its refined grid without padding, S = cumsum(dS), the
-    normals and its events; the records are integrated as one padded bundle.
-    """
-    if not (horizon > 0 and grid_step > 0):
-        raise ValueError(f"horizon and grid_step must be positive, got {horizon}, {grid_step}")
-    n = max(1, int(round(horizon / grid_step)))
-    records = []
-    for seed in seeds:
-        noise = sample_batch_noise(model, levy, horizon, n, 1, seed)
-        index = [j for _, j, _ in noise.events]
-        size = n + 1 + len(index)
-        times = np.atleast_2d(noise.times)[0, :size]
-        dS, z = noise.dS[0, : size - 1], noise.normals[0, : size - 1]
-        S = np.concatenate([[0.0], np.cumsum(dS)])
-        marks = np.array([mark for _, _, mark in noise.events])
-        records.append(CoupledPath(times, None, None, S, dS, z, times[index], marks))
-    return _integrate_records(model, records)
-
-
-def simulate_path(
-    model: ModelSpec, levy: LevyMeasureSpec, horizon: float, grid_step: float, seed=None
-) -> CoupledPath:
-    """One path of ``simulate_paths``."""
-    return simulate_paths(model, levy, horizon, grid_step, [seed])[0]
-
-
-def simulate_perturbed_path(
-    model: ModelSpec, base: CoupledPath, pert: PerturbationSpec
-) -> CoupledPath:
-    """Re-integrate against the base path's noise with the shifted Brownian layer.
-
-    The same event marks drive the regime, evaluated at the perturbed left
-    limits, so the regime path itself may react to the shift.  eps = 0
-    reproduces the base path bit for bit.
-    """
-    if pert.d != model.d:
-        raise DataError(f"perturbation direction has d={pert.d}, model expects {model.d}")
-    dH = np.diff(pert.integral(base.S), axis=0)
-    shifts = [pert.eps * (dH @ model.sigma.T)] if pert.eps != 0.0 else None
-    return _integrate_records(model, [base], shifts=shifts)[0]
-
-
-def frozen_regime_paths(
-    model: ModelSpec, regime: int, window: tuple[float, float], bases
-) -> list[CoupledPath]:
-    """Evolve each base state with the regime frozen over [t1, t2], reusing its noise.
-
-    A window starts from its base path's X and K at t1 and carries no J;
-    window endpoints must be grid points of every base path.
-    """
-    t1, t2 = window
-    if not 0 <= t1 < t2:
-        raise ValueError(f"need 0 <= t1 < t2, got {window}")
-    if not 1 <= regime <= model.rates.m0:
-        raise ValueError(f"regime must lie in 1..{model.rates.m0}")
-    ks = [(grid_index(b.times, t1), grid_index(b.times, t2)) for b in bases]
-    windows = [
-        CoupledPath(b.times[k1 : k2 + 1], None, None, b.S[k1 : k2 + 1], b.dS[k1:k2],
-                    b.normals[k1:k2], np.empty(0), np.empty(0))
-        for b, (k1, k2) in zip(bases, ks)
-    ]
-    x0 = np.stack([b.X[k1] for b, (k1, _) in zip(bases, ks)])
-    K0 = np.stack([b.K[k1] for b, (k1, _) in zip(bases, ks)])
-    return _integrate_records(model, windows, x0=x0, K0=K0, alpha0=regime, want_J=False)
-
-
-def frozen_regime_path(
-    model: ModelSpec, regime: int, window: tuple[float, float], base: CoupledPath
-) -> CoupledPath:
-    """One window of ``frozen_regime_paths``."""
-    return frozen_regime_paths(model, regime, window, [base])[0]
-
-
-def _pad(rows, width: int, edge: bool = False) -> np.ndarray:
-    """Stack rows of unequal length, padded to width with zeros or their last entry."""
-    out = np.zeros((len(rows), width) + rows[0].shape[1:])
-    for p, row in enumerate(rows):
-        out[p, : len(row)] = row
-        if edge:
-            out[p, len(row) :] = row[-1]
-    return out
-
-
-def _integrate_records(model, records, shifts=None, want_J=True, **start) -> list[CoupledPath]:
-    """Integrate per-path noise records as one bundle padded with zero-length steps."""
-    width = max(r.times.size for r in records)
-    events = [
-        (p, j, mark)
-        for p, r in enumerate(records)
-        for j, mark in zip(np.searchsorted(r.times, r.event_times, "right") - 1, r.event_marks)
-    ]
-    noise = BatchNoise(
-        _pad([r.times for r in records], width, edge=True),
-        _pad([r.dS for r in records], width - 1),
-        _pad([r.normals for r in records], width - 1),
-        len(records),
-        events,
-    )
-    shift = None if shifts is None else _pad(shifts, width - 1)
-    res = batch_flows(model, noise, shift=shift, want_J=want_J, want_Q=False, record=True, **start)
-    out = []
-    for p, r in enumerate(records):
-        c = slice(r.times.size)
-        X, alpha, K = res.X_path[p, c], res.alpha_path[p, c], res.K_path[p, c]
-        out.append(replace(r, X=X, alpha=alpha, J=res.J_path[p, c] if want_J else None, K=K))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bundles of noise records and the one step loop
 
@@ -272,6 +122,41 @@ class BatchNoise:
         events = [(p, (j + 1) // 2, mark) for p, j, mark in self.events]
         return BatchNoise(self.times[..., 0::2], d2, z2, self.n_paths, events)
 
+    def clock(self) -> np.ndarray:
+        """The subordinator S at every grid point, (P, K+1): S_0 = 0, S = cumsum(dS)."""
+        return np.concatenate([np.zeros((self.n_paths, 1)), np.cumsum(self.dS, axis=1)], axis=1)
+
+    def window(self, t1: float, t2: float) -> tuple["BatchNoise", np.ndarray]:
+        """Each path's noise over [t1, t2] without its events, and each path's index of t1.
+
+        Windows shorter than the longest are padded at the end with
+        zero-length steps; t1 and t2 must be grid points of every path.
+        """
+        if not 0 <= t1 < t2:
+            raise ValueError(f"need 0 <= t1 < t2, got {(t1, t2)}")
+        times = np.broadcast_to(self.times, (self.n_paths, self.times.shape[-1]))
+        k1, k2 = (_index_at(times, t) for t in (t1, t2))
+        offsets = np.arange((k2 - k1).max() + 1)
+        cols = np.minimum(k1[:, None] + offsets, k2[:, None])  # (P, W+1)
+        rows = np.arange(self.n_paths)[:, None]
+        live = cols[:, :-1] < cols[:, 1:]
+        steps = np.minimum(cols[:, :-1], self.dS.shape[1] - 1)
+        win = BatchNoise(
+            times=times[rows, cols] if self.times.ndim == 2 else self.times[cols[0]],
+            dS=np.where(live, self.dS[rows, steps], 0.0),
+            normals=np.where(live[..., None], self.normals[rows, steps], 0.0),
+            n_paths=self.n_paths,
+        )
+        return win, k1
+
+
+def _index_at(times: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:
+    """Each row's first grid index within tol of t."""
+    k = np.minimum(np.count_nonzero(times < t - tol, axis=1), times.shape[1] - 1)
+    if not np.all(np.abs(times[np.arange(times.shape[0]), k] - t) <= tol):
+        raise DataError(f"time {t} is not a grid point of every path")
+    return k
+
 
 def sample_batch_noise(
     model: ModelSpec,
@@ -289,6 +174,10 @@ def sample_batch_noise(
     step count of the parity of n_steps; without events the bundle shares
     the uniform (n_steps + 1,) grid.
     """
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if n_steps < 1 or n_paths < 1:
+        raise ValueError(f"need n_steps >= 1 and n_paths >= 1, got {n_steps}, {n_paths}")
     rng = as_rng(seed)
     times = np.linspace(0.0, horizon, n_steps + 1)
     rate = model.rates.mark_space()

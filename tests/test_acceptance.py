@@ -41,8 +41,6 @@ from switchsde import (
     sample_covariances,
     sample_increments,
     scaled_cos_field,
-    simulate_path,
-    simulate_paths,
     constant_rates,
 )
 from switchsde.runner import run_simulate
@@ -69,8 +67,9 @@ def test_ac01_flow_inverse_defect_bound():
     tol = product_defect_tolerance(model.n, model.grad_bound, 1.0, dt)
     worst = 0.0
     for lo in range(0, 100, 64):
-        for path in simulate_paths(model, LEVY, 1.0, dt, range(lo, min(lo + 64, 100))):
-            worst = max(worst, float(product_defect(path.J, path.K).max()))
+        noise = sample_batch_noise(model, LEVY, 1.0, 1000, min(64, 100 - lo), seed=lo)
+        res = batch_flows(model, noise, want_J=True, want_Q=False, record=True)
+        worst = max(worst, float(product_defect(res.J_path, res.K_path).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= tol and elapsed < 10.0
     report(
@@ -86,8 +85,10 @@ def test_ac02_flow_norm_envelope():
     dt = 1.0 / 256
     worst = -np.inf
     for lo in range(0, 1000, 64):
-        for path in simulate_paths(model, LEVY, 1.0, dt, range(lo, min(lo + 64, 1000))):
-            worst = max(worst, exp_bound_excess(path.J, path.K, path.times, model.grad_bound))
+        noise = sample_batch_noise(model, LEVY, 1.0, 256, min(64, 1000 - lo), seed=lo)
+        res = batch_flows(model, noise, want_J=True, want_Q=False, record=True)
+        excess = exp_bound_excess(res.J_path, res.K_path, noise.times, model.grad_bound)
+        worst = max(worst, excess)
     ok = worst <= 10.0 * dt
     report(
         "AC-02",
@@ -116,9 +117,10 @@ def test_ac04_perturbation_response_slope():
     pert = constant_direction([0.05], upto=50.0)
     slopes = []
     for seed in (0, 1, 2):
-        base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=seed)
+        noise = sample_batch_noise(model, LEVY, 1.0, 64, 1, seed)
+        base = batch_flows(model, noise, want_Q=False, record=True)
         res = finite_difference_check(
-            model, base, pert, eps_list=[1e-1, 1e-2, 1e-3, 1e-4]
+            model, noise, base, pert, eps_list=[1e-1, 1e-2, 1e-3, 1e-4]
         )
         slopes.append(res.slope)
     ok = all(0.9 <= s <= 1.1 for s in slopes)
@@ -253,7 +255,7 @@ def test_ac11_joint_window_curve():
     )
     fld = scaled_cos_field(model.sigma, amp=1.0, freq=3.0)
     curve = norris_joint_probability(
-        model, LEVY, horizon=0.5, grid_step=1 / 256, params=params, fld=fld,
+        model, LEVY, horizon=0.5, n_steps=128, params=params, fld=fld,
         n_paths=1500, seed=0,
     )
     flat = make_zero_drift(n=2, d=1, sigma=[[0.0], [1.0]])
@@ -261,7 +263,7 @@ def test_ac11_joint_window_curve():
         window=(0.0, 0.5), regime=1, direction=[0.0, 1.0], eps_grid=[0.03, 0.003]
     )
     curve0 = norris_joint_probability(
-        flat, LEVY, horizon=0.5, grid_step=1 / 64, params=params0,
+        flat, LEVY, horizon=0.5, n_steps=32, params=params0,
         fld=constant_field(flat.sigma), n_paths=200, seed=1,
     )
     ok = curve.is_nonincreasing(z=2.0) and np.all(curve0.probs == 0.0)

@@ -20,7 +20,7 @@ SMALL = {
     "seed": 7,
     "model": {"name": "kalman"},
     "levy": {"alpha": 1.0, "upper_cutoff": 4.0},
-    "simulation": {"horizon": 0.5, "grid_step": 1 / 64, "n_steps": 64, "n_paths": 24},
+    "simulation": {"horizon": 0.5, "grid_step": 1 / 64, "n_steps": 32, "n_paths": 24},
     "output": {"max_saved_paths": 3},
 }
 
@@ -64,6 +64,21 @@ def _section(**fields):
     return st.fixed_dictionaries({}, optional=fields)
 
 
+@st.composite
+def _simulation(draw):
+    """horizon, grid_step and n_steps that agree; any of them may be left out."""
+    keep = draw(st.sets(st.sampled_from(["horizon", "grid_step", "n_steps", "n_paths"])))
+    horizon = draw(_positive) if "horizon" in keep else 1.0
+    n_steps = draw(st.integers(1, 10**6))
+    sim = {
+        "horizon": horizon,
+        "grid_step": horizon / n_steps,
+        "n_steps": n_steps,
+        "n_paths": draw(st.integers(1, 10**6)),
+    }
+    return {k: v for k, v in sim.items() if k in keep}
+
+
 _window = st.tuples(st.floats(0.0, 10.0), st.floats(1e-3, 10.0)).map(lambda t: [t[0], t[0] + t[1]])
 
 VALID_CONFIGS = _section(
@@ -85,10 +100,7 @@ VALID_CONFIGS = _section(
         ),
         st.fixed_dictionaries({"kind": st.just("tabulated"), "table": st.text(min_size=1)}),
     ),
-    simulation=_section(
-        horizon=_positive, grid_step=_positive, n_steps=st.integers(1, 10**6),
-        n_paths=st.integers(1, 10**6),
-    ),
+    simulation=_simulation(),
     output=_section(dir=st.text(), save_paths=st.booleans(), max_saved_paths=st.integers(0, 100)),
     hormander=_section(
         depth=st.integers(1, 6), radius=_positive, n_samples=st.integers(1, 10**4),
@@ -156,6 +168,20 @@ def test_type_and_range_errors():
         RunConfig.from_dict([1, 2])
 
 
+def test_grid_step_and_n_steps_must_agree(tmp_path, capsys):
+    # either field is derived from the other; given both, they must fit the horizon
+    sim = RunConfig.from_dict({"simulation": {"horizon": 0.5, "grid_step": 1 / 64}}).simulation
+    assert sim.n_steps == 32
+    sim = RunConfig.from_dict({"simulation": {"horizon": 0.5, "n_steps": 64}}).simulation
+    assert sim.grid_step == 1 / 128
+    with pytest.raises(ConfigError, match="simulation.grid_step"):
+        RunConfig.from_dict({"simulation": {"horizon": 1.0, "grid_step": 0.3}})
+    payload = dict(SMALL, simulation={"horizon": 1.0, "grid_step": 0.001, "n_steps": 16})
+    for command in ("simulate", "flows"):
+        assert main([command, "--config", write_config(tmp_path, payload)]) == 2
+        assert "simulation.n_steps" in capsys.readouterr().err
+
+
 def test_load_and_save(tmp_path):
     cfg = RunConfig.from_dict(SMALL)
     path = tmp_path / "saved.json"
@@ -210,7 +236,7 @@ def test_simulate_writes_paths_and_manifest(tmp_path, capsys):
 def test_worker_count_does_not_change_results(tmp_path, capsys):
     payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=70))
     cfg = write_config(tmp_path, payload)
-    for command in ("simulate", "flows"):
+    for command in ("simulate", "flows", "tails", "density"):
         runs = {}
         for workers in (1, 2):
             out = tmp_path / f"{command}_w{workers}"
@@ -223,7 +249,7 @@ def test_worker_count_does_not_change_results(tmp_path, capsys):
             digests = {k: v["sha256"] for k, v in manifest["files"].items()}
             runs[workers] = (digests, manifest["summary"])
         assert runs[1] == runs[2]
-    assert set(runs[1][0]) == {"defect_profile.csv"}
+        assert runs[1][0]  # at least one data file per pipeline
 
 
 def test_flows_and_verdict(tmp_path, capsys):
@@ -285,6 +311,10 @@ def test_bad_model_params_and_reversed_window_are_usage_errors(tmp_path, capsys)
         bad_window = dict(SMALL, norris={"window": window})
         assert main(["norris", "--config", write_config(tmp_path, bad_window)]) == 2
         assert "norris.window" in capsys.readouterr().err
+    # kalman has one regime, so a frozen window in regime 2 is undefined
+    regime_2 = dict(SMALL, norris={"regime": 2})
+    assert main(["norris", "--config", write_config(tmp_path, regime_2)]) == 2
+    assert "norris.regime" in capsys.readouterr().err
 
 
 def test_non_finite_numbers_are_usage_errors(tmp_path, capsys):

@@ -18,12 +18,12 @@ from switchsde import (
     LevyMeasureSpec,
     NorrisCurve,
     NorrisParams,
+    batch_flows,
     constant_field,
     decomposition_ks_test,
     drift_field_bracket,
     eigen_tail,
     gradient_representation_check,
-    grid_index,
     kde_density,
     ks_calibration,
     ks_statistic,
@@ -33,8 +33,8 @@ from switchsde import (
     make_zero_drift,
     negative_moment,
     norris_joint_probability,
+    sample_batch_noise,
     scaled_cos_field,
-    simulate_path,
     two_sample_ks,
     wilson_interval,
     window_integrals,
@@ -235,27 +235,34 @@ def test_norris_params_validation():
         NorrisParams(window=(0.5, 0.2), regime=1, direction=[1.0], eps_grid=[0.1])
 
 
+def _window_integrals(model, horizon, n_steps, seed, params, fld):
+    """Window integrals of one recorded path, with its noise and record."""
+    noise = sample_batch_noise(model, LEVY, horizon, n_steps, 1, seed)
+    base = batch_flows(model, noise, want_Q=False, record=True)
+    (i_field,), (i_bracket,) = window_integrals(model, noise, base, params, fld)
+    return i_field, i_bracket, noise, base
+
+
 def test_window_integrals_exact_on_degenerate_pair():
     # K(t) = I - t A exactly (A nilpotent), so with V = sigma and direction e_1:
     # y_field(t) = -t and y_bracket(t) = -1, giving w^3/3 and w up to trapezoid error
     model = make_kalman()
-    base = simulate_path(model, LEVY, horizon=0.5, grid_step=1 / 128, seed=6)
     params = NorrisParams(
         window=(0.0, 0.5), regime=1, direction=[1.0, 0.0], eps_grid=[0.1]
     )
     fld = constant_field(model.sigma)
-    i_field, i_bracket = window_integrals(model, base, params, fld)
+    i_field, i_bracket, _, _ = _window_integrals(model, 0.5, 64, 6, params, fld)
     assert i_bracket == pytest.approx(0.5, abs=1e-12)
     assert i_field == pytest.approx(0.5**3 / 3.0, rel=1e-3)
 
 
 def test_window_integrals_zero_drift():
     model = make_zero_drift(n=2, d=1, sigma=[[0.0], [1.0]])
-    base = simulate_path(model, LEVY, horizon=0.5, grid_step=1 / 64, seed=2)
     params = NorrisParams(
         window=(0.0, 0.5), regime=1, direction=[0.0, 1.0], eps_grid=[0.1]
     )
-    i_field, i_bracket = window_integrals(model, base, params, constant_field(model.sigma))
+    fld = constant_field(model.sigma)
+    i_field, i_bracket, _, _ = _window_integrals(model, 0.5, 32, 2, params, fld)
     assert i_bracket == 0.0
     assert i_field == pytest.approx(0.5, abs=1e-12)
 
@@ -264,20 +271,21 @@ def test_window_integrals_opening_after_zero():
     # K runs along the base regimes up to t1, then in the frozen regime with the
     # frozen state; both integrals by the trapezoid rule on the window grid
     model = make_two_regime_linear()
-    base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=5)
-    k1, k2 = grid_index(base.times, 0.25), grid_index(base.times, 0.75)
-    assert len(set(base.alpha[: k1 + 1])) == 2  # the prefix crosses a switch
     params = NorrisParams(
         window=(0.25, 0.75), regime=2, direction=[1.0, 0.0], eps_grid=[0.1]
     )
     fld = scaled_cos_field(model.sigma)
-    i_field, i_bracket = window_integrals(model, base, params, fld)
+    i_field, i_bracket, noise, base = _window_integrals(model, 1.0, 64, 5, params, fld)
+    times, X, alpha = noise.times[0], base.X_path[0], base.alpha_path[0]
+    k1, k2 = np.searchsorted(times, [0.25, 0.75])
+    assert times[k1] == 0.25 and times[k2] == 0.75
+    assert len(set(alpha[: k1 + 1])) == 2  # the prefix crosses a switch
 
     K = np.eye(2)
     for k in range(k1):
-        dt = base.times[k + 1] - base.times[k]
-        K = K - K @ (model.drift_jac(base.X[k], base.alpha[k]) * dt)
-    x = base.X[k1].copy()
+        dt = times[k + 1] - times[k]
+        K = K - K @ (model.drift_jac(X[k], alpha[k]) * dt)
+    x = X[k1].copy()
     y_field, y_bracket = [], []
     for k in range(k1, k2 + 1):
         v = params.direction @ K
@@ -285,11 +293,11 @@ def test_window_integrals_opening_after_zero():
         y_bracket.append(np.sum((v @ drift_field_bracket(model, fld, x, 2)) ** 2))
         if k == k2:
             break
-        dt = base.times[k + 1] - base.times[k]
+        dt = times[k + 1] - times[k]
         K = K - K @ (model.drift_jac(x, 2) * dt)
-        dw = math.sqrt(base.dS[k]) * base.normals[k]
+        dw = math.sqrt(noise.dS[0, k]) * noise.normals[0, k]
         x = x + model.drift(x, 2) * dt + model.sigma @ dw
-    t = base.times[k1 : k2 + 1]
+    t = times[k1 : k2 + 1]
     assert i_field == pytest.approx(np.trapezoid(y_field, t), rel=1e-12)
     assert i_bracket == pytest.approx(np.trapezoid(y_bracket, t), rel=1e-12)
 
@@ -314,7 +322,7 @@ def test_norris_probability_curve_zero_drift_vanishes():
         window=(0.0, 0.25), regime=1, direction=[0.0, 1.0], eps_grid=[0.1, 0.01]
     )
     curve = norris_joint_probability(
-        model, LEVY, horizon=0.25, grid_step=1 / 32, params=params,
+        model, LEVY, horizon=0.25, n_steps=8, params=params,
         fld=constant_field(model.sigma), n_paths=30, seed=0,
     )
     assert np.all(curve.probs == 0.0)
@@ -330,7 +338,7 @@ def test_norris_probability_curve_deterministic():
     fld = scaled_cos_field(model.sigma, amp=1.0, freq=3.0)
     runs = [
         norris_joint_probability(
-            model, LEVY, 0.25, 1 / 32, params, fld, n_paths=25, seed=3
+            model, LEVY, 0.25, 8, params, fld, n_paths=25, seed=3
         )
         for _ in range(2)
     ]

@@ -28,8 +28,6 @@ from switchsde import (
     representation_residual,
     sample_batch_noise,
     sample_covariances,
-    simulate_path,
-    simulate_paths,
 )
 
 LEVY = LevyMeasureSpec(alpha=1.0)
@@ -69,45 +67,51 @@ def test_defect_within_tolerance_under_switching():
     model = make_two_regime_linear()
     dt = 1e-3
     tol = product_defect_tolerance(model.n, model.grad_bound, 1.0, dt)
-    paths = simulate_paths(model, LEVY, 1.0, dt, range(20))
-    worst = max(float(product_defect(p.J, p.K).max()) for p in paths)
-    assert worst <= tol
+    noise = sample_batch_noise(model, LEVY, 1.0, 1000, 20, seed=0)
+    res = batch_flows(model, noise, want_J=True, want_Q=False, record=True)
+    assert float(product_defect(res.J_path, res.K_path).max()) <= tol
+
+
+def _one_path(model, n_steps, seed):
+    noise = sample_batch_noise(model, LEVY, 1.0, n_steps, 1, seed)
+    return noise, batch_flows(model, noise, want_J=True, want_Q=False, record=True)
 
 
 def test_exponential_norm_envelope():
     model = make_sin_bounded(n=2, amp=(0.8, 0.5), freq=(1.0, 2.0))
-    path = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 256, seed=7)
+    noise, res = _one_path(model, 256, 7)
     # Euler flows exceed exp(L t) by at most O(dt)
-    assert exp_bound_excess(path.J, path.K, path.times, model.grad_bound) <= 10.0 / 256
+    assert exp_bound_excess(res.J_path, res.K_path, noise.times, model.grad_bound) <= 10.0 / 256
 
 
 def test_flow_against_matrix_exponential():
     # constant drift matrix, no switching: J_t = exp(A t) up to O(dt)
     A = np.array([[0.0, 1.0], [-1.0, -0.5]])
     model = make_linear(A, sigma=[[0.0], [1.0]])
-    path = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 4096, seed=1)
+    _, res = _one_path(model, 4096, 1)
     from scipy.linalg import expm
 
     target = expm(A)
-    assert np.max(np.abs(path.J[-1] - target)) < 5e-4
-    assert np.max(np.abs(path.K[-1] - np.linalg.inv(target))) < 5e-4
+    assert np.max(np.abs(res.J[0] - target)) < 5e-4
+    assert np.max(np.abs(res.K[0] - np.linalg.inv(target))) < 5e-4
 
 
 def test_directional_derivative_linear_exact():
     # for linear drift the response is exactly linear: X^eps - X = eps * D
     model = make_two_regime_linear()
-    base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=9)
+    noise, base = _one_path(model, 64, 9)
     pert = constant_direction([0.05], upto=50.0)
-    res = finite_difference_check(model, base, pert, eps_list=[1e-1, 1e-2, 1e-3])
+    res = finite_difference_check(model, noise, base, pert, eps_list=[1e-1, 1e-2, 1e-3])
     assert res.state_residuals.max() < 1e-10
 
 
 def test_fd_slope_near_one_for_smooth_drift():
     model = make_sin_bounded(n=2, d=1, sigma=[[0.0], [1.0]], amp=(0.8, 0.5), freq=(1.0, 2.0))
-    base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=12)
+    noise, base = _one_path(model, 64, 12)
     pert = constant_direction([0.05], upto=50.0)
     res = finite_difference_check(
         model,
+        noise,
         base,
         pert,
         eps_list=[1e-1, 1e-2, 1e-3, 1e-4],
@@ -124,9 +128,9 @@ def test_fd_slope_near_one_for_smooth_drift():
 
 def test_fd_check_rejects_state_dependent_rates():
     model = make_two_regime_linear(state_dependent=True)
-    base = simulate_path(make_two_regime_linear(), LEVY, 1.0, 1 / 16, seed=0)
+    noise, base = _one_path(make_two_regime_linear(), 16, 0)
     with pytest.raises(UnsupportedConfigError):
-        finite_difference_check(model, base, constant_direction([1.0], 1.0), [0.1])
+        finite_difference_check(model, noise, base, constant_direction([1.0], 1.0), [0.1])
 
 
 def test_representation_identity_within_first_order_budget():
@@ -134,30 +138,31 @@ def test_representation_identity_within_first_order_budget():
     #           - K_k g_k sigma dH_k, so the residual telescopes into the
     # exact triangle bound sum ||K g^2 D|| + ||K g sigma dH||
     model = make_two_regime_linear()
-    base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=15)
+    noise, base = _one_path(model, 64, 15)
     pert = constant_direction([1.0], upto=50.0)
-    deriv = directional_derivative(model, base, pert)
-    residual = representation_residual(model, base, base.K, deriv)
+    deriv = directional_derivative(model, noise, base, pert)
+    residual = representation_residual(model, noise, base, deriv)
 
-    dts = np.diff(base.times)
-    g = model.drift_jac(base.X[:-1], base.alpha[:-1]) * dts[:, None, None]
-    dH = np.diff(pert.integral(base.S), axis=0) @ model.sigma.T
-    norm_k = np.linalg.norm(base.K[:-1], ord=2, axis=(1, 2))
+    X, alpha, K, D = base.X_path[0], base.alpha_path[0], base.K_path[0], deriv.D[0]
+    dts = np.diff(np.atleast_2d(noise.times)[0])
+    g = model.drift_jac(X[:-1], alpha[:-1]) * dts[:, None, None]
+    dH = np.diff(pert.integral(noise.clock()[0]), axis=0) @ model.sigma.T
+    norm_k = np.linalg.norm(K[:-1], ord=2, axis=(1, 2))
     norm_g = np.linalg.norm(g, ord=2, axis=(1, 2))
-    norm_d = np.linalg.norm(deriv.D[:-1], axis=1)
+    norm_d = np.linalg.norm(D[:-1], axis=1)
     budget = float(np.sum(norm_k * norm_g**2 * norm_d
                           + norm_k * norm_g * np.linalg.norm(dH, axis=1)))
     assert 0.0 < residual <= budget
     # the budget itself is small next to the transported signal
-    signal = np.abs(np.einsum("kab,kb->ka", base.K, deriv.D)).max()
+    signal = np.abs(np.einsum("kab,kb->ka", K, D)).max()
     assert budget < 0.1 * signal
 
 
 def test_representation_residual_zero_drift():
     model = make_zero_drift(n=1, d=1)
-    base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 32, seed=2)
-    deriv = directional_derivative(model, base, constant_direction([1.0], 50.0))
-    assert representation_residual(model, base, base.K, deriv) == 0.0
+    noise, base = _one_path(model, 32, 2)
+    deriv = directional_derivative(model, noise, base, constant_direction([1.0], 50.0))
+    assert representation_residual(model, noise, base, deriv) == 0.0
 
 
 def test_batch_flows_match_per_path_recursions():

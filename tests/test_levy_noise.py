@@ -21,10 +21,12 @@ from switchsde import (
     decompose_large_jumps,
     levy_measure_of_L,
     load_tabulated_csv,
+    make_kalman,
+    make_two_regime_linear,
     make_zero_drift,
+    sample_batch_noise,
     sample_increments,
     sample_xi,
-    simulate_path,
     small_jump_drift,
     standard_positive_stable,
     xi_density,
@@ -179,11 +181,14 @@ def test_zero_length_cells_draw_exactly_zero(spec):
 
 
 def test_path_rejects_bad_horizon_and_grid():
-    model = make_zero_drift(n=1, d=1)
     spec = LevyMeasureSpec(alpha=1.0)
-    for horizon, grid_step in ((0.0, 0.1), (1.0, 0.0), (math.nan, 0.1), (1.0, math.nan)):
-        with pytest.raises(ValueError):
-            simulate_path(model, spec, horizon, grid_step, seed=0)
+    cases = [
+        (0.0, 8, 2), (-1.0, 8, 2), (math.nan, 8, 2), (math.inf, 8, 2), (1.0, 0, 2), (1.0, 8, 0)
+    ]
+    for model in (make_zero_drift(n=1, d=1), make_kalman(), make_two_regime_linear()):
+        for horizon, n_steps, n_paths in cases:
+            with pytest.raises(ValueError):
+                sample_batch_noise(model, spec, horizon, n_steps, n_paths, seed=0)
 
 
 def test_decomposition_constants():

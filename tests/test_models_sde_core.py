@@ -1,8 +1,8 @@
-"""Tests for the model builders and the coupled Euler engines.
+"""Tests for the model builders and the coupled Euler engine.
 
-The per-path engine is checked by re-deriving every step from the stored
-noise record with plain arithmetic; the batched integrator must agree with the
-per-path rule applied row by row on the same noise.
+Recorded paths are checked by re-deriving every step from the noise record
+with plain arithmetic, row by row; perturbed runs and frozen-regime windows
+re-integrate the same noise.
 """
 
 import math
@@ -24,26 +24,23 @@ from switchsde import (
     SpecError,
     UnsupportedConfigError,
     batch_flows,
+    NorrisParams,
     constant_direction,
     constant_rates,
-    frozen_regime_path,
-    frozen_regime_paths,
-    grid_index,
     make_kalman,
     make_linear,
     make_model,
     make_sin_bounded,
     make_two_regime_linear,
     make_zero_drift,
+    perturbation_shift,
     sample_batch_noise,
     sample_increments,
-    simulate_path,
-    simulate_paths,
-    simulate_perturbed_path,
+    scaled_cos_field,
     validate_model,
+    window_integrals,
 )
 from switchsde.cli import main
-from switchsde.diagnostics import two_sample_ks
 
 LEVY = LevyMeasureSpec(alpha=1.0)
 LEVY_TRUNC = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
@@ -165,15 +162,17 @@ def test_make_model_registry():
 def test_grid_building_and_lookup():
     # a path's grid is the uniform grid plus its event times, in time order
     model = make_two_regime_linear(switch_rate=3.0)
-    path = simulate_path(model, LEVY, horizon=1.0, grid_step=0.25, seed=0)
-    assert path.event_times.size == 3
-    expect = np.sort(np.concatenate([np.linspace(0.0, 1.0, 5), path.event_times]))
-    assert path.times.tobytes() == expect.tobytes()
-    for t in path.event_times:
-        assert path.times[grid_index(path.times, t)] == t
-    assert grid_index(path.times, 1.0) == path.times.size - 1
+    one = sample_batch_noise(model, LEVY, 1.0, 4, 1, seed=0)
+    index = [j for _, j, _ in one.events]
+    times = one.times[0, : 5 + len(index)]
+    assert len(index) == 3
+    expect = np.sort(np.concatenate([np.linspace(0.0, 1.0, 5), times[index]]))
+    assert times.tobytes() == expect.tobytes()
+    # a window opens at an event time and closes at the horizon, not between grid points
+    for j in index:
+        assert one.window(times[j], 1.0)[1].tolist() == [j]
     with pytest.raises(DataError):
-        grid_index(path.times, 0.5 * (path.times[1] + path.times[2]))
+        one.window(0.5 * (times[1] + times[2]), 1.0)
     # a bundle pads every path's refined grid with repeats of the horizon
     noise = sample_batch_noise(model, LEVY, 1.0, 4, 6, seed=1)
     counts = np.bincount([p for p, _, _ in noise.events], minlength=6)
@@ -182,49 +181,42 @@ def test_grid_building_and_lookup():
         real = noise.times[p, : 5 + counts[p]]
         assert np.all(np.diff(real) >= 0) and np.all(noise.times[p, 5 + counts[p] :] == 1.0)
         assert np.all(np.isin(np.linspace(0.0, 1.0, 5), real))
-    with pytest.raises(ValueError):
-        simulate_path(model, LEVY, 1.0, 0.0, seed=0)
+
+
+def _one_path(model, levy, n_steps, seed, **kw):
+    """A one-path bundle, its recorded run and its real grid times."""
+    noise = sample_batch_noise(model, levy, 1.0, n_steps, 1, seed)
+    res = batch_flows(model, noise, record=True, **kw)
+    times = np.atleast_2d(noise.times)[0, : n_steps + 1 + len(noise.events)]
+    return noise, res, times
 
 
 def test_euler_steps_rederived_from_noise_record():
     model = make_two_regime_linear()
-    path = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 32, seed=42)
-    assert path.times[0] == 0.0 and path.times[-1] == 1.0
-    # every event time appears as a grid point
-    for t in path.event_times:
-        grid_index(path.times, t)
-    np.testing.assert_allclose(path.dS, np.diff(path.S))
+    noise, res, times = _one_path(model, LEVY, 32, 42)
+    assert times[0] == 0.0 and times[-1] == 1.0 and noise.events
+    S = noise.clock()[0]
+    assert S[0] == 0.0
+    np.testing.assert_allclose(noise.dS[0], np.diff(S))
     x = model.x0.copy()
-    for k in range(path.n_steps):
-        dt = path.times[k + 1] - path.times[k]
-        dw = math.sqrt(path.dS[k]) * path.normals[k]
-        x = x + model.drift(x, path.alpha[k]) * dt + model.sigma @ dw
-        np.testing.assert_allclose(x, path.X[k + 1], rtol=1e-12, atol=1e-14)
-    assert path.state_at_time(1.0) is not None
-
-
-def test_bundled_paths_equal_lone_paths():
-    # one padded bundle gives each seed the path it gets alone, bit for bit
-    model = make_two_regime_linear(switch_rate=3.0, state_dependent=True)
-    seeds = [3, 4, 5, 6]
-    paths = simulate_paths(model, LEVY, 1.0, 1 / 32, seeds)
-    assert len({cp.times.size for cp in paths}) > 1  # refined grids of unequal length
-    for seed, cp in zip(seeds, paths):
-        lone = simulate_path(model, LEVY, 1.0, 1 / 32, seed=seed)
-        for name in ("times", "S", "normals", "X", "alpha", "J", "K"):
-            assert getattr(cp, name).tobytes() == getattr(lone, name).tobytes(), name
+    for k in range(times.size - 1):
+        dt = times[k + 1] - times[k]
+        dw = math.sqrt(noise.dS[0, k]) * noise.normals[0, k]
+        x = x + model.drift(x, res.alpha_path[0, k]) * dt + model.sigma @ dw
+        np.testing.assert_allclose(x, res.X_path[0, k + 1], rtol=1e-12, atol=1e-14)
 
 
 def test_regime_changes_at_event_times():
     model = make_two_regime_linear()
     found = False
     for seed in range(30):
-        path = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 16, seed=seed)
-        if np.any(np.diff(path.alpha) != 0):
+        noise, res, times = _one_path(model, LEVY, 16, seed, want_Q=False)
+        alpha = res.alpha_path[0, : times.size]
+        if np.any(np.diff(alpha) != 0):
             found = True
-            k = int(np.flatnonzero(np.diff(path.alpha))[0]) + 1
+            k = int(np.flatnonzero(np.diff(alpha))[0]) + 1
             # the regime flip lands exactly on a recorded event time
-            assert np.any(np.abs(path.event_times - path.times[k]) < 1e-12)
+            assert k in [j for _, j, _ in noise.events]
     assert found
 
 
@@ -246,56 +238,63 @@ def test_perturbation_table_arithmetic():
 @given(family=st.sampled_from(sorted(PADDING_MODELS)), seed=st.integers(0, 2**32 - 1))
 def test_zero_eps_reproduces_base_bitwise(family, seed):
     model = PADDING_MODELS[family]
-    base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=seed)
+    noise, base, _ = _one_path(model, LEVY, 64, seed, want_J=True)
     pert = constant_direction([1.0] * model.d, upto=10.0)  # eps defaults to 0
-    again = simulate_perturbed_path(model, base, pert)
-    for name in ("times", "X", "alpha", "J", "K"):
+    shift = perturbation_shift(model, noise, pert)
+    assert shift is None
+    again = batch_flows(model, noise, shift=shift, want_J=True, record=True)
+    for name in ("X_path", "alpha_path", "J_path", "K_path"):
         assert getattr(again, name).tobytes() == getattr(base, name).tobytes(), name
 
 
 def test_perturbed_zero_drift_shifts_by_integral():
     # with b = 0 the shift accumulates exactly: X_eps - X = eps sigma H(S_t)
     model = make_zero_drift(n=2, d=2)
-    base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 32, seed=8)
+    noise, base, _ = _one_path(model, LEVY, 32, 8)
     pert = PerturbationSpec(
         breakpoints=[0.0, 2.0, 5.0], values=[[1.0, 0.0], [0.0, -1.0]], eps=0.25
     )
-    shifted = simulate_perturbed_path(model, base, pert)
-    expect = base.X + 0.25 * pert.integral(base.S) @ model.sigma.T
-    np.testing.assert_allclose(shifted.X, expect, rtol=1e-12, atol=1e-14)
+    shifted = batch_flows(model, noise, shift=perturbation_shift(model, noise, pert), record=True)
+    expect = base.X_path + 0.25 * pert.integral(noise.clock()) @ model.sigma.T
+    np.testing.assert_allclose(shifted.X_path, expect, rtol=1e-12, atol=1e-14)
 
 
 def test_perturbed_path_rejects_wrong_direction_width():
     model = make_zero_drift(n=2, d=2)
-    base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 8, seed=1)
+    noise = sample_batch_noise(model, LEVY, 1.0, 8, 1, seed=1)
     with pytest.raises(DataError):
-        simulate_perturbed_path(model, base, constant_direction([1.0], upto=1.0))
+        perturbation_shift(model, noise, constant_direction([1.0], upto=1.0))
 
 
 def test_frozen_regime_window():
     model = make_two_regime_linear()
-    base = simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 32, seed=11)
-    frozen = frozen_regime_path(model, regime=2, window=(0.25, 0.75), base=base)
-    assert frozen.times[0] == 0.25 and frozen.times[-1] == 0.75
-    assert np.all(frozen.alpha == 2)
-    np.testing.assert_allclose(frozen.X[0], base.state_at_time(0.25))
-    k1 = grid_index(base.times, 0.25)
-    x = base.X[k1].copy()
-    for k in range(frozen.n_steps):
-        dt = frozen.times[k + 1] - frozen.times[k]
-        dw = math.sqrt(base.dS[k1 + k]) * base.normals[k1 + k]
+    noise, base, times = _one_path(model, LEVY, 32, 11)
+    win, k1 = noise.window(0.25, 0.75)
+    (k1,) = k1
+    frozen = batch_flows(
+        model, win, x0=base.X_path[:, k1], K0=base.K_path[:, k1], alpha0=2, record=True
+    )
+    wtimes = np.atleast_2d(win.times)[0]
+    assert times[k1] == wtimes[0] == 0.25 and wtimes[-1] == 0.75
+    assert np.all(frozen.alpha_path == 2)
+    assert frozen.X_path[0, 0].tobytes() == base.X_path[0, k1].tobytes()
+    x = base.X_path[0, k1].copy()
+    for k in range(wtimes.size - 1):
+        dt = wtimes[k + 1] - wtimes[k]
+        dw = math.sqrt(noise.dS[0, k1 + k]) * noise.normals[0, k1 + k]
         x = x + model.drift(x, 2) * dt + model.sigma @ dw
-        np.testing.assert_allclose(x, frozen.X[k + 1], rtol=1e-12)
+        np.testing.assert_allclose(x, frozen.X_path[0, k + 1], rtol=1e-12)
     with pytest.raises(ValueError):
-        frozen_regime_path(model, regime=2, window=(0.75, 0.25), base=base)
+        noise.window(0.75, 0.25)
+    with pytest.raises(DataError):
+        noise.window(0.25, 0.3)  # 0.3 is not on the grid of step 1/32
+    params = NorrisParams(window=(0.0, 0.5), regime=5, direction=[1.0, 0.0], eps_grid=[0.1])
     with pytest.raises(ValueError):
-        frozen_regime_path(model, regime=5, window=(0.0, 0.5), base=base)
+        window_integrals(model, noise, base, params, scaled_cos_field(model.sigma))
 
 
 def test_overflow_raises_numeric_error():
     model = make_linear([[50.0]], sigma=[[1.0]])
-    with pytest.raises(NumericError):
-        simulate_path(model, LEVY, horizon=1.0, grid_step=1 / 64, seed=0)
     noise = sample_batch_noise(model, LEVY, 1.0, 512, 4, seed=0)
     with pytest.raises(NumericError):
         batch_flows(model, noise)
@@ -343,20 +342,6 @@ def test_single_regime_noise_keeps_its_draw_order():
         z = rng.standard_normal((5, 16, model.d))
         assert noise.times.tobytes() == times.tobytes() and noise.events == []
         assert noise.dS.tobytes() == dS.tobytes() and noise.normals.tobytes() == z.tobytes()
-
-
-@pytest.mark.parametrize("state_dependent", [False, True], ids=["constant", "state"])
-def test_engines_agree_in_law(state_dependent):
-    # per-path records and one batched bundle come from one sampler; their
-    # terminal states must pass a two-sample KS test in each coordinate
-    model = make_two_regime_linear(switch_rate=3.0, state_dependent=state_dependent)
-    n = 2000
-    seeds = [np.random.SeedSequence([2024, p]) for p in range(n)]
-    per_path = np.array([cp.X[-1] for cp in simulate_paths(model, LEVY_TRUNC, 1.0, 1 / 16, seeds)])
-    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, n, np.random.SeedSequence([2024, n]))
-    batched = batch_flows(model, noise, want_Q=False).X
-    for c in range(model.n):
-        assert two_sample_ks(per_path[:, c], batched[:, c]).pvalue > 0.01, c
 
 
 def test_batch_frozen_regime_and_broadcast_start():
@@ -468,6 +453,23 @@ def test_zero_length_padding_is_an_exact_no_op(family, steps, extra, slot, seed)
         b = getattr(many, name)[slot, : steps + 1]
         assert a.tobytes() == b.tobytes(), name
     assert one.Q[0].tobytes() == many.Q[slot].tobytes()
+    # window integrals over grids rescaled to [0, 1]: the path's window is
+    # padded inside the bundle's and its integrals keep their bits
+    records = [(r[0] / r[0][-1],) + r[1:] for r in records]
+    alone = replace(alone, times=records[slot][0])
+    bundle = _padded_bundle(records)
+    params = NorrisParams(
+        window=(0.0, 1.0), regime=model.rates.m0, direction=np.ones(model.n), eps_grid=[0.1]
+    )
+    fld = scaled_cos_field(model.sigma)
+    one = window_integrals(
+        model, alone, batch_flows(model, alone, x0=starts[slot : slot + 1], **kw), params, fld
+    )
+    many = window_integrals(
+        model, bundle, batch_flows(model, bundle, x0=starts, **kw), params, fld
+    )
+    for a, b in zip(one, many):
+        assert a[0].tobytes() == b[slot].tobytes()
 
 
 AFFINE_MODELS = {
@@ -497,7 +499,7 @@ def _assert_bitwise(fast, slow, names):
 @settings(max_examples=60, deadline=None)
 @given(
     family=st.sampled_from(sorted(AFFINE_MODELS)),
-    grid=st.sampled_from(["shared", "coarsened", "padded", "simulate_paths"]),
+    grid=st.sampled_from(["shared", "coarsened", "padded", "window"]),
     n_starts=st.integers(0, 3),
     want_J=st.booleans(),
     want_Q=st.booleans(),
@@ -510,15 +512,20 @@ def test_affine_fast_path_equals_callbacks(family, grid, n_starts, want_J, want_
     model = AFFINE_MODELS[family]
     slow = replace(model, affine=None)
     rng = np.random.default_rng(seed)
-    if grid == "simulate_paths":
-        seeds = rng.integers(0, 2**32, 3).tolist()
-        bases = simulate_paths(model, LEVY_TRUNC, 1.0, 1 / 16, seeds)
-        again = simulate_paths(slow, LEVY_TRUNC, 1.0, 1 / 16, seeds)
+    if grid == "window":
+        # a base bundle and its frozen window, which starts from per-path K0
+        noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 3, seed)
+        win, k1 = noise.window(0.25, 0.75)
         regime = int(rng.integers(1, model.rates.m0 + 1))
-        windows = frozen_regime_paths(model, regime, (0.25, 0.75), bases)
-        windows_slow = frozen_regime_paths(slow, regime, (0.25, 0.75), bases)
-        for fast, ref in zip(bases + windows, again + windows_slow):
-            _assert_bitwise(fast, ref, ("times", "X", "alpha", "J", "K"))
+        runs = []
+        for spec in (model, slow):
+            base = batch_flows(spec, noise, want_J=want_J, want_Q=want_Q, record=True)
+            start = dict(x0=base.X_path[np.arange(3), k1], K0=base.K_path[np.arange(3), k1])
+            frozen = batch_flows(spec, win, alpha0=regime, want_Q=want_Q, record=True, **start)
+            runs.append((base, frozen))
+        for fast, ref in zip(*runs):
+            _assert_bitwise(fast, ref, ("X", "J", "K", "Q", "X_path", "alpha_path", "J_path",
+                                        "K_path", "Q_path"))
         return
     n_paths = 4
     if grid == "padded":
