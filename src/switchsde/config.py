@@ -145,14 +145,17 @@ class LevyConfig:
 class SimulationConfig:
     """The time grid: n_steps steps of length grid_step = horizon / n_steps.
 
-    Either of grid_step and n_steps may be left out and is derived from the
-    other; given both, they must agree with the horizon.
+    A config may give grid_step instead of n_steps, or both when they agree
+    with the horizon; only n_steps is stored.
     """
 
     horizon: float = 1.0
-    grid_step: float = 1.0 / 512
     n_steps: int = 512
     n_paths: int = 256
+
+    @property
+    def grid_step(self) -> float:
+        return self.horizon / self.n_steps
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
@@ -164,16 +167,13 @@ class SimulationConfig:
             # capped so that a vanishing grid_step fails the check below, not round()
             n_steps = max(1, round(min(horizon / grid_step, 2.0**62)))
         n_steps = n_steps or 512
-        if grid_step is None:
-            grid_step = horizon / n_steps
-        if not math.isclose(grid_step * n_steps, horizon, rel_tol=1e-9):
+        if grid_step is not None and not math.isclose(grid_step * n_steps, horizon, rel_tol=1e-9):
             raise ConfigError(
                 f"simulation.grid_step ({grid_step!r}) times simulation.n_steps ({n_steps}) "
                 f"must equal simulation.horizon ({horizon!r})"
             )
         return cls(
             horizon=horizon,
-            grid_step=grid_step,
             n_steps=n_steps,
             n_paths=_integer(d, "n_paths", "simulation", 256, minimum=1),
         )

@@ -236,7 +236,13 @@ def test_simulate_writes_paths_and_manifest(tmp_path, capsys):
 def test_worker_count_does_not_change_results(tmp_path, capsys):
     payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=70))
     cfg = write_config(tmp_path, payload)
-    for command in ("simulate", "flows", "tails", "density"):
+    files = {
+        "simulate": {"terminals.csv"} | {f"path_{k:04d}.csv" for k in range(3)},
+        "flows": {"defect_profile.csv"},
+        "tails": {"tail_curve.csv"},
+        "density": {"density.csv"},
+    }
+    for command, written in files.items():
         runs = {}
         for workers in (1, 2):
             out = tmp_path / f"{command}_w{workers}"
@@ -249,7 +255,7 @@ def test_worker_count_does_not_change_results(tmp_path, capsys):
             digests = {k: v["sha256"] for k, v in manifest["files"].items()}
             runs[workers] = (digests, manifest["summary"])
         assert runs[1] == runs[2]
-        assert runs[1][0]  # at least one data file per pipeline
+        assert set(runs[1][0]) == written
 
 
 def test_flows_and_verdict(tmp_path, capsys):

@@ -293,6 +293,31 @@ def test_frozen_regime_window():
         window_integrals(model, noise, base, params, scaled_cos_field(model.sigma))
 
 
+def test_window_of_a_switching_bundle_slices_each_path():
+    # paths with different event counts reach t1 and t2 at different grid indices
+    model = make_two_regime_linear(switch_rate=3.0)
+    noise = sample_batch_noise(model, LEVY, 1.0, 32, 6, seed=5)
+    counts = np.bincount([p for p, _, _ in noise.events], minlength=6)
+    assert len(set(counts.tolist())) > 1
+    win, k1 = noise.window(0.25, 0.75)
+    width = win.dS.shape[1]
+    for p in range(6):
+        row = noise.times[p]
+        k2 = int(np.flatnonzero(np.abs(row - 0.75) <= 1e-10)[0])
+        assert row[k1[p]] == 0.25 and not np.any(np.abs(row[: k1[p]] - 0.25) <= 1e-10)
+        real = k2 - k1[p]
+        assert win.times[p, : real + 1].tobytes() == row[k1[p] : k2 + 1].tobytes()
+        assert win.dS[p, :real].tobytes() == noise.dS[p, k1[p] : k2].tobytes()
+        assert win.normals[p, :real].tobytes() == noise.normals[p, k1[p] : k2].tobytes()
+        # the padded tail repeats t2 and drives nothing
+        assert np.all(win.times[p, real:] == 0.75)
+        assert np.all(win.dS[p, real:] == 0.0) and np.all(win.normals[p, real:] == 0.0)
+    assert width == max(
+        int(np.flatnonzero(np.abs(noise.times[p] - 0.75) <= 1e-10)[0]) - k1[p] for p in range(6)
+    )
+    assert win.events == []
+
+
 def test_overflow_raises_numeric_error():
     model = make_linear([[50.0]], sigma=[[1.0]])
     noise = sample_batch_noise(model, LEVY, 1.0, 512, 4, seed=0)
