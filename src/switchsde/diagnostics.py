@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError
 from .flows import batch_flows
@@ -26,7 +25,13 @@ from .levy_noise import (
     sample_xi,
 )
 from .models import ModelSpec
-from .sde_core import BatchFlowResult, BatchNoise, sample_batch_noise
+from .sde_core import (
+    BatchFlowResult,
+    BatchNoise,
+    bundle_ranges,
+    sample_batch_noise,
+    seed_blocks,
+)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -68,6 +73,8 @@ def ks_statistic(a, b) -> float:
 
 def two_sample_ks(a, b) -> KSResult:
     """KS test with the asymptotic null law for the p-value."""
+    from scipy import special  # heavy to import, and only this test needs it
+
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     d = ks_statistic(a, b)
@@ -400,14 +407,18 @@ def norris_joint_probability(
 ) -> NorrisCurve:
     """Monte Carlo curve eps -> P(I_bracket >= eps^q, I_field <= eps).
 
-    Paths run in bundles of 64, each seeded by its first path index.
+    Paths are seeded in 64-path blocks, each by its first path index, and
+    integrated in bundles of contiguous blocks sized by ``bundle_ranges``.
     """
     i_field = np.empty(n_paths)
     i_bracket = np.empty(n_paths)
-    for lo in range(0, n_paths, 64):  # 64-path bundles, as in the runner's chunks
-        hi = min(lo + 64, n_paths)
-        rng = np.random.SeedSequence([seed, 9301, lo])
-        noise = sample_batch_noise(model, levy, horizon, n_steps, hi - lo, rng)
+    # X, alpha and K are recorded at every grid point, and again on the window
+    # together with the window's own noise
+    n, d = model.n, model.d
+    recorded = 2 * (n + 1 + n * n) + 2 + d
+    for lo, hi in bundle_ranges(n_paths, n_steps, d, recorded):
+        blocks = seed_blocks(seed, 9301, lo, hi)
+        noise = sample_batch_noise(model, levy, horizon, n_steps, *blocks)
         res = batch_flows(model, noise, want_Q=False, record=True)
         i_field[lo:hi], i_bracket[lo:hi] = window_integrals(model, noise, res, params, fld)
     eps = params.eps_grid

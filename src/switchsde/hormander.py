@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import NumericError, UnsupportedConfigError
 from .models import FD_STEP_SCALE, ModelSpec
@@ -164,6 +163,8 @@ def build_brackets(
 def ball_points(center, radius: float, n_samples: int, seed: int = 0) -> np.ndarray:
     """Low-discrepancy points of the closed ball: scrambled Halton cube points
     clamped radially, with the center prepended."""
+    from scipy.stats import qmc  # heavy to import, and only this sampler needs it
+
     center = np.atleast_1d(np.asarray(center, dtype=float))
     n = center.size
     h = qmc.Halton(d=n, scramble=True, seed=seed)

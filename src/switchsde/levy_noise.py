@@ -26,12 +26,18 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DataError, SpecError, UnsupportedConfigError
 
 LARGE_JUMP_CUTOFF = 1.0
 QUAD_ABS_TOL = 1e-10
+
+
+def _quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: most runs never integrate."""
+    from scipy import integrate
+
+    return integrate.quad(*args, **kwargs)
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -154,7 +160,7 @@ class LevyMeasureSpec:
             return (a ** (-beta) - upper) / beta
         if self.kind == "atoms":
             return float(sum(w for s, w in self.atoms if a < s <= hi))
-        val, _ = integrate.quad(
+        val, _ = _quad(
             lambda u: float(self.density(np.asarray(u))),
             a,
             hi,
@@ -197,7 +203,7 @@ class LevyMeasureSpec:
         total = 0.0
         sub_end = min(hi, 1e-2)
         if a < sub_end:
-            val, _ = integrate.quad(
+            val, _ = _quad(
                 lambda v: 2.0 * v**3 * dens(v * v),
                 math.sqrt(a),
                 math.sqrt(sub_end),
@@ -207,7 +213,7 @@ class LevyMeasureSpec:
             total += val
             a = sub_end
         if a < hi:
-            val, _ = integrate.quad(
+            val, _ = _quad(
                 lambda u: u * dens(u), a, hi, epsabs=QUAD_ABS_TOL, limit=200
             )
             total += val
@@ -461,7 +467,7 @@ def xi_density(decomp: DecompositionSpec, y, d: int) -> float:
         )
 
     hi = spec._hi()
-    val, _ = integrate.quad(
+    val, _ = _quad(
         integrand,
         LARGE_JUMP_CUTOFF,
         hi,
@@ -501,7 +507,7 @@ def levy_measure_of_L(spec: LevyMeasureSpec, y, d: int | None = None) -> float:
 
     lo = spec._lo()
     hi = spec._hi()
-    val, _ = integrate.quad(
+    val, _ = _quad(
         integrand,
         lo,
         hi,

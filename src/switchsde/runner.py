@@ -1,14 +1,23 @@
 """Run pipelines behind the CLI subcommands.
 
 Every pipeline writes its data files plus a manifest.json into the output
-directory.  Path-level work is chunked in fixed blocks of 64 paths, and no
-draw depends on which worker runs a block: every pipeline seeds each 64-path
-chunk from SeedSequence([master_seed, stream, first_path_index]), and
-``gradrep`` seeds each block of ``gradrep.chunk`` paths from
-SeedSequence([master_seed, stream, block_index]), in one process.
+directory.  Two sizes govern path-level work, and only the first one fixes
+any draw:
 
-So results are bit-identical for any worker count; the manifest records a
-sha256 digest of each data file to make that checkable.
+- seed blocks: 64 paths (``sde_core.SEED_BLOCK``) drawn from one generator,
+  SeedSequence([master_seed, stream, first_path_index]).  ``gradrep`` instead
+  seeds each block of ``gradrep.chunk`` paths from
+  SeedSequence([master_seed, stream, block_index]), in one process.
+- integration bundles: contiguous runs of seed blocks that one worker task
+  stacks into one padded bundle and integrates with one ``batch_flows`` call.
+  ``sde_core.bundle_ranges`` sizes them: about one task per worker, each
+  within a fixed memory budget for the noise and whatever the pipeline
+  records.
+
+A path's results do not depend on its bundle, so results are bit-identical
+for any worker count; the manifest records a sha256 digest of each data file
+to make that checkable, and ``workers_used``, the number of tasks that ran in
+parallel.
 """
 
 from __future__ import annotations
@@ -38,9 +47,7 @@ from .errors import ConfigError
 from .flows import batch_flows, exp_bound_excess, product_defect, product_defect_tolerance
 from .hormander import estimate_kappa1
 from .levy_noise import check_H3, decompose_large_jumps
-from .sde_core import sample_batch_noise
-
-CHUNK = 64
+from .sde_core import GRID_TOL, bundle_ranges, sample_batch_noise, seed_blocks
 
 # per-purpose seed streams, see the module docstring
 STREAM_SIMULATE = 11
@@ -69,7 +76,9 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(outdir: Path, command: str, cfg: RunConfig, summary: dict, elapsed: float):
+def write_manifest(
+    outdir: Path, command: str, cfg: RunConfig, summary: dict, elapsed: float, workers_used=1
+):
     files = {}
     for p in sorted(outdir.iterdir()):
         if p.name == "manifest.json" or not p.is_file():
@@ -81,6 +90,7 @@ def write_manifest(outdir: Path, command: str, cfg: RunConfig, summary: dict, el
         "package_version": __version__,
         "seed": cfg.seed,
         "workers": cfg.workers,
+        "workers_used": workers_used,
         "config_sha256": hashlib.sha256(cfg.canonical_json().encode()).hexdigest(),
         "config": cfg.to_dict(),
         "elapsed_seconds": round(elapsed, 3),
@@ -97,23 +107,43 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _chunk_ranges(n: int):
-    return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
+def _chunk_ranges(cfg: RunConfig, d: int, recorded: int):
+    """The integration bundles of a run, about one per worker.
+
+    A function of its own so that perfbench's tracer can count the bundles.
+    """
+    sim = cfg.simulation
+    return bundle_ranges(sim.n_paths, sim.n_steps, d, recorded, tasks=cfg.workers)
 
 
 def _run_chunk(body, cfg_dict: dict, lo: int, hi: int):
-    """Rebuild the run inside the worker and hand it to one chunk body."""
+    """Rebuild the run inside the worker and hand it one bundle of paths lo..hi-1."""
     cfg = RunConfig.from_dict(cfg_dict)
     return body(cfg, cfg.model.build(), cfg.levy.build(), lo, hi)
 
 
-def _map_chunks(body, cfg_dict, n_paths: int, workers: int):
-    ranges = _chunk_ranges(n_paths)
-    if workers <= 1:
-        return [_run_chunk(body, cfg_dict, lo, hi) for lo, hi in ranges]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+def _map_chunks(body, cfg: RunConfig, model, recorded: int = 0):
+    """Run body over the bundles; returns its results in path order and the workers used.
+
+    recorded counts the float64 values per path and grid point that body keeps
+    beside the noise, which sizes the bundles.
+    """
+    ranges = _chunk_ranges(cfg, model.d, recorded)
+    cfg_dict = cfg.to_dict()
+    used = min(cfg.workers, len(ranges))
+    if used <= 1:
+        return [_run_chunk(body, cfg_dict, lo, hi) for lo, hi in ranges], 1
+    with ProcessPoolExecutor(max_workers=used) as pool:
         futures = [pool.submit(_run_chunk, body, cfg_dict, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
+        return [f.result() for f in futures], used
+
+
+def _bundle_noise(cfg: RunConfig, model, levy, stream: int, lo: int, hi: int):
+    """The noise of paths lo..hi-1: their seed blocks stacked into one bundle."""
+    sim = cfg.simulation
+    return sample_batch_noise(
+        model, levy, sim.horizon, sim.n_steps, *seed_blocks(cfg.seed, stream, lo, hi)
+    )
 
 
 def _real_points(noise, n_steps: int) -> np.ndarray:
@@ -124,8 +154,7 @@ def _real_points(noise, n_steps: int) -> np.ndarray:
 
 def _simulate_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     sim = cfg.simulation
-    seed = np.random.SeedSequence([cfg.seed, STREAM_SIMULATE, lo])
-    noise = sample_batch_noise(model, levy, sim.horizon, sim.n_steps, hi - lo, seed)
+    noise = _bundle_noise(cfg, model, levy, STREAM_SIMULATE, lo, hi)
     res = batch_flows(model, noise, want_Q=False, record=True)
     sizes = _real_points(noise, sim.n_steps)
     times = np.broadcast_to(noise.times, res.alpha_path.shape)
@@ -142,7 +171,8 @@ def run_simulate(cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
     out = _prepare_outdir(cfg)
     model = cfg.model.build()
-    results = _map_chunks(_simulate_chunk, cfg.to_dict(), cfg.simulation.n_paths, cfg.workers)
+    # X, alpha and K are recorded at every grid point
+    results, used = _map_chunks(_simulate_chunk, cfg, model, model.n + 1 + model.n**2)
     terminals = np.vstack([r[0] for r in results])
     events = np.concatenate([r[1] for r in results])
     header = "t,S,alpha," + ",".join(f"x{i + 1}" for i in range(model.n))
@@ -160,13 +190,12 @@ def run_simulate(cfg: RunConfig) -> dict:
         "terminal_std": terminals.std(axis=0, ddof=1).tolist() if terminals.shape[0] > 1 else None,
         "mean_switch_events": float(events.mean()),
     }
-    return write_manifest(out, "simulate", cfg, summary, time.perf_counter() - t0)
+    return write_manifest(out, "simulate", cfg, summary, time.perf_counter() - t0, used)
 
 
 def _flows_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     sim = cfg.simulation
-    seed = np.random.SeedSequence([cfg.seed, STREAM_FLOWS, lo])
-    noise = sample_batch_noise(model, levy, sim.horizon, sim.n_steps, hi - lo, seed)
+    noise = _bundle_noise(cfg, model, levy, STREAM_FLOWS, lo, hi)
     res = batch_flows(model, noise, want_J=True, want_Q=True, record=True)
     # padded steps repeat the last J, K and t, so maxima over the grid are unchanged
     defects = product_defect(res.J_path, res.K_path)  # (P, K+1)
@@ -184,7 +213,8 @@ def run_flows(cfg: RunConfig) -> dict:
     out = _prepare_outdir(cfg)
     model = cfg.model.build()
     sim = cfg.simulation
-    results = _map_chunks(_flows_chunk, cfg.to_dict(), sim.n_paths, cfg.workers)
+    # X, alpha, J, K and Q are recorded at every grid point
+    results, used = _map_chunks(_flows_chunk, cfg, model, model.n + 1 + 3 * model.n**2)
     defects, excesses, min_eigs, profiles = zip(*results)
     write_csv(out / "defect_profile.csv", "t,defect", profiles[0])
     tol = product_defect_tolerance(model.n, model.grad_bound, sim.horizon, sim.grid_step)
@@ -197,7 +227,7 @@ def run_flows(cfg: RunConfig) -> dict:
         "within_defect_tolerance": bool(max(defects) <= tol),
         "within_exp_bound": bool(max(excesses) <= 10.0 * sim.grid_step),
     }
-    return write_manifest(out, "flows", cfg, summary, time.perf_counter() - t0)
+    return write_manifest(out, "flows", cfg, summary, time.perf_counter() - t0, used)
 
 
 def run_hormander(cfg: RunConfig) -> dict:
@@ -232,9 +262,7 @@ def run_hormander(cfg: RunConfig) -> dict:
 
 
 def _covariance_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
-    sim = cfg.simulation
-    seed = np.random.SeedSequence([cfg.seed, STREAM_TAILS, lo])
-    noise = sample_batch_noise(model, levy, sim.horizon, sim.n_steps, hi - lo, seed)
+    noise = _bundle_noise(cfg, model, levy, STREAM_TAILS, lo, hi)
     res = batch_flows(model, noise, want_Q=True)
     return (np.linalg.eigvalsh(res.Q)[:, 0],)
 
@@ -242,7 +270,7 @@ def _covariance_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
 def run_tails(cfg: RunConfig) -> dict:
     t0 = time.perf_counter()
     out = _prepare_outdir(cfg)
-    results = _map_chunks(_covariance_chunk, cfg.to_dict(), cfg.simulation.n_paths, cfg.workers)
+    results, used = _map_chunks(_covariance_chunk, cfg, cfg.model.build())
     lam = np.concatenate([r[0] for r in results])
     curve = eigen_tail(
         lam,
@@ -264,7 +292,7 @@ def run_tails(cfg: RunConfig) -> dict:
         "slope_stderr": curve.slope_stderr,
         "decaying": curve.is_decaying(),
     }
-    return write_manifest(out, "tails", cfg, summary, time.perf_counter() - t0)
+    return write_manifest(out, "tails", cfg, summary, time.perf_counter() - t0, used)
 
 
 def run_decompose_check(cfg: RunConfig) -> dict:
@@ -300,6 +328,14 @@ def run_norris(cfg: RunConfig) -> dict:
     nc = cfg.norris
     if nc.regime > model.rates.m0:
         raise ConfigError(f"norris.regime must lie in 1..{model.rates.m0}")
+    sim = cfg.simulation
+    grid = np.linspace(0.0, sim.horizon, sim.n_steps + 1)
+    for t in nc.window:
+        if np.abs(grid - t).min() > GRID_TOL:
+            raise ConfigError(
+                f"norris.window end {t!r} is not a grid point: the ends must be multiples "
+                f"of simulation.horizon / n_steps = {sim.grid_step!r} up to the horizon"
+            )
     direction = nc.direction if nc.direction is not None else [1.0] + [0.0] * (model.n - 1)
     params = NorrisParams(
         window=(nc.window[0], nc.window[1]),
@@ -314,14 +350,7 @@ def run_norris(cfg: RunConfig) -> dict:
     else:
         fld = constant_field(model.sigma)
     curve = norris_joint_probability(
-        model,
-        levy,
-        cfg.simulation.horizon,
-        cfg.simulation.n_steps,
-        params,
-        fld,
-        cfg.simulation.n_paths,
-        seed=cfg.seed,
+        model, levy, sim.horizon, sim.n_steps, params, fld, sim.n_paths, seed=cfg.seed
     )
     write_csv(
         out / "norris_curve.csv",
@@ -393,9 +422,7 @@ def run_gradrep(cfg: RunConfig) -> dict:
 
 
 def _density_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
-    sim = cfg.simulation
-    seed = np.random.SeedSequence([cfg.seed, STREAM_DENSITY, lo])
-    noise = sample_batch_noise(model, levy, sim.horizon, sim.n_steps, hi - lo, seed)
+    noise = _bundle_noise(cfg, model, levy, STREAM_DENSITY, lo, hi)
     res = batch_flows(model, noise, want_Q=False)
     return (res.X[..., cfg.density.component],)
 
@@ -406,7 +433,7 @@ def run_density(cfg: RunConfig) -> dict:
     model = cfg.model.build()
     if cfg.density.component >= model.n:
         raise ConfigError(f"density.component must be below {model.n}")
-    results = _map_chunks(_density_chunk, cfg.to_dict(), cfg.simulation.n_paths, cfg.workers)
+    results, used = _map_chunks(_density_chunk, cfg, model)
     vals = np.concatenate([r[0] for r in results])
     est = kde_density(vals, n_grid=cfg.density.n_grid, bandwidth=cfg.density.bandwidth)
     write_csv(
@@ -419,7 +446,7 @@ def run_density(cfg: RunConfig) -> dict:
         "bandwidth": est.bandwidth,
         "grid_mass": est.mass,
     }
-    return write_manifest(out, "density", cfg, summary, time.perf_counter() - t0)
+    return write_manifest(out, "density", cfg, summary, time.perf_counter() - t0, used)
 
 
 PIPELINES = {

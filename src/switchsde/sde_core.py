@@ -17,6 +17,15 @@ steps (dt = 0, dS = 0), which are exact no-ops, and a bundle without events
 shares one uniform grid.  A bundle's noise with ``batch_flows(record=True)``
 is the one path record: perturbed runs re-integrate the same noise with a
 shift, and ``BatchNoise.window`` cuts it to a frozen-regime window.
+
+Seed blocks and integration bundles are different things.  A seed block is
+SEED_BLOCK = 64 paths drawn from one generator, SeedSequence([seed, stream,
+first path]); it fixes every draw.  An integration bundle is a contiguous
+run of seed blocks that ``sample_batch_noise`` stacks into one padded
+bundle for one ``batch_flows`` call; ``bundle_ranges`` sizes it by memory
+(BUNDLE_BYTES) and by the number of tasks wanted.  Because padding is an
+exact no-op and rows never mix, a path's results do not depend on which
+bundle integrated it.
 """
 
 from __future__ import annotations
@@ -31,6 +40,9 @@ from .models import ModelSpec
 from .switching import partition_point
 
 OVERFLOW_GUARD = 1e12
+GRID_TOL = 1e-10  # a time within this of a grid point is that grid point
+SEED_BLOCK = 64  # paths per generator, see the module docstring
+BUNDLE_BYTES = 4 << 20  # noise plus recorded paths held by one integration bundle
 
 
 @dataclass
@@ -150,7 +162,7 @@ class BatchNoise:
         return win, k1
 
 
-def _index_at(times: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:
+def _index_at(times: np.ndarray, t: float, tol: float = GRID_TOL) -> np.ndarray:
     """Each row's first grid index within tol of t."""
     k = np.minimum(np.count_nonzero(times < t - tol, axis=1), times.shape[1] - 1)
     if not np.all(np.abs(times[np.arange(times.shape[0]), k] - t) <= tol):
@@ -158,49 +170,110 @@ def _index_at(times: np.ndarray, t: float, tol: float = 1e-10) -> np.ndarray:
     return k
 
 
+def seed_blocks(seed: int, stream: int, lo: int, hi: int) -> tuple[list, list]:
+    """Sizes and seeds of the seed blocks of paths lo..hi-1, lo a multiple of SEED_BLOCK."""
+    starts = range(lo, hi, SEED_BLOCK)
+    sizes = [min(SEED_BLOCK, hi - b) for b in starts]
+    return sizes, [np.random.SeedSequence([seed, stream, b]) for b in starts]
+
+
+def bundle_ranges(
+    n_paths: int, n_steps: int, d: int, recorded: int = 0, tasks: int = 1
+) -> list[tuple[int, int]]:
+    """Path ranges of the integration bundles: contiguous runs of seed blocks.
+
+    A bundle holds, per path and step, its noise (time, dS and d normals) plus
+    `recorded` float64 values the caller keeps per grid point; it takes as
+    many seed blocks as fit in BUNDLE_BYTES (at least one), and no more than
+    an even share of the blocks over `tasks`.
+    """
+    blocks = -(-n_paths // SEED_BLOCK)
+    block_bytes = 8 * SEED_BLOCK * n_steps * (2 + d + recorded)
+    size = max(1, min(BUNDLE_BYTES // block_bytes, -(-blocks // tasks)))
+    return [
+        (b * SEED_BLOCK, min((b + size) * SEED_BLOCK, n_paths)) for b in range(0, blocks, size)
+    ]
+
+
+def _block_grid(model: ModelSpec, grid: np.ndarray, n_paths: int, rng):
+    """One seed block's switching events and its grid refined to their times.
+
+    Returns the shared grid and no events for a block without events, else a
+    (n_paths, W) array of per-path grids padded with the horizon, and its
+    (path, grid index, mark) events with paths counted from the block's first.
+    """
+    n_steps, horizon = grid.size - 1, grid[-1]
+    rate = model.rates.mark_space()
+    counts = rng.poisson(rate * horizon, n_paths) if model.rates.m0 > 1 else np.zeros(n_paths, int)
+    extra = int(counts.max(initial=0))
+    if not extra:
+        return grid, []
+    total = int(counts.sum())
+    path = np.repeat(np.arange(n_paths), counts)
+    col = n_steps + 1 + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    pts = np.full((n_paths, n_steps + 1 + extra + extra % 2), horizon)
+    pts[:, : n_steps + 1] = grid
+    pts[path, col] = rng.uniform(0.0, horizon, total)
+    marks = rng.uniform(0.0, rate, total)
+    # a stable sort puts an event after a grid point at the same time
+    order = np.argsort(pts, axis=1, kind="stable")
+    times = np.take_along_axis(pts, order, axis=1)
+    index = np.argsort(order, axis=1)[path, col]  # where each event column landed
+    keep = np.lexsort((index, path))
+    return times, list(zip(path[keep].tolist(), index[keep].tolist(), marks[keep].tolist()))
+
+
 def sample_batch_noise(
     model: ModelSpec,
     levy: LevyMeasureSpec,
     horizon: float,
     n_steps: int,
-    n_paths: int,
+    n_paths,
     seed=None,
 ) -> BatchNoise:
     """Noise for a bundle of paths, each on its uniform grid refined to its event times.
 
-    Draws, in order: every path's switching events (counts, times, marks;
+    n_paths is one block size with one seed, or a list of seed-block sizes
+    with a list of one seed per block.  Each block draws from its own
+    generator, in order: every path's switching events (counts, times, marks;
     none for one regime), each cell's clock increment over its own dt, then
     the normals.  Grids are padded at the end with zero-length steps to one
-    step count of the parity of n_steps; without events the bundle shares
-    the uniform (n_steps + 1,) grid.
+    step count of the parity of n_steps; when no block has an event the
+    bundle shares the uniform (n_steps + 1,) grid.  A block's rows are
+    bitwise the bundle that block alone would draw, padded to the widest.
     """
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError(f"need n_steps >= 1 and n_paths >= 1, got {n_steps}, {n_paths}")
-    rng = as_rng(seed)
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    rate = model.rates.mark_space()
-    counts = rng.poisson(rate * horizon, n_paths) if model.rates.m0 > 1 else np.zeros(n_paths, int)
+    sizes, seeds = ([n_paths], [seed]) if np.ndim(n_paths) == 0 else (list(n_paths), list(seed))
+    if n_steps < 1 or not sizes or min(sizes) < 1 or len(seeds) != len(sizes):
+        raise ValueError(f"need n_steps >= 1 and blocks of n_paths >= 1, got {n_steps}, {n_paths}")
+    grid = np.linspace(0.0, horizon, n_steps + 1)
+    # first every block's events, which fix the bundle's width
+    rngs = [as_rng(s) for s in seeds]
+    grids = [_block_grid(model, grid, size, rng) for size, rng in zip(sizes, rngs)]
+    if len(sizes) == 1:  # the block's own arrays are the bundle; no copy
+        (times, events), (rng,) = grids[0], rngs
+        dS = sample_increments(levy, np.diff(times, axis=-1), sizes[0], rng)
+        z = rng.standard_normal(dS.shape + (model.d,))
+        return BatchNoise(times=times, dS=dS, normals=z, n_paths=sizes[0], events=events)
+    # then each block's increments and normals at its own width, into its rows
+    total, width = sum(sizes), max(t.shape[-1] for t, _ in grids)
+    shared = all(t.ndim == 1 for t, _ in grids)
+    times = grid if shared else np.empty((total, width))
+    dS = np.zeros((total, width - 1))
+    z = np.zeros((total, width - 1, model.d))
     events = []
-    extra = int(counts.max(initial=0))
-    if extra:
-        total = int(counts.sum())
-        path = np.repeat(np.arange(n_paths), counts)
-        col = n_steps + 1 + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        pts = np.full((n_paths, n_steps + 1 + extra + extra % 2), horizon)
-        pts[:, : n_steps + 1] = times
-        pts[path, col] = rng.uniform(0.0, horizon, total)
-        marks = rng.uniform(0.0, rate, total)
-        # a stable sort puts an event after a grid point at the same time
-        order = np.argsort(pts, axis=1, kind="stable")
-        times = np.take_along_axis(pts, order, axis=1)
-        index = np.argsort(order, axis=1)[path, col]  # where each event column landed
-        keep = np.lexsort((index, path))
-        events = list(zip(path[keep].tolist(), index[keep].tolist(), marks[keep].tolist()))
-    dS = sample_increments(levy, np.diff(times, axis=-1), n_paths, rng)
-    z = rng.standard_normal(dS.shape + (model.d,))
-    return BatchNoise(times=times, dS=dS, normals=z, n_paths=n_paths, events=events)
+    row = 0
+    for size, rng, (t, ev) in zip(sizes, rngs, grids):
+        rows, steps = slice(row, row + size), t.shape[-1] - 1
+        if not shared:
+            times[rows, : steps + 1] = t
+            times[rows, steps + 1 :] = horizon
+        dS[rows, :steps] = sample_increments(levy, np.diff(t, axis=-1), size, rng)
+        z[rows, :steps] = rng.standard_normal((size, steps, model.d))
+        events.extend((p + row, j, mark) for p, j, mark in ev)
+        row += size
+    return BatchNoise(times=times, dS=dS, normals=z, n_paths=total, events=events)
 
 
 @dataclass
@@ -246,13 +319,13 @@ def batch_flows(
     n = model.n
     x = np.broadcast_to(x0, lead + (n,)).copy()
     steps = noise.dS.shape[1]
-    dts = np.diff(noise.times, axis=-1).T  # (K,) shared grid, (K, P) per-path grids
-    dt_x, dt_g = (dts[..., None], dts[..., None, None]) if dts.ndim == 2 else (dts, dts)
+    times = noise.times.T  # (K+1,) shared grid, (K+1, P) per-path grids
+    per_path_grid = times.ndim == 2
     jac, flow_lead = model.drift_jac, lead
     if model.affine is not None:
         mats, m0 = model.affine[0], model.rates.m0
         jac = (lambda x, a: mats[0]) if m0 == 1 else (lambda x, a: mats[a - 1])
-        per_path = (noise.n_paths,) if m0 > 1 or dts.ndim == 2 else ()
+        per_path = (noise.n_paths,) if m0 > 1 or per_path_grid else ()
         flow_lead = np.broadcast_shapes(np.shape(K0)[:-2] if K0 is not None else (), per_path)
     eye = np.eye(n)
     K = eye if K0 is None else np.asarray(K0, dtype=float)
@@ -266,7 +339,6 @@ def batch_flows(
     events: dict[int, list] = {}
     for p, j, mark in noise.events:
         events.setdefault(j, []).append((p, mark))
-    sqrt_dS = np.sqrt(noise.dS)
     sig = model.sigma
     Xs = np.empty(lead + (steps + 1, n)) if record else None
     alphas = np.empty((noise.n_paths, steps + 1), dtype=np.int64) if record else None
@@ -289,12 +361,14 @@ def batch_flows(
         if Q is not None:
             r = K @ sig  # (..., n, d)
             Q = Q + np.einsum("...ad,...bd->...ab", r, r) * noise.dS[:, k, None, None]
-        g = jac(x, a) * dt_g[k]
+        dt = times[k + 1] - times[k]  # this step's column of the grid's differences
+        dt_x, dt_g = (dt[:, None], dt[:, None, None]) if per_path_grid else (dt, dt)
+        g = jac(x, a) * dt_g
         if want_J:
             J = J + g @ J
         K = K - K @ g
-        dw = sqrt_dS[:, k, None] * noise.normals[:, k]
-        x = x + model.drift(x, a) * dt_x[k] + dw @ sig.T
+        dw = np.sqrt(noise.dS[:, k, None]) * noise.normals[:, k]
+        x = x + model.drift(x, a) * dt_x + dw @ sig.T
         if shift is not None:
             x = x + shift[:, k]
         if not np.abs(x).max() <= OVERFLOW_GUARD:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchsde import ConfigError, RunConfig, runner
+from switchsde import ConfigError, RunConfig, runner, sde_core
 from switchsde.cli import main
 
 SMALL = {
@@ -374,3 +374,69 @@ def test_density_pipeline(tmp_path, capsys):
         rows = (out / "density.csv").read_text().strip().splitlines()
         assert rows[0] == "x,density,se"
         assert len(rows) == 257
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"name": "two_regime_linear", "params": {"switch_rate": 3.0, "state_dependent": True}},
+        {"name": "sin_bounded"},
+    ],
+    ids=lambda m: m["name"],
+)
+def test_bundle_size_does_not_change_results(tmp_path, capsys, monkeypatch, model):
+    # one seed block per batch_flows call, or every block in one bundle:
+    # each pipeline writes the same bytes
+    payload = dict(
+        SMALL,
+        model=model,
+        simulation={"horizon": 0.5, "n_steps": 32, "n_paths": 150},
+        norris={"window": [0.125, 0.5]},
+    )
+    cfg = write_config(tmp_path, payload)
+    commands = ("simulate", "flows", "tails", "density", "norris")
+    runs = {}
+    for label, budget, bundles in (("one", 0, 3), ("all", 2**62, 1)):
+        monkeypatch.setattr(sde_core, "BUNDLE_BYTES", budget)
+        assert len(sde_core.bundle_ranges(150, 32, 2, recorded=30)) == bundles
+        for command in commands:
+            out = tmp_path / label / command
+            code, _ = run_cli(capsys, command, "--config", cfg, "--out", str(out))
+            assert code in (0, 1)
+            runs[label, command] = {
+                p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"
+            }
+    for command in commands:
+        assert runs["one", command] and runs["one", command] == runs["all", command], command
+
+
+def test_norris_window_off_the_grid_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(runner, "norris_joint_probability", lambda *a, **k: pytest.fail("ran"))
+    for window in ([0.0, 0.3], [0.25, 1.5]):
+        payload = {"simulation": {"horizon": 1.0, "n_steps": 16, "n_paths": 8},
+                   "norris": {"window": window}}
+        out = tmp_path / "norris"
+        assert main(["norris", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert "norris.window" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_manifest_records_workers_used(tmp_path, capsys):
+    # 70 paths are two seed blocks; 24 paths are one
+    def used(command, n_paths, workers):
+        payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=n_paths))
+        out = tmp_path / f"{command}_{n_paths}_{workers}"
+        code, _ = run_cli(
+            capsys, command, "--config", write_config(tmp_path, payload),
+            "--out", str(out), "--workers", str(workers),
+        )
+        assert code == 0
+        return json.loads((out / "manifest.json").read_text())["workers_used"]
+
+    assert used("simulate", 70, 2) == 2
+    assert used("tails", 70, 8) == 2
+    assert used("density", 24, 2) == 1
+    assert used("flows", 70, 1) == 1
+    # these run in one process whatever --workers asks for
+    for command in ("norris", "hormander", "decompose-check"):
+        assert used(command, 24, 2) == 1

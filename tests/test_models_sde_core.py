@@ -41,6 +41,7 @@ from switchsde import (
     window_integrals,
 )
 from switchsde.cli import main
+from switchsde.sde_core import SEED_BLOCK, seed_blocks
 
 LEVY = LevyMeasureSpec(alpha=1.0)
 LEVY_TRUNC = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
@@ -367,6 +368,46 @@ def test_single_regime_noise_keeps_its_draw_order():
         z = rng.standard_normal((5, 16, model.d))
         assert noise.times.tobytes() == times.tobytes() and noise.events == []
         assert noise.dS.tobytes() == dS.tobytes() and noise.normals.tobytes() == z.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(sorted(PADDING_MODELS)),
+    truncated=st.booleans(),
+    n_steps=st.integers(1, 12),
+    n_paths=st.integers(1, 3 * SEED_BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="two_regime_linear_state", truncated=False, n_steps=8, n_paths=150, seed=0)
+def test_seed_blocks_stack_into_one_bundle(family, truncated, n_steps, n_paths, seed):
+    # seed blocks drawn as one bundle are each block drawn alone, padded at the
+    # end with zero-length steps, byte for byte; a partial last block included
+    model = PADDING_MODELS[family]
+    levy = LEVY_TRUNC if truncated else LEVY
+    sizes, seeds = seed_blocks(seed, 5, 0, n_paths)
+    assert sum(sizes) == n_paths and sizes[:-1] == [SEED_BLOCK] * (len(sizes) - 1)
+    bundle = sample_batch_noise(model, levy, 1.0, n_steps, sizes, seeds)
+    alone = [sample_batch_noise(model, levy, 1.0, n_steps, m, s) for m, s in zip(sizes, seeds)]
+    width = max(a.dS.shape[1] for a in alone)
+    pad = [width - a.dS.shape[1] for a in alone]
+    if all(a.times.ndim == 1 for a in alone):  # no block switched: one shared grid
+        assert bundle.times.tobytes() == alone[0].times.tobytes()
+    else:
+        rows = [np.broadcast_to(a.times, (a.n_paths, a.times.shape[-1])) for a in alone]
+        times = np.vstack([np.pad(r, ((0, 0), (0, w)), mode="edge") for r, w in zip(rows, pad)])
+        assert bundle.times.tobytes() == times.tobytes()
+    dS = np.vstack([np.pad(a.dS, ((0, 0), (0, w))) for a, w in zip(alone, pad)])
+    z = np.vstack([np.pad(a.normals, ((0, 0), (0, w), (0, 0))) for a, w in zip(alone, pad)])
+    assert bundle.dS.tobytes() == dS.tobytes() and bundle.normals.tobytes() == z.tobytes()
+    offsets = np.cumsum([0] + sizes)
+    events = [(p + lo, j, mark) for a, lo in zip(alone, offsets) for p, j, mark in a.events]
+    assert bundle.events == events and bundle.n_paths == n_paths
+    if model.rates.m0 == 1:
+        assert bundle.times.ndim == 1
+    # each block integrated inside the bundle keeps its final state's bits
+    X = batch_flows(model, bundle, want_Q=False).X
+    for a, lo in zip(alone, offsets):
+        assert batch_flows(model, a, want_Q=False).X.tobytes() == X[lo : lo + a.n_paths].tobytes()
 
 
 def test_batch_frozen_regime_and_broadcast_start():
