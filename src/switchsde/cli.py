@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig
+from .config import RunConfig, read_json
 from .errors import ConfigError, SpecError, SwitchSdeError
 from .runner import PIPELINES
 
@@ -29,7 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON run configuration; defaults apply if omitted")
     shared.add_argument("--seed", type=int, help="override the master seed")
-    shared.add_argument("--paths", type=int, help="override simulation.n_paths")
     shared.add_argument("--out", help="override output.dir")
     shared.add_argument("--workers", type=int, help="override the worker count")
 
@@ -50,27 +49,32 @@ def build_parser() -> argparse.ArgumentParser:
         "density": "kernel density of one terminal state component",
     }
     for name, desc in descriptions.items():
-        sub.add_parser(name, parents=[shared], help=desc, description=desc)
+        command = sub.add_parser(name, parents=[shared], help=desc, description=desc)
+        if name != "hormander":  # hormander samples hormander.n_samples points, not paths
+            command.add_argument("--paths", type=int, help="override simulation.n_paths")
     return parser
 
 
+# flag -> (section, key) of the setting it overrides; section None is the top level
+OVERRIDES = {
+    "seed": (None, "seed"),
+    "paths": ("simulation", "n_paths"),
+    "out": ("output", "dir"),
+    "workers": (None, "workers"),
+}
+
+
 def load_config(args) -> RunConfig:
-    cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
-        cfg.seed = args.seed
-    if args.paths is not None:
-        if args.paths < 1:
-            raise ConfigError("--paths must be positive")
-        cfg.simulation.n_paths = args.paths
-    if args.out is not None:
-        cfg.output.dir = args.out
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be positive")
-        cfg.workers = args.workers
-    return cfg
+    """Write the flags into the raw config, so that one parse validates both."""
+    raw = read_json(args.config) if args.config else {}
+    for flag, (name, key) in OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is None or not isinstance(raw, dict):
+            continue  # a non-object root is reported by the parse
+        target = raw.setdefault(name, {}) if name else raw
+        if isinstance(target, dict):
+            target[key] = value
+    return RunConfig.from_dict(raw)
 
 
 def main(argv=None) -> int:

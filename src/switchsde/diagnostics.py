@@ -26,6 +26,7 @@ from .levy_noise import (
 )
 from .models import ModelSpec
 from .sde_core import (
+    MC_BLOCK,
     BatchFlowResult,
     BatchNoise,
     bundle_ranges,
@@ -496,7 +497,6 @@ def gradient_representation_check(
     x0=None,
     eta: float = 1e-3,
     seed: int = 0,
-    chunk: int = 20000,
     truncate: bool = True,
 ) -> GradRepResult:
     """Check the derivative-transfer identity by common-random-number bundles.
@@ -533,7 +533,7 @@ def gradient_representation_check(
     done = 0
     block = 0
     while done < n_paths:
-        size = min(chunk, n_paths - done)
+        size = min(MC_BLOCK, n_paths - done)
         rng = as_rng(np.random.SeedSequence([seed, 9401, block]))
         noise = sample_batch_noise(model, levy, horizon, n_steps, size, rng)
         bundle = starts[:, None, :]

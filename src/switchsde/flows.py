@@ -36,6 +36,7 @@ from .errors import DataError, UnsupportedConfigError
 from .levy_noise import LevyMeasureSpec, as_rng
 from .models import ModelSpec
 from .sde_core import (
+    MC_BLOCK,
     BatchFlowResult,
     BatchNoise,
     PerturbationSpec,
@@ -197,14 +198,13 @@ def sample_covariances(
     n_steps: int,
     n_paths: int,
     seed: int,
-    chunk: int = 20000,
 ) -> np.ndarray:
-    """Monte Carlo draws of Q_horizon, shape (n_paths, n, n), chunk-seeded deterministically."""
+    """Monte Carlo draws of Q_horizon, shape (n_paths, n, n), seeded per MC_BLOCK paths."""
     out = np.empty((n_paths, model.n, model.n))
     done = 0
     block = 0
     while done < n_paths:
-        size = min(chunk, n_paths - done)
+        size = min(MC_BLOCK, n_paths - done)
         rng = as_rng(np.random.SeedSequence([seed, 7001, block]))
         noise = sample_batch_noise(model, levy, horizon, n_steps, size, rng)
         res = batch_flows(model, noise, want_Q=True)

@@ -6,7 +6,7 @@ any draw:
 
 - seed blocks: 64 paths (``sde_core.SEED_BLOCK``) drawn from one generator,
   SeedSequence([master_seed, stream, first_path_index]).  ``gradrep`` instead
-  seeds each block of ``gradrep.chunk`` paths from
+  seeds each block of ``sde_core.MC_BLOCK`` (20000) paths from
   SeedSequence([master_seed, stream, block_index]), in one process.
 - integration bundles: contiguous runs of seed blocks that one worker task
   stacks into one padded bundle and integrates with one ``batch_flows`` call.
@@ -337,6 +337,8 @@ def run_norris(cfg: RunConfig) -> dict:
                 f"of simulation.horizon / n_steps = {sim.grid_step!r} up to the horizon"
             )
     direction = nc.direction if nc.direction is not None else [1.0] + [0.0] * (model.n - 1)
+    if len(direction) != model.n:
+        raise ConfigError(f"norris.direction must have one entry per state component ({model.n})")
     params = NorrisParams(
         window=(nc.window[0], nc.window[1]),
         regime=nc.regime,
@@ -383,6 +385,8 @@ def run_gradrep(cfg: RunConfig) -> dict:
         raise ConfigError(
             f"gradrep.weights must have one entry per state component ({model.n})"
         )
+    if cfg.simulation.n_steps % 2:
+        raise ConfigError("gradrep needs an even simulation.n_steps for its half-resolution run")
 
     def f(x):
         return np.sin(x @ w)
@@ -400,7 +404,6 @@ def run_gradrep(cfg: RunConfig) -> dict:
         grad_f,
         eta=cfg.gradrep.eta,
         seed=cfg.seed,
-        chunk=cfg.gradrep.chunk,
         truncate=cfg.gradrep.truncate,
     )
     report = {

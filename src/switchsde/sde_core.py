@@ -43,6 +43,7 @@ OVERFLOW_GUARD = 1e12
 GRID_TOL = 1e-10  # a time within this of a grid point is that grid point
 SEED_BLOCK = 64  # paths per generator, see the module docstring
 BUNDLE_BYTES = 4 << 20  # noise plus recorded paths held by one integration bundle
+MC_BLOCK = 20000  # paths per generator in gradient_representation_check and sample_covariances
 
 
 @dataclass

@@ -6,6 +6,10 @@ whose file digests are reproducible across worker counts.
 """
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,7 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 def test_defaults_round_trip():
     cfg = RunConfig.from_dict({})
+    assert cfg == RunConfig()
     assert cfg.seed == 0 and cfg.workers == 1
     assert cfg.model.name == "kalman"
     assert cfg.simulation.n_steps == 512
@@ -58,68 +63,106 @@ ROOT = Path(__file__).resolve().parents[1]
 _positive = st.one_of(st.integers(1, 10**6), st.floats(1e-6, 1e6))
 _number = st.one_of(st.integers(-(10**6), 10**6), st.floats(-1e6, 1e6))
 _floats = st.lists(st.floats(-1e3, 1e3), max_size=3)
-
-
-def _section(**fields):
-    return st.fixed_dictionaries({}, optional=fields)
-
-
-@st.composite
-def _simulation(draw):
-    """horizon, grid_step and n_steps that agree; any of them may be left out."""
-    keep = draw(st.sets(st.sampled_from(["horizon", "grid_step", "n_steps", "n_paths"])))
-    horizon = draw(_positive) if "horizon" in keep else 1.0
-    n_steps = draw(st.integers(1, 10**6))
-    sim = {
-        "horizon": horizon,
-        "grid_step": horizon / n_steps,
-        "n_steps": n_steps,
-        "n_paths": draw(st.integers(1, 10**6)),
-    }
-    return {k: v for k, v in sim.items() if k in keep}
-
-
 _window = st.tuples(st.floats(0.0, 10.0), st.floats(1e-3, 10.0)).map(lambda t: [t[0], t[0] + t[1]])
+_nonzero = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3).filter(any)
+_MODELS = {
+    "kalman": {},
+    "zero_drift": {"n": 3, "d": 1},
+    "linear": {"mats": [[0.0, 1.0], [-1.0, 0.0]]},
+    "sin_bounded": {"amp": [0.5], "freq": [2.0]},
+    "two_regime_linear": {"switch_rate": 2.0, "state_dependent": True},
+}
 
-VALID_CONFIGS = _section(
-    seed=st.integers(0, 2**32),
-    workers=st.integers(1, 64),
-    model=st.sampled_from([
-        {"name": "kalman"},
-        {"name": "zero_drift", "params": {"n": 3, "d": 1}},
-        {"name": "linear", "params": {"mats": [[0.0, 1.0], [-1.0, 0.0]]}},
-        {"name": "sin_bounded", "params": {"amp": [0.5], "freq": [2.0]}},
-        {"name": "two_regime_linear", "params": {"switch_rate": 2.0, "state_dependent": True}},
-    ]),
-    levy=st.one_of(
-        _section(
-            kind=st.just("stable"),
-            alpha=_positive,
-            small_jump_cutoff=_positive,
-            upper_cutoff=st.one_of(st.none(), _positive),
-        ),
-        st.fixed_dictionaries({"kind": st.just("tabulated"), "table": st.text(min_size=1)}),
+
+def _section(fields, fit=None):
+    """(names, strategy): each field optional; fit makes the drawn fields agree."""
+    strategy = st.fixed_dictionaries({}, optional=fields)
+    return set(fields), strategy if fit is None else strategy.map(fit)
+
+
+def _fit_model(d):
+    # params must fit the builder that name picks
+    if d:
+        d["params"] = _MODELS[d.get("name", "kalman")]
+    return d
+
+
+def _fit_levy(d):
+    # a tabulated measure needs its table
+    if d.get("kind") == "tabulated":
+        d.setdefault("table", "measure.csv")
+    return d
+
+
+def _fit_simulation(d):
+    # grid_step is drawn as a step count, so that it agrees with horizon and n_steps
+    if "grid_step" in d:
+        d["grid_step"] = d.get("horizon", 1.0) / d.get("n_steps", d["grid_step"])
+    return d
+
+
+def _fit_norris(d):
+    # beta is drawn as a fraction of its open range (max(0, 4 theta - 7), 1)
+    if "beta" in d or "theta" in d:
+        lo = max(0.0, 4.0 * d.get("theta", 1.0) - 7.0)
+        d["beta"] = lo + d.get("beta", 0.5) * (1.0 - lo)
+    return d
+
+
+SECTIONS = {
+    "model": _section(
+        {"name": st.sampled_from(sorted(_MODELS)), "params": st.just(None)}, _fit_model
     ),
-    simulation=_simulation(),
-    output=_section(dir=st.text(), save_paths=st.booleans(), max_saved_paths=st.integers(0, 100)),
-    hormander=_section(
-        depth=st.integers(1, 6), radius=_positive, n_samples=st.integers(1, 10**4),
-        mode=st.sampled_from(["auto", "analytic", "fd"]), threshold=_positive,
+    "levy": _section({
+        "kind": st.sampled_from(["stable", "tabulated"]),
+        "alpha": _positive,
+        "small_jump_cutoff": _positive,
+        "upper_cutoff": st.one_of(st.none(), _positive),
+        "table": st.text(min_size=1),
+    }, _fit_levy),
+    "simulation": _section({
+        "horizon": _positive,
+        "grid_step": st.integers(1, 10**6),
+        "n_steps": st.integers(1, 10**6),
+        "n_paths": st.integers(1, 10**6),
+    }, _fit_simulation),
+    "output": _section(
+        {"dir": st.text(), "save_paths": st.booleans(), "max_saved_paths": st.integers(0, 100)}
     ),
-    tails=_section(n_thresholds=st.integers(3, 50), q_top=_positive, min_count=st.integers(1, 50)),
-    norris=_section(
-        window=_window, regime=st.integers(1, 4), direction=st.one_of(st.none(), _floats),
-        eps_grid=st.lists(_positive, min_size=2, max_size=5), beta=_positive, theta=_positive,
-        field_name=st.sampled_from(["scaled_cos", "constant"]), amp=_number, freq=_number,
-    ),
-    gradrep=_section(
-        eta=_positive, weights=_floats, truncate=st.booleans(), chunk=st.integers(1, 10**6)
-    ),
-    density=_section(
-        component=st.integers(0, 5), n_grid=st.integers(8, 4096),
-        bandwidth=st.one_of(st.none(), _positive),
-    ),
+    "hormander": _section({
+        "depth": st.integers(1, 6), "radius": _positive, "n_samples": st.integers(1, 10**4),
+        "mode": st.sampled_from(["auto", "analytic", "fd"]), "threshold": _positive,
+    }),
+    "tails": _section({
+        "n_thresholds": st.integers(3, 50),
+        "q_top": st.floats(1e-6, 1.0),
+        "min_count": st.integers(1, 50),
+    }),
+    "norris": _section({
+        "window": _window, "regime": st.integers(1, 4), "direction": st.one_of(st.none(), _nonzero),
+        "eps_grid": st.lists(_positive, min_size=2, max_size=5),
+        "beta": st.floats(0.01, 0.99), "theta": st.floats(1e-6, 1.99),
+        "field_name": st.sampled_from(["scaled_cos", "constant"]), "amp": _number, "freq": _number,
+    }, _fit_norris),
+    "gradrep": _section({"eta": _positive, "weights": _floats, "truncate": st.booleans()}),
+    "density": _section({
+        "component": st.integers(0, 5), "n_grid": st.integers(8, 4096),
+        "bandwidth": st.one_of(st.none(), _positive),
+    }),
+}
+TOP_LEVEL = {"seed": st.integers(0, 2**32), "workers": st.integers(1, 64)}
+
+VALID_CONFIGS = st.fixed_dictionaries(
+    {}, optional={**TOP_LEVEL, **{name: strategy for name, (_, strategy) in SECTIONS.items()}}
 )
+
+
+def test_valid_configs_name_every_field():
+    # a new setting must be added to VALID_CONFIGS, or this fails
+    assert set(TOP_LEVEL) | set(SECTIONS) == {f.name for f in fields(RunConfig)}
+    defaults = RunConfig()
+    for name, (names, _) in SECTIONS.items():
+        assert {f.name for f in fields(getattr(defaults, name))} <= names, name
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,12 +236,21 @@ def test_load_and_save(tmp_path):
         RunConfig.load(bad)
 
 
-def test_model_and_levy_builders():
+def test_model_and_levy_builders(tmp_path):
     cfg = RunConfig.from_dict(SMALL)
     model = cfg.model.build()
     assert model.name == "kalman" and model.n == 2
     levy = cfg.levy.build()
     assert levy.alpha == 1.0 and levy.upper_cutoff == 4.0
+    # a tabulated measure takes both cutoffs from the config
+    table = tmp_path / "measure.csv"
+    table.write_text("u,density\n0.001,2.0\n1.0,1.0\n10.0,0.5\n")
+    levy = {"kind": "tabulated", "table": str(table)}
+    spec = RunConfig.from_dict({"levy": levy}).levy.build()
+    assert spec.kind == "tabulated" and spec.small_jump_cutoff == 1e-4 and spec.upper_cutoff is None
+    levy.update(small_jump_cutoff=0.01, upper_cutoff=5.0)
+    spec = RunConfig.from_dict({"levy": levy}).levy.build()
+    assert spec.small_jump_cutoff == 0.01 and spec.upper_cutoff == 5.0
 
 
 # -- pipelines through the CLI -------------------------------------------------
@@ -307,6 +359,41 @@ def test_bad_override_is_usage_error(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--paths", "0"]) == 2
     assert main(["simulate", "--config", cfg, "--seed", "-3"]) == 2
     capsys.readouterr()
+    # hormander samples hormander.n_samples points, so it offers no --paths to ignore
+    with pytest.raises(SystemExit) as exit_:
+        main(["hormander", "--paths", "10"])
+    assert exit_.value.code == 2
+    assert "--paths" in capsys.readouterr().err
+
+
+ESCAPED_ERRORS = {
+    "beta": ("norris", {"norris": {"beta": 1.5}}, "norris.beta"),
+    "theta": ("norris", {"norris": {"theta": 3.0}}, "norris.beta"),
+    "zero_direction": ("norris", {"norris": {"direction": [0, 0]}}, "norris.direction"),
+    "long_direction": ("norris", {"norris": {"direction": [1, 0, 0]}}, "norris.direction"),
+    "q_top": ("tails", {"tails": {"q_top": 2.0}}, "tails.q_top"),
+    "odd_n_steps": (
+        "gradrep", {"simulation": {"horizon": 0.5, "n_steps": 15, "n_paths": 24}}, "n_steps"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, where", ESCAPED_ERRORS.values(), ids=ESCAPED_ERRORS.keys()
+)
+def test_config_errors_exit_2_without_traceback(tmp_path, command, payload, where):
+    # each of these configs once passed parsing and died in the engine with a traceback
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(SMALL, **payload))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchsde.cli", command, "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and where in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_bad_model_params_and_reversed_window_are_usage_errors(tmp_path, capsys):

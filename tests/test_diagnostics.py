@@ -388,7 +388,6 @@ def test_gradient_representation_affine_path_is_bitwise(model):
         f=lambda x: np.sin(x @ w),
         grad_f=lambda x: np.cos(x @ w)[:, None] * w,
         seed=4,
-        chunk=1000,
     )
     fast = gradient_representation_check(model, LEVY, **kw)
     slow = gradient_representation_check(replace(model, affine=None), LEVY, **kw)

@@ -202,10 +202,10 @@ def test_batch_flows_broadcast_start():
     assert res.X.shape == (3, 4, 2) and res.K.shape == (3, 4, 2, 2)
 
 
-def test_sample_covariances_deterministic_and_chunk_invariant():
+def test_sample_covariances_deterministic():
     model = make_kalman()
-    a = sample_covariances(model, LEVY_TRUNC, 1.0, 16, 30, seed=77, chunk=30)
-    b = sample_covariances(model, LEVY_TRUNC, 1.0, 16, 30, seed=77, chunk=30)
+    a = sample_covariances(model, LEVY_TRUNC, 1.0, 16, 30, seed=77)
+    b = sample_covariances(model, LEVY_TRUNC, 1.0, 16, 30, seed=77)
     assert np.array_equal(a, b)
     assert a.shape == (30, 2, 2)
     # eigenvalues are nonnegative by construction
