@@ -18,7 +18,7 @@ import types
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .levy_noise import LevyMeasureSpec, load_tabulated_csv
 from .models import MODEL_BUILDERS, ModelSpec, make_model
 
@@ -153,7 +153,11 @@ class LevyConfig(_Section):
     def build(self) -> LevyMeasureSpec:
         cutoffs = dict(small_jump_cutoff=self.small_jump_cutoff, upper_cutoff=self.upper_cutoff)
         if self.kind == "tabulated":
-            return replace(load_tabulated_csv(self.table), **cutoffs)
+            try:
+                table = load_tabulated_csv(self.table)
+            except DataError as e:
+                raise ConfigError(f"levy.table {self.table!r}: {e}") from e
+            return replace(table, **cutoffs)
         return LevyMeasureSpec(kind="stable", alpha=self.alpha, **cutoffs)
 
 

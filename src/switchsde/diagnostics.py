@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .flows import batch_flows
 from .levy_noise import (
     LevyMeasureSpec,
@@ -609,17 +609,22 @@ def kde_density(
         pad = 4.0 * h
         grid = np.linspace(y.min() - pad, y.max() + pad, n_grid)
     grid = np.asarray(grid, dtype=float)
-    # chunk the kernel matrix so memory stays bounded for large samples
-    dens = np.zeros(grid.size)
-    step = max(1, int(5e6 / max(grid.size, 1)))
-    for lo in range(0, y.size, step):
-        blk = y[lo : lo + step]
-        u = (grid[:, None] - blk[None, :]) / h
-        dens += np.exp(-0.5 * u**2).sum(axis=1)
-    dens /= y.size * h * np.sqrt(2.0 * np.pi)
-    rk = 1.0 / (2.0 * np.sqrt(np.pi))
-    se = np.sqrt(np.maximum(dens, 0.0) * rk / (y.size * h))
-    mass = float(np.trapezoid(dens, grid))
+    # a bandwidth far below the data's scale overflows: u**2 to inf, whose kernel
+    # value 0 is exact, or dens and se to inf, which the check below rejects
+    with np.errstate(over="ignore"):
+        # chunk the kernel matrix so memory stays bounded for large samples
+        dens = np.zeros(grid.size)
+        step = max(1, int(5e6 / max(grid.size, 1)))
+        for lo in range(0, y.size, step):
+            blk = y[lo : lo + step]
+            u = (grid[:, None] - blk[None, :]) / h
+            dens += np.exp(-0.5 * u**2).sum(axis=1)
+        dens /= y.size * h * np.sqrt(2.0 * np.pi)
+        rk = 1.0 / (2.0 * np.sqrt(np.pi))
+        se = np.sqrt(np.maximum(dens, 0.0) * rk / (y.size * h))
+        mass = float(np.trapezoid(dens, grid))
+    if not (np.all(np.isfinite(dens)) and np.all(np.isfinite(se)) and np.isfinite(mass)):
+        raise NumericError(f"the kernel density at bandwidth {h!r} is not finite")
     return DensityEstimate(
         grid=grid, values=dens, se=se, bandwidth=float(h), mass=mass, n_samples=y.size
     )

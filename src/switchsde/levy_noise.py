@@ -22,6 +22,7 @@ the degenerate tabulated case used in tests).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -235,9 +236,18 @@ def load_tabulated_csv(path) -> LevyMeasureSpec:
     The density is linearly interpolated between table points and zero
     outside the table's hull.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty table is reported below
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as e:
+            raise DataError(f"measure table is not a numeric CSV: {e}") from e
+    if data.size == 0:
+        raise DataError("measure table has no rows")
     if data.shape[1] != 2:
         raise DataError(f"measure table must have two columns (u, density), got {data.shape[1]}")
+    if not np.all(np.isfinite(data)):
+        raise DataError("measure table entries must be finite")
     u, dens = data[:, 0], data[:, 1]
     if np.any(np.diff(u) <= 0) or u[0] <= 0:
         raise DataError("measure table abscissae must be positive and strictly increasing")

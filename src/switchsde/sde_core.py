@@ -16,7 +16,10 @@ its event time; the grids of a bundle are padded at the end with zero-length
 steps (dt = 0, dS = 0), which are exact no-ops, and a bundle without events
 shares one uniform grid.  A bundle's noise with ``batch_flows(record=True)``
 is the one path record: perturbed runs re-integrate the same noise with a
-shift, and ``BatchNoise.window`` cuts it to a frozen-regime window.
+shift, and ``BatchNoise.window`` cuts it to a frozen-regime window.  The loop
+accumulates Q with the paths innermost, as (n, n, paths), so each increment
+sum_c r_c r_c^T dS is a few ufunc passes over contiguous path rows; Q is
+moved back to (paths, n, n) once, at the end.
 
 Seed blocks and integration bundles are different things.  A seed block is
 SEED_BLOCK = 64 paths drawn from one generator, SeedSequence([seed, stream,
@@ -332,7 +335,11 @@ def batch_flows(
     K = eye if K0 is None else np.asarray(K0, dtype=float)
     K = np.broadcast_to(K, flow_lead + (n, n)).copy()
     J = np.broadcast_to(eye, flow_lead + (n, n)).copy() if want_J else None
-    Q = np.zeros(np.broadcast_shapes(flow_lead, (noise.n_paths,)) + (n, n)) if want_Q else None
+    # Q is held as (n, n) + q_lead, so its update loops over contiguous path rows
+    q_lead = np.broadcast_shapes(flow_lead, (noise.n_paths,))
+    Q = np.zeros((n, n) + q_lead) if want_Q else None
+    r_axes = (len(flow_lead), len(flow_lead) + 1) + tuple(range(len(flow_lead)))
+    q_axes = tuple(range(2, 2 + len(q_lead))) + (0, 1)  # (n, n) + q_lead -> q_lead + (n, n)
     a = np.full(noise.n_paths, model.alpha0 if alpha0 is None else alpha0, dtype=np.int64)
     at_state = model.rates.state_dependent
     if at_state and len(lead) > 1 and noise.events:
@@ -345,7 +352,7 @@ def batch_flows(
     alphas = np.empty((noise.n_paths, steps + 1), dtype=np.int64) if record else None
     Js = np.empty(flow_lead + (steps + 1, n, n)) if record and want_J else None
     Ks = np.empty(flow_lead + (steps + 1, n, n)) if record else None
-    Qs = np.empty(Q.shape[:-2] + (steps + 1, n, n)) if record and want_Q else None
+    Qs = np.empty(q_lead + (steps + 1, n, n)) if record and want_Q else None
     for k in range(steps + 1):
         for p, mark in events.get(k, ()):
             a[p] = partition_point(model.rates, x[p] if at_state else None, a[p], mark)
@@ -356,12 +363,17 @@ def batch_flows(
             if want_J:
                 Js[..., k, :, :] = J
             if want_Q:
-                Qs[..., k, :, :] = Q
+                Qs[..., k, :, :] = Q.transpose(q_axes)
         if k == steps:
             break
         if Q is not None:
-            r = K @ sig  # (..., n, d)
-            Q = Q + np.einsum("...ad,...bd->...ab", r, r) * noise.dS[:, k, None, None]
+            # r r^T summed over the noise columns in order, each product over all paths at once
+            r = (K @ sig).transpose(r_axes)  # (n, d) + flow_lead
+            r = np.ascontiguousarray(r) if flow_lead else r[..., None]
+            rr = r[:, None, 0] * r[None, :, 0]
+            for c in range(1, model.d):
+                rr = rr + r[:, None, c] * r[None, :, c]
+            Q = Q + rr * noise.dS[:, k]
         dt = times[k + 1] - times[k]  # this step's column of the grid's differences
         dt_x, dt_g = (dt[:, None], dt[:, None, None]) if per_path_grid else (dt, dt)
         g = jac(x, a) * dt_g
@@ -374,6 +386,8 @@ def batch_flows(
             x = x + shift[:, k]
         if not np.abs(x).max() <= OVERFLOW_GUARD:
             raise NumericError(f"a state left the trusted range at step {k + 1}")
+    if Q is not None:
+        Q = np.ascontiguousarray(Q.transpose(q_axes))
     J, K, Q = (_widen(v, lead + (n, n)) for v in (J, K, Q))
     Js, Ks, Qs = (_widen(v, lead + (steps + 1, n, n)) for v in (Js, Ks, Qs))
     return BatchFlowResult(

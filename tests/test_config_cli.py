@@ -437,6 +437,32 @@ def test_non_numeric_list_entries_are_usage_errors(tmp_path, capsys):
         assert where in capsys.readouterr().err
 
 
+def test_malformed_measure_tables_are_usage_errors(tmp_path, capsys):
+    tables = {
+        "non_numeric": "u,density\n0.001,abc\n1.0,1.0\n",
+        "decreasing": "u,density\n1.0,2.0\n0.5,1.0\n",
+    }
+    for name, text in tables.items():
+        table = tmp_path / f"{name}.csv"
+        table.write_text(text)
+        payload = dict(SMALL, levy={"kind": "tabulated", "table": str(table)})
+        cfg = write_config(tmp_path, payload)
+        assert main(["density", "--config", cfg, "--out", str(tmp_path / name)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: levy.table") and out.err.count("\n") == 1
+
+
+def test_overflowing_density_bandwidth_is_a_numeric_error(tmp_path, capsys):
+    # RuntimeWarnings are errors in this suite, so an overflow warning fails it too
+    payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=100))
+    cfg = write_config(tmp_path, dict(payload, density={"bandwidth": 1e-300}))
+    assert main(["density", "--config", cfg, "--out", str(tmp_path / "d")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "not finite" in out.err
+
+
 def test_gradrep_rejects_state_dependent_rates_before_simulating(tmp_path, capsys, monkeypatch):
     # shifted starts share each path's noise, so a state-dependent switch is undefined
     monkeypatch.setattr(

@@ -18,6 +18,7 @@ from switchsde import (
     LevyMeasureSpec,
     NorrisCurve,
     NorrisParams,
+    NumericError,
     batch_flows,
     constant_field,
     decomposition_ks_test,
@@ -416,3 +417,13 @@ def test_kde_custom_grid_and_errors():
         kde_density([1.0])
     with pytest.raises(DataError):
         kde_density(np.full(100, 3.25))
+
+
+def test_kde_rejects_a_bandwidth_that_overflows():
+    # the density stays finite, but its standard error overflows
+    y = np.random.default_rng(3).standard_normal(100)
+    with pytest.raises(NumericError, match="not finite"):
+        kde_density(y, bandwidth=1e-300)
+    # far-away kernels overflow u**2 to a kernel value of exactly 0, which is no error
+    est = kde_density(y * 1e10, bandwidth=1e-145)
+    assert np.all(np.isfinite(est.values)) and np.all(np.isfinite(est.se))

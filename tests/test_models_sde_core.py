@@ -613,3 +613,62 @@ def test_affine_fast_path_equals_callbacks(family, grid, n_starts, want_J, want_
         batch_flows(slow, noise, **kw),
         ("X", "J", "K", "Q", "X_path", "alpha_path", "J_path", "K_path", "Q_path"),
     )
+
+
+def _einsum_q(model, noise, K_path):
+    """Q at every grid point from the recorded inverse flow, by the outer-product einsum."""
+    Q = np.zeros(K_path.shape[:-3] + (model.n, model.n))
+    Qs = [Q]
+    for k in range(noise.dS.shape[1]):
+        r = K_path[..., k, :, :] @ model.sigma
+        Q = Q + np.einsum("...ad,...bd->...ab", r, r) * noise.dS[:, k, None, None]
+        Qs.append(Q)
+    return np.stack(Qs, axis=-3)
+
+
+Q_CASES = {
+    "sin_bounded_switching": (
+        make_sin_bounded(n=2, sigma=[[1.0, 0.3], [-0.4, 0.8]], switch_rate=4.0), None
+    ),
+    "sin_bounded_start_axis": (
+        make_sin_bounded(n=2, sigma=[[1.0, 0.3], [-0.4, 0.8]]),
+        np.array([[[0.5, -1.0]], [[0.0, 0.2]]]),
+    ),
+    "kalman_shared_flows": (make_kalman(), None),
+    "kalman_start_axis": (make_kalman(), np.array([[[0.5, -1.0]], [[0.0, 0.0]], [[-2.0, 0.3]]])),
+}
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("case", Q_CASES.values(), ids=Q_CASES.keys())
+def test_q_update_is_bitwise_the_einsum(case, record):
+    # Q accumulated with the paths innermost, one noise column after another,
+    # is bitwise the einsum of r r^T for d <= 2, and exactly symmetric
+    model, x0 = case
+    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 32, 6, seed=5)
+    if model.rates.m0 > 1:
+        assert noise.times.ndim == 2 and noise.events  # per-path grids
+    flows = batch_flows(model, noise, x0=x0, want_Q=False, record=True)
+    ref = _einsum_q(model, noise, flows.K_path)
+    res = batch_flows(model, noise, x0=x0, record=record)
+    assert np.array_equal(res.Q, ref[..., -1, :, :])
+    assert np.array_equal(res.Q, np.swapaxes(res.Q, -1, -2))
+    if record:
+        assert np.array_equal(res.Q_path, ref)
+
+
+def test_q_update_with_three_noise_columns_is_close_to_the_einsum():
+    # for d >= 3 the einsum may sum the columns in another order, so bits may
+    # differ: by at most 1e-14 sqrt(Q_aa Q_bb) per entry (4.6e-16 seen), the
+    # scale an off-diagonal entry is rounded at even where it nearly cancels
+    model = make_linear(
+        [[-0.2, 1.3, 0.0], [0.1, -0.7, 0.9], [0.0, 0.4, -0.35]],
+        sigma=[[1.0, 0.2, -0.5], [0.3, 0.9, 0.1], [-0.6, 0.4, 0.7]],
+    )
+    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 64, 40, seed=9)
+    res = batch_flows(model, noise, record=True)
+    ref = _einsum_q(model, noise, res.K_path)
+    diag = np.diagonal(ref, axis1=-2, axis2=-1)
+    scale = np.sqrt(diag[..., :, None] * diag[..., None, :])
+    assert np.all(np.abs(res.Q_path - ref) <= 1e-14 * scale)
+    assert np.array_equal(res.Q, np.swapaxes(res.Q, -1, -2))
