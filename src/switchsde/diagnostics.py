@@ -306,7 +306,7 @@ def drift_field_bracket(model: ModelSpec, fld: TestField, x, a) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     v = fld.value(x, a)
     jv = fld.jac(x, a)
-    b = model.drift(x, a)
+    b = np.moveaxis(model.drift(np.moveaxis(x, -1, 0), a), 0, -1)  # drift is components-first
     jb = model.drift_jac(x, a)
     return np.einsum("...crv,...c->...rv", jv, b) - np.einsum("...rc,...cv->...rv", jb, v)
 

@@ -1,9 +1,22 @@
 """Model zoo: drift/diffusion specifications with per-regime coefficients.
 
 A model couples a drift b(x, i), its x-Jacobian, a constant diffusion matrix
-sigma, and a rate matrix for the regime chain.  Drift callbacks are batched:
-x may carry arbitrary leading axes and the regime argument broadcasts against
-them.  Regimes are 1-based.
+sigma, and a rate matrix for the regime chain.  Regimes are 1-based.  The
+callbacks are batched, in two layouts:
+
+- drift(x, a) takes and returns the state components-first, (n,) + lead:
+  x[r] is component r over every path, with the paths on the last axis.
+  The step loop holds its state that way and updates it in place.
+- drift_jac(x, a) and drift_derivs(x, a, m) take x paths-first, lead + (n,),
+  and put their component axes last.
+
+In both, the regime a is one regime or an array that broadcasts to lead,
+so per-path regimes (P,) meet the trailing path axis.  At one point,
+x of shape (n,), the two layouts coincide.  A custom drift for
+b(x) = (x_1, -x_0 - 0.5 x_1) reads
+
+    def drift(x, a):
+        return np.stack([x[1], -x[0] - 0.5 * x[1]])
 
 Built-in families (registered by name):
     zero_drift        b = 0, single regime
@@ -29,7 +42,9 @@ FD_STEP_SCALE = 1e-5
 class ModelSpec:
     """Coefficients of one regime-switching SDE.
 
-    drift(x, a) -> (..., n); drift_jac(x, a) -> (..., n, n) with
+    drift(x, a) takes x components-first, (n, ...), and returns b in the same
+    layout; a broadcasts to the axes after the first.  drift_jac(x, a)
+    takes x paths-first, (..., n), and returns (..., n, n) with
     jac[..., r, c] = d b_r / d x_c.  drift_derivs(x, a, m), when available,
     returns the order-m derivative tensor with shape (..., n*m axes..., n),
     entry [a1..am, r] = d^m b_r / d x_a1 .. d x_am; it unlocks analytic
@@ -167,14 +182,17 @@ def _linear_callbacks(mats: np.ndarray, shifts: np.ndarray):
 
     def drift(x, a):
         x = np.asarray(x, dtype=float)
-        if mats.shape[0] == 1:
-            # one plain product-sum per row instead of one BLAS call per row;
-            # BLAS may fuse multiply-adds, so A @ x can differ in the last bit
-            return np.einsum("rc,...c->...r", mats[0], x) + shifts[0]
-        ai = _regime_index(a)
-        A = mats[ai]
-        c = shifts[ai]
-        return np.matmul(A, x[..., None])[..., 0] + c
+        ai = 0 if mats.shape[0] == 1 else _regime_index(a)  # one regime: scalar coefficients
+        A, c = mats[ai], shifts[ai]  # (..., n, n) and (..., n), one per regime in a
+        out = np.empty(x.shape)
+        for r in range(n):
+            # each row summed column by column, then shifted; no fused multiply-adds
+            row = out[r, ...]  # a view, also when x is one point
+            np.multiply(A[..., r, 0], x[0], out=row)
+            for col in range(1, n):
+                row += A[..., r, col] * x[col]
+            row += c[..., r]
+        return out
 
     def jac(x, a):
         x = np.asarray(x, dtype=float)
@@ -287,8 +305,7 @@ def make_sin_bounded(
     def drift(x, a):
         x = np.asarray(x, dtype=float)
         ai = _regime_index(a)
-        y = x[..., cols]
-        return amp[ai][..., None] * np.sin(freq[ai][..., None] * y)
+        return amp[ai] * np.sin(freq[ai] * x[cols])
 
     def jac(x, a):
         x = np.asarray(x, dtype=float)

@@ -56,20 +56,16 @@ STREAM_TAILS = 13
 STREAM_DENSITY = 14
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def write_csv(path: Path, header: str, columns) -> None:
+    """One line per row of the equal-length columns: floats as repr, integers as str."""
+    cells = (map(repr, np.asarray(col).tolist()) for col in columns)
+    lines = [header, *map(",".join, zip(*cells, strict=True))]
     path.write_text("\n".join(lines) + "\n")
 
 
-def path_csv_rows(times, S, alpha, X) -> list:
-    return [[t, s, int(a), *x] for t, s, a, x in zip(times, S, alpha, X)]
+def path_csv_columns(times, S, alpha, X) -> list:
+    """The columns t, S, alpha, x1..xn of one path's CSV, copied out of the bundle."""
+    return [np.array(v) for v in (times, S, alpha, *X.T)]
 
 
 def file_digest(path: Path) -> str:
@@ -160,7 +156,7 @@ def _simulate_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     times = np.broadcast_to(noise.times, res.alpha_path.shape)
     S = noise.clock()
     saved = [
-        (idx, path_csv_rows(*(v[p, : sizes[p]] for v in (times, S, res.alpha_path, res.X_path))))
+        (idx, path_csv_columns(*(v[p, : sizes[p]] for v in (times, S, res.alpha_path, res.X_path))))
         for p, idx in enumerate(range(lo, hi))
         if cfg.output.save_paths and idx < cfg.output.max_saved_paths
     ]
@@ -177,12 +173,12 @@ def run_simulate(cfg: RunConfig) -> dict:
     events = np.concatenate([r[1] for r in results])
     header = "t,S,alpha," + ",".join(f"x{i + 1}" for i in range(model.n))
     for r in results:
-        for idx, rows in r[2]:
-            write_csv(out / f"path_{idx:04d}.csv", header, rows)
+        for idx, columns in r[2]:
+            write_csv(out / f"path_{idx:04d}.csv", header, columns)
     write_csv(
         out / "terminals.csv",
         "path," + ",".join(f"x{i + 1}" for i in range(model.n)),
-        [[idx, *terminals[idx]] for idx in range(terminals.shape[0])],
+        [np.arange(terminals.shape[0]), *terminals.T],
     )
     summary = {
         "n_paths": int(terminals.shape[0]),
@@ -204,7 +200,7 @@ def _flows_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     profile = None
     if lo == 0:
         size = _real_points(noise, sim.n_steps)[0]
-        profile = np.column_stack([np.atleast_2d(noise.times)[0, :size], defects[0, :size]])
+        profile = [np.atleast_2d(noise.times)[0, :size], defects[0, :size]]
     return defects.max(), excess, min_eig, profile
 
 
@@ -281,10 +277,7 @@ def run_tails(cfg: RunConfig) -> dict:
     write_csv(
         out / "tail_curve.csv",
         "threshold,prob,lo,hi,count",
-        [
-            [curve.thresholds[i], curve.probs[i], curve.lo[i], curve.hi[i], int(curve.counts[i])]
-            for i in range(curve.thresholds.size)
-        ],
+        [curve.thresholds, curve.probs, curve.lo, curve.hi, curve.counts],
     )
     summary = {
         "n_samples": curve.n_samples,
@@ -357,10 +350,7 @@ def run_norris(cfg: RunConfig) -> dict:
     write_csv(
         out / "norris_curve.csv",
         "eps,threshold,prob,se,count",
-        [
-            [curve.eps[i], curve.thresholds[i], curve.probs[i], curve.se[i], int(curve.counts[i])]
-            for i in range(curve.eps.size)
-        ],
+        [curve.eps, curve.thresholds, curve.probs, curve.se, curve.counts],
     )
     summary = {
         "n_paths": curve.n_paths,
@@ -442,7 +432,7 @@ def run_density(cfg: RunConfig) -> dict:
     write_csv(
         out / "density.csv",
         "x,density,se",
-        [[est.grid[i], est.values[i], est.se[i]] for i in range(est.grid.size)],
+        [est.grid, est.values, est.se],
     )
     summary = {
         "n_samples": est.n_samples,

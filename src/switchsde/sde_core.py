@@ -17,9 +17,13 @@ steps (dt = 0, dS = 0), which are exact no-ops, and a bundle without events
 shares one uniform grid.  A bundle's noise with ``batch_flows(record=True)``
 is the one path record: perturbed runs re-integrate the same noise with a
 shift, and ``BatchNoise.window`` cuts it to a frozen-regime window.  The loop
-accumulates Q with the paths innermost, as (n, n, paths), so each increment
-sum_c r_c r_c^T dS is a few ufunc passes over contiguous path rows; Q is
-moved back to (paths, n, n) once, at the end.
+holds the state components-first, as (n, ..., paths), and updates it in
+place: x += b dt, x += sigma dw, x += shift, each a ufunc pass into
+preallocated buffers, with the drift called on the same layout (see
+``models``).  It accumulates Q with the paths innermost too, as
+(n, n, paths), so each increment sum_c r_c r_c^T dS is a few ufunc passes
+over contiguous path rows.  X and Q are moved back to paths-first once, at
+the end; the recorded X_path is written through a paths-first view.
 
 Seed blocks and integration bundles are different things.  A seed block is
 SEED_BLOCK = 64 paths drawn from one generator, SeedSequence([seed, stream,
@@ -321,7 +325,13 @@ def batch_flows(
     x0 = np.asarray(model.x0 if x0 is None else x0, dtype=float)
     lead = np.broadcast_shapes(x0.shape[:-1], (noise.n_paths,))
     n = model.n
-    x = np.broadcast_to(x0, lead + (n,)).copy()
+    # the state is held components-first, (n,) + lead, and updated in place; xv is
+    # its lead + (n,) view for the recorder, the mark rule and drift_jac
+    x = np.moveaxis(np.broadcast_to(x0, lead + (n,)), -1, 0).copy()
+    xv = np.moveaxis(x, 0, -1)
+    step = np.empty_like(x)  # b dt, then |x| for the overflow guard
+    sdw = np.empty((n, noise.n_paths))  # sigma dw
+    per_component = (n,) + (1,) * (len(lead) - 1) + (noise.n_paths,)  # an (n, P) array against x
     steps = noise.dS.shape[1]
     times = noise.times.T  # (K+1,) shared grid, (K+1, P) per-path grids
     per_path_grid = times.ndim == 2
@@ -355,9 +365,9 @@ def batch_flows(
     Qs = np.empty(q_lead + (steps + 1, n, n)) if record and want_Q else None
     for k in range(steps + 1):
         for p, mark in events.get(k, ()):
-            a[p] = partition_point(model.rates, x[p] if at_state else None, a[p], mark)
+            a[p] = partition_point(model.rates, xv[p] if at_state else None, a[p], mark)
         if record:
-            Xs[..., k, :] = x
+            Xs[..., k, :] = xv
             alphas[:, k] = a
             Ks[..., k, :, :] = K
             if want_J:
@@ -375,23 +385,25 @@ def batch_flows(
                 rr = rr + r[:, None, c] * r[None, :, c]
             Q = Q + rr * noise.dS[:, k]
         dt = times[k + 1] - times[k]  # this step's column of the grid's differences
-        dt_x, dt_g = (dt[:, None], dt[:, None, None]) if per_path_grid else (dt, dt)
-        g = jac(x, a) * dt_g
+        g = jac(xv, a) * (dt[:, None, None] if per_path_grid else dt)
         if want_J:
             J = J + g @ J
         K = K - K @ g
         dw = np.sqrt(noise.dS[:, k, None]) * noise.normals[:, k]
-        x = x + model.drift(x, a) * dt_x + dw @ sig.T
+        # x + b dt, then + sigma dw, then + shift: the per-point recursion's order and bits
+        x += np.multiply(model.drift(x, a), dt, out=step)
+        x += np.matmul(sig, dw.T, out=sdw).reshape(per_component)
         if shift is not None:
-            x = x + shift[:, k]
-        if not np.abs(x).max() <= OVERFLOW_GUARD:
+            x += shift[:, k].T.reshape(per_component)
+        if not np.abs(x, out=step).max() <= OVERFLOW_GUARD:
             raise NumericError(f"a state left the trusted range at step {k + 1}")
     if Q is not None:
         Q = np.ascontiguousarray(Q.transpose(q_axes))
     J, K, Q = (_widen(v, lead + (n, n)) for v in (J, K, Q))
     Js, Ks, Qs = (_widen(v, lead + (steps + 1, n, n)) for v in (Js, Ks, Qs))
     return BatchFlowResult(
-        X=x, J=J, K=K, Q=Q, X_path=Xs, alpha_path=alphas, J_path=Js, K_path=Ks, Q_path=Qs
+        X=np.ascontiguousarray(xv), J=J, K=K, Q=Q,
+        X_path=Xs, alpha_path=alphas, J_path=Js, K_path=Ks, Q_path=Qs,
     )
 
 

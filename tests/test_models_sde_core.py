@@ -327,20 +327,115 @@ def test_overflow_raises_numeric_error():
 
 
 def test_batch_matches_per_row_arithmetic():
+    # every row of the bundle is the per-point Euler recursion bit for bit:
+    # x + b dt, then + sigma dw, then + the perturbation shift, in that order
     model = make_two_regime_linear()
     noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 8, seed=17)
-    res = batch_flows(model, noise, want_Q=False, record=True)
-    alpha = res.alpha_path
-    assert np.any(alpha != model.alpha0)  # the recorded regime paths switch
     steps = noise.dS.shape[1]  # 16 uniform steps refined to the event times
-    for p in range(8):
-        x = model.x0.copy()
-        for k in range(steps):
-            dt = noise.times[p, k + 1] - noise.times[p, k]
-            dw = math.sqrt(noise.dS[p, k]) * noise.normals[p, k]
-            x = x + model.drift(x, alpha[p, k]) * dt + model.sigma @ dw
-            np.testing.assert_allclose(res.X_path[p, k + 1], x, rtol=1e-12)
-        np.testing.assert_allclose(res.X[p], x, rtol=1e-12)
+    pert = PerturbationSpec(breakpoints=[0.0, 0.3, 1.5], values=[[1.0], [-0.6]], eps=0.2)
+    shift = perturbation_shift(model, noise, pert)
+    starts = np.array([[0.0, 0.0], [0.4, -0.3], [-1.2, 0.7]])
+    runs = [
+        (batch_flows(model, noise, want_Q=False, record=True), model.x0[None], None),
+        (batch_flows(model, noise, x0=starts[:, None], shift=shift, want_Q=False, record=True),
+         starts, shift),
+    ]
+    for res, x0s, sh in runs:
+        alpha = res.alpha_path
+        assert np.any(alpha != model.alpha0)  # the recorded regime paths switch
+        X_path = res.X_path.reshape((len(x0s), 8, steps + 1, 2))
+        X = res.X.reshape((len(x0s), 8, 2))
+        for s, x0 in enumerate(x0s):
+            for p in range(8):
+                x = x0.copy()
+                for k in range(steps):
+                    dt = noise.times[p, k + 1] - noise.times[p, k]
+                    dw = math.sqrt(noise.dS[p, k]) * noise.normals[p, k]
+                    x = x + model.drift(x, alpha[p, k]) * dt + model.sigma @ dw
+                    if sh is not None:
+                        x = x + sh[p, k]
+                    assert np.array_equal(X_path[s, p, k + 1], x)
+                assert np.array_equal(X[s, p], x)
+
+
+def _drift_model(family, n, m0, rng):
+    """A model of the builder family with random coefficients; kalman is always 2-d."""
+    if family == "zero_drift":
+        return make_zero_drift(n=n)
+    if family == "kalman":
+        return make_kalman()
+    if family == "sin_bounded":
+        return make_sin_bounded(n=n, amp=rng.uniform(-1, 1, m0), freq=rng.uniform(0.5, 3, m0))
+    if family == "two_regime_linear":
+        mats, shifts = rng.normal(size=(2, n, n)), rng.normal(size=(2, n))
+        return make_two_regime_linear(mats, shifts=shifts, sigma=np.eye(n, 1))
+    return make_linear(rng.normal(size=(m0, n, n)), shifts=rng.normal(size=(m0, n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(sorted(MODEL_BUILDERS)),
+    n=st.integers(1, 3),
+    m0=st.integers(1, 3),
+    lead=st.sampled_from([(), (5,), (3, 5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="linear", n=3, m0=2, lead=(3, 5), seed=0)
+def test_drift_takes_and_returns_components_first(family, n, m0, lead, seed):
+    # the drift of a components-first bundle, (n,) + lead with per-path regimes on
+    # the last axis, is the drift at each point: bitwise for n <= 2; within the
+    # summation bound for n = 3; and an affine drift is A_i x + c_i within that bound
+    rng = np.random.default_rng(seed)
+    model = _drift_model(family, n, m0, rng)
+    n = model.n
+    x = rng.normal(scale=2.0, size=(n,) + lead)
+    regimes = rng.integers(1, model.rates.m0 + 1, size=lead[-1:])
+    a = regimes if lead else int(regimes)
+    b = model.drift(x, a)
+    assert b.shape == (n,) + lead
+    eps = np.finfo(float).eps
+    for idx in np.ndindex(lead):
+        point = (slice(None),) + idx
+        ai = int(regimes[idx[-1]]) if lead else a
+        want = model.drift(x[point], ai)
+        if model.affine is not None:
+            A, c = model.affine[0][ai - 1], model.affine[1][ai - 1]
+            bound = 2 * (n + 1) * eps * (np.abs(A) @ np.abs(x[point]) + np.abs(c))
+            assert np.all(np.abs(b[point] - (A @ x[point] + c)) <= bound)
+            assert np.all(np.abs(want - (A @ x[point] + c)) <= bound)
+        if n <= 2 or model.affine is None:
+            assert np.array_equal(b[point], want)
+        else:
+            assert np.all(np.abs(b[point] - want) <= bound)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [make_kalman(), make_two_regime_linear(switch_rate=3.0), make_sin_bounded(switch_rate=3.0)],
+    ids=lambda m: m.name,
+)
+def test_one_drift_call_per_step(model):
+    # one drift route: one components-first call per step, and drift_jac only
+    # when the model has no affine data
+    seen = {"drift": [], "drift_jac": 0}
+
+    def drift(x, a):
+        seen["drift"].append(np.shape(x))
+        return model.drift(x, a)
+
+    def drift_jac(x, a):
+        seen["drift_jac"] += 1
+        return model.drift_jac(x, a)
+
+    counted = replace(model, drift=drift, drift_jac=drift_jac)
+    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 6, seed=3)
+    starts = model.x0 + np.array([[[0.0, 0.0]], [[0.5, -0.5]]])
+    kw = dict(x0=starts, want_J=True, record=True)
+    res = batch_flows(counted, noise, **kw)
+    steps = noise.dS.shape[1]
+    assert seen["drift"] == [(model.n, 2, 6)] * steps
+    assert seen["drift_jac"] == (0 if model.affine is not None else steps)
+    _assert_bitwise(res, batch_flows(model, noise, **kw), ("X", "J", "K", "Q", "X_path"))
 
 
 def test_batch_rejects_state_dependent_rates():
