@@ -2,7 +2,9 @@
 
 Exit codes: 0 when the pipeline ran and its verification verdict (if any) is
 positive, 1 when it ran but a check came out negative or the numerics gave
-up, 2 for configuration or usage errors.
+up, 2 for configuration or usage errors, including files that cannot be read
+or written.  The subcommands, their help lines and their verdicts are those
+declared in ``runner.PIPELINES``.
 """
 
 from __future__ import annotations
@@ -14,15 +16,6 @@ import sys
 from .config import RunConfig, read_json
 from .errors import ConfigError, SpecError, SwitchSdeError
 from .runner import PIPELINES
-
-_VERDICTS = {
-    "flows": lambda s: s["within_defect_tolerance"] and s["within_exp_bound"],
-    "hormander": lambda s: s["verdict"] == "holds",
-    "tails": lambda s: s["decaying"],
-    "decompose-check": lambda s: s["ks_pvalue"] >= 0.01 and s["h3_verdict"] == "holds",
-    "norris": lambda s: s["nonincreasing"],
-    "gradrep": lambda s: s["passes"],
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,19 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
         "SDEs driven by subordinated Brownian motion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "simulate": "sample coupled state/regime paths and write them as CSV",
-        "flows": "evolve the forward and inverse flows and report defect bounds",
-        "hormander": "evaluate the bracket-span certificate over a state ball",
-        "tails": "tail curve of the smallest reduced-covariance eigenvalue",
-        "decompose-check": "verify the large-jump split and the small-jump scaling probe",
-        "norris": "joint probability curve on a frozen-regime window",
-        "gradrep": "residual of the first-derivative transfer identity",
-        "density": "kernel density of one terminal state component",
-    }
-    for name, desc in descriptions.items():
-        command = sub.add_parser(name, parents=[shared], help=desc, description=desc)
-        if name != "hormander":  # hormander samples hormander.n_samples points, not paths
+    for name, spec in PIPELINES.items():
+        command = sub.add_parser(name, parents=[shared], help=spec.help, description=spec.help)
+        if spec.paths:
             command.add_argument("--paths", type=int, help="override simulation.n_paths")
     return parser
 
@@ -79,17 +62,18 @@ def load_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pipeline = PIPELINES[args.command]
     try:
         cfg = load_config(args)
-        manifest = PIPELINES[args.command](cfg)
-    except (ConfigError, SpecError, FileNotFoundError) as e:
+        manifest = pipeline.run(cfg)
+    except (ConfigError, SpecError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SwitchSdeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     summary = manifest["summary"]
-    ok = _VERDICTS.get(args.command, lambda s: True)(summary)
+    ok = pipeline.verdict(summary)
     print(json.dumps({"command": args.command, "ok": ok, "summary": summary}, sort_keys=True))
     return 0 if ok else 1
 

@@ -16,8 +16,11 @@ any draw:
 
 A path's results do not depend on its bundle, so results are bit-identical
 for any worker count; the manifest records a sha256 digest of each data file
-to make that checkable, and ``workers_used``, the number of tasks that ran in
-parallel.
+the run wrote to make that checkable, and ``workers_used``, the number of
+tasks that ran in parallel.
+
+``PIPELINES`` is the one declaration of each subcommand: ``@pipeline`` registers
+a body under its name, help line, exit verdict and whether it takes --paths.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -72,35 +77,75 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(
-    outdir: Path, command: str, cfg: RunConfig, summary: dict, elapsed: float, workers_used=1
-):
-    files = {}
-    for p in sorted(outdir.iterdir()):
-        if p.name == "manifest.json" or not p.is_file():
-            continue
-        files[p.name] = {"sha256": file_digest(p), "bytes": p.stat().st_size}
-    manifest = {
-        "command": command,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "package_version": __version__,
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-        "workers_used": workers_used,
-        "config_sha256": hashlib.sha256(cfg.canonical_json().encode()).hexdigest(),
-        "config": cfg.to_dict(),
-        "elapsed_seconds": round(elapsed, 3),
-        "summary": summary,
-        "files": files,
-    }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest
+def write_json(path: Path, value) -> None:
+    """Indented JSON with sorted keys; numpy arrays and scalars are written as lists and numbers."""
+    text = json.dumps(value, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    path.write_text(text + "\n")
 
 
-def _prepare_outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output.dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class OutputDir:
+    """The output directory of one run: ``out / name`` also records name as a file it writes."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.files = set()
+
+    def __truediv__(self, name: str) -> Path:
+        self.files.add(name)
+        return self.path / name
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One CLI subcommand; run(cfg) writes its files and returns the manifest."""
+
+    help: str
+    verdict: Callable[[dict], bool]  # the summary's exit verdict: False exits 1
+    paths: bool  # whether --paths overrides simulation.n_paths
+    run: Callable[[RunConfig], dict]
+
+
+PIPELINES: dict[str, Pipeline] = {}
+
+
+def pipeline(name: str, help: str, verdict=lambda summary: True, paths: bool = True):
+    """Register body(cfg, out) -> (summary, workers_used) as the subcommand name.
+
+    The registered run creates output.dir, times the body and writes
+    manifest.json, which digests exactly the files the body named through out.
+    """
+
+    def register(body):
+        def run(cfg: RunConfig) -> dict:
+            t0 = time.perf_counter()
+            out = OutputDir(cfg.output.dir)
+            out.path.mkdir(parents=True, exist_ok=True)
+            summary, workers_used = body(cfg, out)
+            elapsed = time.perf_counter() - t0
+            files = {
+                n: {"sha256": file_digest(out.path / n), "bytes": (out.path / n).stat().st_size}
+                for n in sorted(out.files)
+            }
+            manifest = {
+                "command": name,
+                "created_utc": datetime.now(timezone.utc).isoformat(),
+                "package_version": __version__,
+                "seed": cfg.seed,
+                "workers": cfg.workers,
+                "workers_used": workers_used,
+                "config_sha256": hashlib.sha256(cfg.canonical_json().encode()).hexdigest(),
+                "config": cfg.to_dict(),
+                "elapsed_seconds": round(elapsed, 3),
+                "summary": summary,
+                "files": files,
+            }
+            write_json(out.path / "manifest.json", manifest)
+            return manifest
+
+        PIPELINES[name] = Pipeline(help, verdict, paths, run)
+        return run
+
+    return register
 
 
 def _chunk_ranges(cfg: RunConfig, d: int, recorded: int):
@@ -112,13 +157,20 @@ def _chunk_ranges(cfg: RunConfig, d: int, recorded: int):
     return bundle_ranges(sim.n_paths, sim.n_steps, d, recorded, tasks=cfg.workers)
 
 
-def _run_chunk(body, cfg_dict: dict, lo: int, hi: int):
-    """Rebuild the run inside the worker and hand it one bundle of paths lo..hi-1."""
+def _run_chunk(body, stream: int, cfg_dict: dict, lo: int, hi: int):
+    """Rebuild the run inside the worker and hand body the noise of paths lo..hi-1.
+
+    That noise is their seed blocks of the given stream, stacked into one bundle.
+    """
     cfg = RunConfig.from_dict(cfg_dict)
-    return body(cfg, cfg.model.build(), cfg.levy.build(), lo, hi)
+    model, sim = cfg.model.build(), cfg.simulation
+    noise = sample_batch_noise(
+        model, cfg.levy.build(), sim.horizon, sim.n_steps, *seed_blocks(cfg.seed, stream, lo, hi)
+    )
+    return body(cfg, model, noise, lo, hi)
 
 
-def _map_chunks(body, cfg: RunConfig, model, recorded: int = 0):
+def _map_chunks(body, stream: int, cfg: RunConfig, model, recorded: int = 0):
     """Run body over the bundles; returns its results in path order and the workers used.
 
     recorded counts the float64 values per path and grid point that body keeps
@@ -128,18 +180,10 @@ def _map_chunks(body, cfg: RunConfig, model, recorded: int = 0):
     cfg_dict = cfg.to_dict()
     used = min(cfg.workers, len(ranges))
     if used <= 1:
-        return [_run_chunk(body, cfg_dict, lo, hi) for lo, hi in ranges], 1
+        return [_run_chunk(body, stream, cfg_dict, lo, hi) for lo, hi in ranges], 1
     with ProcessPoolExecutor(max_workers=used) as pool:
-        futures = [pool.submit(_run_chunk, body, cfg_dict, lo, hi) for lo, hi in ranges]
+        futures = [pool.submit(_run_chunk, body, stream, cfg_dict, lo, hi) for lo, hi in ranges]
         return [f.result() for f in futures], used
-
-
-def _bundle_noise(cfg: RunConfig, model, levy, stream: int, lo: int, hi: int):
-    """The noise of paths lo..hi-1: their seed blocks stacked into one bundle."""
-    sim = cfg.simulation
-    return sample_batch_noise(
-        model, levy, sim.horizon, sim.n_steps, *seed_blocks(cfg.seed, stream, lo, hi)
-    )
 
 
 def _real_points(noise, n_steps: int) -> np.ndarray:
@@ -148,9 +192,8 @@ def _real_points(noise, n_steps: int) -> np.ndarray:
     return n_steps + 1 + counts
 
 
-def _simulate_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
+def _simulate_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
     sim = cfg.simulation
-    noise = _bundle_noise(cfg, model, levy, STREAM_SIMULATE, lo, hi)
     res = batch_flows(model, noise, want_Q=False, record=True)
     sizes = _real_points(noise, sim.n_steps)
     times = np.broadcast_to(noise.times, res.alpha_path.shape)
@@ -163,12 +206,11 @@ def _simulate_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     return res.X, sizes - sim.n_steps - 1, saved
 
 
-def run_simulate(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    out = _prepare_outdir(cfg)
+@pipeline("simulate", "sample coupled state/regime paths and write them as CSV")
+def run_simulate(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
-    # X, alpha and K are recorded at every grid point
-    results, used = _map_chunks(_simulate_chunk, cfg, model, model.n + 1 + model.n**2)
+    recorded = model.n + 1 + model.n**2  # X, alpha and K at every grid point
+    results, used = _map_chunks(_simulate_chunk, STREAM_SIMULATE, cfg, model, recorded)
     terminals = np.vstack([r[0] for r in results])
     events = np.concatenate([r[1] for r in results])
     header = "t,S,alpha," + ",".join(f"x{i + 1}" for i in range(model.n))
@@ -186,12 +228,11 @@ def run_simulate(cfg: RunConfig) -> dict:
         "terminal_std": terminals.std(axis=0, ddof=1).tolist() if terminals.shape[0] > 1 else None,
         "mean_switch_events": float(events.mean()),
     }
-    return write_manifest(out, "simulate", cfg, summary, time.perf_counter() - t0, used)
+    return summary, used
 
 
-def _flows_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
+def _flows_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
     sim = cfg.simulation
-    noise = _bundle_noise(cfg, model, levy, STREAM_FLOWS, lo, hi)
     res = batch_flows(model, noise, want_J=True, want_Q=True, record=True)
     # padded steps repeat the last J, K and t, so maxima over the grid are unchanged
     defects = product_defect(res.J_path, res.K_path)  # (P, K+1)
@@ -204,13 +245,13 @@ def _flows_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
     return defects.max(), excess, min_eig, profile
 
 
-def run_flows(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    out = _prepare_outdir(cfg)
+@pipeline("flows", "evolve the forward and inverse flows and report defect bounds",
+          verdict=lambda s: s["within_defect_tolerance"] and s["within_exp_bound"])
+def run_flows(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
     sim = cfg.simulation
-    # X, alpha, J, K and Q are recorded at every grid point
-    results, used = _map_chunks(_flows_chunk, cfg, model, model.n + 1 + 3 * model.n**2)
+    recorded = model.n + 1 + 3 * model.n**2  # X, alpha, J, K and Q at every grid point
+    results, used = _map_chunks(_flows_chunk, STREAM_FLOWS, cfg, model, recorded)
     defects, excesses, min_eigs, profiles = zip(*results)
     write_csv(out / "defect_profile.csv", "t,defect", profiles[0])
     tol = product_defect_tolerance(model.n, model.grad_bound, sim.horizon, sim.grid_step)
@@ -223,12 +264,13 @@ def run_flows(cfg: RunConfig) -> dict:
         "within_defect_tolerance": bool(max(defects) <= tol),
         "within_exp_bound": bool(max(excesses) <= 10.0 * sim.grid_step),
     }
-    return write_manifest(out, "flows", cfg, summary, time.perf_counter() - t0, used)
+    return summary, used
 
 
-def run_hormander(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    out = _prepare_outdir(cfg)
+# hormander samples hormander.n_samples points, not paths, so it takes no --paths
+@pipeline("hormander", "evaluate the bracket-span certificate over a state ball",
+          verdict=lambda s: s["verdict"] == "holds", paths=False)
+def run_hormander(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
     h = cfg.hormander
     est = estimate_kappa1(
@@ -240,33 +282,22 @@ def run_hormander(cfg: RunConfig) -> dict:
         seed=cfg.seed,
         threshold=h.threshold,
     )
-    report = {
-        "kappa1": est.kappa1,
-        "depth": est.depth,
-        "verdict": est.verdict,
-        "witness_x": est.witness_x.tolist(),
-        "witness_regime": est.witness_regime,
-        "witness_direction": est.witness_direction.tolist(),
-        "per_regime": {str(k): v for k, v in est.per_regime.items()},
-        "depth_profile": est.depth_profile.tolist(),
-        "cross_check_min": est.cross_check_min,
-        "n_points": est.n_points,
-    }
-    (out / "hormander.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    # str keys, which sort_keys orders as text, not as numbers
+    per_regime = {str(k): v for k, v in est.per_regime.items()}
+    write_json(out / "hormander.json", dict(vars(est), per_regime=per_regime))
     summary = {"kappa1": est.kappa1, "verdict": est.verdict}
-    return write_manifest(out, "hormander", cfg, summary, time.perf_counter() - t0)
+    return summary, 1
 
 
-def _covariance_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
-    noise = _bundle_noise(cfg, model, levy, STREAM_TAILS, lo, hi)
+def _covariance_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
     res = batch_flows(model, noise, want_Q=True)
     return (np.linalg.eigvalsh(res.Q)[:, 0],)
 
 
-def run_tails(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    out = _prepare_outdir(cfg)
-    results, used = _map_chunks(_covariance_chunk, cfg, cfg.model.build())
+@pipeline("tails", "tail curve of the smallest reduced-covariance eigenvalue",
+          verdict=lambda s: s["decaying"])
+def run_tails(cfg: RunConfig, out: OutputDir):
+    results, used = _map_chunks(_covariance_chunk, STREAM_TAILS, cfg, cfg.model.build())
     lam = np.concatenate([r[0] for r in results])
     curve = eigen_tail(
         lam,
@@ -285,12 +316,12 @@ def run_tails(cfg: RunConfig) -> dict:
         "slope_stderr": curve.slope_stderr,
         "decaying": curve.is_decaying(),
     }
-    return write_manifest(out, "tails", cfg, summary, time.perf_counter() - t0, used)
+    return summary, used
 
 
-def run_decompose_check(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    out = _prepare_outdir(cfg)
+@pipeline("decompose-check", "verify the large-jump split and the small-jump scaling probe",
+          verdict=lambda s: s["ks_pvalue"] >= 0.01 and s["h3_verdict"] == "holds")
+def run_decompose_check(cfg: RunConfig, out: OutputDir):
     levy = cfg.levy.build()
     decomp = decompose_large_jumps(levy)
     ks = decomposition_ks_test(
@@ -308,14 +339,14 @@ def run_decompose_check(cfg: RunConfig) -> dict:
         "h3_c_theta": h3.c_theta,
         "h3_values": h3.values.tolist(),
     }
-    (out / "decomposition.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(out / "decomposition.json", report)
     summary = {"ks_pvalue": ks.pvalue, "h3_verdict": h3.verdict}
-    return write_manifest(out, "decompose-check", cfg, summary, time.perf_counter() - t0)
+    return summary, 1
 
 
-def run_norris(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    out = _prepare_outdir(cfg)
+@pipeline("norris", "joint probability curve on a frozen-regime window",
+          verdict=lambda s: s["nonincreasing"])
+def run_norris(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
     levy = cfg.levy.build()
     nc = cfg.norris
@@ -357,12 +388,12 @@ def run_norris(cfg: RunConfig) -> dict:
         "nonincreasing": curve.is_nonincreasing(),
         "probs": curve.probs.tolist(),
     }
-    return write_manifest(out, "norris", cfg, summary, time.perf_counter() - t0)
+    return summary, 1
 
 
-def run_gradrep(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    out = _prepare_outdir(cfg)
+@pipeline("gradrep", "residual of the first-derivative transfer identity",
+          verdict=lambda s: s["passes"])
+def run_gradrep(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
     levy = cfg.levy.build()
     if model.rates.state_dependent:
@@ -396,37 +427,22 @@ def run_gradrep(cfg: RunConfig) -> dict:
         seed=cfg.seed,
         truncate=cfg.gradrep.truncate,
     )
-    report = {
-        "residual": res.residual.tolist(),
-        "se_mc": res.se_mc.tolist(),
-        "fd_bias": res.fd_bias.tolist(),
-        "dt_bias": res.dt_bias.tolist(),
-        "combined_se": res.combined_se.tolist(),
-        "lhs": res.lhs.tolist(),
-        "eta": res.eta,
-        "n_paths": res.n_paths,
-        "n_steps": res.n_steps,
-        "max_ratio": res.max_ratio(),
-        "passes": res.passes(),
-    }
-    (out / "gradrep.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     summary = {"max_ratio": res.max_ratio(), "passes": res.passes()}
-    return write_manifest(out, "gradrep", cfg, summary, time.perf_counter() - t0)
+    write_json(out / "gradrep.json", dict(vars(res), **summary))
+    return summary, 1
 
 
-def _density_chunk(cfg: RunConfig, model, levy, lo: int, hi: int):
-    noise = _bundle_noise(cfg, model, levy, STREAM_DENSITY, lo, hi)
+def _density_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
     res = batch_flows(model, noise, want_Q=False)
     return (res.X[..., cfg.density.component],)
 
 
-def run_density(cfg: RunConfig) -> dict:
-    t0 = time.perf_counter()
-    out = _prepare_outdir(cfg)
+@pipeline("density", "kernel density of one terminal state component")
+def run_density(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
     if cfg.density.component >= model.n:
         raise ConfigError(f"density.component must be below {model.n}")
-    results, used = _map_chunks(_density_chunk, cfg, model)
+    results, used = _map_chunks(_density_chunk, STREAM_DENSITY, cfg, model)
     vals = np.concatenate([r[0] for r in results])
     est = kde_density(vals, n_grid=cfg.density.n_grid, bandwidth=cfg.density.bandwidth)
     write_csv(
@@ -439,16 +455,5 @@ def run_density(cfg: RunConfig) -> dict:
         "bandwidth": est.bandwidth,
         "grid_mass": est.mass,
     }
-    return write_manifest(out, "density", cfg, summary, time.perf_counter() - t0, used)
+    return summary, used
 
-
-PIPELINES = {
-    "simulate": run_simulate,
-    "flows": run_flows,
-    "hormander": run_hormander,
-    "tails": run_tails,
-    "decompose-check": run_decompose_check,
-    "norris": run_norris,
-    "gradrep": run_gradrep,
-    "density": run_density,
-}

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsde import ConfigError, RunConfig, runner, sde_core
-from switchsde.cli import main
+from switchsde.cli import build_parser, main
 
 SMALL = {
     "seed": 7,
@@ -553,3 +553,69 @@ def test_manifest_records_workers_used(tmp_path, capsys):
     # these run in one process whatever --workers asks for
     for command in ("norris", "hormander", "decompose-check"):
         assert used(command, 24, 2) == 1
+
+
+OS_ERRORS = ("out_is_a_file", "out_under_a_file", "config_is_a_directory", "table_is_a_directory")
+
+
+@pytest.mark.parametrize("case", OS_ERRORS)
+def test_os_errors_are_usage_errors(tmp_path, capsys, case):
+    # each of these once exited 1 with a traceback
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = write_config(tmp_path, SMALL)
+    table = dict(SMALL, levy={"kind": "tabulated", "table": str(tmp_path)})
+    argv = {
+        "out_is_a_file": ["--config", cfg, "--out", str(afile)],
+        "out_under_a_file": ["--config", cfg, "--out", str(afile / "run")],
+        "config_is_a_directory": ["--config", str(tmp_path)],
+        "table_is_a_directory": [
+            "--config", write_config(tmp_path, table, "table.json"), "--out", str(tmp_path / "o")
+        ],
+    }[case]
+    assert main(["simulate", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_manifest_lists_only_the_files_the_run_wrote(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "shared"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+
+    def listed(command):
+        code, _ = run_cli(capsys, command, "--config", cfg, "--out", str(out))
+        assert code == 0
+        return set(json.loads((out / "manifest.json").read_text())["files"])
+
+    simulated = {"terminals.csv"} | {f"path_{k:04d}.csv" for k in range(3)}
+    assert listed("simulate") == simulated
+    assert listed("density") == {"density.csv"}
+    # a second run lists every file it rewrote, although the bytes are the same
+    assert listed("simulate") == simulated
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("name", runner.PIPELINES)
+def test_cli_follows_the_registry(tmp_path, capsys, name):
+    spec = runner.PIPELINES[name]
+    with pytest.raises(SystemExit) as exit_:
+        main([name, "--help"])
+    assert exit_.value.code == 0
+    assert spec.help in " ".join(capsys.readouterr().out.split())
+    if spec.paths:
+        assert build_parser().parse_args([name, "--paths", "5"]).paths == 5
+    else:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([name, "--paths", "5"])
+    capsys.readouterr()
+    # tails needs 10 * tails.min_count samples, more than SMALL's 24 paths
+    payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=70))
+    out = tmp_path / name
+    code, report = run_cli(capsys, name, "--config", write_config(tmp_path, payload), "--out", str(out))
+    assert json.loads((out / "manifest.json").read_text())["command"] == name
+    assert report["command"] == name
+    assert report["ok"] == spec.verdict(report["summary"])
+    assert code == (0 if report["ok"] else 1)
