@@ -122,10 +122,8 @@ def pipeline(name: str, help: str, verdict=lambda summary: True, paths: bool = T
             out.path.mkdir(parents=True, exist_ok=True)
             summary, workers_used = body(cfg, out)
             elapsed = time.perf_counter() - t0
-            files = {
-                n: {"sha256": file_digest(out.path / n), "bytes": (out.path / n).stat().st_size}
-                for n in sorted(out.files)
-            }
+            written = [out.path / n for n in sorted(out.files)]
+            files = {p.name: {"sha256": file_digest(p), "bytes": p.stat().st_size} for p in written}
             manifest = {
                 "command": name,
                 "created_utc": datetime.now(timezone.utc).isoformat(),
