@@ -157,6 +157,8 @@ class LevyConfig(_Section):
                 table = load_tabulated_csv(self.table)
             except DataError as e:
                 raise ConfigError(f"levy.table {self.table!r}: {e}") from e
+            except OSError as e:  # a directory, a missing file, no permission
+                raise ConfigError(f"levy.table {self.table!r}: {e.strerror or e}") from e
             return replace(table, **cutoffs)
         return LevyMeasureSpec(kind="stable", alpha=self.alpha, **cutoffs)
 

@@ -30,6 +30,7 @@ from .sde_core import (
     BatchFlowResult,
     BatchNoise,
     bundle_ranges,
+    path_tiles,
     sample_batch_noise,
     seed_blocks,
 )
@@ -200,6 +201,9 @@ class TailCurve:
         return self.slope > z * self.slope_stderr
 
 
+TAIL_SAMPLES_PER_COUNT = 10  # eigen_tail needs at least this many samples per min_count
+
+
 def eigen_tail(
     samples,
     thresholds=None,
@@ -217,7 +221,7 @@ def eigen_tail(
         vals = np.linalg.eigvalsh(vals)[:, 0]
     vals = vals.ravel()
     n = vals.size
-    if n < 10 * min_count:
+    if n < TAIL_SAMPLES_PER_COUNT * min_count:
         raise DataError("too few samples for a tail curve")
     if np.all(vals <= 0):
         raise DataError("tail curve needs positive spectral values")
@@ -504,7 +508,8 @@ def gradient_representation_check(
     Every path is simulated simultaneously from the center start and from
     +-eta and +-2*eta coordinate shifts, sharing noise; the same noise,
     pairwise-merged, drives a half-resolution run.  The doubled-step and
-    doubled-increment residuals estimate the two bias components.
+    doubled-increment residuals estimate the two bias components.  Each
+    MC_BLOCK block is integrated in path tiles (``sde_core.path_tiles``).
     """
     if n_steps % 2:
         raise ValueError("n_steps must be even so the half-resolution run exists")
@@ -525,7 +530,6 @@ def gradient_representation_check(
     rows_2eta = [(1 + 2 * n + 2 * i, 2 + 2 * n + 2 * i) for i in range(n)]
 
     sum_r = np.zeros(n)
-    sum_r2 = np.zeros(n)
     sum_coarse = np.zeros(n)
     sum_wide = np.zeros(n)
     sum_sq = np.zeros(n)
@@ -537,13 +541,19 @@ def gradient_representation_check(
         rng = as_rng(np.random.SeedSequence([seed, 9401, block]))
         noise = sample_batch_noise(model, levy, horizon, n_steps, size, rng)
         bundle = starts[:, None, :]
-        res = batch_flows(model, noise, x0=bundle, want_Q=False)
-        res_c = batch_flows(model, noise.coarsen(), x0=bundle, want_Q=False)
-        gf = grad_f(res.X[0])  # (P, n)
-        r_fine = gf - _gradrep_residual_rows(model, f, res.X, res.K, eta, rows_eta)
-        r_wide = gf - _gradrep_residual_rows(model, f, res.X, res.K, 2.0 * eta, rows_2eta)
-        gf_c = grad_f(res_c.X[0])
-        r_coarse = gf_c - _gradrep_residual_rows(model, f, res_c.X, res_c.K, eta, rows_eta)
+        parts = []  # per path tile: gf and the fine, wide and coarse residuals
+        for lo, hi in path_tiles(size):
+            tile = noise.rows(lo, hi)
+            res = batch_flows(model, tile, x0=bundle, want_Q=False)
+            res_c = batch_flows(model, tile.coarsen(), x0=bundle, want_Q=False)
+            gf = grad_f(res.X[0])  # (tile, n)
+            r_fine = gf - _gradrep_residual_rows(model, f, res.X, res.K, eta, rows_eta)
+            r_wide = gf - _gradrep_residual_rows(model, f, res.X, res.K, 2.0 * eta, rows_2eta)
+            gf_c = grad_f(res_c.X[0])
+            r_coarse = gf_c - _gradrep_residual_rows(model, f, res_c.X, res_c.K, eta, rows_eta)
+            parts.append((gf, r_fine, r_wide, r_coarse))
+        # the block's per-path values summed at once, so the sums are the untiled block's
+        gf, r_fine, r_wide, r_coarse = (np.concatenate(v) for v in zip(*parts))
         sum_r += r_fine.sum(axis=0)
         sum_sq += (r_fine**2).sum(axis=0)
         sum_wide += r_wide.sum(axis=0)

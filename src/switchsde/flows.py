@@ -41,6 +41,7 @@ from .sde_core import (
     BatchNoise,
     PerturbationSpec,
     batch_flows,
+    path_tiles,
     sample_batch_noise,
 )
 
@@ -56,12 +57,21 @@ def exp_bound_excess(
     """max over all grid points of max(|J|, |K|) / exp(grad_bound * t) - 1.
 
     J and K are (..., K+1, n, n) with any leading axes; times broadcasts
-    against their grid axes.
+    against their grid axes.  The SVD runs only at the points where the
+    maximum can be: |A|_F / sqrt(n) <= |A|_2 <= |A|_F brackets each point's
+    ratio, and a point whose upper bracket is below the best lower bracket
+    (less a 1e-12 relative slack for rounding) cannot attain it.
     """
-    nj = np.linalg.svd(J, compute_uv=False)[..., 0]
-    nk = np.linalg.svd(K, compute_uv=False)[..., 0]
-    envelope = np.exp(grad_bound * times)
-    return float((np.maximum(nj, nk) / envelope).max() - 1.0)
+    n = J.shape[-1]
+    lead = np.broadcast_shapes(J.shape[:-2], K.shape[:-2], np.shape(times))
+    J, K = (np.broadcast_to(v, lead + (n, n)) for v in (J, K))
+    envelope = np.broadcast_to(np.exp(grad_bound * times), lead)
+    frob = np.maximum(np.linalg.norm(J, axis=(-2, -1)), np.linalg.norm(K, axis=(-2, -1)))
+    upper = frob / envelope
+    at = ~(upper < upper.max() / np.sqrt(n) * (1.0 - 1e-12))  # every point when NaN
+    nj = np.linalg.svd(J[at], compute_uv=False)[:, 0]
+    nk = np.linalg.svd(K[at], compute_uv=False)[:, 0]
+    return float((np.maximum(nj, nk) / envelope[at]).max() - 1.0)
 
 
 def product_defect_tolerance(n: int, grad_bound: float, horizon: float, dt: float) -> float:
@@ -199,7 +209,10 @@ def sample_covariances(
     n_paths: int,
     seed: int,
 ) -> np.ndarray:
-    """Monte Carlo draws of Q_horizon, shape (n_paths, n, n), seeded per MC_BLOCK paths."""
+    """Monte Carlo draws of Q_horizon, shape (n_paths, n, n), seeded per MC_BLOCK paths.
+
+    Each block is integrated in path tiles (``sde_core.path_tiles``).
+    """
     out = np.empty((n_paths, model.n, model.n))
     done = 0
     block = 0
@@ -207,8 +220,8 @@ def sample_covariances(
         size = min(MC_BLOCK, n_paths - done)
         rng = as_rng(np.random.SeedSequence([seed, 7001, block]))
         noise = sample_batch_noise(model, levy, horizon, n_steps, size, rng)
-        res = batch_flows(model, noise, want_Q=True)
-        out[done : done + size] = res.Q
+        for lo, hi in path_tiles(size):
+            out[done + lo : done + hi] = batch_flows(model, noise.rows(lo, hi), want_Q=True).Q
         done += size
         block += 1
     return out

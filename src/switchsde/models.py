@@ -177,20 +177,48 @@ def make_zero_drift(n: int = 1, d: int | None = None, sigma=None, x0=None) -> Mo
 # linear drift
 
 
+def _linear_terms(mats: np.ndarray, shifts: np.ndarray) -> list:
+    """Per row of b, the (column, unit) terms the drift sums, in column order.
+
+    A column whose coefficient is 0 in every regime is skipped.  For finite x
+    that keeps the bits of the full column-by-column sum: a skipped term 0 x
+    is a signed zero, so the partial sums differ at most in the sign of a
+    zero, and the final + c_r maps every zero sum to +0 and leaves a nonzero
+    one alone.  That fails only for c_r = -0.0, so such a row keeps every
+    column.  unit marks a coefficient of exactly 1 with one regime, where
+    1 x = x is used as is.
+    """
+    m0, n = mats.shape[:2]
+    terms = []
+    for r in range(n):
+        negative_zero = np.any((shifts[:, r] == 0) & np.signbit(shifts[:, r]))
+        cols = range(n) if negative_zero else np.flatnonzero(mats[:, r].any(axis=0)).tolist()
+        terms.append([(col, m0 == 1 and mats[0, r, col] == 1.0) for col in cols])
+    return terms
+
+
 def _linear_callbacks(mats: np.ndarray, shifts: np.ndarray):
     n = mats.shape[1]
+    terms = _linear_terms(mats, shifts)
 
     def drift(x, a):
         x = np.asarray(x, dtype=float)
         ai = 0 if mats.shape[0] == 1 else _regime_index(a)  # one regime: scalar coefficients
         A, c = mats[ai], shifts[ai]  # (..., n, n) and (..., n), one per regime in a
         out = np.empty(x.shape)
-        for r in range(n):
+        for r, row_terms in enumerate(terms):
             # each row summed column by column, then shifted; no fused multiply-adds
             row = out[r, ...]  # a view, also when x is one point
-            np.multiply(A[..., r, 0], x[0], out=row)
-            for col in range(1, n):
-                row += A[..., r, col] * x[col]
+            if not row_terms:
+                row[...] = c[..., r]
+                continue
+            (col, unit), *rest = row_terms
+            if unit:
+                np.copyto(row, x[col])
+            else:
+                np.multiply(A[..., r, col], x[col], out=row)
+            for col, unit in rest:
+                row += x[col] if unit else A[..., r, col] * x[col]
             row += c[..., r]
         return out
 

@@ -7,7 +7,8 @@ any draw:
 - seed blocks: 64 paths (``sde_core.SEED_BLOCK``) drawn from one generator,
   SeedSequence([master_seed, stream, first_path_index]).  ``gradrep`` instead
   seeds each block of ``sde_core.MC_BLOCK`` (20000) paths from
-  SeedSequence([master_seed, stream, block_index]), in one process.
+  SeedSequence([master_seed, stream, block_index]), in one process, and
+  integrates each block in path tiles (``sde_core.path_tiles``).
 - integration bundles: contiguous runs of seed blocks that one worker task
   stacks into one padded bundle and integrates with one ``batch_flows`` call.
   ``sde_core.bundle_ranges`` sizes them: about one task per worker, each
@@ -39,6 +40,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .diagnostics import (
+    TAIL_SAMPLES_PER_COUNT,
     constant_field,
     decomposition_ks_test,
     eigen_tail,
@@ -295,6 +297,12 @@ def _covariance_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
 @pipeline("tails", "tail curve of the smallest reduced-covariance eigenvalue",
           verdict=lambda s: s["decaying"])
 def run_tails(cfg: RunConfig, out: OutputDir):
+    need = TAIL_SAMPLES_PER_COUNT * cfg.tails.min_count
+    if cfg.simulation.n_paths < need:
+        raise ConfigError(
+            f"tails needs simulation.n_paths >= {TAIL_SAMPLES_PER_COUNT} * tails.min_count "
+            f"= {need}, got {cfg.simulation.n_paths}"
+        )
     results, used = _map_chunks(_covariance_chunk, STREAM_TAILS, cfg, cfg.model.build())
     lam = np.concatenate([r[0] for r in results])
     curve = eigen_tail(

@@ -23,16 +23,28 @@ preallocated buffers, with the drift called on the same layout (see
 ``models``).  It accumulates Q with the paths innermost too, as
 (n, n, paths), so each increment sum_c r_c r_c^T dS is a few ufunc passes
 over contiguous path rows.  X and Q are moved back to paths-first once, at
-the end; the recorded X_path is written through a paths-first view.
+the end; the recorded X_path is written through a paths-first view.  The
+driver increments sqrt(dS_k) Z_k are formed NOISE_PANEL steps at a time, one
+pass over contiguous runs of each path's noise row instead of a strided
+column per step; the same elementwise operations, so the same bits.
 
 Seed blocks and integration bundles are different things.  A seed block is
 SEED_BLOCK = 64 paths drawn from one generator, SeedSequence([seed, stream,
 first path]); it fixes every draw.  An integration bundle is a contiguous
 run of seed blocks that ``sample_batch_noise`` stacks into one padded
 bundle for one ``batch_flows`` call; ``bundle_ranges`` sizes it by memory
-(BUNDLE_BYTES) and by the number of tasks wanted.  Because padding is an
-exact no-op and rows never mix, a path's results do not depend on which
-bundle integrated it.
+(BUNDLE_BYTES) and by the number of tasks wanted.  A Monte Carlo block of
+MC_BLOCK paths from one generator is integrated in path tiles of at most
+PATH_TILE rows (``path_tiles``, ``BatchNoise.rows``), so one call's state
+stays in cache.
+
+Alignment rule: padding is an exact no-op and rows never mix, and a path's
+results do not depend on which run of rows integrated it, provided that the
+run starts at a multiple of SEED_BLOCK within its bundle.  The vectorised
+kernels (BLAS products over the path axis, SIMD ufunc loops) may round a
+path by its position within a short run of columns, and an aligned cut keeps
+that position; a cut at another row has no such guarantee.  Seed blocks,
+bundles and path tiles all start at multiples of SEED_BLOCK.
 """
 
 from __future__ import annotations
@@ -51,6 +63,8 @@ GRID_TOL = 1e-10  # a time within this of a grid point is that grid point
 SEED_BLOCK = 64  # paths per generator, see the module docstring
 BUNDLE_BYTES = 4 << 20  # noise plus recorded paths held by one integration bundle
 MC_BLOCK = 20000  # paths per generator in gradient_representation_check and sample_covariances
+PATH_TILE = 32 * SEED_BLOCK  # paths per batch_flows call within an MC_BLOCK, see path_tiles
+NOISE_PANEL = 64  # steps of driver increments batch_flows forms at a time
 
 
 @dataclass
@@ -142,6 +156,12 @@ class BatchNoise:
         events = [(p, (j + 1) // 2, mark) for p, j, mark in self.events]
         return BatchNoise(self.times[..., 0::2], d2, z2, self.n_paths, events)
 
+    def rows(self, lo: int, hi: int) -> "BatchNoise":
+        """Paths lo..hi-1, their events re-indexed from lo; a shared grid stays shared."""
+        times = self.times if self.times.ndim == 1 else self.times[lo:hi]
+        events = [(p - lo, j, mark) for p, j, mark in self.events if lo <= p < hi]
+        return BatchNoise(times, self.dS[lo:hi], self.normals[lo:hi], hi - lo, events)
+
     def clock(self) -> np.ndarray:
         """The subordinator S at every grid point, (P, K+1): S_0 = 0, S = cumsum(dS)."""
         return np.concatenate([np.zeros((self.n_paths, 1)), np.cumsum(self.dS, axis=1)], axis=1)
@@ -183,6 +203,11 @@ def seed_blocks(seed: int, stream: int, lo: int, hi: int) -> tuple[list, list]:
     starts = range(lo, hi, SEED_BLOCK)
     sizes = [min(SEED_BLOCK, hi - b) for b in starts]
     return sizes, [np.random.SeedSequence([seed, stream, b]) for b in starts]
+
+
+def path_tiles(n_paths: int) -> list[tuple[int, int]]:
+    """Row ranges of at most PATH_TILE paths, each starting at a multiple of SEED_BLOCK."""
+    return [(lo, min(lo + PATH_TILE, n_paths)) for lo in range(0, n_paths, PATH_TILE)]
 
 
 def bundle_ranges(
@@ -389,7 +414,10 @@ def batch_flows(
         if want_J:
             J = J + g @ J
         K = K - K @ g
-        dw = np.sqrt(noise.dS[:, k, None]) * noise.normals[:, k]
+        if k % NOISE_PANEL == 0:  # sqrt(dS) Z of the next NOISE_PANEL steps, read row by row
+            cols = slice(k, k + NOISE_PANEL)
+            panel = np.sqrt(noise.dS[:, cols, None]) * noise.normals[:, cols]
+        dw = panel[:, k % NOISE_PANEL]
         # x + b dt, then + sigma dw, then + shift: the per-point recursion's order and bits
         x += np.multiply(model.drift(x, a), dt, out=step)
         x += np.matmul(sig, dw.T, out=sdw).reshape(per_component)

@@ -474,6 +474,16 @@ def test_gradrep_rejects_state_dependent_rates_before_simulating(tmp_path, capsy
     assert "state-dependent" in capsys.readouterr().err
 
 
+def test_tails_rejects_too_few_paths_before_simulating(tmp_path, capsys, monkeypatch):
+    # SMALL's 24 paths are fewer than 10 * tails.min_count = 50 samples for a tail curve
+    monkeypatch.setattr(runner, "sample_batch_noise", lambda *a, **k: pytest.fail("simulated"))
+    cfg = write_config(tmp_path, SMALL)
+    assert main(["tails", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "tails.min_count" in out.err and "24" in out.err
+
+
 def test_density_pipeline(tmp_path, capsys):
     # state-dependent rates run in the batched engine like constant ones
     state = {"name": "two_regime_linear", "params": {"switch_rate": 3.0, "state_dependent": True}}
@@ -577,6 +587,8 @@ def test_os_errors_are_usage_errors(tmp_path, capsys, case):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    if case == "table_is_a_directory":  # the message names the setting
+        assert out.err.startswith(f"error: levy.table {str(tmp_path)!r}: ")
 
 
 def test_manifest_lists_only_the_files_the_run_wrote(tmp_path, capsys):

@@ -84,6 +84,22 @@ def test_exponential_norm_envelope():
     assert exp_bound_excess(res.J_path, res.K_path, noise.times, model.grad_bound) <= 10.0 / 256
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(
+    "model", [make_kalman(), make_two_regime_linear(), make_sin_bounded()], ids=lambda m: m.name
+)
+def test_exp_bound_excess_is_the_full_svd_value(model, seed):
+    # the SVD runs only where the maximum can be, and the value is the full SVD's
+    # bit for bit; at grad_bound 0 the maximum sits inside the grid, not at t = 0
+    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 128, 64, seed)
+    res = batch_flows(model, noise, want_J=True, want_Q=False, record=True)
+    nj = np.linalg.svd(res.J_path, compute_uv=False)[..., 0]
+    nk = np.linalg.svd(res.K_path, compute_uv=False)[..., 0]
+    for bound in (model.grad_bound, 0.0):
+        full = float((np.maximum(nj, nk) / np.exp(bound * noise.times)).max() - 1.0)
+        assert exp_bound_excess(res.J_path, res.K_path, noise.times, bound) == full
+
+
 def test_flow_against_matrix_exponential():
     # constant drift matrix, no switching: J_t = exp(A t) up to O(dt)
     A = np.array([[0.0, 1.0], [-1.0, -0.5]])

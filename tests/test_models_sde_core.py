@@ -41,7 +41,7 @@ from switchsde import (
     window_integrals,
 )
 from switchsde.cli import main
-from switchsde.sde_core import SEED_BLOCK, seed_blocks
+from switchsde.sde_core import NOISE_PANEL, PATH_TILE, SEED_BLOCK, path_tiles, seed_blocks
 
 LEVY = LevyMeasureSpec(alpha=1.0)
 LEVY_TRUNC = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
@@ -330,8 +330,24 @@ def test_batch_matches_per_row_arithmetic():
     # every row of the bundle is the per-point Euler recursion bit for bit:
     # x + b dt, then + sigma dw, then + the perturbation shift, in that order
     model = make_two_regime_linear()
-    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 8, seed=17)
-    steps = noise.dS.shape[1]  # 16 uniform steps refined to the event times
+    _check_per_row_arithmetic(model, sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 8, seed=17))
+
+
+@pytest.mark.parametrize("coarsen", [False, True], ids=["fine", "coarsened"])
+def test_batch_matches_per_row_arithmetic_across_noise_panels(coarsen):
+    # the driver increments are formed NOISE_PANEL steps at a time; with events
+    # the step count is above NOISE_PANEL and no multiple of it, so the last
+    # panel is cut short, on the fine noise and on its pairwise merge
+    model = make_two_regime_linear()
+    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 200, 8, seed=17)
+    noise = noise.coarsen() if coarsen else noise
+    steps = noise.dS.shape[1]
+    assert noise.events and steps > NOISE_PANEL and steps % NOISE_PANEL
+    _check_per_row_arithmetic(model, noise)
+
+
+def _check_per_row_arithmetic(model, noise):
+    steps = noise.dS.shape[1]  # uniform steps refined to the event times
     pert = PerturbationSpec(breakpoints=[0.0, 0.3, 1.5], values=[[1.0], [-0.6]], eps=0.2)
     shift = perturbation_shift(model, noise, pert)
     starts = np.array([[0.0, 0.0], [0.4, -0.3], [-1.2, 0.7]])
@@ -343,10 +359,10 @@ def test_batch_matches_per_row_arithmetic():
     for res, x0s, sh in runs:
         alpha = res.alpha_path
         assert np.any(alpha != model.alpha0)  # the recorded regime paths switch
-        X_path = res.X_path.reshape((len(x0s), 8, steps + 1, 2))
-        X = res.X.reshape((len(x0s), 8, 2))
+        X_path = res.X_path.reshape((len(x0s), noise.n_paths, steps + 1, 2))
+        X = res.X.reshape((len(x0s), noise.n_paths, 2))
         for s, x0 in enumerate(x0s):
-            for p in range(8):
+            for p in range(noise.n_paths):
                 x = x0.copy()
                 for k in range(steps):
                     dt = noise.times[p, k + 1] - noise.times[p, k]
@@ -356,6 +372,73 @@ def test_batch_matches_per_row_arithmetic():
                         x = x + sh[p, k]
                     assert np.array_equal(X_path[s, p, k + 1], x)
                 assert np.array_equal(X[s, p], x)
+
+
+def test_aligned_row_runs_integrate_like_the_bundle():
+    # alignment rule: a run of rows that starts at a multiple of SEED_BLOCK
+    # integrates bitwise like those rows of the whole bundle; a dense 3x3 sigma
+    # sums over the noise columns, and two switching regimes give per-path grids
+    rng = np.random.default_rng(3)
+    model = make_linear(
+        rng.normal(size=(2, 3, 3)),
+        shifts=rng.normal(size=(2, 3)),
+        sigma=rng.normal(size=(3, 3)),
+        rates=constant_rates([[-3.0, 3.0], [3.0, -3.0]]),
+    )
+    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 40, 5 * SEED_BLOCK - 17, seed=11)
+    assert noise.times.ndim == 2 and noise.events
+    kw = dict(want_J=True, want_Q=True, record=True)
+    whole = batch_flows(model, noise, **kw)
+    runs = [(0, SEED_BLOCK), (SEED_BLOCK, 3 * SEED_BLOCK), (2 * SEED_BLOCK, noise.n_paths)]
+    for lo, hi in runs + [(0, noise.n_paths)]:
+        part = noise.rows(lo, hi)
+        assert part.events == [(p - lo, j, m) for p, j, m in noise.events if lo <= p < hi]
+        res = batch_flows(model, part, **kw)
+        for name in ("X", "J", "K", "Q", "X_path", "alpha_path", "J_path", "K_path", "Q_path"):
+            assert getattr(res, name).tobytes() == getattr(whole, name)[lo:hi].tobytes(), name
+
+
+def test_path_tiles_are_aligned_runs():
+    for n_paths in (1, SEED_BLOCK, PATH_TILE, PATH_TILE + 1, 20000):
+        tiles = path_tiles(n_paths)
+        assert [lo for lo, _ in tiles] == list(range(0, n_paths, PATH_TILE))
+        assert tiles[-1][1] == n_paths and all(lo % SEED_BLOCK == 0 for lo, _ in tiles)
+        assert all(0 < hi - lo <= PATH_TILE for lo, hi in tiles)
+
+
+COEFFICIENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0])
+COMPONENTS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.3, 7.0, -1e-300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m0=st.integers(1, 3),
+    n=st.integers(1, 4),
+    lead=st.sampled_from([(), (5,), (2, 5)]),
+    data=st.data(),
+)
+def test_linear_drift_skips_structural_zeros_bitwise(m0, n, lead, data):
+    # skipping the columns that are 0 in every regime, and using x itself for a
+    # coefficient of 1, gives the dense column-by-column sum bit for bit,
+    # signed zeros included; a -0.0 shift keeps its row dense
+    def draw(shape, elements):
+        size = math.prod(shape)
+        return np.array(data.draw(st.lists(elements, min_size=size, max_size=size))).reshape(shape)
+
+    mats = draw((m0, n, n), COEFFICIENTS)
+    mats[:, :, data.draw(st.integers(0, n - 1))] = 0.0  # a structural zero column
+    shifts = draw((m0, n), st.sampled_from([0.0, -0.0, 0.5, -1.0]))
+    x = draw((n,) + lead, COMPONENTS)
+    model = make_linear(mats, shifts=shifts)
+    a = draw(lead[-1:], st.integers(1, m0)) if lead else data.draw(st.integers(1, m0))
+    A, c = mats[np.asarray(a) - 1], shifts[np.asarray(a) - 1]
+    want = np.empty(x.shape)
+    for r in range(n):
+        row = A[..., r, 0] * x[0]
+        for col in range(1, n):
+            row = row + A[..., r, col] * x[col]
+        want[r] = row + c[..., r]
+    assert model.drift(x, a).tobytes() == want.tobytes()
 
 
 def _drift_model(family, n, m0, rng):
