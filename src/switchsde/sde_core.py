@@ -26,7 +26,8 @@ over contiguous path rows.  X and Q are moved back to paths-first once, at
 the end; the recorded X_path is written through a paths-first view.  The
 driver increments sqrt(dS_k) Z_k are formed NOISE_PANEL steps at a time, one
 pass over contiguous runs of each path's noise row instead of a strided
-column per step; the same elementwise operations, so the same bits.
+column per step, into buffers allocated once per call; the same elementwise
+operations, so the same bits.
 
 Seed blocks and integration bundles are different things.  A seed block is
 SEED_BLOCK = 64 paths drawn from one generator, SeedSequence([seed, stream,
@@ -356,6 +357,9 @@ def batch_flows(
     xv = np.moveaxis(x, 0, -1)
     step = np.empty_like(x)  # b dt, then |x| for the overflow guard
     sdw = np.empty((n, noise.n_paths))  # sigma dw
+    # sqrt(dS) and sqrt(dS) Z for NOISE_PANEL steps, allocated once and refilled
+    root = np.empty((noise.n_paths, NOISE_PANEL, 1))
+    panel = np.empty((noise.n_paths, NOISE_PANEL, model.d))
     per_component = (n,) + (1,) * (len(lead) - 1) + (noise.n_paths,)  # an (n, P) array against x
     steps = noise.dS.shape[1]
     times = noise.times.T  # (K+1,) shared grid, (K+1, P) per-path grids
@@ -415,8 +419,10 @@ def batch_flows(
             J = J + g @ J
         K = K - K @ g
         if k % NOISE_PANEL == 0:  # sqrt(dS) Z of the next NOISE_PANEL steps, read row by row
-            cols = slice(k, k + NOISE_PANEL)
-            panel = np.sqrt(noise.dS[:, cols, None]) * noise.normals[:, cols]
+            cols = slice(k, min(k + NOISE_PANEL, steps))
+            m = cols.stop - k
+            np.sqrt(noise.dS[:, cols, None], out=root[:, :m])
+            np.multiply(root[:, :m], noise.normals[:, cols], out=panel[:, :m])
         dw = panel[:, k % NOISE_PANEL]
         # x + b dt, then + sigma dw, then + shift: the per-point recursion's order and bits
         x += np.multiply(model.drift(x, a), dt, out=step)
