@@ -509,7 +509,8 @@ def gradient_representation_check(
     +-eta and +-2*eta coordinate shifts, sharing noise; the same noise,
     pairwise-merged, drives a half-resolution run.  The doubled-step and
     doubled-increment residuals estimate the two bias components.  Each
-    MC_BLOCK block is integrated in path tiles (``sde_core.path_tiles``).
+    MC_BLOCK block is integrated in path tiles, whose normals are drawn tile
+    by tile (``sde_core.path_tiles``).
     """
     if n_steps % 2:
         raise ValueError("n_steps must be even so the half-resolution run exists")
@@ -539,11 +540,10 @@ def gradient_representation_check(
     while done < n_paths:
         size = min(MC_BLOCK, n_paths - done)
         rng = as_rng(np.random.SeedSequence([seed, 9401, block]))
-        noise = sample_batch_noise(model, levy, horizon, n_steps, size, rng)
+        noise = sample_batch_noise(model, levy, horizon, n_steps, size, rng, normals=False)
         bundle = starts[:, None, :]
         parts = []  # per path tile: gf and the fine, wide and coarse residuals
-        for lo, hi in path_tiles(size):
-            tile = noise.rows(lo, hi)
+        for _, _, tile in path_tiles(noise, model.d, rng):
             res = batch_flows(model, tile, x0=bundle, want_Q=False)
             res_c = batch_flows(model, tile.coarsen(), x0=bundle, want_Q=False)
             gf = grad_f(res.X[0])  # (tile, n)

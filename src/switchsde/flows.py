@@ -179,7 +179,7 @@ def finite_difference_check(
     chain_res = np.empty(eps.size) if f is not None else None
     for i, e in enumerate(eps):
         shift = perturbation_shift(model, noise, replace(pert, eps=float(e)))
-        shifted = batch_flows(model, noise, shift=shift, want_Q=False, record=True)
+        shifted = batch_flows(model, noise, shift=shift, want_Q=False, want_K=False, record=True)
         diff = (shifted.X_path - X) / e
         state_res[i] = np.linalg.norm(diff - deriv.D, axis=-1).max()
         if f is not None:
@@ -211,7 +211,8 @@ def sample_covariances(
 ) -> np.ndarray:
     """Monte Carlo draws of Q_horizon, shape (n_paths, n, n), seeded per MC_BLOCK paths.
 
-    Each block is integrated in path tiles (``sde_core.path_tiles``).
+    Each block is integrated in path tiles, whose normals are drawn tile by
+    tile (``sde_core.path_tiles``).
     """
     out = np.empty((n_paths, model.n, model.n))
     done = 0
@@ -219,9 +220,9 @@ def sample_covariances(
     while done < n_paths:
         size = min(MC_BLOCK, n_paths - done)
         rng = as_rng(np.random.SeedSequence([seed, 7001, block]))
-        noise = sample_batch_noise(model, levy, horizon, n_steps, size, rng)
-        for lo, hi in path_tiles(size):
-            out[done + lo : done + hi] = batch_flows(model, noise.rows(lo, hi), want_Q=True).Q
+        noise = sample_batch_noise(model, levy, horizon, n_steps, size, rng, normals=False)
+        for lo, hi, tile in path_tiles(noise, model.d, rng):
+            out[done + lo : done + hi] = batch_flows(model, tile, want_Q=True).Q
         done += size
         block += 1
     return out

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DataError, SpecError, UnsupportedConfigError
 
 LARGE_JUMP_CUTOFF = 1.0
+COUNT_CELLS = 1 << 18  # Poisson counts drawn at a time by sample_increments
 QUAD_ABS_TOL = 1e-10
 
 
@@ -275,7 +276,12 @@ def _truncated_size_sampler(spec: LevyMeasureSpec, lo: float) -> Callable:
         span = lo ** (-beta) - top
 
         def draw(u):
-            return (lo ** (-beta) - u * span) ** (-1.0 / beta)
+            # in place on u, which every caller draws fresh: no size-long temporary
+            u = np.asarray(u, dtype=float)
+            u *= span
+            np.subtract(lo ** (-beta), u, out=u)
+            u **= -1.0 / beta
+            return u if u.ndim else u[()]
 
         return draw
     if spec.kind == "atoms":
@@ -312,6 +318,14 @@ def sample_increments(
     path.  Cells are independent, each drawn from the law of an increment
     over its own dt, and a cell with dt = 0 gets exactly 0; individual jump
     times inside a step are not recorded.
+
+    A compound-Poisson clock draws, per chunk of rows holding about 5e6
+    expected jumps, every cell's jump count and then every jump's size, in
+    C order.  The counts are drawn COUNT_CELLS cells of rows at a time and
+    kept only as each jump's cell index; the sizes are drawn, mapped in place
+    and summed into their zeroed cells in the same order, and the drift
+    integral is added last.  Beyond the result, memory holds one int64 per
+    jump of a chunk plus a few COUNT_CELLS-sized arrays.
     """
     rng = as_rng(seed)
     dts = np.asarray(dts, dtype=float)
@@ -328,22 +342,23 @@ def sample_increments(
     if not math.isfinite(lam):
         raise SpecError("jump intensity above the cutoff is infinite; lower alpha or truncate")
     draw = _truncated_size_sampler(spec, delta)
-    out = np.empty((n_paths, k))
-    out[:] = drift * dts
-    # chunk rows so the flattened jump array stays modest
+    out = np.zeros((n_paths, k))
+    flat = out.reshape(-1)
+    # chunk rows so the jumps drawn at once stay modest; the chunk fixes the draws
     mean_jumps = lam * float(dts.sum(axis=-1).max())
     rows = max(1, min(n_paths, int(5e6 / max(mean_jumps, 1.0)) + 1))
-    rates = lam * dts
+    sub = max(1, COUNT_CELLS // k)
     for start in range(0, n_paths, rows):
         stop = min(start + rows, n_paths)
-        counts = rng.poisson(rates[start:stop] if dts.ndim == 2 else rates, (stop - start, k))
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        sizes = draw(rng.uniform(size=total))
-        flat = np.repeat(np.arange(counts.size), counts.ravel())
-        sums = np.bincount(flat, weights=sizes, minlength=counts.size)
-        out[start:stop] += sums.reshape(counts.shape)
+        subs = [(a, min(a + sub, stop)) for a in range(start, stop, sub)]
+        cells = []  # each jump's cell, one array per sub-chunk of rows
+        for a, b in subs:
+            counts = rng.poisson(lam * (dts[a:b] if dts.ndim == 2 else dts), (b - a, k))
+            cells.append(np.repeat(np.arange(a * k, b * k), counts.ravel()))
+        for idx in cells:
+            np.add.at(flat, idx, draw(rng.uniform(size=idx.size)))
+        for a, b in subs:  # sum + drift dt, the bits of drift dt + sum
+            out[a:b] += drift * (dts[a:b] if dts.ndim == 2 else dts)
     return out
 
 

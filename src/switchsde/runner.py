@@ -18,7 +18,9 @@ any draw:
 A path's results do not depend on its bundle, so results are bit-identical
 for any worker count; the manifest records a sha256 digest of each data file
 the run wrote to make that checkable, and ``workers_used``, the number of
-tasks that ran in parallel.
+tasks that ran in parallel.  It also records what the run ran on
+(``environment``: Python, numpy and scipy versions, CPU count, BLAS thread
+variables, workers requested and used) and ``peak_rss_mb``.
 
 ``PIPELINES`` is the one declaration of each subcommand: ``@pipeline`` registers
 a body under its name, help line, exit verdict and whether it takes --paths.
@@ -28,6 +30,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +41,11 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # no getrusage on this platform
+    resource = None
 
 from . import __version__
 from .config import RunConfig
@@ -62,6 +72,12 @@ STREAM_FLOWS = 12
 STREAM_TAILS = 13
 STREAM_DENSITY = 14
 
+# the variables that set the thread counts of BLAS and OpenMP
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
+
 
 def write_csv(path: Path, header: str, columns) -> None:
     """One line per row of the equal-length columns: floats as repr, integers as str."""
@@ -83,6 +99,39 @@ def write_json(path: Path, value) -> None:
     """Indented JSON with sorted keys; numpy arrays and scalars are written as lists and numbers."""
     text = json.dumps(value, indent=2, sort_keys=True, default=lambda v: v.tolist())
     path.write_text(text + "\n")
+
+
+def environment(workers: int, workers_used: int) -> dict:
+    """What a run ran on: versions, CPU count, BLAS thread variables and its workers.
+
+    scipy is loaded only by runs that integrate numerically (``levy_noise._quad``);
+    its version is None when this process has not loaded it, since reading it
+    from the package metadata keeps about 2.5 MiB resident for good.
+    """
+    scipy = sys.modules.get("scipy")
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__ if scipy is not None else None,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        "workers_requested": workers,
+        "workers_used": workers_used,
+    }
+
+
+def peak_rss_mb() -> float | None:
+    """Peak RSS of this process plus that of its largest reaped worker, in MiB.
+
+    None where the platform has no getrusage.  Both peaks cover the whole
+    life of the process, not one run.
+    """
+    if resource is None:
+        return None
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, else KiB
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return round((own + workers) * unit / 2**20, 1)
 
 
 class OutputDir:
@@ -136,6 +185,8 @@ def pipeline(name: str, help: str, verdict=lambda summary: True, paths: bool = T
                 "config_sha256": hashlib.sha256(cfg.canonical_json().encode()).hexdigest(),
                 "config": cfg.to_dict(),
                 "elapsed_seconds": round(elapsed, 3),
+                "environment": environment(cfg.workers, workers_used),
+                "peak_rss_mb": peak_rss_mb(),
                 "summary": summary,
                 "files": files,
             }
@@ -194,7 +245,7 @@ def _real_points(noise, n_steps: int) -> np.ndarray:
 
 def _simulate_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
     sim = cfg.simulation
-    res = batch_flows(model, noise, want_Q=False, record=True)
+    res = batch_flows(model, noise, want_Q=False, want_K=False, record=True)
     sizes = _real_points(noise, sim.n_steps)
     times = np.broadcast_to(noise.times, res.alpha_path.shape)
     S = noise.clock()
@@ -209,7 +260,7 @@ def _simulate_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
 @pipeline("simulate", "sample coupled state/regime paths and write them as CSV")
 def run_simulate(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
-    recorded = model.n + 1 + model.n**2  # X, alpha and K at every grid point
+    recorded = model.n + 1  # X and alpha at every grid point
     results, used = _map_chunks(_simulate_chunk, STREAM_SIMULATE, cfg, model, recorded)
     terminals = np.vstack([r[0] for r in results])
     events = np.concatenate([r[1] for r in results])
@@ -439,7 +490,7 @@ def run_gradrep(cfg: RunConfig, out: OutputDir):
 
 
 def _density_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
-    res = batch_flows(model, noise, want_Q=False)
+    res = batch_flows(model, noise, want_Q=False, want_K=False)
     return (res.X[..., cfg.density.component],)
 
 

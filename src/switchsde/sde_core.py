@@ -36,8 +36,11 @@ run of seed blocks that ``sample_batch_noise`` stacks into one padded
 bundle for one ``batch_flows`` call; ``bundle_ranges`` sizes it by memory
 (BUNDLE_BYTES) and by the number of tasks wanted.  A Monte Carlo block of
 MC_BLOCK paths from one generator is integrated in path tiles of at most
-PATH_TILE rows (``path_tiles``, ``BatchNoise.rows``), so one call's state
-stays in cache.
+PATH_TILE rows (``path_tiles``), so one call's state stays in cache.  Its
+generator draws the events and increments of every path, then the normals
+in C order, so ``path_tiles`` draws each tile's normals from it just before
+the tile is integrated, in ascending row order: the same values, and one
+tile's normals held at a time instead of the block's.
 
 Alignment rule: padding is an exact no-op and rows never mix, and a path's
 results do not depend on which run of rows integrated it, provided that the
@@ -51,6 +54,7 @@ bundles and path tiles all start at multiples of SEED_BLOCK.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -130,12 +134,13 @@ class BatchNoise:
     times is (K+1,) for a shared grid, or (P, K+1) with each path's grid
     padded at its end by repeats of its last point; padded steps carry
     dS = 0, so their normals drive nothing.  events lists (path, grid index,
-    mark) triples, each path's in time order.
+    mark) triples, each path's in time order.  normals is None for a Monte
+    Carlo block whose normals ``path_tiles`` draws tile by tile.
     """
 
     times: np.ndarray
     dS: np.ndarray  # (P, K)
-    normals: np.ndarray  # (P, K, d)
+    normals: np.ndarray | None  # (P, K, d)
     n_paths: int
     events: list = field(default_factory=list)
 
@@ -161,7 +166,8 @@ class BatchNoise:
         """Paths lo..hi-1, their events re-indexed from lo; a shared grid stays shared."""
         times = self.times if self.times.ndim == 1 else self.times[lo:hi]
         events = [(p - lo, j, mark) for p, j, mark in self.events if lo <= p < hi]
-        return BatchNoise(times, self.dS[lo:hi], self.normals[lo:hi], hi - lo, events)
+        normals = None if self.normals is None else self.normals[lo:hi]
+        return BatchNoise(times, self.dS[lo:hi], normals, hi - lo, events)
 
     def clock(self) -> np.ndarray:
         """The subordinator S at every grid point, (P, K+1): S_0 = 0, S = cumsum(dS)."""
@@ -206,9 +212,19 @@ def seed_blocks(seed: int, stream: int, lo: int, hi: int) -> tuple[list, list]:
     return sizes, [np.random.SeedSequence([seed, stream, b]) for b in starts]
 
 
-def path_tiles(n_paths: int) -> list[tuple[int, int]]:
-    """Row ranges of at most PATH_TILE paths, each starting at a multiple of SEED_BLOCK."""
-    return [(lo, min(lo + PATH_TILE, n_paths)) for lo in range(0, n_paths, PATH_TILE)]
+def path_tiles(noise: BatchNoise, d: int, rng) -> Iterator[tuple[int, int, BatchNoise]]:
+    """A Monte Carlo block's tiles lo, hi, rows(lo, hi), each with its normals drawn on entry.
+
+    noise is ``sample_batch_noise(..., normals=False)`` of one block and rng
+    its generator, which draws nothing else in between.  Tiles hold at most
+    PATH_TILE paths, start at multiples of SEED_BLOCK and come in row order,
+    so their normals are the block's own (see the module docstring).
+    """
+    for lo in range(0, noise.n_paths, PATH_TILE):
+        hi = min(lo + PATH_TILE, noise.n_paths)
+        tile = noise.rows(lo, hi)
+        tile.normals = rng.standard_normal(tile.dS.shape + (d,))
+        yield lo, hi, tile
 
 
 def bundle_ranges(
@@ -264,6 +280,7 @@ def sample_batch_noise(
     n_steps: int,
     n_paths,
     seed=None,
+    normals: bool = True,
 ) -> BatchNoise:
     """Noise for a bundle of paths, each on its uniform grid refined to its event times.
 
@@ -275,12 +292,15 @@ def sample_batch_noise(
     step count of the parity of n_steps; when no block has an event the
     bundle shares the uniform (n_steps + 1,) grid.  A block's rows are
     bitwise the bundle that block alone would draw, padded to the widest.
+    normals=False (one block only) leaves the normals to ``path_tiles``.
     """
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     sizes, seeds = ([n_paths], [seed]) if np.ndim(n_paths) == 0 else (list(n_paths), list(seed))
     if n_steps < 1 or not sizes or min(sizes) < 1 or len(seeds) != len(sizes):
         raise ValueError(f"need n_steps >= 1 and blocks of n_paths >= 1, got {n_steps}, {n_paths}")
+    if not normals and len(sizes) > 1:
+        raise ValueError("normals=False needs one block: its generator draws the normals next")
     grid = np.linspace(0.0, horizon, n_steps + 1)
     # first every block's events, which fix the bundle's width
     rngs = [as_rng(s) for s in seeds]
@@ -288,7 +308,7 @@ def sample_batch_noise(
     if len(sizes) == 1:  # the block's own arrays are the bundle; no copy
         (times, events), (rng,) = grids[0], rngs
         dS = sample_increments(levy, np.diff(times, axis=-1), sizes[0], rng)
-        z = rng.standard_normal(dS.shape + (model.d,))
+        z = rng.standard_normal(dS.shape + (model.d,)) if normals else None
         return BatchNoise(times=times, dS=dS, normals=z, n_paths=sizes[0], events=events)
     # then each block's increments and normals at its own width, into its rows
     total, width = sum(sizes), max(t.shape[-1] for t, _ in grids)
@@ -335,6 +355,7 @@ def batch_flows(
     want_J: bool = False,
     want_Q: bool = True,
     record: bool = False,
+    want_K: bool = True,
 ) -> BatchFlowResult:
     """Evolve state, regime, flows and reduced covariance for a bundle of paths.
 
@@ -346,7 +367,9 @@ def batch_flows(
 
     For a model with affine data the Jacobian does not depend on x, so J, K
     and Q are evolved once per path (once per bundle for one regime on a
-    shared grid) and broadcast over the start axes of the result.
+    shared grid) and broadcast over the start axes of the result.  K is
+    evolved when want_K or want_Q (Q needs K); a flow not evolved is None in
+    the result, and with neither flow the Jacobian is never evaluated.
     """
     x0 = np.asarray(model.x0 if x0 is None else x0, dtype=float)
     lead = np.broadcast_shapes(x0.shape[:-1], (noise.n_paths,))
@@ -371,8 +394,9 @@ def batch_flows(
         per_path = (noise.n_paths,) if m0 > 1 or per_path_grid else ()
         flow_lead = np.broadcast_shapes(np.shape(K0)[:-2] if K0 is not None else (), per_path)
     eye = np.eye(n)
+    want_K = want_K or want_Q
     K = eye if K0 is None else np.asarray(K0, dtype=float)
-    K = np.broadcast_to(K, flow_lead + (n, n)).copy()
+    K = np.broadcast_to(K, flow_lead + (n, n)).copy() if want_K else None
     J = np.broadcast_to(eye, flow_lead + (n, n)).copy() if want_J else None
     # Q is held as (n, n) + q_lead, so its update loops over contiguous path rows
     q_lead = np.broadcast_shapes(flow_lead, (noise.n_paths,))
@@ -390,7 +414,7 @@ def batch_flows(
     Xs = np.empty(lead + (steps + 1, n)) if record else None
     alphas = np.empty((noise.n_paths, steps + 1), dtype=np.int64) if record else None
     Js = np.empty(flow_lead + (steps + 1, n, n)) if record and want_J else None
-    Ks = np.empty(flow_lead + (steps + 1, n, n)) if record else None
+    Ks = np.empty(flow_lead + (steps + 1, n, n)) if record and want_K else None
     Qs = np.empty(q_lead + (steps + 1, n, n)) if record and want_Q else None
     for k in range(steps + 1):
         for p, mark in events.get(k, ()):
@@ -398,7 +422,8 @@ def batch_flows(
         if record:
             Xs[..., k, :] = xv
             alphas[:, k] = a
-            Ks[..., k, :, :] = K
+            if want_K:
+                Ks[..., k, :, :] = K
             if want_J:
                 Js[..., k, :, :] = J
             if want_Q:
@@ -414,10 +439,12 @@ def batch_flows(
                 rr = rr + r[:, None, c] * r[None, :, c]
             Q = Q + rr * noise.dS[:, k]
         dt = times[k + 1] - times[k]  # this step's column of the grid's differences
-        g = jac(xv, a) * (dt[:, None, None] if per_path_grid else dt)
+        if want_J or want_K:
+            g = jac(xv, a) * (dt[:, None, None] if per_path_grid else dt)
         if want_J:
             J = J + g @ J
-        K = K - K @ g
+        if want_K:
+            K = K - K @ g
         if k % NOISE_PANEL == 0:  # sqrt(dS) Z of the next NOISE_PANEL steps, read row by row
             cols = slice(k, min(k + NOISE_PANEL, steps))
             m = cols.stop - k

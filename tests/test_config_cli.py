@@ -7,10 +7,12 @@ whose file digests are reproducible across worker counts.
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -563,6 +565,37 @@ def test_manifest_records_workers_used(tmp_path, capsys):
     # these run in one process whatever --workers asks for
     for command in ("norris", "hormander", "decompose-check"):
         assert used(command, 24, 2) == 1
+
+
+def test_manifest_records_environment_and_peak_rss(tmp_path, capsys, monkeypatch):
+    payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=70))
+    out = tmp_path / "sim"
+    code, report = run_cli(
+        capsys, "simulate", "--config", write_config(tmp_path, payload),
+        "--out", str(out), "--workers", "2",
+    )
+    assert code == 0 and set(report) == {"command", "ok", "summary"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    env = manifest["environment"]
+    scipy = sys.modules.get("scipy")  # imported by other test modules, not by simulate
+    assert env == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__ if scipy is not None else None,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {name: os.environ.get(name) for name in runner.BLAS_THREAD_VARS},
+        "workers_requested": 2,
+        "workers_used": 2,
+    }
+    # this process's peak plus the largest worker's, each at least a Python interpreter
+    assert manifest["peak_rss_mb"] > 20
+    monkeypatch.setattr(runner, "resource", None)
+    assert runner.peak_rss_mb() is None
+    # scipy's version is the loaded module's, and None before any run loads it
+    monkeypatch.setitem(sys.modules, "scipy", SimpleNamespace(__version__="9.9"))
+    assert runner.environment(1, 1)["scipy"] == "9.9"
+    monkeypatch.delitem(sys.modules, "scipy")
+    assert runner.environment(1, 1)["scipy"] is None
 
 
 OS_ERRORS = ("out_is_a_file", "out_under_a_file", "config_is_a_directory", "table_is_a_directory")

@@ -7,6 +7,7 @@ degenerate pair where K(t) = I - t A holds exactly on the grid.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from switchsde import (
     ks_statistic,
     make_kalman,
     make_linear,
+    make_sin_bounded,
     make_two_regime_linear,
     make_zero_drift,
     negative_moment,
@@ -40,6 +42,8 @@ from switchsde import (
     wilson_interval,
     window_integrals,
 )
+from switchsde import diagnostics, flows, sde_core
+from switchsde.flows import sample_covariances
 
 LEVY = LevyMeasureSpec(alpha=1.0)
 
@@ -394,6 +398,74 @@ def test_gradient_representation_affine_path_is_bitwise(model):
     slow = gradient_representation_check(replace(model, affine=None), LEVY, **kw)
     for name in ("residual", "se_mc", "fd_bias", "dt_bias", "lhs"):
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+
+
+def _whole_block(noise, d, rng):
+    """The untiled reference: a block's normals in one draw, the block as one tile."""
+    noise.normals = rng.standard_normal(noise.dS.shape + (d,))
+    yield 0, noise.n_paths, noise
+
+
+@pytest.mark.parametrize(
+    "model",
+    [make_kalman(), make_two_regime_linear(switch_rate=3.0), make_sin_bounded(switch_rate=3.0)],
+    ids=lambda m: m.name,
+)
+def test_tile_wise_normals_match_the_whole_block(model, monkeypatch):
+    # 330 paths in blocks of 200 and 130, tiles of 64: every gradrep field and
+    # every covariance draw equals drawing and integrating each block at once
+    monkeypatch.setattr(sde_core, "PATH_TILE", sde_core.SEED_BLOCK)
+    tiles = []
+
+    def spy(noise, d, rng):
+        for lo, hi, tile in sde_core.path_tiles(noise, d, rng):
+            tiles.append((noise.n_paths, lo, hi, bool(noise.events)))
+            yield lo, hi, tile
+
+    w = np.array([1.0, 0.7])
+    gradrep = dict(
+        horizon=1.0,
+        n_steps=16,
+        n_paths=330,
+        f=lambda x: np.sin(x @ w),
+        grad_f=lambda x: np.cos(x @ w)[:, None] * w,
+        seed=5,
+    )
+    levy = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
+    runs = {}
+    for name, tiler in (("tiled", spy), ("whole", _whole_block)):
+        with monkeypatch.context() as m:
+            for mod in (diagnostics, flows):
+                m.setattr(mod, "MC_BLOCK", 200)
+                m.setattr(mod, "path_tiles", tiler)
+            runs[name] = (
+                gradient_representation_check(model, LEVY, **gradrep),
+                sample_covariances(model, levy, 1.0, 16, 330, seed=9),
+            )
+    blocks = [(200, lo, min(lo + 64, 200)) for lo in range(0, 200, 64)]
+    blocks += [(130, lo, min(lo + 64, 130)) for lo in range(0, 130, 64)]
+    assert [t[:3] for t in tiles] == blocks * 2
+    assert {t[3] for t in tiles} == {model.rates.m0 > 1}
+    (tiled, q_tiled), (whole, q_whole) = runs["tiled"], runs["whole"]
+    for name, value in vars(whole).items():
+        assert np.asarray(getattr(tiled, name)).tobytes() == np.asarray(value).tobytes(), name
+    assert q_tiled.tobytes() == q_whole.tobytes()
+
+
+def test_gradient_representation_memory_scales_with_a_tile():
+    # kalman at 8000 x 512, the benchmark's gradrep size: the block's dS plus
+    # one tile's normals and flows (about 61 MB), not the block's normals too
+    w = np.array([1.0, 0.7])
+    tracemalloc.start()
+    try:
+        gradient_representation_check(
+            make_kalman(), LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0), 1.0, 512, 8000,
+            f=lambda x: np.sin(x @ w), grad_f=lambda x: np.cos(x @ w)[:, None] * w,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 75e6
 
 
 # -- kernel density ------------------------------------------------------------

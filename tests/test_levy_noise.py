@@ -7,6 +7,7 @@ S_1 = 2*pi / Z**2 with Z standard normal, giving P(S_1 <= 1) = erfc(sqrt(pi)).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from switchsde import (
     standard_positive_stable,
     xi_density,
 )
-from switchsde.levy_noise import stable_laplace_coefficient
+from switchsde import levy_noise
+from switchsde.levy_noise import _truncated_size_sampler, stable_laplace_coefficient
 
 # frozen closed-form constants for alpha = 1
 TWO_SQRT_PI = 3.5449077018110318  # Gamma(1/2) / (1/2)
@@ -178,6 +180,108 @@ def test_zero_length_cells_draw_exactly_zero(spec):
     zero = dts == 0.0
     assert incr[zero].tobytes() == np.zeros(int(zero.sum())).tobytes()
     assert np.all(incr[~zero] >= 0.0) and incr[~zero].max() > 0.0
+
+
+def _bincount_increments(spec, dts, n_paths, seed):
+    """sample_increments' compound-Poisson branch with one bincount per chunk of rows.
+
+    It holds each chunk's counts, cell numbers, jump cells and sums at once,
+    and writes the stable size draw out as one expression: the reference for
+    the bits of the cell-by-cell accumulation.
+    """
+    rng = np.random.default_rng(seed)
+    dts = np.asarray(dts, dtype=float)
+    k = dts.shape[-1]
+    delta = max(spec.small_jump_cutoff, spec._lo())
+    drift = spec.mean_between(0.0, delta)
+    lam = spec.mass(delta)
+    if spec.kind == "stable":
+        beta = spec.alpha / 2.0
+        span = delta ** (-beta) - spec._hi() ** (-beta)
+
+        def draw(u):
+            return (delta ** (-beta) - u * span) ** (-1.0 / beta)
+
+    else:
+        draw = _truncated_size_sampler(spec, delta)
+    out = np.empty((n_paths, k))
+    out[:] = drift * dts
+    mean_jumps = lam * float(dts.sum(axis=-1).max())
+    rows = max(1, min(n_paths, int(5e6 / max(mean_jumps, 1.0)) + 1))
+    rates = lam * dts
+    for start in range(0, n_paths, rows):
+        stop = min(start + rows, n_paths)
+        counts = rng.poisson(rates[start:stop] if dts.ndim == 2 else rates, (stop - start, k))
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        sizes = draw(rng.uniform(size=total))
+        flat = np.repeat(np.arange(counts.size), counts.ravel())
+        sums = np.bincount(flat, weights=sizes, minlength=counts.size)
+        out[start:stop] += sums.reshape(counts.shape)
+    return out
+
+
+def _padded_rows(n_paths, k, seed):
+    rng = np.random.default_rng(seed)
+    dts = rng.uniform(0.0, 2.0 / k, (n_paths, k))
+    dts[:, -rng.integers(1, k // 2)] = 0.0
+    dts[rng.uniform(size=n_paths) < 0.2, k // 2 :] = 0.0  # rows padded at their end
+    return dts
+
+
+# one jump per 1e-13 of dt: row 0 alone expects 6.3e6 jumps, so every row is
+# its own chunk, and row 1 (all dt = 0) is a chunk without jumps
+MANY_JUMPS = np.array([[0.25] * 4, [0.0] * 4, [1e-7, 0.0, 2e-7, 0.0]])
+
+ORACLE_CASES = {
+    "shared_grid": (LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0), np.full(64, 1 / 64), 300),
+    "per_path_padded": (LevyMeasureSpec(alpha=1.5, upper_cutoff=1.0), _padded_rows(200, 24, 1), 200),
+    "chunks_and_empty_chunk": (
+        LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0, small_jump_cutoff=1e-13), MANY_JUMPS, 3
+    ),
+    "atoms": (
+        LevyMeasureSpec(kind="atoms", alpha=None, atoms=((0.5, 40.0), (2.0, 10.0))),
+        _padded_rows(150, 16, 2), 150,
+    ),
+    "tabulated": (
+        LevyMeasureSpec(kind="tabulated", alpha=None, density=lambda u: u**-1.5, support=(0.05, 2.0)),
+        np.full(32, 1 / 32), 250,
+    ),
+}
+
+
+@pytest.mark.parametrize("count_cells", [None, 1000], ids=["default", "small_count_chunks"])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_cell_by_cell_sums_match_the_bincount_reference(case, count_cells, monkeypatch):
+    # same draws in the same order, and each cell's sum + drift dt has the bits
+    # of drift dt + the bincount sum
+    spec, dts, n_paths = ORACLE_CASES[case]
+    if count_cells is not None:
+        monkeypatch.setattr(levy_noise, "COUNT_CELLS", count_cells)
+    got = sample_increments(spec, dts, n_paths, seed=21)
+    want = _bincount_increments(spec, dts, n_paths, seed=21)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_stable_size_draw_in_place_keeps_scalars():
+    draw = _truncated_size_sampler(LevyMeasureSpec(alpha=1.0), 1.0)
+    u = np.random.default_rng(4).uniform(size=1000)
+    assert draw(u.copy()).tobytes() == ((1.0 - u) ** -2.0).tobytes()
+    assert isinstance(draw(0.5), float) and draw(0.5) == 4.0
+
+
+def test_compound_poisson_memory_is_about_its_output():
+    # 8000 x 512 cells of a truncated clock: the result plus one int64 per jump
+    # and a few count-chunk arrays, about 1.5 times the result
+    spec = LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0)
+    tracemalloc.start()
+    try:
+        out = sample_increments(spec, np.full(512, 1 / 512), 8000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * out.nbytes
 
 
 def test_path_rejects_bad_horizon_and_grid():

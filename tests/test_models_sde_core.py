@@ -399,11 +399,20 @@ def test_aligned_row_runs_integrate_like_the_bundle():
 
 
 def test_path_tiles_are_aligned_runs():
-    for n_paths in (1, SEED_BLOCK, PATH_TILE, PATH_TILE + 1, 20000):
-        tiles = path_tiles(n_paths)
-        assert [lo for lo, _ in tiles] == list(range(0, n_paths, PATH_TILE))
-        assert tiles[-1][1] == n_paths and all(lo % SEED_BLOCK == 0 for lo, _ in tiles)
-        assert all(0 < hi - lo <= PATH_TILE for lo, hi in tiles)
+    # each tile's normals, drawn on entry, are its rows of the block's one draw
+    for n_paths in (1, SEED_BLOCK, PATH_TILE, PATH_TILE + 1, 3 * PATH_TILE - 5):
+        noise = BatchNoise(np.linspace(0.0, 1.0, 3), np.ones((n_paths, 2)), None, n_paths)
+        rng = np.random.default_rng(n_paths)
+        tiles = list(path_tiles(noise, 3, rng))
+        assert [lo for lo, _, _ in tiles] == list(range(0, n_paths, PATH_TILE))
+        assert tiles[-1][1] == n_paths and all(lo % SEED_BLOCK == 0 for lo, _, _ in tiles)
+        assert all(0 < hi - lo <= PATH_TILE for lo, hi, _ in tiles)
+        whole = np.random.default_rng(n_paths).standard_normal((n_paths, 2, 3))
+        normals = np.concatenate([tile.normals for _, _, tile in tiles])
+        assert normals.tobytes() == whole.tobytes()
+    # the normals follow the block's increments from the same generator
+    with pytest.raises(ValueError, match="one block"):
+        sample_batch_noise(make_kalman(), LEVY, 1.0, 4, [2, 3], [0, 1], normals=False)
 
 
 COEFFICIENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0])
@@ -519,6 +528,32 @@ def test_one_drift_call_per_step(model):
     assert seen["drift"] == [(model.n, 2, 6)] * steps
     assert seen["drift_jac"] == (0 if model.affine is not None else steps)
     _assert_bitwise(res, batch_flows(model, noise, **kw), ("X", "J", "K", "Q", "X_path"))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [make_kalman(), make_two_regime_linear(switch_rate=3.0), make_sin_bounded(switch_rate=3.0)],
+    ids=lambda m: m.name,
+)
+def test_batch_flows_without_flows_skips_the_jacobian(model):
+    # simulate and density read neither K nor Q: want_K=False evolves no flow
+    # and never calls drift_jac, and X and the regime keep their bits
+    calls = []
+
+    def drift_jac(x, a):
+        calls.append(1)
+        return model.drift_jac(x, a)
+
+    counted = replace(model, drift_jac=drift_jac)
+    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 6, seed=3)
+    bare = batch_flows(counted, noise, want_Q=False, want_K=False, record=True)
+    assert not calls
+    assert bare.K is bare.K_path is bare.J is bare.Q is None
+    _assert_bitwise(bare, batch_flows(model, noise, want_Q=False, record=True), ("X", "X_path"))
+    assert np.array_equal(bare.alpha_path, batch_flows(model, noise, record=True).alpha_path)
+    # Q needs K, so want_Q keeps K whatever want_K says
+    both = batch_flows(model, noise, want_K=False, record=True)
+    _assert_bitwise(both, batch_flows(model, noise, record=True), ("X", "K", "Q", "K_path"))
 
 
 def test_batch_rejects_state_dependent_rates():
