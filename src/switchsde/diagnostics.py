@@ -310,8 +310,9 @@ def drift_field_bracket(model: ModelSpec, fld: TestField, x, a) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     v = fld.value(x, a)
     jv = fld.jac(x, a)
-    b = np.moveaxis(model.drift(np.moveaxis(x, -1, 0), a), 0, -1)  # drift is components-first
-    jb = model.drift_jac(x, a)
+    xc = np.moveaxis(x, -1, 0)  # drift and drift_jac are components-first
+    b = np.moveaxis(model.drift(xc, a), 0, -1)
+    jb = np.ascontiguousarray(np.moveaxis(model.drift_jac(xc, a), (0, 1), (-2, -1)))
     return np.einsum("...crv,...c->...rv", jv, b) - np.einsum("...rc,...cv->...rv", jb, v)
 
 

@@ -9,7 +9,9 @@ by their own Euler recursions (K is never obtained by matrix inversion):
 Both stay within exp(grad_bound * t) in operator norm, and the product J K
 drifts from the identity only through the O(dt) commutator defect.  Both ride
 along the state in the one step loop, ``sde_core.batch_flows`` (re-exported
-here), which records them at every grid point with ``record=True``;
+here), which holds them components-first, (n, n, ..., paths), sums each
+product grad_b J and K grad_b column by column, and returns them paths-first,
+(..., paths, n, n), recorded at every grid point with ``record=True``;
 ``product_defect`` and ``exp_bound_excess`` measure both properties on any
 stack of recorded flows.
 The same loop accumulates the reduced covariance, the left-endpoint
@@ -110,11 +112,16 @@ def directional_derivative(
 
     D_{k+1} = D_k + grad_b(X_k, alpha_k) D_k dt_k + sigma dH_k with D_0 = 0,
     where dH_k is the exact increment of integral h over the subordinator step.
+    The Jacobians come from one components-first ``drift_jac`` call over the
+    recorded path.
     """
     dH = _driver_shift(model, noise, pert)
     P, steps = noise.dS.shape
     D = np.zeros((P, steps + 1, model.n))
-    jacs = model.drift_jac(res.X_path[:, :-1], res.alpha_path[:, :-1])
+    x = np.moveaxis(res.X_path[:, :-1], -1, 0)  # drift_jac is components-first
+    jacs = np.ascontiguousarray(
+        np.moveaxis(model.drift_jac(x, res.alpha_path[:, :-1]), (0, 1), (-2, -1))
+    )
     dts = np.diff(np.broadcast_to(noise.times, (P, steps + 1)), axis=1)
     for k in range(steps):
         drift = (jacs[:, k] @ D[:, k, :, None])[..., 0] * dts[:, k, None]

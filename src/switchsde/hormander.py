@@ -130,10 +130,6 @@ class BracketSet:
         vals, vecs = np.linalg.eigh(self.gram())
         return vecs[:, 0]
 
-    def quadratic_form(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(v @ self.gram() @ v)
-
 
 def build_brackets(
     model: ModelSpec, x, regime: int, depth: int, mode: str = "auto"

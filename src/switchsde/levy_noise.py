@@ -67,9 +67,11 @@ def standard_positive_stable(beta: float, size, rng: np.random.Generator) -> np.
         raise ValueError(f"stable exponent must lie in (0,1), got {beta}")
     u = rng.uniform(0.0, math.pi, size)
     e = rng.standard_exponential(size)
+    s = np.sin(beta * u)
+    # at beta = 1/2 (alpha = 1) the factor sin((1 - beta) u) is sin(beta u) itself
     a = (
-        np.sin(beta * u) ** (beta / (1.0 - beta))
-        * np.sin((1.0 - beta) * u)
+        s ** (beta / (1.0 - beta))
+        * (s if 1.0 - beta == beta else np.sin((1.0 - beta) * u))
         / np.sin(u) ** (1.0 / (1.0 - beta))
     )
     return (a / e) ** ((1.0 - beta) / beta)
@@ -219,15 +221,6 @@ class LevyMeasureSpec:
                 lambda u: u * dens(u), a, hi, epsabs=QUAD_ABS_TOL, limit=200
             )
             total += val
-        return total
-
-    def check_integrability(self) -> float:
-        """integral (1 ^ u) nu(du); raises SpecError when it diverges."""
-        small = self.mean_between_quad(0.0, min(1.0, self._hi()))
-        tail = self.mass(1.0)
-        total = small + tail
-        if not math.isfinite(total):
-            raise SpecError("measure fails the (1 ^ u) integrability requirement")
         return total
 
 

@@ -4,19 +4,26 @@ A model couples a drift b(x, i), its x-Jacobian, a constant diffusion matrix
 sigma, and a rate matrix for the regime chain.  Regimes are 1-based.  The
 callbacks are batched, in two layouts:
 
-- drift(x, a) takes and returns the state components-first, (n,) + lead:
-  x[r] is component r over every path, with the paths on the last axis.
-  The step loop holds its state that way and updates it in place.
-- drift_jac(x, a) and drift_derivs(x, a, m) take x paths-first, lead + (n,),
-  and put their component axes last.
+- drift(x, a) and drift_jac(x, a) take the state components-first,
+  (n,) + lead: x[r] is component r over every path, with the paths on the
+  last axis.  drift returns b in that layout and drift_jac returns
+  (n, n) + lead, jac[r, c] = d b_r / d x_c.  The step loop holds its state
+  and its flows that way and updates them in place.
+- drift_derivs(x, a, m) takes x paths-first, lead + (n,), and puts its
+  component axes last.
 
 In both, the regime a is one regime or an array that broadcasts to lead,
 so per-path regimes (P,) meet the trailing path axis.  At one point,
 x of shape (n,), the two layouts coincide.  A custom drift for
-b(x) = (x_1, -x_0 - 0.5 x_1) reads
+b(x) = (x_1, -x_0 - 0.5 x_1) and its Jacobian read
 
     def drift(x, a):
         return np.stack([x[1], -x[0] - 0.5 * x[1]])
+
+    def drift_jac(x, a):
+        jac = np.zeros((2, 2) + np.shape(x)[1:])
+        jac[0, 1], jac[1, 0], jac[1, 1] = 1.0, -1.0, -0.5
+        return jac
 
 Built-in families (registered by name):
     zero_drift        b = 0, single regime
@@ -43,9 +50,9 @@ class ModelSpec:
     """Coefficients of one regime-switching SDE.
 
     drift(x, a) takes x components-first, (n, ...), and returns b in the same
-    layout; a broadcasts to the axes after the first.  drift_jac(x, a)
-    takes x paths-first, (..., n), and returns (..., n, n) with
-    jac[..., r, c] = d b_r / d x_c.  drift_derivs(x, a, m), when available,
+    layout; a broadcasts to the axes after the first.  drift_jac(x, a) takes
+    the same x and returns (n, n, ...) with jac[r, c, ...] = d b_r / d x_c.
+    drift_derivs(x, a, m), when available, takes x paths-first, (..., n), and
     returns the order-m derivative tensor with shape (..., n*m axes..., n),
     entry [a1..am, r] = d^m b_r / d x_a1 .. d x_am; it unlocks analytic
     bracket recursion.  grad_bound must dominate the operator norm of the
@@ -150,8 +157,7 @@ def make_zero_drift(n: int = 1, d: int | None = None, sigma=None, x0=None) -> Mo
         return np.zeros_like(np.asarray(x, dtype=float))
 
     def jac(x, a):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (n, n))
+        return np.zeros((n, n) + np.shape(x)[1:])
 
     def derivs(x, a, order):
         x = np.asarray(x, dtype=float)
@@ -200,6 +206,7 @@ def _linear_terms(mats: np.ndarray, shifts: np.ndarray) -> list:
 def _linear_callbacks(mats: np.ndarray, shifts: np.ndarray):
     n = mats.shape[1]
     terms = _linear_terms(mats, shifts)
+    table = np.moveaxis(mats, 0, -1)  # (n, n, m0): entry [r, c] over the regimes
 
     def drift(x, a):
         x = np.asarray(x, dtype=float)
@@ -223,9 +230,11 @@ def _linear_callbacks(mats: np.ndarray, shifts: np.ndarray):
         return out
 
     def jac(x, a):
-        x = np.asarray(x, dtype=float)
-        A = mats[_regime_index(a)]
-        return np.broadcast_to(A, np.broadcast_shapes(A.shape, x.shape[:-1] + (n, n))).copy()
+        ai = _regime_index(a)
+        lead = np.broadcast_shapes(np.shape(x)[1:], ai.shape)
+        # the regime axes of A meet the trailing axes of the state
+        A = table[..., ai].reshape((n, n) + (1,) * (len(lead) - ai.ndim) + ai.shape)
+        return np.broadcast_to(A, (n, n) + lead).copy()
 
     def derivs(x, a, order):
         x = np.asarray(x, dtype=float)
@@ -329,19 +338,21 @@ def make_sin_bounded(
         rates = constant_rates(q)
     rows = np.arange(n)
     cols = (rows + 1) % n
+    # amp, freq and amp * freq indexed by the 1-based regime itself (entry 0 unused)
+    amp_at, freq_at, slope_at = (np.concatenate([[np.nan], v]) for v in (amp, freq, amp * freq))
 
     def drift(x, a):
-        x = np.asarray(x, dtype=float)
-        ai = _regime_index(a)
-        return amp[ai] * np.sin(freq[ai] * x[cols])
+        y = freq_at[a] * np.asarray(x, dtype=float)[cols]
+        np.sin(y, out=y)
+        y *= amp_at[a]
+        return y
 
     def jac(x, a):
-        x = np.asarray(x, dtype=float)
-        ai = _regime_index(a)
-        y = x[..., cols]
-        v = (amp[ai] * freq[ai])[..., None] * np.cos(freq[ai][..., None] * y)
-        out = np.zeros(np.broadcast_shapes(v.shape[:-1], x.shape[:-1]) + (n, n))
-        out[..., rows, cols] = v
+        y = freq_at[a] * np.asarray(x, dtype=float)[cols]
+        np.cos(y, out=y)
+        y *= slope_at[a]
+        out = np.zeros((n,) + y.shape)
+        out[rows, cols] = y
         return out
 
     def derivs(x, a, order):

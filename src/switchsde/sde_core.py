@@ -19,13 +19,17 @@ is the one path record: perturbed runs re-integrate the same noise with a
 shift, and ``BatchNoise.window`` cuts it to a frozen-regime window.  The loop
 holds the state components-first, as (n, ..., paths), and updates it in
 place: x += b dt, x += sigma dw, x += shift, each a ufunc pass into
-preallocated buffers, with the drift called on the same layout (see
-``models``).  It accumulates Q with the paths innermost too, as
-(n, n, paths), so each increment sum_c r_c r_c^T dS is a few ufunc passes
-over contiguous path rows.  X and Q are moved back to paths-first once, at
-the end; the recorded X_path is written through a paths-first view.  The
-driver increments sqrt(dS_k) Z_k are formed NOISE_PANEL steps at a time, one
-pass over contiguous runs of each path's noise row instead of a strided
+preallocated buffers, with the drift and its Jacobian called on the same
+layout (see ``models``).  The flows J and K and the reduced covariance Q are
+held with the paths innermost too, as (n, n, ..., paths), so a flow update
+K -= sum_c K[:, c] g[c] (J += sum_c g[:, c] J[c]) is n ufunc passes over
+contiguous path rows, summed in column order, r = sigma^T K is one matrix
+product over the path rows, and each increment sum_c r_c r_c^T dS is a few
+ufunc passes.  One flow shared by a whole bundle is (n, n) and takes the same
+column-order sums.  X, J, K and Q are moved back to paths-first once, at the
+end; the records are written through views.  The driver increments
+sqrt(dS_k) Z_k are formed NOISE_PANEL steps at a time, one pass per noise
+column over contiguous runs of each path's noise row instead of a strided
 column per step, into buffers allocated once per call; the same elementwise
 operations, so the same bits.
 
@@ -58,7 +62,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DataError, NumericError, UnsupportedConfigError
+from .errors import DataError, NumericError, SpecError, UnsupportedConfigError
 from .levy_noise import LevyMeasureSpec, as_rng, sample_increments
 from .models import ModelSpec
 from .switching import partition_point
@@ -97,9 +101,6 @@ class PerturbationSpec:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    def l2_norm_sq(self) -> float:
-        return float(np.sum(self.values**2 * np.diff(self.breakpoints)[:, None]))
 
     def integral(self, u) -> np.ndarray:
         """H(u) = integral(0,u) h_s ds, exact for the piecewise-constant table."""
@@ -268,7 +269,9 @@ def _block_grid(model: ModelSpec, grid: np.ndarray, n_paths: int, rng):
     # a stable sort puts an event after a grid point at the same time
     order = np.argsort(pts, axis=1, kind="stable")
     times = np.take_along_axis(pts, order, axis=1)
-    index = np.argsort(order, axis=1)[path, col]  # where each event column landed
+    landed = np.empty_like(order)  # the inverse permutation: where each column landed
+    np.put_along_axis(landed, order, np.arange(order.shape[1]), axis=1)
+    index = landed[path, col]
     keep = np.lexsort((index, path))
     return times, list(zip(path[keep].tolist(), index[keep].tolist(), marks[keep].tolist()))
 
@@ -367,42 +370,46 @@ def batch_flows(
 
     For a model with affine data the Jacobian does not depend on x, so J, K
     and Q are evolved once per path (once per bundle for one regime on a
-    shared grid) and broadcast over the start axes of the result.  K is
-    evolved when want_K or want_Q (Q needs K); a flow not evolved is None in
-    the result, and with neither flow the Jacobian is never evaluated.
+    shared grid) from a components-first (n, n, m0) table of the A_i, and
+    broadcast over the start axes of the result.  K is evolved when want_K or
+    want_Q (Q needs K); a flow not evolved is None in the result, and with
+    neither flow the Jacobian is never evaluated.  Results are paths-first.
     """
     x0 = np.asarray(model.x0 if x0 is None else x0, dtype=float)
     lead = np.broadcast_shapes(x0.shape[:-1], (noise.n_paths,))
     n = model.n
     # the state is held components-first, (n,) + lead, and updated in place; xv is
-    # its lead + (n,) view for the recorder, the mark rule and drift_jac
+    # its lead + (n,) view for the recorder and the mark rule
     x = np.moveaxis(np.broadcast_to(x0, lead + (n,)), -1, 0).copy()
     xv = np.moveaxis(x, 0, -1)
     step = np.empty_like(x)  # b dt, then |x| for the overflow guard
     sdw = np.empty((n, noise.n_paths))  # sigma dw
-    # sqrt(dS) and sqrt(dS) Z for NOISE_PANEL steps, allocated once and refilled
-    root = np.empty((noise.n_paths, NOISE_PANEL, 1))
-    panel = np.empty((noise.n_paths, NOISE_PANEL, model.d))
     per_component = (n,) + (1,) * (len(lead) - 1) + (noise.n_paths,)  # an (n, P) array against x
     steps = noise.dS.shape[1]
     times = noise.times.T  # (K+1,) shared grid, (K+1, P) per-path grids
-    per_path_grid = times.ndim == 2
+    # sqrt(dS) and sqrt(dS) Z for NOISE_PANEL steps, allocated once and refilled
+    root = np.empty((noise.n_paths, NOISE_PANEL))
+    panel = np.empty((noise.n_paths, NOISE_PANEL, model.d))
     jac, flow_lead = model.drift_jac, lead
     if model.affine is not None:
         mats, m0 = model.affine[0], model.rates.m0
-        jac = (lambda x, a: mats[0]) if m0 == 1 else (lambda x, a: mats[a - 1])
-        per_path = (noise.n_paths,) if m0 > 1 or per_path_grid else ()
+        per_path = (noise.n_paths,) if m0 > 1 or times.ndim == 2 else ()
         flow_lead = np.broadcast_shapes(np.shape(K0)[:-2] if K0 is not None else (), per_path)
+        # the A_i components-first, (n, n, 1, ..., m0), their regimes against the path axis
+        table = np.moveaxis(mats, 0, -1).reshape((n, n) + (1,) * (len(flow_lead) - 1) + (m0,))
+        one = mats[0].reshape((n, n) + (1,) * len(flow_lead))
+        jac = (lambda x, a: one) if m0 == 1 else (lambda x, a: table[..., a - 1])
+    # J and K are held components-first too, (n, n) + flow_lead, so a per-path flow
+    # update is n ufunc passes over contiguous path rows; one shared flow is (n, n)
     eye = np.eye(n)
     want_K = want_K or want_Q
     K = eye if K0 is None else np.asarray(K0, dtype=float)
-    K = np.broadcast_to(K, flow_lead + (n, n)).copy() if want_K else None
-    J = np.broadcast_to(eye, flow_lead + (n, n)).copy() if want_J else None
+    K = _components_first(np.broadcast_to(K, flow_lead + (n, n))) if want_K else None
+    J = _components_first(np.broadcast_to(eye, flow_lead + (n, n))) if want_J else None
     # Q is held as (n, n) + q_lead, so its update loops over contiguous path rows
     q_lead = np.broadcast_shapes(flow_lead, (noise.n_paths,))
     Q = np.zeros((n, n) + q_lead) if want_Q else None
-    r_axes = (len(flow_lead), len(flow_lead) + 1) + tuple(range(len(flow_lead)))
-    q_axes = tuple(range(2, 2 + len(q_lead))) + (0, 1)  # (n, n) + q_lead -> q_lead + (n, n)
+    r_shape = (n, model.d) + (flow_lead or (1,))  # sigma^T K per path, or of the shared flow
     a = np.full(noise.n_paths, model.alpha0 if alpha0 is None else alpha0, dtype=np.int64)
     at_state = model.rates.state_dependent
     if at_state and len(lead) > 1 and noise.events:
@@ -416,6 +423,8 @@ def batch_flows(
     Js = np.empty(flow_lead + (steps + 1, n, n)) if record and want_J else None
     Ks = np.empty(flow_lead + (steps + 1, n, n)) if record and want_K else None
     Qs = np.empty(q_lead + (steps + 1, n, n)) if record and want_Q else None
+    # components-first views of the records: Ks_at[k] is (n, n) + flow_lead
+    Js_at, Ks_at, Qs_at = (None if v is None else _grid_first(v) for v in (Js, Ks, Qs))
     for k in range(steps + 1):
         for p, mark in events.get(k, ()):
             a[p] = partition_point(model.rates, xv[p] if at_state else None, a[p], mark)
@@ -423,33 +432,42 @@ def batch_flows(
             Xs[..., k, :] = xv
             alphas[:, k] = a
             if want_K:
-                Ks[..., k, :, :] = K
+                Ks_at[k] = K
             if want_J:
-                Js[..., k, :, :] = J
+                Js_at[k] = J
             if want_Q:
-                Qs[..., k, :, :] = Q.transpose(q_axes)
+                Qs_at[k] = Q
         if k == steps:
             break
         if Q is not None:
             # r r^T summed over the noise columns in order, each product over all paths at once
-            r = (K @ sig).transpose(r_axes)  # (n, d) + flow_lead
-            r = np.ascontiguousarray(r) if flow_lead else r[..., None]
+            r = K @ sig if not flow_lead else np.matmul(sig.T, K.reshape(n, n, -1))
+            r = r.reshape(r_shape)
             rr = r[:, None, 0] * r[None, :, 0]
             for c in range(1, model.d):
-                rr = rr + r[:, None, c] * r[None, :, c]
-            Q = Q + rr * noise.dS[:, k]
+                rr += r[:, None, c] * r[None, :, c]
+            Q += rr * noise.dS[:, k]
         dt = times[k + 1] - times[k]  # this step's column of the grid's differences
         if want_J or want_K:
-            g = jac(xv, a) * (dt[:, None, None] if per_path_grid else dt)
-        if want_J:
-            J = J + g @ J
-        if want_K:
-            K = K - K @ g
+            g = jac(x, a) * dt
+            if g.ndim != 2 + len(flow_lead):  # broadcasting would align the wrong axes
+                raise SpecError(f"drift_jac must return (n, n) + {lead}, got {g.shape}")
+            # J += sum_c g[:, c] J[c] and K -= sum_c K[:, c] g[c], summed in column order
+            if want_J:
+                gJ = g[:, 0, None] * J[0]
+                for c in range(1, n):
+                    gJ += g[:, c, None] * J[c]
+                J += gJ
+            if want_K:
+                Kg = K[:, 0, None] * g[0]
+                for c in range(1, n):
+                    Kg += K[:, c, None] * g[c]
+                K -= Kg
         if k % NOISE_PANEL == 0:  # sqrt(dS) Z of the next NOISE_PANEL steps, read row by row
-            cols = slice(k, min(k + NOISE_PANEL, steps))
-            m = cols.stop - k
-            np.sqrt(noise.dS[:, cols, None], out=root[:, :m])
-            np.multiply(root[:, :m], noise.normals[:, cols], out=panel[:, :m])
+            m = min(NOISE_PANEL, steps - k)
+            np.sqrt(noise.dS[:, k : k + m], out=root[:, :m])
+            for c in range(model.d):  # one column of Z at a time: long inner loops
+                np.multiply(root[:, :m], noise.normals[:, k : k + m, c], out=panel[:, :m, c])
         dw = panel[:, k % NOISE_PANEL]
         # x + b dt, then + sigma dw, then + shift: the per-point recursion's order and bits
         x += np.multiply(model.drift(x, a), dt, out=step)
@@ -458,14 +476,27 @@ def batch_flows(
             x += shift[:, k].T.reshape(per_component)
         if not np.abs(x, out=step).max() <= OVERFLOW_GUARD:
             raise NumericError(f"a state left the trusted range at step {k + 1}")
-    if Q is not None:
-        Q = np.ascontiguousarray(Q.transpose(q_axes))
-    J, K, Q = (_widen(v, lead + (n, n)) for v in (J, K, Q))
+    J, K, Q = (None if v is None else _widen(_paths_first(v), lead + (n, n)) for v in (J, K, Q))
     Js, Ks, Qs = (_widen(v, lead + (steps + 1, n, n)) for v in (Js, Ks, Qs))
     return BatchFlowResult(
         X=np.ascontiguousarray(xv), J=J, K=K, Q=Q,
         X_path=Xs, alpha_path=alphas, J_path=Js, K_path=Ks, Q_path=Qs,
     )
+
+
+def _components_first(v):
+    """A contiguous copy of lead + (n, n) as (n, n) + lead."""
+    return np.moveaxis(v, (-2, -1), (0, 1)).copy()
+
+
+def _paths_first(v):
+    """A contiguous copy of (n, n) + lead as lead + (n, n)."""
+    return np.ascontiguousarray(np.moveaxis(v, (0, 1), (-2, -1)))
+
+
+def _grid_first(v):
+    """The view of a record lead + (K+1, n, n) as (K+1, n, n) + lead."""
+    return np.moveaxis(v, (-3, -2, -1), (0, 1, 2))
 
 
 def _widen(v, shape):

@@ -6,11 +6,13 @@ O(dt) controlled by the a-priori defect tolerance.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from switchsde import (
+    BatchNoise,
     LevyMeasureSpec,
     UnsupportedConfigError,
     batch_flows,
@@ -161,7 +163,7 @@ def test_representation_identity_within_first_order_budget():
 
     X, alpha, K, D = base.X_path[0], base.alpha_path[0], base.K_path[0], deriv.D[0]
     dts = np.diff(np.atleast_2d(noise.times)[0])
-    g = model.drift_jac(X[:-1], alpha[:-1]) * dts[:, None, None]
+    g = np.moveaxis(model.drift_jac(X[:-1].T, alpha[:-1]), -1, 0) * dts[:, None, None]
     dH = np.diff(pert.integral(noise.clock()[0]), axis=0) @ model.sigma.T
     norm_k = np.linalg.norm(K[:-1], ord=2, axis=(1, 2))
     norm_g = np.linalg.norm(g, ord=2, axis=(1, 2))
@@ -208,6 +210,106 @@ def test_batch_flows_match_per_path_recursions():
         np.testing.assert_allclose(res.J[p], J, rtol=1e-12)
         np.testing.assert_allclose(res.K[p], K, rtol=1e-12)
         np.testing.assert_allclose(res.Q[p], Q, rtol=1e-12, atol=1e-14)
+
+
+def _per_path_recursion(model, noise, p, alpha, x0, K0, column_order=True):
+    """One path's X, J, K and Q at the end of the grid, step by step at one point.
+
+    column_order sums the flow products as batch_flows does, column by column:
+    (K g)[:, s] = sum_c K[:, c] g[c, s] and (g J)[r, :] = sum_c g[r, c] J[c, :];
+    otherwise they are matrix products.
+    """
+    times = np.broadcast_to(noise.times, (noise.n_paths, noise.dS.shape[1] + 1))[p]
+    x, J, K, Q = x0.copy(), np.eye(model.n), K0.copy(), np.zeros((model.n, model.n))
+    for k in range(noise.dS.shape[1]):
+        dt = times[k + 1] - times[k]
+        a = int(alpha[k])
+        r = K @ model.sigma
+        rr = np.outer(r[:, 0], r[:, 0])
+        for c in range(1, model.d):
+            rr = rr + np.outer(r[:, c], r[:, c])
+        Q = Q + rr * noise.dS[p, k]
+        g = model.drift_jac(x, a) * dt
+        if column_order:
+            gJ, Kg = np.outer(g[:, 0], J[0]), np.outer(K[:, 0], g[0])
+            for c in range(1, model.n):
+                gJ, Kg = gJ + np.outer(g[:, c], J[c]), Kg + np.outer(K[:, c], g[c])
+        else:
+            gJ, Kg = g @ J, K @ g
+        J, K = J + gJ, K - Kg
+        dw = math.sqrt(noise.dS[p, k]) * noise.normals[p, k]
+        x = x + model.drift(x, a) * dt + model.sigma @ dw
+    return x, J, K, Q
+
+
+def _per_path_grids(noise, rng):
+    """The same noise on a jittered grid of its own for every path."""
+    steps = noise.dS.shape[1]
+    dts = rng.uniform(0.5, 1.5, (noise.n_paths, steps)) / steps
+    times = np.concatenate([np.zeros((noise.n_paths, 1)), np.cumsum(dts, axis=1)], axis=1)
+    return BatchNoise(times, noise.dS, noise.normals, noise.n_paths, noise.events)
+
+
+FLOW_MODELS = {
+    "kalman": make_kalman(),  # one regime, affine
+    "linear": make_linear([[0.3, -1.1], [0.7, -0.45]], shifts=[0.3, -0.1]),  # dense columns
+    "sin_bounded": make_sin_bounded(n=2, switch_rate=3.0),  # Jacobian from the callback
+    "two_regime_linear": make_two_regime_linear(switch_rate=3.0),  # one affine flow per path
+}
+
+
+def _flow_case(model, case, rng):
+    """Noise, x0 and K0 (paths-first) of one layout of the flows."""
+    noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 24, 1 if case == "one_path" else 4, rng)
+    x0 = K0 = None
+    if case == "window":  # per-path starts and inverse flows, as a frozen window has
+        x0 = rng.normal(size=(noise.n_paths, model.n))
+        K0 = np.eye(model.n) + 0.3 * rng.normal(size=(noise.n_paths, model.n, model.n))
+    elif case == "per_path_grids":
+        noise = _per_path_grids(noise, rng)
+    elif case == "start_axes":
+        x0 = model.x0 + rng.normal(size=(3, 1, model.n))
+    return noise, x0, K0
+
+
+@pytest.mark.parametrize("family", sorted(FLOW_MODELS))
+@pytest.mark.parametrize("case", ["window", "per_path_grids", "start_axes", "one_path"])
+def test_flow_layouts_match_per_path_recursions(case, family):
+    # the components-first flow update is, path by path and start by start, the
+    # per-point recursion with its products summed in column order, bit for bit;
+    # one regime on a shared grid with per-path K0 is the frozen window's layout
+    model = FLOW_MODELS[family]
+    noise, x0, K0 = _flow_case(model, case, np.random.default_rng(4))
+    res = batch_flows(model, noise, x0=x0, K0=K0, want_J=True, record=True)
+    starts = np.broadcast_to(model.x0 if x0 is None else x0, res.X.shape)
+    K0s = np.broadcast_to(np.eye(model.n) if K0 is None else K0, res.K.shape)
+    for idx in np.ndindex(res.X.shape[:-1]):
+        p = idx[-1]
+        want = _per_path_recursion(model, noise, p, res.alpha_path[p], starts[idx], K0s[idx])
+        for got, ref in zip((res.X, res.J, res.K, res.Q), want):
+            assert got[idx].tobytes() == ref.tobytes()
+
+
+def test_dense_callback_flows_match_the_matrix_recursion():
+    # a dense 3x3 Jacobian from the callbacks: the column-order sums agree with
+    # matrix products to rounding, on every flow layout
+    model = make_linear(
+        [[-0.2, 1.3, 0.4], [0.1, -0.7, 0.9], [0.5, 0.4, -0.35]], sigma=np.eye(3, 2)
+    )
+    model = replace(model, affine=None)
+    rng = np.random.default_rng(8)
+    for case in ("window", "per_path_grids", "start_axes", "one_path"):
+        noise, x0, K0 = _flow_case(model, case, rng)
+        res = batch_flows(model, noise, x0=x0, K0=K0, want_J=True, record=True)
+        starts = np.broadcast_to(model.x0 if x0 is None else x0, res.X.shape)
+        K0s = np.broadcast_to(np.eye(3) if K0 is None else K0, res.K.shape)
+        for idx in np.ndindex(res.X.shape[:-1]):
+            p = idx[-1]
+            want = _per_path_recursion(
+                model, noise, p, res.alpha_path[p], starts[idx], K0s[idx], column_order=False
+            )
+            for got, ref in zip((res.X, res.J, res.K, res.Q), want):
+                np.testing.assert_allclose(got[idx], ref, rtol=1e-12, atol=1e-15)
 
 
 def test_batch_flows_broadcast_start():

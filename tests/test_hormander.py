@@ -93,7 +93,7 @@ def test_per_regime_minima_and_quadratic_form():
     assert min(est.per_regime.values()) == pytest.approx(est.kappa1)
     bs = build_brackets(model, est.witness_x, est.witness_regime, 2)
     v = est.witness_direction
-    assert bs.quadratic_form(v) == pytest.approx(est.kappa1, rel=1e-9, abs=1e-12)
+    assert v @ bs.gram() @ v == pytest.approx(est.kappa1, rel=1e-9, abs=1e-12)
 
 
 def test_ball_points_stay_inside_and_replay():

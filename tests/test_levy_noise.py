@@ -57,6 +57,22 @@ def test_stable_sampler_laplace_transform(alpha):
     assert abs(vals.mean() - target) < 4 * se
 
 
+@pytest.mark.parametrize("beta", [0.35, 0.5, 0.75])
+def test_stable_sampler_is_bitwise_the_unshared_formula(beta):
+    # at beta = 1/2 (alpha = 1) sin((1 - beta) u) reuses sin(beta u); every
+    # exponent keeps the bits of Kanter's formula evaluated factor by factor
+    x = standard_positive_stable(beta, (40, 33), np.random.default_rng(19))
+    rng = np.random.default_rng(19)
+    u = rng.uniform(0.0, math.pi, (40, 33))
+    e = rng.standard_exponential((40, 33))
+    a = (
+        np.sin(beta * u) ** (beta / (1.0 - beta))
+        * np.sin((1.0 - beta) * u)
+        / np.sin(u) ** (1.0 / (1.0 - beta))
+    )
+    assert x.tobytes() == ((a / e) ** ((1.0 - beta) / beta)).tobytes()
+
+
 def test_stable_sampler_rejects_bad_exponent():
     rng = np.random.default_rng(0)
     for beta in (0.0, 1.0, -0.3, 2.0):
@@ -428,8 +444,3 @@ def test_atoms_measure():
     # compound Poisson mean = integral u nu = 0.5*2 + 2*1 = 3
     se = incr.std(ddof=1) / math.sqrt(incr.size)
     assert abs(incr.mean() - 3.0) < 4 * se
-
-
-def test_integrability_functional():
-    # integral (1 ^ u) nu(du) = 2 + 2 = 4 for alpha=1
-    assert LevyMeasureSpec(alpha=1.0).check_integrability() == pytest.approx(4.0, rel=1e-8)

@@ -41,7 +41,14 @@ from switchsde import (
     window_integrals,
 )
 from switchsde.cli import main
-from switchsde.sde_core import NOISE_PANEL, PATH_TILE, SEED_BLOCK, path_tiles, seed_blocks
+from switchsde.sde_core import (
+    NOISE_PANEL,
+    PATH_TILE,
+    SEED_BLOCK,
+    _block_grid,
+    path_tiles,
+    seed_blocks,
+)
 
 LEVY = LevyMeasureSpec(alpha=1.0)
 LEVY_TRUNC = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
@@ -184,6 +191,20 @@ def test_grid_building_and_lookup():
         assert np.all(np.isin(np.linspace(0.0, 1.0, 5), real))
 
 
+def test_events_land_on_their_own_times():
+    # each event's grid index points at the time drawn for it, and a path's
+    # events come in time order with their marks
+    model = make_two_regime_linear(switch_rate=3.0)
+    times, events = _block_grid(model, np.linspace(0.0, 1.0, 9), 40, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    rate = model.rates.mark_space()
+    counts = rng.poisson(rate, 40)
+    drawn = rng.uniform(0.0, 1.0, counts.sum())
+    marks = rng.uniform(0.0, rate, counts.sum())
+    want = sorted(zip(np.repeat(np.arange(40), counts).tolist(), drawn.tolist(), marks.tolist()))
+    assert [(p, times[p, j], mark) for p, j, mark in events] == want
+
+
 def _one_path(model, levy, n_steps, seed, **kw):
     """A one-path bundle, its recorded run and its real grid times."""
     noise = sample_batch_noise(model, levy, 1.0, n_steps, 1, seed)
@@ -224,7 +245,6 @@ def test_regime_changes_at_event_times():
 def test_perturbation_table_arithmetic():
     pert = PerturbationSpec(breakpoints=[0.0, 1.0, 2.0], values=[[1.0], [-2.0]], eps=0.1)
     assert pert.d == 1
-    assert pert.l2_norm_sq() == pytest.approx(5.0)
     u = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 7.0])
     np.testing.assert_allclose(
         pert.integral(u)[:, 0], [0.0, 0.5, 1.0, 0.0, -1.0, -1.0]
@@ -501,6 +521,34 @@ def test_drift_takes_and_returns_components_first(family, n, m0, lead, seed):
             assert np.all(np.abs(b[point] - want) <= bound)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(sorted(MODEL_BUILDERS)),
+    n=st.integers(1, 3),
+    m0=st.integers(1, 3),
+    lead=st.sampled_from([(), (5,), (3, 5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_drift_jac_takes_components_first(family, n, m0, lead, seed):
+    # the Jacobian of a components-first bundle, (n,) + lead with per-path regimes
+    # on the last axis, is (n, n) + lead and bitwise the Jacobian at each point
+    rng = np.random.default_rng(seed)
+    model = _drift_model(family, n, m0, rng)
+    n = model.n
+    x = rng.normal(scale=2.0, size=(n,) + lead)
+    regimes = rng.integers(1, model.rates.m0 + 1, size=lead[-1:])
+    a = regimes if lead else int(regimes)
+    jac = model.drift_jac(x, a)
+    assert jac.shape == (n, n) + lead
+    for idx in np.ndindex(lead):
+        ai = int(regimes[idx[-1]]) if lead else a
+        want = model.drift_jac(x[(slice(None),) + idx], ai)
+        assert want.shape == (n, n)
+        assert jac[(slice(None), slice(None)) + idx].tobytes() == want.tobytes()
+        if model.affine is not None:
+            assert np.array_equal(want, model.affine[0][ai - 1])
+
+
 @pytest.mark.parametrize(
     "model",
     [make_kalman(), make_two_regime_linear(switch_rate=3.0), make_sin_bounded(switch_rate=3.0)],
@@ -554,6 +602,16 @@ def test_batch_flows_without_flows_skips_the_jacobian(model):
     # Q needs K, so want_Q keeps K whatever want_K says
     both = batch_flows(model, noise, want_K=False, record=True)
     _assert_bitwise(both, batch_flows(model, noise, record=True), ("X", "K", "Q", "K_path"))
+
+
+def test_batch_rejects_a_jacobian_without_the_path_axes():
+    # a drift_jac that ignores the components-first lead, as the paths-first
+    # contract allowed for a constant Jacobian, is refused, not broadcast wrongly
+    base = make_sin_bounded(n=2)
+    flat = replace(base, drift_jac=lambda x, a: np.zeros((2, 2)))
+    noise = sample_batch_noise(base, LEVY_TRUNC, 1.0, 8, 2, seed=1)
+    with pytest.raises(SpecError, match="drift_jac must return"):
+        batch_flows(flat, noise)
 
 
 def test_batch_rejects_state_dependent_rates():
