@@ -5,7 +5,9 @@ bar: two-sample distribution comparisons, capped negative moments, spectral
 tail curves, the small-time joint-probability curve for the time-change
 lemma, the integration-by-parts residual for first derivatives, and a kernel
 density smoother.  Each check reports the estimate together with the
-uncertainty it was judged against; nothing returns a bare boolean.
+uncertainty it was judged against; nothing returns a bare boolean.  The
+Monte Carlo loops draw their paths from 64-path seed blocks on streams of
+their own, as the pipelines do (see ``sde_core``).
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from .levy_noise import (
 )
 from .models import ModelSpec
 from .sde_core import (
-    MC_BLOCK,
+    PATH_TILE,
+    STREAM_GRADREP,
+    STREAM_NORRIS,
     BatchFlowResult,
     BatchNoise,
     bundle_ranges,
-    path_tiles,
     sample_batch_noise,
     seed_blocks,
 )
@@ -416,6 +419,8 @@ def norris_joint_probability(
     Paths are seeded in 64-path blocks, each by its first path index, and
     integrated in bundles of contiguous blocks sized by ``bundle_ranges``.
     """
+    if n_paths < 1:
+        raise ValueError(f"need n_paths >= 1, got {n_paths}")
     i_field = np.empty(n_paths)
     i_bracket = np.empty(n_paths)
     # X, alpha and K are recorded at every grid point, and again on the window
@@ -423,7 +428,7 @@ def norris_joint_probability(
     n, d = model.n, model.d
     recorded = 2 * (n + 1 + n * n) + 2 + d
     for lo, hi in bundle_ranges(n_paths, n_steps, d, recorded):
-        blocks = seed_blocks(seed, 9301, lo, hi)
+        blocks = seed_blocks(seed, STREAM_NORRIS, lo, hi)
         noise = sample_batch_noise(model, levy, horizon, n_steps, *blocks)
         res = batch_flows(model, noise, want_Q=False, record=True)
         i_field[lo:hi], i_bracket[lo:hi] = window_integrals(model, noise, res, params, fld)
@@ -509,10 +514,13 @@ def gradient_representation_check(
     Every path is simulated simultaneously from the center start and from
     +-eta and +-2*eta coordinate shifts, sharing noise; the same noise,
     pairwise-merged, drives a half-resolution run.  The doubled-step and
-    doubled-increment residuals estimate the two bias components.  Each
-    MC_BLOCK block is integrated in path tiles, whose normals are drawn tile
-    by tile (``sde_core.path_tiles``).
+    doubled-increment residuals estimate the two bias components.  Paths are
+    drawn from their seed blocks and integrated in tiles of PATH_TILE; each
+    tile is reduced to per-path values, which are averaged once in path
+    order, so the result does not depend on the tiling.
     """
+    if n_paths < 1:
+        raise ValueError(f"need n_paths >= 1, got {n_paths}")
     if n_steps % 2:
         raise ValueError("n_steps must be even so the half-resolution run exists")
     if truncate and levy.upper_cutoff is None:
@@ -527,46 +535,29 @@ def gradient_representation_check(
             e = np.zeros(n)
             e[i] = scale
             starts.extend([x0 + e, x0 - e])
-    starts = np.stack(starts)  # (4n+1, n)
+    bundle = np.stack(starts)[:, None, :]  # (4n+1, 1, n)
     rows_eta = [(1 + 2 * i, 2 + 2 * i) for i in range(n)]
     rows_2eta = [(1 + 2 * n + 2 * i, 2 + 2 * n + 2 * i) for i in range(n)]
 
-    sum_r = np.zeros(n)
-    sum_coarse = np.zeros(n)
-    sum_wide = np.zeros(n)
-    sum_sq = np.zeros(n)
-    sum_lhs = np.zeros(n)
-    done = 0
-    block = 0
-    while done < n_paths:
-        size = min(MC_BLOCK, n_paths - done)
-        rng = as_rng(np.random.SeedSequence([seed, 9401, block]))
-        noise = sample_batch_noise(model, levy, horizon, n_steps, size, rng, normals=False)
-        bundle = starts[:, None, :]
-        parts = []  # per path tile: gf and the fine, wide and coarse residuals
-        for _, _, tile in path_tiles(noise, model.d, rng):
-            res = batch_flows(model, tile, x0=bundle, want_Q=False)
-            res_c = batch_flows(model, tile.coarsen(), x0=bundle, want_Q=False)
-            gf = grad_f(res.X[0])  # (tile, n)
-            r_fine = gf - _gradrep_residual_rows(model, f, res.X, res.K, eta, rows_eta)
-            r_wide = gf - _gradrep_residual_rows(model, f, res.X, res.K, 2.0 * eta, rows_2eta)
-            gf_c = grad_f(res_c.X[0])
-            r_coarse = gf_c - _gradrep_residual_rows(model, f, res_c.X, res_c.K, eta, rows_eta)
-            parts.append((gf, r_fine, r_wide, r_coarse))
-        # the block's per-path values summed at once, so the sums are the untiled block's
-        gf, r_fine, r_wide, r_coarse = (np.concatenate(v) for v in zip(*parts))
-        sum_r += r_fine.sum(axis=0)
-        sum_sq += (r_fine**2).sum(axis=0)
-        sum_wide += r_wide.sum(axis=0)
-        sum_coarse += r_coarse.sum(axis=0)
-        sum_lhs += gf.sum(axis=0)
-        done += size
-        block += 1
-    mean_r = sum_r / n_paths
-    var = np.maximum(sum_sq / n_paths - mean_r**2, 0.0)
+    parts = []  # per tile: gf and the fine, wide and coarse residuals
+    for lo in range(0, n_paths, PATH_TILE):
+        blocks = seed_blocks(seed, STREAM_GRADREP, lo, min(lo + PATH_TILE, n_paths))
+        tile = sample_batch_noise(model, levy, horizon, n_steps, *blocks)
+        res = batch_flows(model, tile, x0=bundle, want_Q=False)
+        res_c = batch_flows(model, tile.coarsen(), x0=bundle, want_Q=False)
+        gf = grad_f(res.X[0])  # (tile, n)
+        r_fine = gf - _gradrep_residual_rows(model, f, res.X, res.K, eta, rows_eta)
+        r_wide = gf - _gradrep_residual_rows(model, f, res.X, res.K, 2.0 * eta, rows_2eta)
+        gf_c = grad_f(res_c.X[0])
+        r_coarse = gf_c - _gradrep_residual_rows(model, f, res_c.X, res_c.K, eta, rows_eta)
+        parts.append((gf, r_fine, r_wide, r_coarse))
+    # the per-path values averaged once, in path order
+    gf, r_fine, r_wide, r_coarse = (np.concatenate(v) for v in zip(*parts))
+    mean_r = r_fine.mean(axis=0)
+    var = np.maximum((r_fine**2).mean(axis=0) - mean_r**2, 0.0)
     se_mc = np.sqrt(var / n_paths)
-    fd_bias = np.abs(sum_wide / n_paths - mean_r) / 3.0
-    dt_bias = np.abs(sum_coarse / n_paths - mean_r)
+    fd_bias = np.abs(r_wide.mean(axis=0) - mean_r) / 3.0
+    dt_bias = np.abs(r_coarse.mean(axis=0) - mean_r)
     combined = se_mc + fd_bias + dt_bias
     return GradRepResult(
         residual=mean_r,
@@ -574,7 +565,7 @@ def gradient_representation_check(
         fd_bias=fd_bias,
         dt_bias=dt_bias,
         combined_se=np.maximum(combined, 1e-15),
-        lhs=sum_lhs / n_paths,
+        lhs=gf.mean(axis=0),
         eta=eta,
         n_paths=n_paths,
         n_steps=n_steps,

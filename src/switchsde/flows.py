@@ -19,7 +19,9 @@ Stieltjes sums
 
     Q_t = sum_k K_{t_k} sigma sigma^T K_{t_k}^T dS_k,      M_t = J_t Q_t J_t^T,
 
-which ``batch_flows(want_Q=True, record=True)`` returns at every grid point.
+which ``batch_flows(want_Q=True, record=True)`` returns at every grid point;
+``sample_covariances`` draws Q_T over many paths, on the seed blocks that
+``switchsde tails`` reads at the same seed.
 For drift-free models K = I and M_t = S_t I (sigma = I), which the tests pin
 to floating-point accuracy.  The directional derivative D of the state with
 respect to a Cameron-Martin shift h of the Brownian layer satisfies the same
@@ -35,16 +37,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, UnsupportedConfigError
-from .levy_noise import LevyMeasureSpec, as_rng
+from .levy_noise import LevyMeasureSpec
 from .models import ModelSpec
 from .sde_core import (
-    MC_BLOCK,
+    PATH_TILE,
+    STREAM_TAILS,
     BatchFlowResult,
     BatchNoise,
     PerturbationSpec,
     batch_flows,
-    path_tiles,
     sample_batch_noise,
+    seed_blocks,
 )
 
 
@@ -216,20 +219,17 @@ def sample_covariances(
     n_paths: int,
     seed: int,
 ) -> np.ndarray:
-    """Monte Carlo draws of Q_horizon, shape (n_paths, n, n), seeded per MC_BLOCK paths.
+    """Monte Carlo draws of Q_horizon, shape (n_paths, n, n).
 
-    Each block is integrated in path tiles, whose normals are drawn tile by
-    tile (``sde_core.path_tiles``).
+    The paths are drawn from their seed blocks on STREAM_TAILS, the draws of
+    ``switchsde tails`` at the same seed, and integrated in tiles of PATH_TILE.
     """
+    if n_paths < 1:
+        raise ValueError(f"need n_paths >= 1, got {n_paths}")
     out = np.empty((n_paths, model.n, model.n))
-    done = 0
-    block = 0
-    while done < n_paths:
-        size = min(MC_BLOCK, n_paths - done)
-        rng = as_rng(np.random.SeedSequence([seed, 7001, block]))
-        noise = sample_batch_noise(model, levy, horizon, n_steps, size, rng, normals=False)
-        for lo, hi, tile in path_tiles(noise, model.d, rng):
-            out[done + lo : done + hi] = batch_flows(model, tile, want_Q=True).Q
-        done += size
-        block += 1
+    for lo in range(0, n_paths, PATH_TILE):
+        hi = min(lo + PATH_TILE, n_paths)
+        blocks = seed_blocks(seed, STREAM_TAILS, lo, hi)
+        noise = sample_batch_noise(model, levy, horizon, n_steps, *blocks)
+        out[lo:hi] = batch_flows(model, noise, want_Q=True).Q
     return out

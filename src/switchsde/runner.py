@@ -5,10 +5,9 @@ directory.  Two sizes govern path-level work, and only the first one fixes
 any draw:
 
 - seed blocks: 64 paths (``sde_core.SEED_BLOCK``) drawn from one generator,
-  SeedSequence([master_seed, stream, first_path_index]).  ``gradrep`` instead
-  seeds each block of ``sde_core.MC_BLOCK`` (20000) paths from
-  SeedSequence([master_seed, stream, block_index]), in one process, and
-  integrates each block in path tiles (``sde_core.path_tiles``).
+  SeedSequence([master_seed, stream, first_path_index]), with one stream per
+  pipeline (``sde_core.STREAM_*``).  ``gradrep`` and ``norris`` draw their
+  seed blocks the same way, in one process.
 - integration bundles: contiguous runs of seed blocks that one worker task
   stacks into one padded bundle and integrates with one ``batch_flows`` call.
   ``sde_core.bundle_ranges`` sizes them: about one task per worker, each
@@ -64,13 +63,16 @@ from .errors import ConfigError
 from .flows import batch_flows, exp_bound_excess, product_defect, product_defect_tolerance
 from .hormander import estimate_kappa1
 from .levy_noise import check_H3, decompose_large_jumps
-from .sde_core import GRID_TOL, bundle_ranges, sample_batch_noise, seed_blocks
-
-# per-purpose seed streams, see the module docstring
-STREAM_SIMULATE = 11
-STREAM_FLOWS = 12
-STREAM_TAILS = 13
-STREAM_DENSITY = 14
+from .sde_core import (
+    GRID_TOL,
+    STREAM_DENSITY,
+    STREAM_FLOWS,
+    STREAM_SIMULATE,
+    STREAM_TAILS,
+    bundle_ranges,
+    sample_batch_noise,
+    seed_blocks,
+)
 
 # the variables that set the thread counts of BLAS and OpenMP
 BLAS_THREAD_VARS = (

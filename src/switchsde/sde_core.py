@@ -35,16 +35,16 @@ operations, so the same bits.
 
 Seed blocks and integration bundles are different things.  A seed block is
 SEED_BLOCK = 64 paths drawn from one generator, SeedSequence([seed, stream,
-first path]); it fixes every draw.  An integration bundle is a contiguous
-run of seed blocks that ``sample_batch_noise`` stacks into one padded
-bundle for one ``batch_flows`` call; ``bundle_ranges`` sizes it by memory
-(BUNDLE_BYTES) and by the number of tasks wanted.  A Monte Carlo block of
-MC_BLOCK paths from one generator is integrated in path tiles of at most
-PATH_TILE rows (``path_tiles``), so one call's state stays in cache.  Its
-generator draws the events and increments of every path, then the normals
-in C order, so ``path_tiles`` draws each tile's normals from it just before
-the tile is integrated, in ascending row order: the same values, and one
-tile's normals held at a time instead of the block's.
+first path]); it fixes every draw, and it is the only seeding rule.  Each
+Monte Carlo loop draws on its own stream (the STREAM_* constants), so two
+loops that share a stream, such as ``switchsde tails`` and
+``flows.sample_covariances``, read the same draws.  An integration bundle is
+a contiguous run of seed blocks that ``sample_batch_noise`` stacks into one
+padded bundle for one ``batch_flows`` call; ``bundle_ranges`` sizes it by
+memory (BUNDLE_BYTES) and by the number of tasks wanted.
+``gradient_representation_check`` and ``sample_covariances`` instead walk
+their paths in tiles of PATH_TILE rows, each tile one bundle of its seed
+blocks, so one call's state stays in cache and memory scales with a tile.
 
 Alignment rule: padding is an exact no-op and rows never mix, and a path's
 results do not depend on which run of rows integrated it, provided that the
@@ -58,7 +58,6 @@ bundles and path tiles all start at multiples of SEED_BLOCK.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -71,8 +70,7 @@ OVERFLOW_GUARD = 1e12
 GRID_TOL = 1e-10  # a time within this of a grid point is that grid point
 SEED_BLOCK = 64  # paths per generator, see the module docstring
 BUNDLE_BYTES = 4 << 20  # noise plus recorded paths held by one integration bundle
-MC_BLOCK = 20000  # paths per generator in gradient_representation_check and sample_covariances
-PATH_TILE = 32 * SEED_BLOCK  # paths per batch_flows call within an MC_BLOCK, see path_tiles
+PATH_TILE = 32 * SEED_BLOCK  # paths per tile in gradient_representation_check and sample_covariances
 NOISE_PANEL = 64  # steps of driver increments batch_flows forms at a time
 
 
@@ -135,13 +133,12 @@ class BatchNoise:
     times is (K+1,) for a shared grid, or (P, K+1) with each path's grid
     padded at its end by repeats of its last point; padded steps carry
     dS = 0, so their normals drive nothing.  events lists (path, grid index,
-    mark) triples, each path's in time order.  normals is None for a Monte
-    Carlo block whose normals ``path_tiles`` draws tile by tile.
+    mark) triples, each path's in time order.
     """
 
     times: np.ndarray
     dS: np.ndarray  # (P, K)
-    normals: np.ndarray | None  # (P, K, d)
+    normals: np.ndarray  # (P, K, d)
     n_paths: int
     events: list = field(default_factory=list)
 
@@ -167,8 +164,7 @@ class BatchNoise:
         """Paths lo..hi-1, their events re-indexed from lo; a shared grid stays shared."""
         times = self.times if self.times.ndim == 1 else self.times[lo:hi]
         events = [(p - lo, j, mark) for p, j, mark in self.events if lo <= p < hi]
-        normals = None if self.normals is None else self.normals[lo:hi]
-        return BatchNoise(times, self.dS[lo:hi], normals, hi - lo, events)
+        return BatchNoise(times, self.dS[lo:hi], self.normals[lo:hi], hi - lo, events)
 
     def clock(self) -> np.ndarray:
         """The subordinator S at every grid point, (P, K+1): S_0 = 0, S = cumsum(dS)."""
@@ -206,26 +202,20 @@ def _index_at(times: np.ndarray, t: float, tol: float = GRID_TOL) -> np.ndarray:
     return k
 
 
+# per-purpose seed streams, see the module docstring
+STREAM_SIMULATE = 11
+STREAM_FLOWS = 12
+STREAM_TAILS = 13  # switchsde tails and flows.sample_covariances
+STREAM_DENSITY = 14
+STREAM_GRADREP = 15
+STREAM_NORRIS = 9301
+
+
 def seed_blocks(seed: int, stream: int, lo: int, hi: int) -> tuple[list, list]:
     """Sizes and seeds of the seed blocks of paths lo..hi-1, lo a multiple of SEED_BLOCK."""
     starts = range(lo, hi, SEED_BLOCK)
     sizes = [min(SEED_BLOCK, hi - b) for b in starts]
     return sizes, [np.random.SeedSequence([seed, stream, b]) for b in starts]
-
-
-def path_tiles(noise: BatchNoise, d: int, rng) -> Iterator[tuple[int, int, BatchNoise]]:
-    """A Monte Carlo block's tiles lo, hi, rows(lo, hi), each with its normals drawn on entry.
-
-    noise is ``sample_batch_noise(..., normals=False)`` of one block and rng
-    its generator, which draws nothing else in between.  Tiles hold at most
-    PATH_TILE paths, start at multiples of SEED_BLOCK and come in row order,
-    so their normals are the block's own (see the module docstring).
-    """
-    for lo in range(0, noise.n_paths, PATH_TILE):
-        hi = min(lo + PATH_TILE, noise.n_paths)
-        tile = noise.rows(lo, hi)
-        tile.normals = rng.standard_normal(tile.dS.shape + (d,))
-        yield lo, hi, tile
 
 
 def bundle_ranges(
@@ -283,7 +273,6 @@ def sample_batch_noise(
     n_steps: int,
     n_paths,
     seed=None,
-    normals: bool = True,
 ) -> BatchNoise:
     """Noise for a bundle of paths, each on its uniform grid refined to its event times.
 
@@ -295,15 +284,12 @@ def sample_batch_noise(
     step count of the parity of n_steps; when no block has an event the
     bundle shares the uniform (n_steps + 1,) grid.  A block's rows are
     bitwise the bundle that block alone would draw, padded to the widest.
-    normals=False (one block only) leaves the normals to ``path_tiles``.
     """
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     sizes, seeds = ([n_paths], [seed]) if np.ndim(n_paths) == 0 else (list(n_paths), list(seed))
     if n_steps < 1 or not sizes or min(sizes) < 1 or len(seeds) != len(sizes):
         raise ValueError(f"need n_steps >= 1 and blocks of n_paths >= 1, got {n_steps}, {n_paths}")
-    if not normals and len(sizes) > 1:
-        raise ValueError("normals=False needs one block: its generator draws the normals next")
     grid = np.linspace(0.0, horizon, n_steps + 1)
     # first every block's events, which fix the bundle's width
     rngs = [as_rng(s) for s in seeds]
@@ -311,7 +297,7 @@ def sample_batch_noise(
     if len(sizes) == 1:  # the block's own arrays are the bundle; no copy
         (times, events), (rng,) = grids[0], rngs
         dS = sample_increments(levy, np.diff(times, axis=-1), sizes[0], rng)
-        z = rng.standard_normal(dS.shape + (model.d,)) if normals else None
+        z = rng.standard_normal(dS.shape + (model.d,))
         return BatchNoise(times=times, dS=dS, normals=z, n_paths=sizes[0], events=events)
     # then each block's increments and normals at its own width, into its rows
     total, width = sum(sizes), max(t.shape[-1] for t, _ in grids)
@@ -427,7 +413,7 @@ def batch_flows(
     Js_at, Ks_at, Qs_at = (None if v is None else _grid_first(v) for v in (Js, Ks, Qs))
     for k in range(steps + 1):
         for p, mark in events.get(k, ()):
-            a[p] = partition_point(model.rates, xv[p] if at_state else None, a[p], mark)
+            a[p] = partition_point(model.rates, xv[p] if at_state else None, int(a[p]), mark)
         if record:
             Xs[..., k, :] = xv
             alphas[:, k] = a

@@ -20,6 +20,7 @@ from switchsde import (
     NorrisCurve,
     NorrisParams,
     NumericError,
+    RunConfig,
     batch_flows,
     constant_field,
     decomposition_ks_test,
@@ -42,7 +43,7 @@ from switchsde import (
     wilson_interval,
     window_integrals,
 )
-from switchsde import diagnostics, flows, sde_core
+from switchsde import diagnostics, flows, runner, sde_core
 from switchsde.flows import sample_covariances
 
 LEVY = LevyMeasureSpec(alpha=1.0)
@@ -400,28 +401,14 @@ def test_gradient_representation_affine_path_is_bitwise(model):
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
 
 
-def _whole_block(noise, d, rng):
-    """The untiled reference: a block's normals in one draw, the block as one tile."""
-    noise.normals = rng.standard_normal(noise.dS.shape + (d,))
-    yield 0, noise.n_paths, noise
-
-
 @pytest.mark.parametrize(
     "model",
     [make_kalman(), make_two_regime_linear(switch_rate=3.0), make_sin_bounded(switch_rate=3.0)],
     ids=lambda m: m.name,
 )
-def test_tile_wise_normals_match_the_whole_block(model, monkeypatch):
-    # 330 paths in blocks of 200 and 130, tiles of 64: every gradrep field and
-    # every covariance draw equals drawing and integrating each block at once
-    monkeypatch.setattr(sde_core, "PATH_TILE", sde_core.SEED_BLOCK)
-    tiles = []
-
-    def spy(noise, d, rng):
-        for lo, hi, tile in sde_core.path_tiles(noise, d, rng):
-            tiles.append((noise.n_paths, lo, hi, bool(noise.events)))
-            yield lo, hi, tile
-
+def test_tiles_of_one_seed_block_change_no_bit(model, monkeypatch):
+    # 330 paths in one tile of 2048 or in six tiles of 64: every gradrep field
+    # and every covariance draw keeps its bits
     w = np.array([1.0, 0.7])
     gradrep = dict(
         horizon=1.0,
@@ -432,40 +419,96 @@ def test_tile_wise_normals_match_the_whole_block(model, monkeypatch):
         seed=5,
     )
     levy = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
+    calls = []
+    sample = sde_core.sample_batch_noise
+
+    def spy(*args):
+        noise = sample(*args)
+        calls.append((noise.n_paths, noise.times.ndim))
+        return noise
+
     runs = {}
-    for name, tiler in (("tiled", spy), ("whole", _whole_block)):
+    for tile in (sde_core.PATH_TILE, sde_core.SEED_BLOCK):
         with monkeypatch.context() as m:
             for mod in (diagnostics, flows):
-                m.setattr(mod, "MC_BLOCK", 200)
-                m.setattr(mod, "path_tiles", tiler)
-            runs[name] = (
+                m.setattr(mod, "PATH_TILE", tile)
+                m.setattr(mod, "sample_batch_noise", spy)
+            runs[tile] = (
                 gradient_representation_check(model, LEVY, **gradrep),
                 sample_covariances(model, levy, 1.0, 16, 330, seed=9),
             )
-    blocks = [(200, lo, min(lo + 64, 200)) for lo in range(0, 200, 64)]
-    blocks += [(130, lo, min(lo + 64, 130)) for lo in range(0, 130, 64)]
-    assert [t[:3] for t in tiles] == blocks * 2
-    assert {t[3] for t in tiles} == {model.rates.m0 > 1}
-    (tiled, q_tiled), (whole, q_whole) = runs["tiled"], runs["whole"]
+    assert [size for size, _ in calls] == [330, 330] + [64] * 5 + [10] + [64] * 5 + [10]
+    # per-path grids whenever the model switches
+    assert {ndim for _, ndim in calls} == {1 + (model.rates.m0 > 1)}
+    (whole, q_whole), (tiled, q_tiled) = runs.values()
     for name, value in vars(whole).items():
         assert np.asarray(getattr(tiled, name)).tobytes() == np.asarray(value).tobytes(), name
     assert q_tiled.tobytes() == q_whole.tobytes()
 
 
+@pytest.mark.parametrize("model", ["kalman", "sin_bounded"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_covariances_reads_the_draws_of_tails(model, workers, tmp_path, monkeypatch):
+    cfg = RunConfig.from_dict(
+        {
+            "seed": 7,
+            "workers": workers,
+            "model": {"name": model, "params": {"switch_rate": 3.0} if model == "sin_bounded" else {}},
+            "levy": {"upper_cutoff": 4.0},
+            "simulation": {"horizon": 1.0, "n_steps": 16, "n_paths": 3000},
+            "output": {"dir": str(tmp_path)},
+        }
+    )
+    seen = []
+
+    def spy(lam, **kw):
+        seen.append(lam)
+        return eigen_tail(lam, **kw)
+
+    monkeypatch.setattr(runner, "eigen_tail", spy)
+    manifest = runner.run_tails(cfg)
+    assert manifest["workers_used"] == workers
+    sim = cfg.simulation
+    Q = sample_covariances(cfg.model.build(), cfg.levy.build(), sim.horizon, sim.n_steps,
+                           sim.n_paths, cfg.seed)
+    assert np.linalg.eigvalsh(Q)[:, 0].tobytes() == seen[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda n: gradient_representation_check(
+            make_kalman(), LEVY, 1.0, 4, n, f=lambda x: x[:, 0], grad_f=lambda x: x
+        ),
+        lambda n: sample_covariances(make_kalman(), LEVY, 1.0, 4, n, seed=0),
+        lambda n: norris_joint_probability(
+            make_kalman(), LEVY, 1.0, 4, NorrisParams((0.0, 0.5), 1, [1.0, 0.0], [0.1, 0.01]),
+            constant_field(make_kalman().sigma), n, seed=0,
+        ),
+    ],
+    ids=["gradient_representation_check", "sample_covariances", "norris_joint_probability"],
+)
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_monte_carlo_loops_reject_zero_paths(run, n_paths):
+    with pytest.raises(ValueError, match="n_paths >= 1"):
+        run(n_paths)
+
+
 def test_gradient_representation_memory_scales_with_a_tile():
-    # kalman at 8000 x 512, the benchmark's gradrep size: the block's dS plus
-    # one tile's normals and flows (about 61 MB), not the block's normals too
+    # kalman at 512 steps: one tile's noise, flows and per-path values, about
+    # 37 MB whether 8000 paths (the benchmark's gradrep size) or 20000
     w = np.array([1.0, 0.7])
-    tracemalloc.start()
-    try:
-        gradient_representation_check(
-            make_kalman(), LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0), 1.0, 512, 8000,
-            f=lambda x: np.sin(x @ w), grad_f=lambda x: np.cos(x @ w)[:, None] * w,
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 75e6
+    for n_paths in (8000, 20000):
+        tracemalloc.start()
+        try:
+            gradient_representation_check(
+                make_kalman(), LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0), 1.0, 512, n_paths,
+                f=lambda x: np.sin(x @ w), grad_f=lambda x: np.cos(x @ w)[:, None] * w,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45e6, n_paths
 
 
 # -- kernel density ------------------------------------------------------------

@@ -41,14 +41,7 @@ from switchsde import (
     window_integrals,
 )
 from switchsde.cli import main
-from switchsde.sde_core import (
-    NOISE_PANEL,
-    PATH_TILE,
-    SEED_BLOCK,
-    _block_grid,
-    path_tiles,
-    seed_blocks,
-)
+from switchsde.sde_core import NOISE_PANEL, SEED_BLOCK, _block_grid, seed_blocks
 
 LEVY = LevyMeasureSpec(alpha=1.0)
 LEVY_TRUNC = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
@@ -416,23 +409,6 @@ def test_aligned_row_runs_integrate_like_the_bundle():
         res = batch_flows(model, part, **kw)
         for name in ("X", "J", "K", "Q", "X_path", "alpha_path", "J_path", "K_path", "Q_path"):
             assert getattr(res, name).tobytes() == getattr(whole, name)[lo:hi].tobytes(), name
-
-
-def test_path_tiles_are_aligned_runs():
-    # each tile's normals, drawn on entry, are its rows of the block's one draw
-    for n_paths in (1, SEED_BLOCK, PATH_TILE, PATH_TILE + 1, 3 * PATH_TILE - 5):
-        noise = BatchNoise(np.linspace(0.0, 1.0, 3), np.ones((n_paths, 2)), None, n_paths)
-        rng = np.random.default_rng(n_paths)
-        tiles = list(path_tiles(noise, 3, rng))
-        assert [lo for lo, _, _ in tiles] == list(range(0, n_paths, PATH_TILE))
-        assert tiles[-1][1] == n_paths and all(lo % SEED_BLOCK == 0 for lo, _, _ in tiles)
-        assert all(0 < hi - lo <= PATH_TILE for lo, hi, _ in tiles)
-        whole = np.random.default_rng(n_paths).standard_normal((n_paths, 2, 3))
-        normals = np.concatenate([tile.normals for _, _, tile in tiles])
-        assert normals.tobytes() == whole.tobytes()
-    # the normals follow the block's increments from the same generator
-    with pytest.raises(ValueError, match="one block"):
-        sample_batch_noise(make_kalman(), LEVY, 1.0, 4, [2, 3], [0, 1], normals=False)
 
 
 COEFFICIENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0])
