@@ -18,7 +18,7 @@ import types
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, SpecError
 from .levy_noise import LevyMeasureSpec, load_tabulated_csv
 from .models import MODEL_BUILDERS, ModelSpec, make_model
 
@@ -155,7 +155,7 @@ class LevyConfig(_Section):
         if self.kind == "tabulated":
             try:
                 table = load_tabulated_csv(self.table)
-            except DataError as e:
+            except (DataError, SpecError) as e:
                 raise ConfigError(f"levy.table {self.table!r}: {e}") from e
             except OSError as e:  # a directory, a missing file, no permission
                 raise ConfigError(f"levy.table {self.table!r}: {e.strerror or e}") from e

@@ -14,9 +14,9 @@ are replaced by their compensating drift integral(0,delta) u nu(du) and the
 rest arrive as a thinned compound Poisson stream.
 
 Three measure kinds are supported: "stable" (the family above, optionally
-truncated), "tabulated" (a density callback or interpolated table on a
-bounded support), and "atoms" (a finite list of (size, rate) point masses,
-the degenerate tabulated case used in tests).
+truncated), "tabulated" (the linear interpolant of a table of (u, density)
+points, whose mass, mean and jump-size law are exact interval by interval,
+with no quadrature), and "atoms" (a finite list of (size, rate) point masses).
 """
 
 from __future__ import annotations
@@ -82,8 +82,9 @@ class LevyMeasureSpec:
     """Levy measure of the subordinator S.
 
     kind "stable": density u**-(1+alpha/2) on (0, upper_cutoff), alpha in (0,2).
-    kind "tabulated": `density` callback on `support`; support must be bounded
-        unless the tail is integrable (checked at validation).
+    kind "tabulated": `table` = ((u, density), ...), two or more points with
+        0 < u increasing; the density is their linear interpolant on
+        `support` = (first u, last u) and zero outside it.
     kind "atoms": finite point masses `atoms` = ((size, rate), ...).
 
     small_jump_cutoff is the delta below which jumps are replaced by their
@@ -93,8 +94,7 @@ class LevyMeasureSpec:
 
     kind: str = "stable"
     alpha: float | None = 1.0
-    density: Callable[[np.ndarray], np.ndarray] | None = None
-    support: tuple[float, float] = (0.0, math.inf)
+    table: tuple[tuple[float, float], ...] = ()
     atoms: tuple[tuple[float, float], ...] = ()
     small_jump_cutoff: float = 1e-4
     upper_cutoff: float | None = None
@@ -106,11 +106,15 @@ class LevyMeasureSpec:
             if self.alpha is None or not 0.0 < self.alpha < 2.0:
                 raise SpecError(f"alpha must lie in (0,2), got {self.alpha}")
         if self.kind == "tabulated":
-            if self.density is None:
-                raise SpecError("tabulated measure requires a density callback")
-            lo, hi = self.support
-            if not (0.0 <= lo < hi):
-                raise SpecError(f"tabulated support must satisfy 0 <= lo < hi, got {self.support}")
+            pts = np.asarray(self.table, dtype=float)
+            if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
+                raise SpecError(f"a table needs two or more (u, density) rows, got {pts.shape}")
+            u, f = pts.T
+            if not (np.isfinite(u).all() and u[0] > 0 and (np.diff(u) > 0).all()):
+                raise SpecError("table abscissae must be finite, positive and strictly increasing")
+            if not (np.isfinite(f).all() and (f >= 0).all() and (f > 0).any()):
+                raise SpecError("table densities must be finite and nonnegative, and not all zero")
+            object.__setattr__(self, "table", tuple(map(tuple, pts.tolist())))
         if self.kind == "atoms":
             if not self.atoms:
                 raise SpecError("atoms measure requires at least one (size, rate) pair")
@@ -126,36 +130,38 @@ class LevyMeasureSpec:
 
     # -- effective support ------------------------------------------------
 
-    def _hi(self) -> float:
-        hi = self.support[1] if self.kind == "tabulated" else math.inf
-        if self.upper_cutoff is not None:
-            hi = min(hi, self.upper_cutoff)
-        return hi
+    @property
+    def support(self) -> tuple[float, float]:
+        """(lo, hi) outside which the density vanishes, before upper_cutoff."""
+        tabulated = self.kind == "tabulated"
+        return (self.table[0][0], self.table[-1][0]) if tabulated else (0.0, math.inf)
 
-    def _lo(self) -> float:
-        return self.support[0] if self.kind == "tabulated" else 0.0
+    def _hi(self) -> float:
+        return min(self.support[1], self.upper_cutoff or math.inf)
+
+    def _clipped(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+        """The table's points inside (a, b) with both ends interpolated in: (u, density)."""
+        u, f = np.array(self.table).T
+        x = np.concatenate([[a], u[(u > a) & (u < b)], [b]])
+        return x, np.interp(x, u, f)
 
     def density_at(self, u) -> np.ndarray:
         """Pointwise density of the (possibly truncated) measure; atoms have none."""
         if self.kind == "atoms":
             raise UnsupportedConfigError("an atomic measure has no density")
         u = np.asarray(u, dtype=float)
-        lo, hi = self._lo(), self._hi()
-        inside = (u > lo) & (u < hi) if lo > 0 else (u > 0) & (u < hi)
-        out = np.zeros_like(u)
         if self.kind == "stable":
-            out = np.where(inside, np.where(u > 0, u, 1.0) ** (-(1.0 + self.alpha / 2.0)), 0.0)
+            vals = np.where(u > 0, u, 1.0) ** (-(1.0 + self.alpha / 2.0))
         else:
-            vals = np.asarray(self.density(u), dtype=float)
-            out = np.where(inside, vals, 0.0)
-        return out
+            vals = np.interp(u, *np.array(self.table).T, left=0.0, right=0.0)
+        return np.where((u > 0) & (u < self._hi()), vals, 0.0)
 
     # -- integrals ---------------------------------------------------------
 
     def mass(self, a: float, b: float | None = None) -> float:
         """nu((a, b]) intersected with the effective support; b=None means the upper end."""
         hi = self._hi() if b is None else min(b, self._hi())
-        a = max(a, self._lo())
+        a = max(a, self.support[0])
         if hi <= a:
             return 0.0
         if self.kind == "stable":
@@ -164,19 +170,13 @@ class LevyMeasureSpec:
             return (a ** (-beta) - upper) / beta
         if self.kind == "atoms":
             return float(sum(w for s, w in self.atoms if a < s <= hi))
-        val, _ = _quad(
-            lambda u: float(self.density(np.asarray(u))),
-            a,
-            hi,
-            epsabs=QUAD_ABS_TOL,
-            limit=200,
-        )
-        return val
+        u, f = self._clipped(a, hi)  # trapezoids are exact for the interpolant
+        return float(np.sum(np.diff(u) * (f[:-1] + f[1:])) / 2.0)
 
     def mean_between(self, a: float, b: float) -> float:
-        """integral(a,b) u nu(du) on the effective support (closed form for stable)."""
+        """integral(a,b) u nu(du) on the effective support, in closed form."""
         hi = min(b, self._hi())
-        a = max(a, self._lo())
+        a = max(a, self.support[0])
         if hi <= a:
             return 0.0
         if self.kind == "stable":
@@ -184,7 +184,9 @@ class LevyMeasureSpec:
             return (hi ** (1.0 - beta) - a ** (1.0 - beta)) / (1.0 - beta)
         if self.kind == "atoms":
             return float(sum(s * w for s, w in self.atoms if a < s <= hi))
-        return self.mean_between_quad(a, hi)
+        u, f = self._clipped(a, hi)
+        u0, u1, f0, f1 = u[:-1], u[1:], f[:-1], f[1:]
+        return float(np.sum((u1 - u0) / 6.0 * (f0 * (2.0 * u0 + u1) + f1 * (u0 + 2.0 * u1))))
 
     def mean_between_quad(self, a: float, b: float) -> float:
         """Same integral by adaptive quadrature.
@@ -193,7 +195,7 @@ class LevyMeasureSpec:
         integral(0,c) u nu(u) du into integral(0,sqrt(c)) 2 v**3 nu(v**2) dv.
         """
         hi = min(b, self._hi())
-        a = max(a, self._lo())
+        a = max(a, self.support[0])
         if hi <= a:
             return 0.0
         if self.kind == "atoms":
@@ -202,7 +204,7 @@ class LevyMeasureSpec:
         def dens(u):
             if self.kind == "stable":
                 return u ** (-(1.0 + self.alpha / 2.0))
-            return float(self.density(np.asarray(u)))
+            return float(self.density_at(u))
 
         total = 0.0
         sub_end = min(hi, 1e-2)
@@ -225,35 +227,20 @@ class LevyMeasureSpec:
 
 
 def load_tabulated_csv(path) -> LevyMeasureSpec:
-    """Read a (u, density) CSV table into a tabulated measure.
-
-    The density is linearly interpolated between table points and zero
-    outside the table's hull.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an empty table is reported below
+    """Read a CSV of (u, density) rows, after one header line, into a tabulated measure."""
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty table fails validation
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            np.array(fh.readline().split(","), dtype=float)
+        except ValueError:  # the header line
+            pass
+        else:
+            raise DataError("measure table must start with a header line")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as e:
             raise DataError(f"measure table is not a numeric CSV: {e}") from e
-    if data.size == 0:
-        raise DataError("measure table has no rows")
-    if data.shape[1] != 2:
-        raise DataError(f"measure table must have two columns (u, density), got {data.shape[1]}")
-    if not np.all(np.isfinite(data)):
-        raise DataError("measure table entries must be finite")
-    u, dens = data[:, 0], data[:, 1]
-    if np.any(np.diff(u) <= 0) or u[0] <= 0:
-        raise DataError("measure table abscissae must be positive and strictly increasing")
-    if np.any(dens < 0):
-        raise DataError("measure table densities must be nonnegative")
-
-    def density(x):
-        return np.interp(np.asarray(x, dtype=float), u, dens, left=0.0, right=0.0)
-
-    return LevyMeasureSpec(
-        kind="tabulated", alpha=None, density=density, support=(float(u[0]), float(u[-1]))
-    )
+    return LevyMeasureSpec(kind="tabulated", alpha=None, table=data)
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +268,32 @@ def _truncated_size_sampler(spec: LevyMeasureSpec, lo: float) -> Callable:
         sizes = np.array([s for s, w in spec.atoms if lo < s <= hi])
         rates = np.array([w for s, w in spec.atoms if lo < s <= hi])
         if sizes.size == 0:
-            return lambda u: np.zeros_like(u)
+            return np.zeros_like
         cdf = np.cumsum(rates) / rates.sum()
 
         def draw(u):
             return sizes[np.searchsorted(cdf, u, side="left")]
 
         return draw
-    # tabulated: numeric inverse of the cumulative mass on (lo, hi)
-    grid = np.linspace(lo, hi, 4097)
-    dens = spec.density_at(grid)
-    cmass = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-    if cmass[-1] <= 0:
-        return lambda u: np.full_like(u, lo)
-    cdf = cmass / cmass[-1]
+    # tabulated: on each interval of the clipped table the cumulative mass is
+    # f0 t + slope t**2 / 2 at t = u - u0, inverted by its stable root
+    lo = max(lo, spec.support[0])
+    if hi <= lo:
+        return np.zeros_like
+    u, f = spec._clipped(lo, hi)
+    w = np.diff(u)
+    slope = np.diff(f) / w
+    edges = np.concatenate([[0.0], np.cumsum(w * (f[:-1] + f[1:]) / 2.0)])
 
-    def draw(u):
-        return np.interp(u, cdf, grid)
+    def draw(q):
+        m = np.asarray(q, dtype=float) * edges[-1]
+        i = np.searchsorted(edges[:-1], m, side="right") - 1
+        r = m - edges[i]
+        f0 = f[i]
+        root = np.sqrt(np.maximum(f0 * f0 + 2.0 * slope[i] * r, 0.0))
+        # r = 0 at f0 = 0 gives 0 / tiny = 0; roundoff past the interval is clipped
+        t = 2.0 * r / np.maximum(f0 + root, np.finfo(float).tiny)
+        return u[i] + np.minimum(t, w[i])
 
     return draw
 
@@ -329,7 +325,7 @@ def sample_increments(
         x = standard_positive_stable(beta, (n_paths, k), rng)
         return (c * dts) ** (1.0 / beta) * x
 
-    delta = max(spec.small_jump_cutoff, spec._lo())
+    delta = max(spec.small_jump_cutoff, spec.support[0])
     drift = spec.mean_between(0.0, delta)
     lam = spec.mass(delta)
     if not math.isfinite(lam):
@@ -520,10 +516,10 @@ def levy_measure_of_L(spec: LevyMeasureSpec, y, d: int | None = None) -> float:
         if spec.kind == "stable":
             dens = s ** (-(1.0 + spec.alpha / 2.0))
         else:
-            dens = float(spec.density(np.asarray(s)))
+            dens = float(spec.density_at(s))
         return (2.0 * math.pi * s) ** (-d / 2.0) * math.exp(-r2 / (2.0 * s)) * dens
 
-    lo = spec._lo()
+    lo, _ = spec.support
     hi = spec._hi()
     val, _ = _quad(
         integrand,

@@ -443,6 +443,9 @@ def test_malformed_measure_tables_are_usage_errors(tmp_path, capsys):
     tables = {
         "non_numeric": "u,density\n0.001,abc\n1.0,1.0\n",
         "decreasing": "u,density\n1.0,2.0\n0.5,1.0\n",
+        "one_row": "u,density\n0.5,1.0\n",
+        "all_zero": "u,density\n0.1,0.0\n1.0,0.0\n",
+        "no_header": "0.1,5.0\n0.5,2.0\n1.0,1.0\n",
     }
     for name, text in tables.items():
         table = tmp_path / f"{name}.csv"
@@ -452,7 +455,23 @@ def test_malformed_measure_tables_are_usage_errors(tmp_path, capsys):
         assert main(["density", "--config", cfg, "--out", str(tmp_path / name)]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith("error: levy.table") and out.err.count("\n") == 1
+        assert out.err.startswith(f"error: levy.table {str(table)!r}: ") and out.err.count("\n") == 1
+
+
+def test_density_on_a_table_writes_nothing_to_stderr(tmp_path):
+    # a table is sampled without quadrature, so scipy has nothing to warn about
+    u = np.geomspace(1e-4, 4.0, 400)
+    table = tmp_path / "measure.csv"
+    np.savetxt(table, np.column_stack([u, u**-1.5]), delimiter=",", header="u,density")
+    cfg = write_config(tmp_path, dict(SMALL, levy={"kind": "tabulated", "table": str(table)}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchsde.cli", "density", "--config", cfg,
+         "--out", str(tmp_path / "d")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)
 
 
 def test_overflowing_density_bandwidth_is_a_numeric_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ S_1 = 2*pi / Z**2 with Z standard normal, giving P(S_1 <= 1) = erfc(sqrt(pi)).
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,13 @@ from switchsde import (
 )
 from switchsde import levy_noise
 from switchsde.levy_noise import _truncated_size_sampler, stable_laplace_coefficient
+
+
+def _table(lo, hi, points, density):
+    """Tabulated measure through `points` geometric points of `density` on [lo, hi]."""
+    u = np.geomspace(lo, hi, points)
+    return LevyMeasureSpec(kind="tabulated", alpha=None, table=np.column_stack([u, density(u)]))
+
 
 # frozen closed-form constants for alpha = 1
 TWO_SQRT_PI = 3.5449077018110318  # Gamma(1/2) / (1/2)
@@ -147,6 +155,21 @@ def test_spec_validation_errors():
         LevyMeasureSpec(upper_cutoff=-1.0)
     with pytest.raises(SpecError):
         LevyMeasureSpec(kind="atoms", atoms=((1.0, -2.0),))
+    bad_tables = [
+        (),  # no points
+        ((0.1, 1.0),),  # one point
+        ((0.1, 1.0, 2.0), (0.2, 1.0, 2.0)),  # three columns
+        ((0.0, 1.0), (0.2, 1.0)),  # u = 0
+        ((0.2, 1.0), (0.1, 1.0)),  # decreasing u
+        ((0.1, 1.0), (0.1, 1.0)),  # repeated u
+        ((0.1, 1.0), (math.inf, 1.0)),
+        ((0.1, 1.0), (0.2, math.nan)),
+        ((0.1, 1.0), (0.2, -1.0)),  # negative density
+        ((0.1, 0.0), (0.2, 0.0)),  # no mass
+    ]
+    for table in bad_tables:
+        with pytest.raises(SpecError):
+            LevyMeasureSpec(kind="tabulated", alpha=None, table=table)
 
 
 def test_truncated_moments():
@@ -181,7 +204,7 @@ def test_path_and_batch_share_one_law():
     [
         LevyMeasureSpec(alpha=1.0),
         LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0),
-        LevyMeasureSpec(kind="tabulated", alpha=None, density=lambda u: u**-1.5, support=(0.05, 2.0)),
+        _table(0.05, 2.0, 200, lambda u: u**-1.5),
         LevyMeasureSpec(kind="atoms", alpha=None, atoms=((0.5, 40.0), (2.0, 10.0))),
     ],
     ids=["stable", "truncated", "tabulated", "atoms"],
@@ -208,7 +231,7 @@ def _bincount_increments(spec, dts, n_paths, seed):
     rng = np.random.default_rng(seed)
     dts = np.asarray(dts, dtype=float)
     k = dts.shape[-1]
-    delta = max(spec.small_jump_cutoff, spec._lo())
+    delta = max(spec.small_jump_cutoff, spec.support[0])
     drift = spec.mean_between(0.0, delta)
     lam = spec.mass(delta)
     if spec.kind == "stable":
@@ -261,7 +284,7 @@ ORACLE_CASES = {
         _padded_rows(150, 16, 2), 150,
     ),
     "tabulated": (
-        LevyMeasureSpec(kind="tabulated", alpha=None, density=lambda u: u**-1.5, support=(0.05, 2.0)),
+        _table(0.05, 2.0, 200, lambda u: u**-1.5),
         np.full(32, 1 / 32), 250,
     ),
 }
@@ -405,10 +428,7 @@ def test_h3_probe_verdicts():
         check_H3(spec, theta=1.0, eps_grid=[0.1, 0.05, 0.02])
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_tabulated_csv_round_trip(tmp_path):
-    # quadrature across the table's kinks warns about roundoff; accuracy is
-    # checked against the closed form below
     u = np.linspace(0.05, 2.0, 200)
     dens = u ** -1.5
     f = tmp_path / "table.csv"
@@ -421,19 +441,97 @@ def test_tabulated_csv_round_trip(tmp_path):
     assert spec.mean_between(0.25, 1.0) == pytest.approx(
         ref.mean_between(0.25, 1.0), rel=1e-3
     )
+    # between table points the interpolant's integrals are sums over intervals:
+    # trapezoids for the mass, Simpson's rule (exact for the quadratic u f(u)) for the mean
+    i, j = 40, 160
+    w, f0, f1 = np.diff(u[i : j + 1]), dens[i:j], dens[i + 1 : j + 1]
+    mid = (u[i:j] + u[i + 1 : j + 1]) / 2.0
+    assert spec.mass(u[i], u[j]) == pytest.approx(np.sum(w * (f0 + f1) / 2.0), rel=1e-12)
+    simpson = w / 6.0 * (u[i:j] * f0 + 4.0 * mid * (f0 + f1) / 2.0 + u[i + 1 : j + 1] * f1)
+    assert spec.mean_between(u[i], u[j]) == pytest.approx(np.sum(simpson), rel=1e-12)
+    assert spec.mass(0.0) == pytest.approx(np.sum(np.diff(u) * (dens[1:] + dens[:-1]) / 2.0))
     incr = sample_increments(spec, np.array([[0.25, 0.5, 0.25, 0.0]]), 2000, seed=40)
     assert np.all(incr[:, :3] >= 0) and np.all(incr[:, 3] == 0.0)
 
 
 def test_tabulated_csv_rejects_bad_tables(tmp_path):
+    # the loader only parses; the measure checks the points
     bad = tmp_path / "bad.csv"
     np.savetxt(bad, np.array([[0.1, 1.0, 2.0]]), delimiter=",", header="u,density,x")
-    with pytest.raises(DataError):
+    with pytest.raises(SpecError):
         load_tabulated_csv(bad)
     neg = tmp_path / "neg.csv"
     np.savetxt(neg, np.array([[0.1, 1.0], [0.2, -1.0]]), delimiter=",", header="u,d")
-    with pytest.raises(DataError):
+    with pytest.raises(SpecError):
         load_tabulated_csv(neg)
+    bare = tmp_path / "bare.csv"  # without its header line the first point would be lost
+    bare.write_text("0.1,5.0\n0.5,2.0\n1.0,1.0\n")
+    with pytest.raises(DataError, match="header"):
+        load_tabulated_csv(bare)
+
+
+def test_table_is_stored_as_float_pairs():
+    spec = LevyMeasureSpec(kind="tabulated", alpha=None, table=np.array([[0.5, 2.0], [1.0, 1.0]]))
+    assert spec.table == ((0.5, 2.0), (1.0, 1.0)) and spec.support == (0.5, 1.0)
+    assert spec.density_at(np.array([0.4, 0.75, 0.9, 1.5])) == pytest.approx([0.0, 1.5, 1.2, 0.0])
+    assert replace(spec, upper_cutoff=0.75).density_at(0.75) == 0.0
+    assert hash(spec) == hash(replace(spec))
+
+
+def test_table_sampler_inverts_the_interpolated_mass():
+    # first interval rises from density 0: q = 0 maps to its left end, not 0 / 0
+    spec = LevyMeasureSpec(
+        kind="tabulated", alpha=None, table=((0.1, 0.0), (0.5, 2.0), (1.0, 1.0))
+    )
+    assert spec.mass(0.0) == pytest.approx(1.15, rel=1e-15)
+    assert spec.mean_between(0.0, 2.0) == pytest.approx(0.4 / 6 * 2.2 + 0.5 / 6 * 6.5, rel=1e-15)
+    draw = _truncated_size_sampler(spec, 1e-4)
+    q = np.array([0.0, 1e-300, 0.2 / 1.15, 0.4 / 1.15, 0.5, 1.0 - 2.0**-53])
+    x = draw(q)
+    assert np.all(np.isfinite(x)) and x[0] == 0.1
+    assert np.all((x >= 0.1) & (x <= 1.0)) and np.all(np.diff(x) >= 0)
+    # the cumulative mass at each draw is the requested share of the total
+    cum = np.array([spec.mass(0.0, v) for v in x]) / 1.15
+    assert cum == pytest.approx(q, abs=1e-12)
+    assert x[3] == pytest.approx(0.5, rel=1e-12)
+    # a zero-mass leading interval is skipped
+    flat = LevyMeasureSpec(kind="tabulated", alpha=None, table=((0.1, 0.0), (0.2, 0.0), (0.3, 1.0)))
+    assert _truncated_size_sampler(flat, 1e-4)(np.array([0.0]))[0] == 0.2
+    # a cutoff at the table's first point leaves no mass and no jumps
+    cut = replace(spec, upper_cutoff=0.1)
+    assert cut.mass(0.0) == 0.0
+    assert np.all(sample_increments(cut, np.full(4, 0.25), 10, seed=3) == 0.0)
+
+
+def test_tables_never_integrate_numerically(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quad called on a table's sampling route")
+
+    monkeypatch.setattr(levy_noise, "_quad", no_quad)
+    spec = _table(1e-4, 4.0, 400, lambda u: u**-1.5)
+    assert spec.mass(1e-4) > 0 and spec.mean_between(0.0, 4.0) > 0
+    decomp = decompose_large_jumps(spec)
+    assert decomp.lambda1 == spec.mass(1.0)
+    assert np.all(decomp.sample_mixing(1000, seed=1) > 1.0)
+    assert sample_increments(spec, np.full(4, 0.25), 100, seed=2).shape == (100, 4)
+
+
+def test_power_table_has_the_law_of_the_truncated_stable_clock():
+    # the u^-1.5 table on (1e-4, 4) against the stable clock truncated at 4,
+    # which draws the same measure (less the table's missing (0, 1e-4) mass)
+    spec = _table(1e-4, 4.0, 400, lambda u: u**-1.5)
+    s1 = sample_increments(spec, np.array([1.0]), 20_000, seed=50)[:, 0]
+    se = s1.std(ddof=1) / math.sqrt(s1.size)
+    assert abs(s1.mean() - spec.mean_between(0.0, 4.0)) < 3 * se
+    ref = sample_increments(LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0), np.array([1.0]), 20_000, seed=51)
+    assert stats.ks_2samp(s1, ref[:, 0]).pvalue > 0.01
+
+
+def test_gamma_table_gives_a_gamma_clock():
+    # nu(du) = c u^-1 e^-u du is the gamma subordinator: S_1 ~ Gamma(c), here c = 3
+    spec = _table(1e-4, 20.0, 400, lambda u: 3.0 / u * np.exp(-u))
+    s1 = sample_increments(spec, np.array([1.0]), 20_000, seed=52)[:, 0]
+    assert stats.kstest(s1, stats.gamma(3.0).cdf).pvalue > 0.01
 
 
 def test_atoms_measure():
