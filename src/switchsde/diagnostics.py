@@ -404,34 +404,23 @@ class NorrisCurve:
         return True
 
 
-def norris_joint_probability(
-    model: ModelSpec,
-    levy: LevyMeasureSpec,
-    horizon: float,
-    n_steps: int,
-    params: NorrisParams,
-    fld: TestField,
-    n_paths: int,
-    seed: int = 0,
-) -> NorrisCurve:
-    """Monte Carlo curve eps -> P(I_bracket >= eps^q, I_field <= eps).
+def norris_recorded(model: ModelSpec) -> int:
+    """Float64 values per path and grid point that ``norris_bundle`` keeps beside the noise:
+    X, alpha and K on the grid, and again on the window with the window's own noise."""
+    return 2 * (model.n + 1 + model.n**2) + 2 + model.d
 
-    Paths are seeded in 64-path blocks, each by its first path index, and
-    integrated in bundles of contiguous blocks sized by ``bundle_ranges``.
-    """
-    if n_paths < 1:
-        raise ValueError(f"need n_paths >= 1, got {n_paths}")
-    i_field = np.empty(n_paths)
-    i_bracket = np.empty(n_paths)
-    # X, alpha and K are recorded at every grid point, and again on the window
-    # together with the window's own noise
-    n, d = model.n, model.d
-    recorded = 2 * (n + 1 + n * n) + 2 + d
-    for lo, hi in bundle_ranges(n_paths, n_steps, d, recorded):
-        blocks = seed_blocks(seed, STREAM_NORRIS, lo, hi)
-        noise = sample_batch_noise(model, levy, horizon, n_steps, *blocks)
-        res = batch_flows(model, noise, want_Q=False, record=True)
-        i_field[lo:hi], i_bracket[lo:hi] = window_integrals(model, noise, res, params, fld)
+
+def norris_bundle(
+    model: ModelSpec, noise: BatchNoise, params: NorrisParams, fld: TestField
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path (I_field, I_bracket) of one bundle: its recorded run, then its window."""
+    res = batch_flows(model, noise, want_Q=False, record=True)
+    return window_integrals(model, noise, res, params, fld)
+
+
+def norris_curve(params: NorrisParams, i_field, i_bracket) -> NorrisCurve:
+    """The curve eps -> P(I_bracket >= eps^q, I_field <= eps) of per-path integrals."""
+    n_paths = i_field.size
     eps = params.eps_grid
     thresholds = np.array([params.threshold(e) for e in eps])
     counts = np.array(
@@ -448,6 +437,32 @@ def norris_joint_probability(
         n_paths=n_paths,
         params=params,
     )
+
+
+def norris_joint_probability(
+    model: ModelSpec,
+    levy: LevyMeasureSpec,
+    horizon: float,
+    n_steps: int,
+    params: NorrisParams,
+    fld: TestField,
+    n_paths: int,
+    seed: int = 0,
+) -> NorrisCurve:
+    """Monte Carlo curve eps -> P(I_bracket >= eps^q, I_field <= eps).
+
+    Paths are seeded in 64-path blocks, each by its first path index, and
+    integrated by ``norris_bundle`` in bundles of contiguous blocks sized by
+    ``bundle_ranges``, as ``switchsde norris`` does in its workers.
+    """
+    if n_paths < 1:
+        raise ValueError(f"need n_paths >= 1, got {n_paths}")
+    pairs = []
+    for lo, hi in bundle_ranges(n_paths, n_steps, model.d, norris_recorded(model)):
+        blocks = seed_blocks(seed, STREAM_NORRIS, lo, hi)
+        noise = sample_batch_noise(model, levy, horizon, n_steps, *blocks)
+        pairs.append(norris_bundle(model, noise, params, fld))
+    return norris_curve(params, *(np.concatenate(v) for v in zip(*pairs)))
 
 
 # ---------------------------------------------------------------------------

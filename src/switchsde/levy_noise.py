@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +41,14 @@ def _quad(*args, **kwargs):
     from scipy import integrate
 
     return integrate.quad(*args, **kwargs)
+
+
+def _quad_kinked(f, lo: float, hi: float, kinks, limit: int) -> float:
+    """integral(lo, hi) f, quad told of the kinks of f inside; each kink adds one to limit."""
+    inside = [k for k in kinks if lo < k < hi]
+    return _quad(
+        f, lo, hi, epsabs=QUAD_ABS_TOL, limit=limit + len(inside), points=inside or None
+    )[0]
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -130,6 +139,14 @@ class LevyMeasureSpec:
 
     # -- effective support ------------------------------------------------
 
+    @cached_property
+    def _points(self) -> np.ndarray:
+        """The table's (u, density) columns, built once: quadrature reads them per point.
+
+        u holds the kinks of the density, where quadrature must cut its pieces.
+        """
+        return np.array(self.table).reshape(-1, 2).T
+
     @property
     def support(self) -> tuple[float, float]:
         """(lo, hi) outside which the density vanishes, before upper_cutoff."""
@@ -141,7 +158,7 @@ class LevyMeasureSpec:
 
     def _clipped(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """The table's points inside (a, b) with both ends interpolated in: (u, density)."""
-        u, f = np.array(self.table).T
+        u, f = self._points
         x = np.concatenate([[a], u[(u > a) & (u < b)], [b]])
         return x, np.interp(x, u, f)
 
@@ -153,7 +170,7 @@ class LevyMeasureSpec:
         if self.kind == "stable":
             vals = np.where(u > 0, u, 1.0) ** (-(1.0 + self.alpha / 2.0))
         else:
-            vals = np.interp(u, *np.array(self.table).T, left=0.0, right=0.0)
+            vals = np.interp(u, *self._points, left=0.0, right=0.0)
         return np.where((u > 0) & (u < self._hi()), vals, 0.0)
 
     # -- integrals ---------------------------------------------------------
@@ -209,20 +226,16 @@ class LevyMeasureSpec:
         total = 0.0
         sub_end = min(hi, 1e-2)
         if a < sub_end:
-            val, _ = _quad(
+            total += _quad_kinked(
                 lambda v: 2.0 * v**3 * dens(v * v),
                 math.sqrt(a),
                 math.sqrt(sub_end),
-                epsabs=QUAD_ABS_TOL,
+                np.sqrt(self._points[0]),
                 limit=200,
             )
-            total += val
             a = sub_end
         if a < hi:
-            val, _ = _quad(
-                lambda u: u * dens(u), a, hi, epsabs=QUAD_ABS_TOL, limit=200
-            )
-            total += val
+            total += _quad_kinked(lambda u: u * dens(u), a, hi, self._points[0], limit=200)
         return total
 
 
@@ -480,14 +493,7 @@ def xi_density(decomp: DecompositionSpec, y, d: int) -> float:
             * float(spec.density_at(np.asarray(s)))
         )
 
-    hi = spec._hi()
-    val, _ = _quad(
-        integrand,
-        LARGE_JUMP_CUTOFF,
-        hi,
-        epsabs=QUAD_ABS_TOL,
-        limit=300,
-    )
+    val = _quad_kinked(integrand, LARGE_JUMP_CUTOFF, spec._hi(), spec._points[0], limit=300)
     return val / decomp.lambda1
 
 
@@ -521,12 +527,13 @@ def levy_measure_of_L(spec: LevyMeasureSpec, y, d: int | None = None) -> float:
 
     lo, _ = spec.support
     hi = spec._hi()
+    kinks = [u for u in spec._points[0] if lo < u < hi]
     val, _ = _quad(
         integrand,
         lo,
         hi,
         epsabs=QUAD_ABS_TOL,
-        limit=300,
-        points=[r2, r2 / max(d, 1)] if math.isfinite(hi) else None,
+        limit=300 + len(kinks),
+        points=[r2, r2 / max(d, 1), *kinks] if math.isfinite(hi) else None,
     )
     return val

@@ -6,13 +6,16 @@ any draw:
 
 - seed blocks: 64 paths (``sde_core.SEED_BLOCK``) drawn from one generator,
   SeedSequence([master_seed, stream, first_path_index]), with one stream per
-  pipeline (``sde_core.STREAM_*``).  ``gradrep`` and ``norris`` draw their
-  seed blocks the same way, in one process.
+  pipeline (``sde_core.STREAM_*``).  ``gradrep`` draws its seed blocks the
+  same way, in one process.
 - integration bundles: contiguous runs of seed blocks that one worker task
   stacks into one padded bundle and integrates with one ``batch_flows`` call.
   ``sde_core.bundle_ranges`` sizes them: about one task per worker, each
   within a fixed memory budget for the noise and whatever the pipeline
-  records.
+  records.  A task reduces its bundle to what the pipeline keeps of it
+  (terminal states, per-path integrals, eigenvalues), and ``simulate``'s
+  tasks write their bundle's path CSVs themselves and return only the file
+  names, which the parent lists in the manifest.
 
 A path's results do not depend on its bundle, so results are bit-identical
 for any worker count; the manifest records a sha256 digest of each data file
@@ -55,7 +58,9 @@ from .diagnostics import (
     eigen_tail,
     gradient_representation_check,
     kde_density,
-    norris_joint_probability,
+    norris_bundle,
+    norris_curve,
+    norris_recorded,
     scaled_cos_field,
     NorrisParams,
 )
@@ -67,6 +72,7 @@ from .sde_core import (
     GRID_TOL,
     STREAM_DENSITY,
     STREAM_FLOWS,
+    STREAM_NORRIS,
     STREAM_SIMULATE,
     STREAM_TAILS,
     bundle_ranges,
@@ -86,11 +92,6 @@ def write_csv(path: Path, header: str, columns) -> None:
     cells = (map(repr, np.asarray(col).tolist()) for col in columns)
     lines = [header, *map(",".join, zip(*cells, strict=True))]
     path.write_text("\n".join(lines) + "\n")
-
-
-def path_csv_columns(times, S, alpha, X) -> list:
-    """The columns t, S, alpha, x1..xn of one path's CSV, copied out of the bundle."""
-    return [np.array(v) for v in (times, S, alpha, *X.T)]
 
 
 def file_digest(path: Path) -> str:
@@ -246,17 +247,21 @@ def _real_points(noise, n_steps: int) -> np.ndarray:
 
 
 def _simulate_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
-    sim = cfg.simulation
+    """Integrate the bundle and write its saved paths; returns the names of those files."""
+    sim, output = cfg.simulation, cfg.output
     res = batch_flows(model, noise, want_Q=False, want_K=False, record=True)
     sizes = _real_points(noise, sim.n_steps)
     times = np.broadcast_to(noise.times, res.alpha_path.shape)
     S = noise.clock()
-    saved = [
-        (idx, path_csv_columns(*(v[p, : sizes[p]] for v in (times, S, res.alpha_path, res.X_path))))
-        for p, idx in enumerate(range(lo, hi))
-        if cfg.output.save_paths and idx < cfg.output.max_saved_paths
-    ]
-    return res.X, sizes - sim.n_steps - 1, saved
+    header = "t,S,alpha," + ",".join(f"x{i + 1}" for i in range(model.n))
+    saved = range(lo, min(hi, output.max_saved_paths) if output.save_paths else lo)
+    names = []
+    for p, idx in enumerate(saved):
+        names.append(f"path_{idx:04d}.csv")
+        size = sizes[p]
+        columns = [times[p, :size], S[p, :size], res.alpha_path[p, :size], *res.X_path[p, :size].T]
+        write_csv(Path(output.dir) / names[-1], header, columns)
+    return res.X, sizes - sim.n_steps - 1, names
 
 
 @pipeline("simulate", "sample coupled state/regime paths and write them as CSV")
@@ -266,10 +271,7 @@ def run_simulate(cfg: RunConfig, out: OutputDir):
     results, used = _map_chunks(_simulate_chunk, STREAM_SIMULATE, cfg, model, recorded)
     terminals = np.vstack([r[0] for r in results])
     events = np.concatenate([r[1] for r in results])
-    header = "t,S,alpha," + ",".join(f"x{i + 1}" for i in range(model.n))
-    for r in results:
-        for idx, columns in r[2]:
-            write_csv(out / f"path_{idx:04d}.csv", header, columns)
+    out.files.update(name for r in results for name in r[2])  # the workers wrote these
     write_csv(
         out / "terminals.csv",
         "path," + ",".join(f"x{i + 1}" for i in range(model.n)),
@@ -403,15 +405,11 @@ def run_decompose_check(cfg: RunConfig, out: OutputDir):
     return summary, 1
 
 
-@pipeline("norris", "joint probability curve on a frozen-regime window",
-          verdict=lambda s: s["nonincreasing"])
-def run_norris(cfg: RunConfig, out: OutputDir):
-    model = cfg.model.build()
-    levy = cfg.levy.build()
-    nc = cfg.norris
+def _norris_setup(cfg: RunConfig, model):
+    """The NorrisParams and test field that cfg declares, after checking them against model."""
+    nc, sim = cfg.norris, cfg.simulation
     if nc.regime > model.rates.m0:
         raise ConfigError(f"norris.regime must lie in 1..{model.rates.m0}")
-    sim = cfg.simulation
     grid = np.linspace(0.0, sim.horizon, sim.n_steps + 1)
     for t in nc.window:
         if np.abs(grid - t).min() > GRID_TOL:
@@ -431,12 +429,22 @@ def run_norris(cfg: RunConfig, out: OutputDir):
         theta=nc.theta,
     )
     if nc.field_name == "scaled_cos":
-        fld = scaled_cos_field(model.sigma, amp=nc.amp, freq=nc.freq)
-    else:
-        fld = constant_field(model.sigma)
-    curve = norris_joint_probability(
-        model, levy, sim.horizon, sim.n_steps, params, fld, sim.n_paths, seed=cfg.seed
-    )
+        return params, scaled_cos_field(model.sigma, amp=nc.amp, freq=nc.freq)
+    return params, constant_field(model.sigma)
+
+
+def _norris_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
+    # the field's callbacks are closures, which do not pickle: the worker rebuilds them
+    return norris_bundle(model, noise, *_norris_setup(cfg, model))
+
+
+@pipeline("norris", "joint probability curve on a frozen-regime window",
+          verdict=lambda s: s["nonincreasing"])
+def run_norris(cfg: RunConfig, out: OutputDir):
+    model = cfg.model.build()
+    params, _ = _norris_setup(cfg, model)  # a bad setting exits 2 before any path is simulated
+    results, used = _map_chunks(_norris_chunk, STREAM_NORRIS, cfg, model, norris_recorded(model))
+    curve = norris_curve(params, *(np.concatenate(v) for v in zip(*results)))
     write_csv(
         out / "norris_curve.csv",
         "eps,threshold,prob,se,count",
@@ -447,7 +455,7 @@ def run_norris(cfg: RunConfig, out: OutputDir):
         "nonincreasing": curve.is_nonincreasing(),
         "probs": curve.probs.tolist(),
     }
-    return summary, 1
+    return summary, used
 
 
 @pipeline("gradrep", "residual of the first-derivative transfer identity",

@@ -6,6 +6,7 @@ whose file digests are reproducible across worker counts.
 """
 
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -295,6 +296,7 @@ def test_worker_count_does_not_change_results(tmp_path, capsys):
         "flows": {"defect_profile.csv"},
         "tails": {"tail_curve.csv"},
         "density": {"density.csv"},
+        "norris": {"norris_curve.csv"},
     }
     for command, written in files.items():
         runs = {}
@@ -555,7 +557,7 @@ def test_bundle_size_does_not_change_results(tmp_path, capsys, monkeypatch, mode
 
 
 def test_norris_window_off_the_grid_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(runner, "norris_joint_probability", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(runner, "_map_chunks", lambda *a, **k: pytest.fail("ran"))
     for window in ([0.0, 0.3], [0.25, 1.5]):
         payload = {"simulation": {"horizon": 1.0, "n_steps": 16, "n_paths": 8},
                    "norris": {"window": window}}
@@ -581,9 +583,59 @@ def test_manifest_records_workers_used(tmp_path, capsys):
     assert used("tails", 70, 8) == 2
     assert used("density", 24, 2) == 1
     assert used("flows", 70, 1) == 1
+    assert used("norris", 70, 2) == 2
     # these run in one process whatever --workers asks for
-    for command in ("norris", "hormander", "decompose-check"):
+    for command in ("hormander", "decompose-check"):
         assert used(command, 24, 2) == 1
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the wrapped write_csv reaches the workers only when they are forked",
+)
+def test_workers_write_their_own_path_files(tmp_path, capsys, monkeypatch):
+    # two seed blocks on two workers: every path file is formatted where it was simulated
+    log = tmp_path / "writes.log"
+    write_csv = runner.write_csv
+
+    def logged(path, header, columns):
+        with log.open("a") as f:
+            f.write(f"{os.getpid()} {Path(path).name}\n")
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(runner, "write_csv", logged)
+    payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=70),
+                   output={"max_saved_paths": 70})
+    out = tmp_path / "sim"
+    code, _ = run_cli(capsys, "simulate", "--config", write_config(tmp_path, payload),
+                      "--out", str(out), "--workers", "2")
+    assert code == 0
+    writes = [line.split() for line in log.read_text().splitlines()]
+    path_writers = {int(pid) for pid, name in writes if name.startswith("path_")}
+    assert len(path_writers) == 2 and os.getpid() not in path_writers
+    assert [name for _, name in writes if not name.startswith("path_")] == ["terminals.csv"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    paths = {f"path_{k:04d}.csv" for k in range(70)}
+    assert set(manifest["files"]) == paths | {"terminals.csv"}
+    assert {name for _, name in writes} == set(manifest["files"])
+
+
+def test_a_worker_os_error_is_a_usage_error(tmp_path):
+    # the second bundle's first path file cannot be written; a fresh process
+    # also shows whatever the workers print
+    payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=70),
+                   output={"max_saved_paths": 70})
+    out = tmp_path / "sim"
+    (out / "path_0065.csv").mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchsde.cli", "simulate", "--config",
+         write_config(tmp_path, payload), "--out", str(out), "--workers", "2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "path_0065.csv" in proc.stderr
 
 
 def test_manifest_records_environment_and_peak_rss(tmp_path, capsys, monkeypatch):

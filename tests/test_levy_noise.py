@@ -516,6 +516,36 @@ def test_tables_never_integrate_numerically(monkeypatch):
     assert sample_increments(spec, np.full(4, 0.25), 100, seed=2).shape == (100, 4)
 
 
+def test_table_quadrature_is_told_of_the_table_points():
+    # check_H3, xi_density and levy_measure_of_L integrate the interpolant by
+    # quadrature; given the table's points, quad sees smooth pieces and warns of
+    # nothing (this suite turns an IntegrationWarning into an error)
+    spec = _table(1e-4, 4.0, 400, lambda u: u**-1.5)
+    eps = np.geomspace(1e-1, 1e-4, 7)
+    res = check_H3(spec, theta=1.0, eps_grid=eps)
+    expected = [e**-0.5 * spec.mean_between(0.0, e) for e in eps]
+    np.testing.assert_allclose(res.values, expected, rtol=1e-8)
+    u = np.array(spec.table)[:, 0]
+
+    def piecewise(f, lo, hi):
+        cuts = np.concatenate([[lo], u[(u > lo) & (u < hi)], [hi]])
+        return sum(integrate.quad(f, a, b, epsabs=1e-14)[0] for a, b in zip(cuts[:-1], cuts[1:]))
+
+    def kernel(s):  # the d = 2 Gaussian at |y| = 1 against the table's density
+        return math.exp(-1.0 / (2.0 * s)) / (2.0 * math.pi * s) * float(spec.density_at(s))
+
+    decomp = decompose_large_jumps(spec)
+    xi = xi_density(decomp, np.array([1.0, 0.0]), d=2)
+    assert xi == pytest.approx(piecewise(kernel, 1.0, 4.0) / decomp.lambda1, rel=1e-8)
+    nu_l = levy_measure_of_L(spec, np.array([1.0, 0.0]))
+    assert nu_l == pytest.approx(piecewise(kernel, 1e-4, 4.0), rel=1e-8)
+    # a stable measure has no kinks: its probe is the plain quad call, bit for bit
+    plain = integrate.quad(
+        lambda v: 2.0 * v**3 * (v * v) ** -1.5, 0.0, 0.1, epsabs=levy_noise.QUAD_ABS_TOL, limit=200
+    )[0]
+    assert LevyMeasureSpec(alpha=1.0).mean_between_quad(0.0, 0.01) == plain
+
+
 def test_power_table_has_the_law_of_the_truncated_stable_clock():
     # the u^-1.5 table on (1e-4, 4) against the stable clock truncated at 4,
     # which draws the same measure (less the table's missing (0, 1e-4) mass)
