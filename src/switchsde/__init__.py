@@ -90,7 +90,6 @@ from .diagnostics import (
     ks_calibration,
     ks_statistic,
     negative_moment,
-    norris_bundle,
     norris_curve,
     norris_joint_probability,
     scaled_cos_field,

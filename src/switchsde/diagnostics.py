@@ -12,7 +12,7 @@ their own, as the pipelines do (see ``sde_core``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -31,7 +31,6 @@ from .sde_core import (
     PATH_TILE,
     STREAM_GRADREP,
     STREAM_NORRIS,
-    BatchFlowResult,
     BatchNoise,
     bundle_ranges,
     sample_batch_noise,
@@ -352,26 +351,22 @@ class NorrisParams:
 
 
 def window_integrals(
-    model: ModelSpec,
-    noise: BatchNoise,
-    res: BatchFlowResult,
-    params: NorrisParams,
-    fld: TestField,
+    model: ModelSpec, noise: BatchNoise, params: NorrisParams, fld: TestField
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path (I_field, I_bracket) on the frozen-regime window of a recorded bundle.
+    """Per-path (I_field, I_bracket) of one bundle on its frozen-regime window [t1, t2].
 
-    res is ``batch_flows(model, noise, record=True)``.  Each path's inverse
-    flow starts from its value at the window opening and evolves with the
-    frozen regime over the same noise; both integrands are squared
+    The bundle is integrated up to t1 with its regime events; from each
+    path's state and inverse flow there, the window is integrated again over
+    the same noise with the regime frozen.  Both integrands are squared
     projections onto the chosen direction, integrated by the trapezoid rule.
     """
     if not 1 <= params.regime <= model.rates.m0:
         raise ValueError(f"regime must lie in 1..{model.rates.m0}")
-    win, k1 = noise.window(*params.window)
-    rows = np.arange(noise.n_paths)
+    # the end padding is an exact no-op, so X and K are each path's values at t1
+    opened = batch_flows(model, noise.window(0.0, params.window[0]), want_Q=False)
+    win = replace(noise.window(*params.window), events=[])
     frozen = batch_flows(
-        model, win, x0=res.X_path[rows, k1], K0=res.K_path[rows, k1],
-        alpha0=params.regime, want_Q=False, record=True,
+        model, win, x0=opened.X, K0=opened.K, alpha0=params.regime, want_Q=False, record=True
     )
     X, a = frozen.X_path, frozen.alpha_path
     vk = np.einsum("a,pkab->pkb", params.direction, frozen.K_path)
@@ -405,17 +400,9 @@ class NorrisCurve:
 
 
 def norris_recorded(model: ModelSpec) -> int:
-    """Float64 values per path and grid point that ``norris_bundle`` keeps beside the noise:
-    X, alpha and K on the grid, and again on the window with the window's own noise."""
-    return 2 * (model.n + 1 + model.n**2) + 2 + model.d
-
-
-def norris_bundle(
-    model: ModelSpec, noise: BatchNoise, params: NorrisParams, fld: TestField
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path (I_field, I_bracket) of one bundle: its recorded run, then its window."""
-    res = batch_flows(model, noise, want_Q=False, record=True)
-    return window_integrals(model, noise, res, params, fld)
+    """Float64 values per path and grid point that ``window_integrals`` keeps beside the
+    noise: X, alpha and K on the window, and the window's own noise."""
+    return model.n + 1 + model.n**2 + 2 + model.d
 
 
 def norris_curve(params: NorrisParams, i_field, i_bracket) -> NorrisCurve:
@@ -452,7 +439,7 @@ def norris_joint_probability(
     """Monte Carlo curve eps -> P(I_bracket >= eps^q, I_field <= eps).
 
     Paths are seeded in 64-path blocks, each by its first path index, and
-    integrated by ``norris_bundle`` in bundles of contiguous blocks sized by
+    integrated by ``window_integrals`` in bundles of contiguous blocks sized by
     ``bundle_ranges``, as ``switchsde norris`` does in its workers.
     """
     if n_paths < 1:
@@ -461,7 +448,7 @@ def norris_joint_probability(
     for lo, hi in bundle_ranges(n_paths, n_steps, model.d, norris_recorded(model)):
         blocks = seed_blocks(seed, STREAM_NORRIS, lo, hi)
         noise = sample_batch_noise(model, levy, horizon, n_steps, *blocks)
-        pairs.append(norris_bundle(model, noise, params, fld))
+        pairs.append(window_integrals(model, noise, params, fld))
     return norris_curve(params, *(np.concatenate(v) for v in zip(*pairs)))
 
 
@@ -519,20 +506,19 @@ def gradient_representation_check(
     n_paths: int,
     f: Callable,
     grad_f: Callable,
-    x0=None,
     eta: float = 1e-3,
     seed: int = 0,
     truncate: bool = True,
 ) -> GradRepResult:
     """Check the derivative-transfer identity by common-random-number bundles.
 
-    Every path is simulated simultaneously from the center start and from
+    Every path is simulated simultaneously from the model's start and from
     +-eta and +-2*eta coordinate shifts, sharing noise; the same noise,
-    pairwise-merged, drives a half-resolution run.  The doubled-step and
-    doubled-increment residuals estimate the two bias components.  Paths are
-    drawn from their seed blocks and integrated in tiles of PATH_TILE; each
-    tile is reduced to per-path values, which are averaged once in path
-    order, so the result does not depend on the tiling.
+    pairwise-merged, drives a half-resolution run from the start and +-eta.
+    The doubled-step and doubled-increment residuals estimate the two bias
+    components.  Paths are drawn from their seed blocks and integrated in
+    tiles of PATH_TILE; each tile is reduced to per-path values, which are
+    averaged once in path order, so the result does not depend on the tiling.
     """
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
@@ -540,10 +526,7 @@ def gradient_representation_check(
         raise ValueError("n_steps must be even so the half-resolution run exists")
     if truncate and levy.upper_cutoff is None:
         levy = decompose_large_jumps(levy).truncated
-    if x0 is None:
-        x0 = model.x0
-    x0 = np.asarray(x0, dtype=float)
-    n = model.n
+    x0, n = model.x0, model.n
     starts = [x0]
     for scale in (eta, 2.0 * eta):
         for i in range(n):
@@ -559,7 +542,8 @@ def gradient_representation_check(
         blocks = seed_blocks(seed, STREAM_GRADREP, lo, min(lo + PATH_TILE, n_paths))
         tile = sample_batch_noise(model, levy, horizon, n_steps, *blocks)
         res = batch_flows(model, tile, x0=bundle, want_Q=False)
-        res_c = batch_flows(model, tile.coarsen(), x0=bundle, want_Q=False)
+        # the half-resolution residual reads only the center and the +-eta starts
+        res_c = batch_flows(model, tile.coarsen(), x0=bundle[: 2 * n + 1], want_Q=False)
         gf = grad_f(res.X[0])  # (tile, n)
         r_fine = gf - _gradrep_residual_rows(model, f, res.X, res.K, eta, rows_eta)
         r_wide = gf - _gradrep_residual_rows(model, f, res.X, res.K, 2.0 * eta, rows_2eta)

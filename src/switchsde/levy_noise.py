@@ -76,14 +76,24 @@ def standard_positive_stable(beta: float, size, rng: np.random.Generator) -> np.
         raise ValueError(f"stable exponent must lie in (0,1), got {beta}")
     u = rng.uniform(0.0, math.pi, size)
     e = rng.standard_exponential(size)
-    s = np.sin(beta * u)
-    # at beta = 1/2 (alpha = 1) the factor sin((1 - beta) u) is sin(beta u) itself
-    a = (
-        s ** (beta / (1.0 - beta))
-        * (s if 1.0 - beta == beta else np.sin((1.0 - beta) * u))
-        / np.sin(u) ** (1.0 / (1.0 - beta))
-    )
-    return (a / e) ** ((1.0 - beta) / beta)
+    with np.errstate(all="ignore"):
+        s = np.sin(beta * u)
+        # at beta = 1/2 (alpha = 1) the factor sin((1 - beta) u) is sin(beta u) itself
+        a = (
+            s ** (beta / (1.0 - beta))
+            * (s if 1.0 - beta == beta else np.sin((1.0 - beta) * u))
+            / np.sin(u) ** (1.0 / (1.0 - beta))
+        )
+        x = (a / e) ** ((1.0 - beta) / beta)
+        bad = ~((x > 0.0) & (x < math.inf))
+        if bad.any():  # near beta = 1 the powers of sin(u) leave the float range: take logs
+            v = u[bad]
+            beta_log_x = (  # (1 - beta) log(A / E)
+                beta * np.log(np.sin(beta * v)) - np.log(np.sin(v))
+                + (1.0 - beta) * np.log(np.sin((1.0 - beta) * v) / e[bad])
+            )
+            x[bad] = np.exp(beta_log_x / beta)
+    return x
 
 
 @dataclass(frozen=True)
@@ -371,8 +381,9 @@ def sample_increments(
 def small_jump_drift(spec: LevyMeasureSpec, delta: float | None = None) -> float:
     """Compensating drift integral(0,delta) u nu(du).
 
-    Closed form 2 delta**(1-alpha/2) / (2-alpha) for the stable kind,
-    quadrature otherwise.  A zero measure yields 0.
+    Closed form 2 delta**(1-alpha/2) / (2-alpha) for the stable kind, exact
+    for a table's piecewise-linear density and for atoms.  A zero measure
+    yields 0.
     """
     if delta is None:
         delta = spec.small_jump_cutoff

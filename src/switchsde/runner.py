@@ -49,7 +49,7 @@ try:
 except ImportError:  # no getrusage on this platform
     resource = None
 
-from . import __version__
+from . import __version__, diagnostics
 from .config import RunConfig
 from .diagnostics import (
     TAIL_SAMPLES_PER_COUNT,
@@ -58,7 +58,6 @@ from .diagnostics import (
     eigen_tail,
     gradient_representation_check,
     kde_density,
-    norris_bundle,
     norris_curve,
     norris_recorded,
     scaled_cos_field,
@@ -434,8 +433,9 @@ def _norris_setup(cfg: RunConfig, model):
 
 
 def _norris_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
-    # the field's callbacks are closures, which do not pickle: the worker rebuilds them
-    return norris_bundle(model, noise, *_norris_setup(cfg, model))
+    # the field's callbacks are closures, which do not pickle: the worker rebuilds them;
+    # looked up on the module so that a tracer's wrapper covers it
+    return diagnostics.window_integrals(model, noise, *_norris_setup(cfg, model))
 
 
 @pipeline("norris", "joint probability curve on a frozen-regime window",

@@ -16,7 +16,7 @@ its event time; the grids of a bundle are padded at the end with zero-length
 steps (dt = 0, dS = 0), which are exact no-ops, and a bundle without events
 shares one uniform grid.  A bundle's noise with ``batch_flows(record=True)``
 is the one path record: perturbed runs re-integrate the same noise with a
-shift, and ``BatchNoise.window`` cuts it to a frozen-regime window.  The loop
+shift, and ``BatchNoise.window`` slices it in time, keeping its events.  The loop
 holds the state components-first, as (n, ..., paths), and updates it in
 place: x += b dt, x += sigma dw, x += shift, each a ufunc pass into
 preallocated buffers, with the drift and its Jacobian called on the same
@@ -170,28 +170,30 @@ class BatchNoise:
         """The subordinator S at every grid point, (P, K+1): S_0 = 0, S = cumsum(dS)."""
         return np.concatenate([np.zeros((self.n_paths, 1)), np.cumsum(self.dS, axis=1)], axis=1)
 
-    def window(self, t1: float, t2: float) -> tuple["BatchNoise", np.ndarray]:
-        """Each path's noise over [t1, t2] without its events, and each path's index of t1.
+    def window(self, t1: float, t2: float) -> "BatchNoise":
+        """Each path's noise over [t1, t2] and its events in (t1, t2], re-indexed from its t1.
 
         Windows shorter than the longest are padded at the end with
-        zero-length steps; t1 and t2 must be grid points of every path.
+        zero-length steps; t1 and t2 must be grid points of every path, and
+        t1 = t2 gives zero steps.
         """
-        if not 0 <= t1 < t2:
-            raise ValueError(f"need 0 <= t1 < t2, got {(t1, t2)}")
+        if not 0 <= t1 <= t2:
+            raise ValueError(f"need 0 <= t1 <= t2, got {(t1, t2)}")
         times = np.broadcast_to(self.times, (self.n_paths, self.times.shape[-1]))
         k1, k2 = (_index_at(times, t) for t in (t1, t2))
+        lo, hi = k1.tolist(), k2.tolist()
         offsets = np.arange((k2 - k1).max() + 1)
         cols = np.minimum(k1[:, None] + offsets, k2[:, None])  # (P, W+1)
         rows = np.arange(self.n_paths)[:, None]
         live = cols[:, :-1] < cols[:, 1:]
         steps = np.minimum(cols[:, :-1], self.dS.shape[1] - 1)
-        win = BatchNoise(
+        return BatchNoise(
             times=times[rows, cols] if self.times.ndim == 2 else self.times[cols[0]],
             dS=np.where(live, self.dS[rows, steps], 0.0),
             normals=np.where(live[..., None], self.normals[rows, steps], 0.0),
             n_paths=self.n_paths,
+            events=[(p, j - lo[p], mark) for p, j, mark in self.events if lo[p] < j <= hi[p]],
         )
-        return win, k1
 
 
 def _index_at(times: np.ndarray, t: float, tol: float = GRID_TOL) -> np.ndarray:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchsde import ConfigError, RunConfig, runner, sde_core
+from switchsde import ConfigError, RunConfig, norris_joint_probability, runner, sde_core
 from switchsde.cli import build_parser, main
 
 SMALL = {
@@ -554,6 +554,34 @@ def test_bundle_size_does_not_change_results(tmp_path, capsys, monkeypatch, mode
             }
     for command in commands:
         assert runs["one", command] and runs["one", command] == runs["all", command], command
+
+
+def test_norris_writes_the_library_curve(tmp_path, capsys):
+    # the window integrals of the workers' bundles, reduced by the parent, are the
+    # curve norris_joint_probability gives at the same seed, at one or two workers
+    payload = dict(
+        SMALL,
+        model={"name": "two_regime_linear", "params": {"state_dependent": True}},
+        simulation=dict(SMALL["simulation"], n_paths=70),
+        norris={"window": [0.125, 0.375], "regime": 2, "amp": 6.0, "eps_grid": [0.3, 0.25, 0.2]},
+    )
+    cfg = RunConfig.from_dict(payload)
+    model, sim = cfg.model.build(), cfg.simulation
+    params, fld = runner._norris_setup(cfg, model)
+    curve = norris_joint_probability(
+        model, cfg.levy.build(), sim.horizon, sim.n_steps, params, fld, sim.n_paths, cfg.seed
+    )
+    assert 0 < curve.counts.min() < curve.counts.max() < sim.n_paths
+    for workers in (1, 2):
+        out = tmp_path / f"norris_{workers}"
+        code, stdout = run_cli(
+            capsys, "norris", "--config", write_config(tmp_path, payload),
+            "--out", str(out), "--workers", str(workers),
+        )
+        assert code in (0, 1) and stdout["summary"]["probs"] == curve.probs.tolist()
+        cols = np.loadtxt(out / "norris_curve.csv", delimiter=",", skiprows=1, ndmin=2).T
+        for col, ref in zip(cols, (curve.eps, curve.thresholds, curve.probs, curve.se, curve.counts)):
+            assert col.tobytes() == ref.astype(float).tobytes()
 
 
 def test_norris_window_off_the_grid_is_a_usage_error(tmp_path, capsys, monkeypatch):

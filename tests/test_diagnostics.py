@@ -242,11 +242,10 @@ def test_norris_params_validation():
 
 
 def _window_integrals(model, horizon, n_steps, seed, params, fld):
-    """Window integrals of one recorded path, with its noise and record."""
+    """Window integrals of one path, with its noise."""
     noise = sample_batch_noise(model, LEVY, horizon, n_steps, 1, seed)
-    base = batch_flows(model, noise, want_Q=False, record=True)
-    (i_field,), (i_bracket,) = window_integrals(model, noise, base, params, fld)
-    return i_field, i_bracket, noise, base
+    (i_field,), (i_bracket,) = window_integrals(model, noise, params, fld)
+    return i_field, i_bracket, noise
 
 
 def test_window_integrals_exact_on_degenerate_pair():
@@ -257,7 +256,7 @@ def test_window_integrals_exact_on_degenerate_pair():
         window=(0.0, 0.5), regime=1, direction=[1.0, 0.0], eps_grid=[0.1]
     )
     fld = constant_field(model.sigma)
-    i_field, i_bracket, _, _ = _window_integrals(model, 0.5, 64, 6, params, fld)
+    i_field, i_bracket, _ = _window_integrals(model, 0.5, 64, 6, params, fld)
     assert i_bracket == pytest.approx(0.5, abs=1e-12)
     assert i_field == pytest.approx(0.5**3 / 3.0, rel=1e-3)
 
@@ -268,7 +267,7 @@ def test_window_integrals_zero_drift():
         window=(0.0, 0.5), regime=1, direction=[0.0, 1.0], eps_grid=[0.1]
     )
     fld = constant_field(model.sigma)
-    i_field, i_bracket, _, _ = _window_integrals(model, 0.5, 32, 2, params, fld)
+    i_field, i_bracket, _ = _window_integrals(model, 0.5, 32, 2, params, fld)
     assert i_bracket == 0.0
     assert i_field == pytest.approx(0.5, abs=1e-12)
 
@@ -281,7 +280,8 @@ def test_window_integrals_opening_after_zero():
         window=(0.25, 0.75), regime=2, direction=[1.0, 0.0], eps_grid=[0.1]
     )
     fld = scaled_cos_field(model.sigma)
-    i_field, i_bracket, noise, base = _window_integrals(model, 1.0, 64, 5, params, fld)
+    i_field, i_bracket, noise = _window_integrals(model, 1.0, 64, 5, params, fld)
+    base = batch_flows(model, noise, want_Q=False, record=True)
     times, X, alpha = noise.times[0], base.X_path[0], base.alpha_path[0]
     k1, k2 = np.searchsorted(times, [0.25, 0.75])
     assert times[k1] == 0.25 and times[k2] == 0.75
@@ -306,6 +306,45 @@ def test_window_integrals_opening_after_zero():
     t = times[k1 : k2 + 1]
     assert i_field == pytest.approx(np.trapezoid(y_field, t), rel=1e-12)
     assert i_bracket == pytest.approx(np.trapezoid(y_bracket, t), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model, t1",
+    [(make_two_regime_linear(switch_rate=3.0, state_dependent=True), 0.25), (make_kalman(), 0.0)],
+    ids=["two_regime_linear_state", "kalman"],
+)
+def test_window_integrals_equal_the_recorded_base_recipe(model, t1):
+    # reference: the whole horizon recorded, then the frozen window integrated from
+    # each path's recorded X and K at t1; opening the window by integrating up to
+    # t1 gives every path's integrals bit for bit
+    noise = sample_batch_noise(
+        model, LEVY, 1.0, 64, *sde_core.seed_blocks(3, sde_core.STREAM_NORRIS, 0, 100)
+    )
+    params = NorrisParams(
+        window=(t1, t1 + 0.5), regime=model.rates.m0, direction=[1.0, 0.0], eps_grid=[0.1]
+    )
+    fld = scaled_cos_field(model.sigma)
+    base = batch_flows(model, noise, want_Q=False, record=True)
+    times = np.broadcast_to(noise.times, (noise.n_paths, noise.times.shape[-1]))
+    rows, k1 = np.arange(noise.n_paths), np.argmax(np.abs(times - t1) <= 1e-10, axis=1)
+    if t1 > 0:  # per-path grids, and some paths switch before the window opens
+        assert noise.times.ndim == 2 and any(0 < j <= k1[p] for p, j, _ in noise.events)
+    win = replace(noise.window(*params.window), events=[])
+    frozen = batch_flows(
+        model, win, x0=base.X_path[rows, k1], K0=base.K_path[rows, k1],
+        alpha0=params.regime, want_Q=False, record=True,
+    )
+    X, a = frozen.X_path, frozen.alpha_path
+    vk = np.einsum("a,pkab->pkb", params.direction, frozen.K_path)
+    dt = np.diff(np.broadcast_to(win.times, a.shape), axis=1)
+
+    def trapezoid(w):
+        y = np.sum(np.einsum("pkb,pkbv->pkv", vk, w) ** 2, axis=-1)
+        return np.cumsum(dt * (y[:, 1:] + y[:, :-1]) / 2.0, axis=1)[:, -1]
+
+    want = trapezoid(fld.value(X, a)), trapezoid(drift_field_bracket(model, fld, X, a))
+    for got, ref in zip(window_integrals(model, noise, params, fld), want):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_norris_curve_monotonicity_rule():
@@ -378,6 +417,23 @@ def test_gradient_representation_quick():
         gradient_representation_check(
             model, LEVY, 1.0, 63, 100, f=lambda x: x[:, 0], grad_f=lambda x: x
         )
+
+
+def test_gradient_representation_coarse_run_integrates_the_starts_it_reads(monkeypatch):
+    # the half-resolution residual reads the center and the +-eta starts only
+    model, calls = make_kalman(), []
+
+    def spy(model, noise, x0=None, **kw):
+        calls.append((noise.dS.shape[1], np.shape(x0)))
+        return batch_flows(model, noise, x0=x0, **kw)
+
+    monkeypatch.setattr(diagnostics, "batch_flows", spy)
+    w = np.array([1.0, 0.7])
+    gradient_representation_check(
+        model, LEVY, 1.0, 16, 100, f=lambda x: np.sin(x @ w),
+        grad_f=lambda x: np.cos(x @ w)[:, None] * w, seed=2,
+    )
+    assert calls == [(16, (9, 1, 2)), (8, (5, 1, 2))]
 
 
 @pytest.mark.parametrize(

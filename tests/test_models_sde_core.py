@@ -171,7 +171,7 @@ def test_grid_building_and_lookup():
     assert times.tobytes() == expect.tobytes()
     # a window opens at an event time and closes at the horizon, not between grid points
     for j in index:
-        assert one.window(times[j], 1.0)[1].tolist() == [j]
+        assert one.window(times[j], 1.0).times[0].tobytes() == times[j:].tobytes()
     with pytest.raises(DataError):
         one.window(0.5 * (times[1] + times[2]), 1.0)
     # a bundle pads every path's refined grid with repeats of the horizon
@@ -280,11 +280,17 @@ def test_perturbed_path_rejects_wrong_direction_width():
         perturbation_shift(model, noise, constant_direction([1.0], upto=1.0))
 
 
+def _index_of(noise, t):
+    """Each path's first grid index at time t."""
+    times = np.broadcast_to(noise.times, (noise.n_paths, noise.times.shape[-1]))
+    return np.argmax(np.abs(times - t) <= 1e-10, axis=1)
+
+
 def test_frozen_regime_window():
     model = make_two_regime_linear()
     noise, base, times = _one_path(model, LEVY, 32, 11)
-    win, k1 = noise.window(0.25, 0.75)
-    (k1,) = k1
+    win = replace(noise.window(0.25, 0.75), events=[])
+    (k1,) = _index_of(noise, 0.25)
     frozen = batch_flows(
         model, win, x0=base.X_path[:, k1], K0=base.K_path[:, k1], alpha0=2, record=True
     )
@@ -304,7 +310,7 @@ def test_frozen_regime_window():
         noise.window(0.25, 0.3)  # 0.3 is not on the grid of step 1/32
     params = NorrisParams(window=(0.0, 0.5), regime=5, direction=[1.0, 0.0], eps_grid=[0.1])
     with pytest.raises(ValueError):
-        window_integrals(model, noise, base, params, scaled_cos_field(model.sigma))
+        window_integrals(model, noise, params, scaled_cos_field(model.sigma))
 
 
 def test_window_of_a_switching_bundle_slices_each_path():
@@ -313,7 +319,7 @@ def test_window_of_a_switching_bundle_slices_each_path():
     noise = sample_batch_noise(model, LEVY, 1.0, 32, 6, seed=5)
     counts = np.bincount([p for p, _, _ in noise.events], minlength=6)
     assert len(set(counts.tolist())) > 1
-    win, k1 = noise.window(0.25, 0.75)
+    win, k1 = noise.window(0.25, 0.75), _index_of(noise, 0.25)
     width = win.dS.shape[1]
     for p in range(6):
         row = noise.times[p]
@@ -329,7 +335,17 @@ def test_window_of_a_switching_bundle_slices_each_path():
     assert width == max(
         int(np.flatnonzero(np.abs(noise.times[p] - 0.75) <= 1e-10)[0]) - k1[p] for p in range(6)
     )
-    assert win.events == []
+    # each path keeps its events in (t1, t2], re-indexed from its t1, at the same times
+    k2 = _index_of(noise, 0.75)
+    kept = [(p, j - k1[p], mark) for p, j, mark in noise.events if k1[p] < j <= k2[p]]
+    assert win.events == kept and 0 < len(kept) < len(noise.events)
+    for p, j, _ in win.events:
+        assert 0 < j <= k2[p] - k1[p] and win.times[p, j] == noise.times[p, j + k1[p]]
+    # a window of zero length has zero steps and no events
+    empty = noise.window(0.5, 0.5)
+    assert empty.dS.shape == (6, 0) and empty.normals.shape == (6, 0, model.d)
+    assert np.all(empty.times == 0.5) and empty.times.shape == (6, 1) and empty.events == []
+    assert batch_flows(model, empty).X.tobytes() == np.broadcast_to(model.x0, (6, 2)).tobytes()
 
 
 def test_overflow_raises_numeric_error():
@@ -775,12 +791,8 @@ def test_zero_length_padding_is_an_exact_no_op(family, steps, extra, slot, seed)
         window=(0.0, 1.0), regime=model.rates.m0, direction=np.ones(model.n), eps_grid=[0.1]
     )
     fld = scaled_cos_field(model.sigma)
-    one = window_integrals(
-        model, alone, batch_flows(model, alone, x0=starts[slot : slot + 1], **kw), params, fld
-    )
-    many = window_integrals(
-        model, bundle, batch_flows(model, bundle, x0=starts, **kw), params, fld
-    )
+    one = window_integrals(model, alone, params, fld)
+    many = window_integrals(model, bundle, params, fld)
     for a, b in zip(one, many):
         assert a[0].tobytes() == b[slot].tobytes()
 
@@ -828,7 +840,7 @@ def test_affine_fast_path_equals_callbacks(family, grid, n_starts, want_J, want_
     if grid == "window":
         # a base bundle and its frozen window, which starts from per-path K0
         noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 3, seed)
-        win, k1 = noise.window(0.25, 0.75)
+        win, k1 = replace(noise.window(0.25, 0.75), events=[]), _index_of(noise, 0.25)
         regime = int(rng.integers(1, model.rates.m0 + 1))
         runs = []
         for spec in (model, slow):
