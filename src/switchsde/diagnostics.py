@@ -447,8 +447,12 @@ def norris_joint_probability(
     pairs = []
     for lo, hi in bundle_ranges(n_paths, n_steps, model.d, norris_recorded(model)):
         blocks = seed_blocks(seed, STREAM_NORRIS, lo, hi)
-        noise = sample_batch_noise(model, levy, horizon, n_steps, *blocks)
-        pairs.append(window_integrals(model, noise, params, fld))
+        # each bundle goes straight into the call, so no bundle outlives it
+        pairs.append(
+            window_integrals(
+                model, sample_batch_noise(model, levy, horizon, n_steps, *blocks), params, fld
+            )
+        )
     return norris_curve(params, *(np.concatenate(v) for v in zip(*pairs)))
 
 
@@ -517,8 +521,9 @@ def gradient_representation_check(
     pairwise-merged, drives a half-resolution run from the start and +-eta.
     The doubled-step and doubled-increment residuals estimate the two bias
     components.  Paths are drawn from their seed blocks and integrated in
-    tiles of PATH_TILE; each tile is reduced to per-path values, which are
-    averaged once in path order, so the result does not depend on the tiling.
+    tiles of PATH_TILE, one tile's noise and its half-resolution copy held at
+    a time; each tile is reduced to per-path values, which are averaged once
+    in path order, so the result does not depend on the tiling.
     """
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
@@ -537,10 +542,8 @@ def gradient_representation_check(
     rows_eta = [(1 + 2 * i, 2 + 2 * i) for i in range(n)]
     rows_2eta = [(1 + 2 * n + 2 * i, 2 + 2 * n + 2 * i) for i in range(n)]
 
-    parts = []  # per tile: gf and the fine, wide and coarse residuals
-    for lo in range(0, n_paths, PATH_TILE):
-        blocks = seed_blocks(seed, STREAM_GRADREP, lo, min(lo + PATH_TILE, n_paths))
-        tile = sample_batch_noise(model, levy, horizon, n_steps, *blocks)
+    def per_path(tile):
+        """gf and the fine, wide and coarse residuals of one freshly drawn tile's paths."""
         res = batch_flows(model, tile, x0=bundle, want_Q=False)
         # the half-resolution residual reads only the center and the +-eta starts
         res_c = batch_flows(model, tile.coarsen(), x0=bundle[: 2 * n + 1], want_Q=False)
@@ -549,7 +552,13 @@ def gradient_representation_check(
         r_wide = gf - _gradrep_residual_rows(model, f, res.X, res.K, 2.0 * eta, rows_2eta)
         gf_c = grad_f(res_c.X[0])
         r_coarse = gf_c - _gradrep_residual_rows(model, f, res_c.X, res_c.K, eta, rows_eta)
-        parts.append((gf, r_fine, r_wide, r_coarse))
+        return gf, r_fine, r_wide, r_coarse
+
+    # each tile goes straight into per_path, so no tile outlives its call
+    parts = []
+    for lo in range(0, n_paths, PATH_TILE):
+        blocks = seed_blocks(seed, STREAM_GRADREP, lo, min(lo + PATH_TILE, n_paths))
+        parts.append(per_path(sample_batch_noise(model, levy, horizon, n_steps, *blocks)))
     # the per-path values averaged once, in path order
     gf, r_fine, r_wide, r_coarse = (np.concatenate(v) for v in zip(*parts))
     mean_r = r_fine.mean(axis=0)

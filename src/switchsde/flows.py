@@ -222,7 +222,8 @@ def sample_covariances(
     """Monte Carlo draws of Q_horizon, shape (n_paths, n, n).
 
     The paths are drawn from their seed blocks on STREAM_TAILS, the draws of
-    ``switchsde tails`` at the same seed, and integrated in tiles of PATH_TILE.
+    ``switchsde tails`` at the same seed, and integrated in tiles of PATH_TILE,
+    one tile's noise held at a time.
     """
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
@@ -230,6 +231,8 @@ def sample_covariances(
     for lo in range(0, n_paths, PATH_TILE):
         hi = min(lo + PATH_TILE, n_paths)
         blocks = seed_blocks(seed, STREAM_TAILS, lo, hi)
-        noise = sample_batch_noise(model, levy, horizon, n_steps, *blocks)
-        out[lo:hi] = batch_flows(model, noise, want_Q=True).Q
+        # each tile goes straight into batch_flows, so no tile outlives its call
+        out[lo:hi] = batch_flows(
+            model, sample_batch_noise(model, levy, horizon, n_steps, *blocks), want_Q=True
+        ).Q
     return out

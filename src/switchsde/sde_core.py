@@ -45,6 +45,9 @@ memory (BUNDLE_BYTES) and by the number of tasks wanted.
 ``gradient_representation_check`` and ``sample_covariances`` instead walk
 their paths in tiles of PATH_TILE rows, each tile one bundle of its seed
 blocks, so one call's state stays in cache and memory scales with a tile.
+They hold one tile's noise at a time; gradrep also holds that tile's
+half-resolution copy, which ``BatchNoise.coarsen`` forms by merging step
+pairs one seed block of rows at a time.
 
 Alignment rule: padding is an exact no-op and rows never mix, and a path's
 results do not depend on which run of rows integrated it, provided that the
@@ -145,18 +148,26 @@ class BatchNoise:
     def coarsen(self) -> "BatchNoise":
         """Merge adjacent step pairs into one step of the same driver path.
 
-        An event at fine grid index j takes effect at coarse index ceil(j/2).
+        The merged normal is (sqrt(dS_even) Z_even + sqrt(dS_odd) Z_odd) /
+        sqrt(dS_even + dS_odd), and 0 where the merged step has no clock.  It
+        is formed one SEED_BLOCK of rows at a time into the returned array, so
+        no temporary is larger than a block's.  An event at fine grid index j
+        takes effect at coarse index ceil(j/2).
         """
         k = self.dS.shape[1]
         if k % 2:
             raise DataError("coarsening needs an even number of steps")
         d2 = self.dS[:, 0::2] + self.dS[:, 1::2]
-        num = (
-            np.sqrt(self.dS[:, 0::2])[..., None] * self.normals[:, 0::2]
-            + np.sqrt(self.dS[:, 1::2])[..., None] * self.normals[:, 1::2]
-        )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            z2 = np.where(d2[..., None] > 0, num / np.sqrt(d2)[..., None], 0.0)
+        z2 = np.empty(d2.shape + self.normals.shape[2:])
+        for lo in range(0, d2.shape[0], SEED_BLOCK):
+            rows = slice(lo, lo + SEED_BLOCK)
+            dS, z, m = self.dS[rows], self.normals[rows], d2[rows]
+            num = (
+                np.sqrt(dS[:, 0::2])[..., None] * z[:, 0::2]
+                + np.sqrt(dS[:, 1::2])[..., None] * z[:, 1::2]
+            )
+            with np.errstate(invalid="ignore", divide="ignore"):
+                z2[rows] = np.where(m[..., None] > 0, num / np.sqrt(m)[..., None], 0.0)
         events = [(p, (j + 1) // 2, mark) for p, j, mark in self.events]
         return BatchNoise(self.times[..., 0::2], d2, z2, self.n_paths, events)
 

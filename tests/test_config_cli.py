@@ -352,6 +352,27 @@ def test_decompose_check(tmp_path, capsys):
     assert detail["h3_c_theta"] == pytest.approx(2.0, rel=1e-6)
 
 
+def test_decompose_check_fails_h3_on_every_table(tmp_path, capsys):
+    # a table has no mass below its first point, so the H3 probe at eps = 1e-4
+    # reads 0 and the verdict is tends_to_zero, although the u^-1.5 law it
+    # tabulates satisfies H3; the split-rebuild KS test still passes
+    u = np.geomspace(1e-4, 4.0, 400)
+    table = tmp_path / "measure.csv"
+    np.savetxt(table, np.column_stack([u, u**-1.5]), delimiter=",", header="u,density")
+    payload = json.loads((ROOT / "configs" / "kalman.json").read_text())
+    payload["levy"] = {"kind": "tabulated", "table": str(table)}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "dec"
+    code, report = run_cli(
+        capsys, "decompose-check", "--config", cfg, "--paths", "2000", "--out", str(out)
+    )
+    assert code == 1
+    assert report["summary"]["h3_verdict"] == "tends_to_zero"
+    assert report["summary"]["ks_pvalue"] >= 0.01
+    detail = json.loads((out / "decomposition.json").read_text())
+    assert detail["h3_values"][-1] == 0.0
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "absent.json")])
     assert code == 2

@@ -550,21 +550,34 @@ def test_monte_carlo_loops_reject_zero_paths(run, n_paths):
         run(n_paths)
 
 
+def _traced_peak(call):
+    """Peak bytes that tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_gradient_representation_memory_scales_with_a_tile():
-    # kalman at 512 steps: one tile's noise, flows and per-path values, about
-    # 37 MB whether 8000 paths (the benchmark's gradrep size) or 20000
+    # kalman at 512 steps: one tile's noise (17 MB), its half-resolution copy,
+    # the flows and the per-path values, about 30 MB whether 8000 paths (the
+    # benchmark's gradrep size) or 20000; a previous tile still held while the
+    # next is drawn would read 37 MB
     w = np.array([1.0, 0.7])
+    levy = LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0)
     for n_paths in (8000, 20000):
-        tracemalloc.start()
-        try:
-            gradient_representation_check(
-                make_kalman(), LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0), 1.0, 512, n_paths,
-                f=lambda x: np.sin(x @ w), grad_f=lambda x: np.cos(x @ w)[:, None] * w,
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 45e6, n_paths
+        peak = _traced_peak(lambda: gradient_representation_check(
+            make_kalman(), levy, 1.0, 512, n_paths,
+            f=lambda x: np.sin(x @ w), grad_f=lambda x: np.cos(x @ w)[:, None] * w,
+        ))
+        assert peak <= 33e6, n_paths
+    # sin_bounded at 8192 paths x 256 steps: one tile's noise is 17 MB and the
+    # call peaks at about 24 MB; a previous tile still held would read 41 MB
+    model = make_sin_bounded()
+    peak = _traced_peak(lambda: sample_covariances(model, levy, 1.0, 256, 8192, seed=5))
+    assert peak <= 30e6
 
 
 # -- kernel density ------------------------------------------------------------

@@ -692,9 +692,12 @@ def test_batch_frozen_regime_and_broadcast_start():
 )
 @example(family="zero_drift", n_steps=16, n_paths=5, seed=23)
 @example(family="two_regime_linear", n_steps=16, n_paths=1, seed=0)  # 19 refined steps
+@example(family="two_regime_linear", n_steps=16, n_paths=130, seed=4)  # 2 blocks and 2 rows, padded
 def test_coarsen_preserves_driver_increments(family, n_steps, n_paths, seed):
     # on shared and on refined per-path grids, merged step pairs carry the
-    # same clock and driver increments, and events move to ceil(j / 2)
+    # same clock and driver increments, and events move to ceil(j / 2); the
+    # merged normals, formed one seed block of rows at a time, keep every bit
+    # of the whole-bundle expression
     model = PADDING_MODELS[family]
     noise = sample_batch_noise(model, LEVY, 1.0, n_steps, n_paths, seed=seed)
     steps = noise.dS.shape[1]
@@ -707,7 +710,13 @@ def test_coarsen_preserves_driver_increments(family, n_steps, n_paths, seed):
     assert half.dS.shape == (n_paths, steps // 2)
     assert half.times.tobytes() == noise.times[..., ::2].tobytes()
     assert half.dS.tobytes() == (noise.dS[:, ::2] + noise.dS[:, 1::2]).tobytes()
-    fine = np.sqrt(noise.dS)[..., None] * noise.normals
+    dS, z = noise.dS, noise.normals
+    d2 = dS[:, 0::2] + dS[:, 1::2]
+    num = np.sqrt(dS[:, 0::2])[..., None] * z[:, 0::2] + np.sqrt(dS[:, 1::2])[..., None] * z[:, 1::2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        whole = np.where(d2[..., None] > 0, num / np.sqrt(d2)[..., None], 0.0)
+    assert half.normals.tobytes() == whole.tobytes()
+    fine = np.sqrt(dS)[..., None] * z
     merged = fine[:, 0::2] + fine[:, 1::2]
     np.testing.assert_allclose(
         np.sqrt(half.dS)[..., None] * half.normals, merged, rtol=1e-12, atol=1e-14
