@@ -18,14 +18,12 @@ from .levy_noise import (
     as_rng,
     check_H3,
     decompose_large_jumps,
-    levy_measure_of_L,
     load_tabulated_csv,
     sample_increments,
     sample_xi,
     small_jump_drift,
     stable_laplace_coefficient,
     standard_positive_stable,
-    xi_density,
 )
 from .switching import (
     RateMatrixSpec,

@@ -6,13 +6,14 @@ tail curves, the small-time joint-probability curve for the time-change
 lemma, the integration-by-parts residual for first derivatives, and a kernel
 density smoother.  Each check reports the estimate together with the
 uncertainty it was judged against; nothing returns a bare boolean.  The
-Monte Carlo loops draw their paths from 64-path seed blocks on streams of
-their own, as the pipelines do (see ``sde_core``).
+Monte Carlo checks run on ``sde_core.map_bundles``, as the pipelines do, and
+draw their paths from 64-path seed blocks on streams of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -26,15 +27,14 @@ from .levy_noise import (
     sample_increments,
     sample_xi,
 )
-from .models import ModelSpec
+from .models import ModelSpec, Rebuilt, recorded
+from . import sde_core
 from .sde_core import (
     PATH_TILE,
     STREAM_GRADREP,
     STREAM_NORRIS,
     BatchNoise,
     bundle_ranges,
-    sample_batch_noise,
-    seed_blocks,
 )
 
 
@@ -260,19 +260,22 @@ def eigen_tail(
 
 
 @dataclass
-class TestField:
+class TestField(Rebuilt):
     """Matrix test field V(x, i) with an analytic spatial Jacobian.
 
     value(x, a) -> (..., n, dv); jac(x, a) -> (..., n, n, dv) with
-    [..., c, r, k] = d V_{r k} / d x_c.
+    [..., c, r, k] = d V_{r k} / d x_c.  A field from ``constant_field`` or
+    ``scaled_cos_field`` pickles as that call.
     """
 
     name: str
     dv: int
     value: Callable
     jac: Callable
+    recipe: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
 
+@recorded
 def constant_field(matrix) -> TestField:
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     n, dv = m.shape
@@ -288,6 +291,7 @@ def constant_field(matrix) -> TestField:
     return TestField(name="constant", dv=dv, value=value, jac=jac)
 
 
+@recorded
 def scaled_cos_field(base, amp: float = 1.0, freq: float = 3.0) -> TestField:
     """V(x, i) = amp * cos(freq * x_0) * base; oscillates against the drift."""
     m = np.atleast_2d(np.asarray(base, dtype=float))
@@ -435,25 +439,27 @@ def norris_joint_probability(
     fld: TestField,
     n_paths: int,
     seed: int = 0,
+    workers: int = 1,
 ) -> NorrisCurve:
     """Monte Carlo curve eps -> P(I_bracket >= eps^q, I_field <= eps).
 
     Paths are seeded in 64-path blocks, each by its first path index, and
     integrated by ``window_integrals`` in bundles of contiguous blocks sized by
-    ``bundle_ranges``, as ``switchsde norris`` does in its workers.
+    ``bundle_ranges``, on up to `workers` processes (``map_bundles``); this is
+    what ``switchsde norris`` runs.
     """
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
-    pairs = []
-    for lo, hi in bundle_ranges(n_paths, n_steps, model.d, norris_recorded(model)):
-        blocks = seed_blocks(seed, STREAM_NORRIS, lo, hi)
-        # each bundle goes straight into the call, so no bundle outlives it
-        pairs.append(
-            window_integrals(
-                model, sample_batch_noise(model, levy, horizon, n_steps, *blocks), params, fld
-            )
-        )
+    ranges = bundle_ranges(n_paths, n_steps, model.d, norris_recorded(model), tasks=workers)
+    body = partial(_window_bundle, model, params, fld)
+    pairs, _ = sde_core.map_bundles(
+        body, model, levy, horizon, n_steps, seed, STREAM_NORRIS, ranges, workers
+    )
     return norris_curve(params, *(np.concatenate(v) for v in zip(*pairs)))
+
+
+def _window_bundle(model, params, fld, noise, lo, hi):
+    return window_integrals(model, noise, params, fld)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +508,22 @@ def _gradrep_residual_rows(model, f, x_all, k_all, eta, rows):
     return r  # (P, n); caller subtracts from the gradient term
 
 
+def _gradrep_tile(model, f, grad_f, eta, bundle, tile, lo, hi):
+    """gf and the fine, wide and coarse residuals of one freshly drawn tile's paths."""
+    n = model.n
+    rows_eta = [(1 + 2 * i, 2 + 2 * i) for i in range(n)]
+    rows_2eta = [(1 + 2 * n + 2 * i, 2 + 2 * n + 2 * i) for i in range(n)]
+    res = batch_flows(model, tile, x0=bundle, want_Q=False)
+    # the half-resolution residual reads only the center and the +-eta starts
+    res_c = batch_flows(model, tile.coarsen(), x0=bundle[: 2 * n + 1], want_Q=False)
+    gf = grad_f(res.X[0])  # (tile, n)
+    r_fine = gf - _gradrep_residual_rows(model, f, res.X, res.K, eta, rows_eta)
+    r_wide = gf - _gradrep_residual_rows(model, f, res.X, res.K, 2.0 * eta, rows_2eta)
+    gf_c = grad_f(res_c.X[0])
+    r_coarse = gf_c - _gradrep_residual_rows(model, f, res_c.X, res_c.K, eta, rows_eta)
+    return gf, r_fine, r_wide, r_coarse
+
+
 def gradient_representation_check(
     model: ModelSpec,
     levy: LevyMeasureSpec,
@@ -513,6 +535,7 @@ def gradient_representation_check(
     eta: float = 1e-3,
     seed: int = 0,
     truncate: bool = True,
+    workers: int = 1,
 ) -> GradRepResult:
     """Check the derivative-transfer identity by common-random-number bundles.
 
@@ -521,9 +544,11 @@ def gradient_representation_check(
     pairwise-merged, drives a half-resolution run from the start and +-eta.
     The doubled-step and doubled-increment residuals estimate the two bias
     components.  Paths are drawn from their seed blocks and integrated in
-    tiles of PATH_TILE, one tile's noise and its half-resolution copy held at
-    a time; each tile is reduced to per-path values, which are averaged once
-    in path order, so the result does not depend on the tiling.
+    tiles of PATH_TILE on up to `workers` processes (``map_bundles``), each
+    holding one tile's noise and its half-resolution copy at a time; each
+    tile is reduced to per-path values, which are averaged once in path
+    order, so the result depends on neither the tiling nor the workers.
+    f and grad_f must pickle for the tiles to leave this process.
     """
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
@@ -531,34 +556,14 @@ def gradient_representation_check(
         raise ValueError("n_steps must be even so the half-resolution run exists")
     if truncate and levy.upper_cutoff is None:
         levy = decompose_large_jumps(levy).truncated
-    x0, n = model.x0, model.n
-    starts = [x0]
-    for scale in (eta, 2.0 * eta):
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = scale
-            starts.extend([x0 + e, x0 - e])
-    bundle = np.stack(starts)[:, None, :]  # (4n+1, 1, n)
-    rows_eta = [(1 + 2 * i, 2 + 2 * i) for i in range(n)]
-    rows_2eta = [(1 + 2 * n + 2 * i, 2 + 2 * n + 2 * i) for i in range(n)]
-
-    def per_path(tile):
-        """gf and the fine, wide and coarse residuals of one freshly drawn tile's paths."""
-        res = batch_flows(model, tile, x0=bundle, want_Q=False)
-        # the half-resolution residual reads only the center and the +-eta starts
-        res_c = batch_flows(model, tile.coarsen(), x0=bundle[: 2 * n + 1], want_Q=False)
-        gf = grad_f(res.X[0])  # (tile, n)
-        r_fine = gf - _gradrep_residual_rows(model, f, res.X, res.K, eta, rows_eta)
-        r_wide = gf - _gradrep_residual_rows(model, f, res.X, res.K, 2.0 * eta, rows_2eta)
-        gf_c = grad_f(res_c.X[0])
-        r_coarse = gf_c - _gradrep_residual_rows(model, f, res_c.X, res_c.K, eta, rows_eta)
-        return gf, r_fine, r_wide, r_coarse
-
-    # each tile goes straight into per_path, so no tile outlives its call
-    parts = []
-    for lo in range(0, n_paths, PATH_TILE):
-        blocks = seed_blocks(seed, STREAM_GRADREP, lo, min(lo + PATH_TILE, n_paths))
-        parts.append(per_path(sample_batch_noise(model, levy, horizon, n_steps, *blocks)))
+    x0 = model.x0
+    shifts = [scale * e for scale in (eta, 2.0 * eta) for e in np.eye(model.n)]
+    bundle = np.stack([x0] + [x for h in shifts for x in (x0 + h, x0 - h)])[:, None, :]
+    tiles = [(lo, min(lo + PATH_TILE, n_paths)) for lo in range(0, n_paths, PATH_TILE)]
+    body = partial(_gradrep_tile, model, f, grad_f, eta, bundle)
+    parts, _ = sde_core.map_bundles(
+        body, model, levy, horizon, n_steps, seed, STREAM_GRADREP, tiles, workers
+    )
     # the per-path values averaged once, in path order
     gf, r_fine, r_wide, r_coarse = (np.concatenate(v) for v in zip(*parts))
     mean_r = r_fine.mean(axis=0)

@@ -20,8 +20,8 @@ Stieltjes sums
     Q_t = sum_k K_{t_k} sigma sigma^T K_{t_k}^T dS_k,      M_t = J_t Q_t J_t^T,
 
 which ``batch_flows(want_Q=True, record=True)`` returns at every grid point;
-``sample_covariances`` draws Q_T over many paths, on the seed blocks that
-``switchsde tails`` reads at the same seed.
+``sample_covariances`` draws Q_T over many paths, as ``switchsde tails``
+does by calling it.
 For drift-free models K = I and M_t = S_t I (sigma = I), which the tests pin
 to floating-point accuracy.  The directional derivative D of the state with
 respect to a Cameron-Martin shift h of the Brownian layer satisfies the same
@@ -33,21 +33,21 @@ path of the bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import DataError, UnsupportedConfigError
 from .levy_noise import LevyMeasureSpec
 from .models import ModelSpec
+from . import sde_core
 from .sde_core import (
-    PATH_TILE,
     STREAM_TAILS,
     BatchFlowResult,
     BatchNoise,
     PerturbationSpec,
     batch_flows,
-    sample_batch_noise,
-    seed_blocks,
+    bundle_ranges,
 )
 
 
@@ -218,21 +218,24 @@ def sample_covariances(
     n_steps: int,
     n_paths: int,
     seed: int,
+    workers: int = 1,
 ) -> np.ndarray:
     """Monte Carlo draws of Q_horizon, shape (n_paths, n, n).
 
-    The paths are drawn from their seed blocks on STREAM_TAILS, the draws of
-    ``switchsde tails`` at the same seed, and integrated in tiles of PATH_TILE,
-    one tile's noise held at a time.
+    The paths are drawn from their seed blocks on STREAM_TAILS and integrated
+    in the bundles of ``switchsde tails`` (``bundle_ranges``), so at the same
+    seed these are the covariances it reads; the bundles run on up to
+    `workers` processes (``map_bundles``).
     """
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
-    out = np.empty((n_paths, model.n, model.n))
-    for lo in range(0, n_paths, PATH_TILE):
-        hi = min(lo + PATH_TILE, n_paths)
-        blocks = seed_blocks(seed, STREAM_TAILS, lo, hi)
-        # each tile goes straight into batch_flows, so no tile outlives its call
-        out[lo:hi] = batch_flows(
-            model, sample_batch_noise(model, levy, horizon, n_steps, *blocks), want_Q=True
-        ).Q
-    return out
+    ranges = bundle_ranges(n_paths, n_steps, model.d, tasks=workers)
+    body = partial(_terminal_covariance, model)
+    parts, _ = sde_core.map_bundles(
+        body, model, levy, horizon, n_steps, seed, STREAM_TAILS, ranges, workers
+    )
+    return np.concatenate(parts)
+
+
+def _terminal_covariance(model: ModelSpec, noise: BatchNoise, lo: int, hi: int) -> np.ndarray:
+    return batch_flows(model, noise, want_Q=True).Q

@@ -491,60 +491,3 @@ def sample_xi(
         s = s[0]
     return (xi, s) if return_mixing else xi
 
-
-def xi_density(decomp: DecompositionSpec, y, d: int) -> float:
-    """Density of xi at |y|: (1/lambda1) integral(1,inf) (2 pi s)^(-d/2) e^(-|y|^2/2s) nu(ds)."""
-    r2 = float(np.dot(np.atleast_1d(y), np.atleast_1d(y)))
-    spec = decomp.original
-
-    def integrand(s):
-        return (
-            (2.0 * math.pi * s) ** (-d / 2.0)
-            * math.exp(-r2 / (2.0 * s))
-            * float(spec.density_at(np.asarray(s)))
-        )
-
-    val = _quad_kinked(integrand, LARGE_JUMP_CUTOFF, spec._hi(), spec._points[0], limit=300)
-    return val / decomp.lambda1
-
-
-def levy_measure_of_L(spec: LevyMeasureSpec, y, d: int | None = None) -> float:
-    """Density of the Levy measure of the subordinated driver L = W o S at y.
-
-    nu_L(y) = integral(0,inf) (2 pi s)^(-d/2) exp(-|y|^2 / 2s) nu_S(ds); the
-    result depends on y only through |y| and is strictly positive for y != 0.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if d is None:
-        d = y.size
-    r2 = float(np.dot(y, y))
-    if r2 == 0.0:
-        raise ValueError("nu_L diverges at the origin; evaluate at y != 0")
-
-    if spec.kind == "atoms":
-        total = 0.0
-        hi = spec._hi()
-        for s, w in spec.atoms:
-            if s <= hi:
-                total += w * (2.0 * math.pi * s) ** (-d / 2.0) * math.exp(-r2 / (2.0 * s))
-        return total
-
-    def integrand(s):
-        if spec.kind == "stable":
-            dens = s ** (-(1.0 + spec.alpha / 2.0))
-        else:
-            dens = float(spec.density_at(s))
-        return (2.0 * math.pi * s) ** (-d / 2.0) * math.exp(-r2 / (2.0 * s)) * dens
-
-    lo, _ = spec.support
-    hi = spec._hi()
-    kinks = [u for u in spec._points[0] if lo < u < hi]
-    val, _ = _quad(
-        integrand,
-        lo,
-        hi,
-        epsabs=QUAD_ABS_TOL,
-        limit=300 + len(kinks),
-        points=[r2, r2 / max(d, 1), *kinks] if math.isfinite(hi) else None,
-    )
-    return val

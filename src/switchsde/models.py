@@ -34,6 +34,7 @@ Built-in families (registered by name):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,8 +46,35 @@ from .switching import RateMatrixSpec, constant_rates, no_switching, sigmoid_two
 FD_STEP_SCALE = 1e-5
 
 
+class Rebuilt:
+    """A spec that pickles as the builder call that made it, when one did.
+
+    Its callbacks are closures, which do not pickle; the builder called again
+    on the same arguments makes them anew, with the same bits.  ``recipe`` is
+    an init=False field, which ``dataclasses.replace`` does not copy, so a
+    changed spec pickles its own fields, or does not pickle.
+    """
+
+    def __reduce_ex__(self, protocol):
+        if self.recipe is None:
+            return super().__reduce_ex__(protocol)
+        return self.recipe, ()
+
+
+def recorded(builder):
+    """builder, with each spec it returns recording the call as its recipe."""
+
+    @functools.wraps(builder)
+    def build(*args, **kwargs):
+        spec = builder(*args, **kwargs)
+        spec.recipe = functools.partial(build, *args, **kwargs)
+        return spec
+
+    return build
+
+
 @dataclass
-class ModelSpec:
+class ModelSpec(Rebuilt):
     """Coefficients of one regime-switching SDE.
 
     drift(x, a) takes x components-first, (n, ...), and returns b in the same
@@ -59,6 +87,7 @@ class ModelSpec:
     Jacobian over all (x, regime).  affine = (mats (m0, n, n), shifts (m0, n)),
     when set, states that b(x, i) = mats[i-1] x + shifts[i-1]; the step loop
     then evolves the flows once per regime path instead of once per start.
+    A spec from a built-in builder pickles as that builder's call (``Rebuilt``).
     """
 
     name: str
@@ -72,8 +101,8 @@ class ModelSpec:
     drift_derivs: Callable | None = None
     x0: np.ndarray = None
     alpha0: int = 1
-    params: dict = field(default_factory=dict)
     affine: tuple | None = None
+    recipe: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
@@ -147,6 +176,7 @@ def _regime_index(a):
 # zero drift
 
 
+@recorded
 def make_zero_drift(n: int = 1, d: int | None = None, sigma=None, x0=None) -> ModelSpec:
     if d is None:
         d = n
@@ -174,7 +204,6 @@ def make_zero_drift(n: int = 1, d: int | None = None, sigma=None, x0=None) -> Mo
         drift_derivs=derivs,
         grad_bound=0.0,
         x0=x0,
-        params={"n": n, "d": d},
         affine=(np.zeros((1, n, n)), np.zeros((1, n))),
     )
 
@@ -248,6 +277,7 @@ def _linear_callbacks(mats: np.ndarray, shifts: np.ndarray):
     return drift, jac, derivs
 
 
+@recorded
 def make_linear(
     mats,
     shifts=None,
@@ -291,11 +321,11 @@ def make_linear(
         grad_bound=bound,
         x0=x0,
         alpha0=alpha0,
-        params={"mats": mats.tolist(), "shifts": shifts.tolist()},
         affine=(mats, shifts),
     )
 
 
+@recorded
 def make_kalman(x0=None) -> ModelSpec:
     """Canonical degenerate pair: b(x) = [[0,1],[0,0]] x, sigma = (0,1)^T.
 
@@ -311,6 +341,7 @@ def make_kalman(x0=None) -> ModelSpec:
 # smooth bounded drift
 
 
+@recorded
 def make_sin_bounded(
     n: int = 2,
     d: int | None = None,
@@ -382,7 +413,6 @@ def make_sin_bounded(
         grad_bound=float(np.max(np.abs(amp * freq))),
         x0=x0,
         alpha0=alpha0,
-        params={"amp": amp.tolist(), "freq": freq.tolist()},
     )
 
 
@@ -390,6 +420,7 @@ def make_sin_bounded(
 # two-regime linear with switching
 
 
+@recorded
 def make_two_regime_linear(
     mats=None,
     shifts=None,

@@ -6,16 +6,19 @@ any draw:
 
 - seed blocks: 64 paths (``sde_core.SEED_BLOCK``) drawn from one generator,
   SeedSequence([master_seed, stream, first_path_index]), with one stream per
-  pipeline (``sde_core.STREAM_*``).  ``gradrep`` draws its seed blocks the
-  same way, in one process.
+  pipeline (``sde_core.STREAM_*``).
 - integration bundles: contiguous runs of seed blocks that one worker task
   stacks into one padded bundle and integrates with one ``batch_flows`` call.
   ``sde_core.bundle_ranges`` sizes them: about one task per worker, each
   within a fixed memory budget for the noise and whatever the pipeline
-  records.  A task reduces its bundle to what the pipeline keeps of it
-  (terminal states, per-path integrals, eigenvalues), and ``simulate``'s
-  tasks write their bundle's path CSVs themselves and return only the file
-  names, which the parent lists in the manifest.
+  records; ``gradrep`` takes tiles of ``sde_core.PATH_TILE`` paths instead.
+  ``sde_core.map_bundles`` runs the tasks on --workers processes.  A task
+  reduces its bundle to what the pipeline keeps of it (terminal states,
+  per-path integrals, covariances, residuals), and ``simulate``'s tasks
+  write their bundle's path CSVs themselves and return only the file names,
+  which the parent lists in the manifest.  ``tails``, ``norris`` and
+  ``gradrep`` run the library's ``sample_covariances``,
+  ``norris_joint_probability`` and ``gradient_representation_check``.
 
 A path's results do not depend on its bundle, so results are bit-identical
 for any worker count; the manifest records a sha256 digest of each data file
@@ -36,9 +39,9 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -49,7 +52,7 @@ try:
 except ImportError:  # no getrusage on this platform
     resource = None
 
-from . import __version__, diagnostics
+from . import __version__, sde_core
 from .config import RunConfig
 from .diagnostics import (
     TAIL_SAMPLES_PER_COUNT,
@@ -58,25 +61,28 @@ from .diagnostics import (
     eigen_tail,
     gradient_representation_check,
     kde_density,
-    norris_curve,
+    norris_joint_probability,
     norris_recorded,
     scaled_cos_field,
     NorrisParams,
 )
 from .errors import ConfigError
-from .flows import batch_flows, exp_bound_excess, product_defect, product_defect_tolerance
+from .flows import (
+    batch_flows,
+    exp_bound_excess,
+    product_defect,
+    product_defect_tolerance,
+    sample_covariances,
+)
 from .hormander import estimate_kappa1
 from .levy_noise import check_H3, decompose_large_jumps
 from .sde_core import (
     GRID_TOL,
+    PATH_TILE,
     STREAM_DENSITY,
     STREAM_FLOWS,
-    STREAM_NORRIS,
     STREAM_SIMULATE,
-    STREAM_TAILS,
     bundle_ranges,
-    sample_batch_noise,
-    seed_blocks,
 )
 
 # the variables that set the thread counts of BLAS and OpenMP
@@ -210,33 +216,17 @@ def _chunk_ranges(cfg: RunConfig, d: int, recorded: int):
     return bundle_ranges(sim.n_paths, sim.n_steps, d, recorded, tasks=cfg.workers)
 
 
-def _run_chunk(body, stream: int, cfg_dict: dict, lo: int, hi: int):
-    """Rebuild the run inside the worker and hand body the noise of paths lo..hi-1.
-
-    That noise is their seed blocks of the given stream, stacked into one bundle.
-    """
-    cfg = RunConfig.from_dict(cfg_dict)
-    model, sim = cfg.model.build(), cfg.simulation
-    noise = sample_batch_noise(
-        model, cfg.levy.build(), sim.horizon, sim.n_steps, *seed_blocks(cfg.seed, stream, lo, hi)
-    )
-    return body(cfg, model, noise, lo, hi)
-
-
-def _map_chunks(body, stream: int, cfg: RunConfig, model, recorded: int = 0):
-    """Run body over the bundles; returns its results in path order and the workers used.
+def _map(body, stream: int, cfg: RunConfig, model, recorded: int = 0):
+    """body(noise, lo, hi) over the run's bundles; its results in path order and the workers used.
 
     recorded counts the float64 values per path and grid point that body keeps
     beside the noise, which sizes the bundles.
     """
-    ranges = _chunk_ranges(cfg, model.d, recorded)
-    cfg_dict = cfg.to_dict()
-    used = min(cfg.workers, len(ranges))
-    if used <= 1:
-        return [_run_chunk(body, stream, cfg_dict, lo, hi) for lo, hi in ranges], 1
-    with ProcessPoolExecutor(max_workers=used) as pool:
-        futures = [pool.submit(_run_chunk, body, stream, cfg_dict, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures], used
+    sim, ranges = cfg.simulation, _chunk_ranges(cfg, model.d, recorded)
+    return sde_core.map_bundles(  # looked up on the module, so a stand-in covers every caller
+        body, model, cfg.levy.build(), sim.horizon, sim.n_steps, cfg.seed, stream, ranges,
+        cfg.workers,
+    )
 
 
 def _real_points(noise, n_steps: int) -> np.ndarray:
@@ -245,11 +235,10 @@ def _real_points(noise, n_steps: int) -> np.ndarray:
     return n_steps + 1 + counts
 
 
-def _simulate_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
+def _simulate_bundle(model, n_steps: int, output, noise, lo: int, hi: int):
     """Integrate the bundle and write its saved paths; returns the names of those files."""
-    sim, output = cfg.simulation, cfg.output
     res = batch_flows(model, noise, want_Q=False, want_K=False, record=True)
-    sizes = _real_points(noise, sim.n_steps)
+    sizes = _real_points(noise, n_steps)
     times = np.broadcast_to(noise.times, res.alpha_path.shape)
     S = noise.clock()
     header = "t,S,alpha," + ",".join(f"x{i + 1}" for i in range(model.n))
@@ -260,14 +249,15 @@ def _simulate_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
         size = sizes[p]
         columns = [times[p, :size], S[p, :size], res.alpha_path[p, :size], *res.X_path[p, :size].T]
         write_csv(Path(output.dir) / names[-1], header, columns)
-    return res.X, sizes - sim.n_steps - 1, names
+    return res.X, sizes - n_steps - 1, names
 
 
 @pipeline("simulate", "sample coupled state/regime paths and write them as CSV")
 def run_simulate(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
     recorded = model.n + 1  # X and alpha at every grid point
-    results, used = _map_chunks(_simulate_chunk, STREAM_SIMULATE, cfg, model, recorded)
+    body = partial(_simulate_bundle, model, cfg.simulation.n_steps, cfg.output)
+    results, used = _map(body, STREAM_SIMULATE, cfg, model, recorded)
     terminals = np.vstack([r[0] for r in results])
     events = np.concatenate([r[1] for r in results])
     out.files.update(name for r in results for name in r[2])  # the workers wrote these
@@ -285,8 +275,7 @@ def run_simulate(cfg: RunConfig, out: OutputDir):
     return summary, used
 
 
-def _flows_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
-    sim = cfg.simulation
+def _flows_bundle(model, n_steps: int, noise, lo: int, hi: int):
     res = batch_flows(model, noise, want_J=True, want_Q=True, record=True)
     # padded steps repeat the last J, K and t, so maxima over the grid are unchanged
     defects = product_defect(res.J_path, res.K_path)  # (P, K+1)
@@ -294,7 +283,7 @@ def _flows_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
     min_eig = np.linalg.eigvalsh(res.Q)[:, 0].min()
     profile = None
     if lo == 0:
-        size = _real_points(noise, sim.n_steps)[0]
+        size = _real_points(noise, n_steps)[0]
         profile = [np.atleast_2d(noise.times)[0, :size], defects[0, :size]]
     return defects.max(), excess, min_eig, profile
 
@@ -305,7 +294,8 @@ def run_flows(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
     sim = cfg.simulation
     recorded = model.n + 1 + 3 * model.n**2  # X, alpha, J, K and Q at every grid point
-    results, used = _map_chunks(_flows_chunk, STREAM_FLOWS, cfg, model, recorded)
+    body = partial(_flows_bundle, model, sim.n_steps)
+    results, used = _map(body, STREAM_FLOWS, cfg, model, recorded)
     defects, excesses, min_eigs, profiles = zip(*results)
     write_csv(out / "defect_profile.csv", "t,defect", profiles[0])
     tol = product_defect_tolerance(model.n, model.grad_bound, sim.horizon, sim.grid_step)
@@ -343,11 +333,6 @@ def run_hormander(cfg: RunConfig, out: OutputDir):
     return summary, 1
 
 
-def _covariance_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
-    res = batch_flows(model, noise, want_Q=True)
-    return (np.linalg.eigvalsh(res.Q)[:, 0],)
-
-
 @pipeline("tails", "tail curve of the smallest reduced-covariance eigenvalue",
           verdict=lambda s: s["decaying"])
 def run_tails(cfg: RunConfig, out: OutputDir):
@@ -357,8 +342,11 @@ def run_tails(cfg: RunConfig, out: OutputDir):
             f"tails needs simulation.n_paths >= {TAIL_SAMPLES_PER_COUNT} * tails.min_count "
             f"= {need}, got {cfg.simulation.n_paths}"
         )
-    results, used = _map_chunks(_covariance_chunk, STREAM_TAILS, cfg, cfg.model.build())
-    lam = np.concatenate([r[0] for r in results])
+    model, sim = cfg.model.build(), cfg.simulation
+    Q = sample_covariances(
+        model, cfg.levy.build(), sim.horizon, sim.n_steps, sim.n_paths, cfg.seed, cfg.workers
+    )
+    lam = np.linalg.eigvalsh(Q)[:, 0]
     curve = eigen_tail(
         lam,
         n_thresholds=cfg.tails.n_thresholds,
@@ -376,7 +364,8 @@ def run_tails(cfg: RunConfig, out: OutputDir):
         "slope_stderr": curve.slope_stderr,
         "decaying": curve.is_decaying(),
     }
-    return summary, used
+    # the processes sample_covariances ran its bundles on: a config's specs always pickle
+    return summary, min(cfg.workers, len(_chunk_ranges(cfg, model.d, 0)))
 
 
 @pipeline("decompose-check", "verify the large-jump split and the small-jump scaling probe",
@@ -432,19 +421,15 @@ def _norris_setup(cfg: RunConfig, model):
     return params, constant_field(model.sigma)
 
 
-def _norris_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
-    # the field's callbacks are closures, which do not pickle: the worker rebuilds them;
-    # looked up on the module so that a tracer's wrapper covers it
-    return diagnostics.window_integrals(model, noise, *_norris_setup(cfg, model))
-
-
 @pipeline("norris", "joint probability curve on a frozen-regime window",
           verdict=lambda s: s["nonincreasing"])
 def run_norris(cfg: RunConfig, out: OutputDir):
-    model = cfg.model.build()
-    params, _ = _norris_setup(cfg, model)  # a bad setting exits 2 before any path is simulated
-    results, used = _map_chunks(_norris_chunk, STREAM_NORRIS, cfg, model, norris_recorded(model))
-    curve = norris_curve(params, *(np.concatenate(v) for v in zip(*results)))
+    model, sim = cfg.model.build(), cfg.simulation
+    params, fld = _norris_setup(cfg, model)  # a bad setting exits 2 before any path is simulated
+    curve = norris_joint_probability(
+        model, cfg.levy.build(), sim.horizon, sim.n_steps, params, fld, sim.n_paths, cfg.seed,
+        cfg.workers,
+    )
     write_csv(
         out / "norris_curve.csv",
         "eps,threshold,prob,se,count",
@@ -455,7 +440,8 @@ def run_norris(cfg: RunConfig, out: OutputDir):
         "nonincreasing": curve.is_nonincreasing(),
         "probs": curve.probs.tolist(),
     }
-    return summary, used
+    # the processes norris_joint_probability ran its bundles on: a config's specs always pickle
+    return summary, min(cfg.workers, len(_chunk_ranges(cfg, model.d, norris_recorded(model))))
 
 
 @pipeline("gradrep", "residual of the first-derivative transfer identity",
@@ -476,32 +462,28 @@ def run_gradrep(cfg: RunConfig, out: OutputDir):
     if cfg.simulation.n_steps % 2:
         raise ConfigError("gradrep needs an even simulation.n_steps for its half-resolution run")
 
-    def f(x):
-        return np.sin(x @ w)
-
-    def grad_f(x):
-        return np.cos(x @ w)[..., None] * w
-
+    sim, gr = cfg.simulation, cfg.gradrep
+    f, grad_f = partial(_sin_of_projection, w), partial(_sin_of_projection_grad, w)
     res = gradient_representation_check(
-        model,
-        levy,
-        cfg.simulation.horizon,
-        cfg.simulation.n_steps,
-        cfg.simulation.n_paths,
-        f,
-        grad_f,
-        eta=cfg.gradrep.eta,
-        seed=cfg.seed,
-        truncate=cfg.gradrep.truncate,
+        model, levy, sim.horizon, sim.n_steps, sim.n_paths, f, grad_f,
+        eta=gr.eta, seed=cfg.seed, truncate=gr.truncate, workers=cfg.workers,
     )
     summary = {"max_ratio": res.max_ratio(), "passes": res.passes()}
     write_json(out / "gradrep.json", dict(vars(res), **summary))
-    return summary, 1
+    # the processes its PATH_TILE tiles ran on: a config's specs, f and grad_f always pickle
+    return summary, min(cfg.workers, -(-sim.n_paths // PATH_TILE))
 
 
-def _density_chunk(cfg: RunConfig, model, noise, lo: int, hi: int):
-    res = batch_flows(model, noise, want_Q=False, want_K=False)
-    return (res.X[..., cfg.density.component],)
+def _sin_of_projection(w, x):
+    return np.sin(x @ w)
+
+
+def _sin_of_projection_grad(w, x):
+    return np.cos(x @ w)[..., None] * w
+
+
+def _density_bundle(model, component: int, noise, lo: int, hi: int):
+    return batch_flows(model, noise, want_Q=False, want_K=False).X[..., component]
 
 
 @pipeline("density", "kernel density of one terminal state component")
@@ -509,8 +491,9 @@ def run_density(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
     if cfg.density.component >= model.n:
         raise ConfigError(f"density.component must be below {model.n}")
-    results, used = _map_chunks(_density_chunk, STREAM_DENSITY, cfg, model)
-    vals = np.concatenate([r[0] for r in results])
+    body = partial(_density_bundle, model, cfg.density.component)
+    results, used = _map(body, STREAM_DENSITY, cfg, model)
+    vals = np.concatenate(results)
     est = kde_density(vals, n_grid=cfg.density.n_grid, bandwidth=cfg.density.bandwidth)
     write_csv(
         out / "density.csv",

@@ -42,12 +42,12 @@ loops that share a stream, such as ``switchsde tails`` and
 a contiguous run of seed blocks that ``sample_batch_noise`` stacks into one
 padded bundle for one ``batch_flows`` call; ``bundle_ranges`` sizes it by
 memory (BUNDLE_BYTES) and by the number of tasks wanted.
-``gradient_representation_check`` and ``sample_covariances`` instead walk
-their paths in tiles of PATH_TILE rows, each tile one bundle of its seed
-blocks, so one call's state stays in cache and memory scales with a tile.
-They hold one tile's noise at a time; gradrep also holds that tile's
-half-resolution copy, which ``BatchNoise.coarsen`` forms by merging step
-pairs one seed block of rows at a time.
+``gradient_representation_check`` instead takes tiles of PATH_TILE rows, so
+its state stays in cache, plus each tile's half-resolution copy, which
+``BatchNoise.coarsen`` merges one seed block of rows at a time.
+``map_bundles`` is the one Monte Carlo loop, for the pipelines and the
+library alike: it hands each range's fresh noise to a body, on --workers
+processes when the body pickles (a built-in spec pickles as its builder's call).
 
 Alignment rule: padding is an exact no-op and rows never mix, and a path's
 results do not depend on which run of rows integrated it, provided that the
@@ -60,7 +60,9 @@ bundles and path tiles all start at multiples of SEED_BLOCK.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -73,7 +75,7 @@ OVERFLOW_GUARD = 1e12
 GRID_TOL = 1e-10  # a time within this of a grid point is that grid point
 SEED_BLOCK = 64  # paths per generator, see the module docstring
 BUNDLE_BYTES = 4 << 20  # noise plus recorded paths held by one integration bundle
-PATH_TILE = 32 * SEED_BLOCK  # paths per tile in gradient_representation_check and sample_covariances
+PATH_TILE = 32 * SEED_BLOCK  # paths per tile in gradient_representation_check
 NOISE_PANEL = 64  # steps of driver increments batch_flows forms at a time
 
 
@@ -247,6 +249,34 @@ def bundle_ranges(
     return [
         (b * SEED_BLOCK, min((b + size) * SEED_BLOCK, n_paths)) for b in range(0, blocks, size)
     ]
+
+
+def map_bundles(body, model, levy, horizon, n_steps, seed, stream, ranges, workers=1):
+    """body(noise, lo, hi) over the path ranges: its results in path order, and the processes used.
+
+    Each range's noise, its seed blocks on stream, is drawn fresh and passed straight
+    into body, so no earlier bundle is referenced while the next is drawn.  With
+    workers > 1 and two or more ranges, the ranges run on a process pool opened and
+    closed in this call, provided body, model and levy pickle; otherwise, here.
+    """
+    task = partial(_run_bundle, body, model, levy, horizon, n_steps, seed, stream)
+    used = min(workers, len(ranges))
+    if used > 1:
+        try:
+            pickle.dumps(task)
+        except (pickle.PicklingError, AttributeError, TypeError):  # say, a closure: run here
+            used = 1
+    if used <= 1:
+        return [task(lo, hi) for lo, hi in ranges], 1
+    from concurrent.futures import ProcessPoolExecutor  # slow to import; most runs use none
+
+    with ProcessPoolExecutor(max_workers=used) as pool:
+        return list(pool.map(task, *zip(*ranges))), used
+
+
+def _run_bundle(body, model, levy, horizon, n_steps, seed, stream, lo, hi):
+    blocks = seed_blocks(seed, stream, lo, hi)
+    return body(sample_batch_noise(model, levy, horizon, n_steps, *blocks), lo, hi)
 
 
 def _block_grid(model: ModelSpec, grid: np.ndarray, n_paths: int, rng):

@@ -7,7 +7,9 @@ targets are written out as literals with their derivation in a comment.
 """
 
 import math
+import pickle
 import time
+from functools import partial
 
 import numpy as np
 
@@ -276,20 +278,31 @@ def test_ac11_joint_window_curve():
     )
 
 
+def _sin_projection(w, x):
+    return np.sin(x @ w)
+
+
+def _sin_projection_grad(w, x):
+    return np.cos(x @ w)[:, None] * w
+
+
 def test_ac12_derivative_transfer_identity():
     details = []
     ok = True
     for model in (make_zero_drift(n=2, d=2), make_kalman()):
         w = np.array([1.0, 0.7])
+        f, grad_f = partial(_sin_projection, w), partial(_sin_projection_grad, w)
+        pickle.dumps((model, f, grad_f))  # so the tiles run on both workers
         res = gradient_representation_check(
             model,
             LEVY,
             horizon=1.0,
             n_steps=512,
             n_paths=100_000,
-            f=lambda x: np.sin(x @ w),
-            grad_f=lambda x: np.cos(x @ w)[:, None] * w,
+            f=f,
+            grad_f=grad_f,
             seed=0,
+            workers=2,
         )
         ok = ok and res.passes(z=3.0)
         details.append(f"{model.name}: max |residual|/budget = {res.max_ratio():.2f}")

@@ -289,16 +289,21 @@ def test_simulate_writes_paths_and_manifest(tmp_path, capsys):
 
 
 def test_worker_count_does_not_change_results(tmp_path, capsys):
-    payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=70))
-    cfg = write_config(tmp_path, payload)
+    # 70 paths are two seed blocks; gradrep's 2100 paths are two PATH_TILE tiles
+    def paths(n, name):
+        payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=n))
+        return write_config(tmp_path, payload, name)
+
+    two_blocks, two_tiles = paths(70, "blocks.json"), paths(2100, "tiles.json")
     files = {
-        "simulate": {"terminals.csv"} | {f"path_{k:04d}.csv" for k in range(3)},
-        "flows": {"defect_profile.csv"},
-        "tails": {"tail_curve.csv"},
-        "density": {"density.csv"},
-        "norris": {"norris_curve.csv"},
+        "simulate": (two_blocks, {"terminals.csv"} | {f"path_{k:04d}.csv" for k in range(3)}),
+        "flows": (two_blocks, {"defect_profile.csv"}),
+        "tails": (two_blocks, {"tail_curve.csv"}),
+        "density": (two_blocks, {"density.csv"}),
+        "norris": (two_blocks, {"norris_curve.csv"}),
+        "gradrep": (two_tiles, {"gradrep.json"}),
     }
-    for command, written in files.items():
+    for command, (cfg, written) in files.items():
         runs = {}
         for workers in (1, 2):
             out = tmp_path / f"{command}_w{workers}"
@@ -309,8 +314,8 @@ def test_worker_count_does_not_change_results(tmp_path, capsys):
             assert code == 0
             manifest = json.loads((out / "manifest.json").read_text())
             digests = {k: v["sha256"] for k, v in manifest["files"].items()}
-            runs[workers] = (digests, manifest["summary"])
-        assert runs[1] == runs[2]
+            runs[workers] = (digests, manifest["summary"], manifest["workers_used"])
+        assert runs[1][:2] == runs[2][:2] and runs[2][2] == 2
         assert set(runs[1][0]) == written
 
 
@@ -520,7 +525,7 @@ def test_gradrep_rejects_state_dependent_rates_before_simulating(tmp_path, capsy
 
 def test_tails_rejects_too_few_paths_before_simulating(tmp_path, capsys, monkeypatch):
     # SMALL's 24 paths are fewer than 10 * tails.min_count = 50 samples for a tail curve
-    monkeypatch.setattr(runner, "sample_batch_noise", lambda *a, **k: pytest.fail("simulated"))
+    monkeypatch.setattr(sde_core, "map_bundles", lambda *a, **k: pytest.fail("simulated"))
     cfg = write_config(tmp_path, SMALL)
     assert main(["tails", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
     out = capsys.readouterr()
@@ -606,7 +611,7 @@ def test_norris_writes_the_library_curve(tmp_path, capsys):
 
 
 def test_norris_window_off_the_grid_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(runner, "_map_chunks", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(sde_core, "map_bundles", lambda *a, **k: pytest.fail("ran"))
     for window in ([0.0, 0.3], [0.25, 1.5]):
         payload = {"simulation": {"horizon": 1.0, "n_steps": 16, "n_paths": 8},
                    "norris": {"window": window}}
@@ -633,6 +638,7 @@ def test_manifest_records_workers_used(tmp_path, capsys):
     assert used("density", 24, 2) == 1
     assert used("flows", 70, 1) == 1
     assert used("norris", 70, 2) == 2
+    assert used("gradrep", 2100, 2) == 2
     # these run in one process whatever --workers asks for
     for command in ("hormander", "decompose-check"):
         assert used(command, 24, 2) == 1

@@ -43,7 +43,7 @@ from switchsde import (
     wilson_interval,
     window_integrals,
 )
-from switchsde import diagnostics, flows, runner, sde_core
+from switchsde import diagnostics, runner, sde_core
 from switchsde.flows import sample_covariances
 
 LEVY = LevyMeasureSpec(alpha=1.0)
@@ -463,8 +463,9 @@ def test_gradient_representation_affine_path_is_bitwise(model):
     ids=lambda m: m.name,
 )
 def test_tiles_of_one_seed_block_change_no_bit(model, monkeypatch):
-    # 330 paths in one tile of 2048 or in six tiles of 64: every gradrep field
-    # and every covariance draw keeps its bits
+    # 330 paths in one gradrep tile of 2048 or in six tiles of 64, and in one
+    # covariance bundle or six of one seed block: every gradrep field and every
+    # covariance draw keeps its bits
     w = np.array([1.0, 0.7])
     gradrep = dict(
         horizon=1.0,
@@ -484,11 +485,11 @@ def test_tiles_of_one_seed_block_change_no_bit(model, monkeypatch):
         return noise
 
     runs = {}
-    for tile in (sde_core.PATH_TILE, sde_core.SEED_BLOCK):
+    for tile, budget in ((sde_core.PATH_TILE, sde_core.BUNDLE_BYTES), (sde_core.SEED_BLOCK, 0)):
         with monkeypatch.context() as m:
-            for mod in (diagnostics, flows):
-                m.setattr(mod, "PATH_TILE", tile)
-                m.setattr(mod, "sample_batch_noise", spy)
+            m.setattr(diagnostics, "PATH_TILE", tile)
+            m.setattr(sde_core, "BUNDLE_BYTES", budget)
+            m.setattr(sde_core, "sample_batch_noise", spy)
             runs[tile] = (
                 gradient_representation_check(model, LEVY, **gradrep),
                 sample_covariances(model, levy, 1.0, 16, 330, seed=9),
@@ -573,11 +574,12 @@ def test_gradient_representation_memory_scales_with_a_tile():
             f=lambda x: np.sin(x @ w), grad_f=lambda x: np.cos(x @ w)[:, None] * w,
         ))
         assert peak <= 33e6, n_paths
-    # sin_bounded at 8192 paths x 256 steps: one tile's noise is 17 MB and the
-    # call peaks at about 24 MB; a previous tile still held would read 41 MB
+    # sin_bounded at 8192 paths x 256 steps, in the 512-path bundles of
+    # bundle_ranges: one bundle's noise is 3.1 MB and the call peaks at about
+    # 7.3 MB; a previous bundle still held would read 11.8 MB
     model = make_sin_bounded()
     peak = _traced_peak(lambda: sample_covariances(model, levy, 1.0, 256, 8192, seed=5))
-    assert peak <= 30e6
+    assert peak <= 9e6
 
 
 # -- kernel density ------------------------------------------------------------

@@ -21,7 +21,6 @@ from switchsde import (
     SpecError,
     check_H3,
     decompose_large_jumps,
-    levy_measure_of_L,
     load_tabulated_csv,
     make_kalman,
     make_two_regime_linear,
@@ -31,7 +30,6 @@ from switchsde import (
     sample_xi,
     small_jump_drift,
     standard_positive_stable,
-    xi_density,
 )
 from switchsde import levy_noise
 from switchsde.levy_noise import _truncated_size_sampler, stable_laplace_coefficient
@@ -395,25 +393,6 @@ def test_xi_moments_and_density():
     )
     se = math.sqrt(target * (1 - target) / xi.shape[0])
     assert abs(p_hat - target) < 4 * se
-    # density integrates the same mixture
-    val = xi_density(decomp, np.array([1.0, 0.0]), d=2)
-    check, _ = integrate.quad(
-        lambda s_: (2 * math.pi * s_) ** -1.0 * math.exp(-1.0 / (2 * s_)) * s_**-1.5,
-        1.0,
-        np.inf,
-    )
-    assert val == pytest.approx(check / 2.0, rel=1e-8)
-
-
-def test_driver_measure_positive_and_scaling():
-    spec = LevyMeasureSpec(alpha=1.0)
-    v1 = levy_measure_of_L(spec, np.array([1.0]))
-    v2 = levy_measure_of_L(spec, np.array([2.0]))
-    assert v1 > 0 and v2 > 0
-    # nu_L inherits the alpha-stable scaling: nu_L(2y) = 2^-(1+alpha) nu_L(y) in d=1
-    assert v2 / v1 == pytest.approx(0.25, rel=1e-6)
-    with pytest.raises(ValueError):
-        levy_measure_of_L(spec, np.zeros(2))
 
 
 def test_h3_probe_verdicts():
@@ -519,28 +498,14 @@ def test_tables_never_integrate_numerically(monkeypatch):
 
 
 def test_table_quadrature_is_told_of_the_table_points():
-    # check_H3, xi_density and levy_measure_of_L integrate the interpolant by
-    # quadrature; given the table's points, quad sees smooth pieces and warns of
-    # nothing (this suite turns an IntegrationWarning into an error)
+    # check_H3 integrates the interpolant by quadrature; given the table's
+    # points, quad sees smooth pieces and warns of nothing (this suite turns an
+    # IntegrationWarning into an error)
     spec = _table(1e-4, 4.0, 400, lambda u: u**-1.5)
     eps = np.geomspace(1e-1, 1e-4, 7)
     res = check_H3(spec, theta=1.0, eps_grid=eps)
     expected = [e**-0.5 * spec.mean_between(0.0, e) for e in eps]
     np.testing.assert_allclose(res.values, expected, rtol=1e-8)
-    u = np.array(spec.table)[:, 0]
-
-    def piecewise(f, lo, hi):
-        cuts = np.concatenate([[lo], u[(u > lo) & (u < hi)], [hi]])
-        return sum(integrate.quad(f, a, b, epsabs=1e-14)[0] for a, b in zip(cuts[:-1], cuts[1:]))
-
-    def kernel(s):  # the d = 2 Gaussian at |y| = 1 against the table's density
-        return math.exp(-1.0 / (2.0 * s)) / (2.0 * math.pi * s) * float(spec.density_at(s))
-
-    decomp = decompose_large_jumps(spec)
-    xi = xi_density(decomp, np.array([1.0, 0.0]), d=2)
-    assert xi == pytest.approx(piecewise(kernel, 1.0, 4.0) / decomp.lambda1, rel=1e-8)
-    nu_l = levy_measure_of_L(spec, np.array([1.0, 0.0]))
-    assert nu_l == pytest.approx(piecewise(kernel, 1e-4, 4.0), rel=1e-8)
     # a stable measure has no kinks: its probe is the plain quad call, bit for bit
     plain = integrate.quad(
         lambda v: 2.0 * v**3 * (v * v) ** -1.5, 0.0, 0.1, epsabs=levy_noise.QUAD_ABS_TOL, limit=200

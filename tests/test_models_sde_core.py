@@ -6,7 +6,13 @@ re-integrate the same noise.
 """
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +32,7 @@ from switchsde import (
     batch_flows,
     NorrisParams,
     constant_direction,
+    constant_field,
     constant_rates,
     make_kalman,
     make_linear,
@@ -41,7 +48,14 @@ from switchsde import (
     window_integrals,
 )
 from switchsde.cli import main
-from switchsde.sde_core import NOISE_PANEL, SEED_BLOCK, _block_grid, seed_blocks
+from switchsde.sde_core import (
+    NOISE_PANEL,
+    SEED_BLOCK,
+    _block_grid,
+    bundle_ranges,
+    map_bundles,
+    seed_blocks,
+)
 
 LEVY = LevyMeasureSpec(alpha=1.0)
 LEVY_TRUNC = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
@@ -158,6 +172,95 @@ def test_make_model_registry():
     assert model.name == "kalman" and model.n == 2 and model.d == 1
     with pytest.raises(SpecError):
         make_model("no_such_model")
+
+
+# a spec of every builder, with arguments other than the defaults
+PICKLED_MODELS = {
+    "zero_drift": lambda: make_zero_drift(2, 2),
+    "linear": lambda: make_model(
+        "linear", mats=[[[0.0, 1.0], [-1.0, -0.2]], [[-0.5, 0.0], [0.3, -0.1]]], x0=[0.3, -0.2]
+    ),
+    "kalman": lambda: make_kalman(x0=[0.5, -1.0]),
+    "sin_bounded": lambda: make_sin_bounded(3, amp=(0.8, 0.5, 0.2), freq=(1.0, 2.0, 3.0)),
+    "two_regime_linear": lambda: make_two_regime_linear(
+        switch_rate=3.0, state_dependent=True, rate_direction=[1.0, -0.5]
+    ),
+}
+
+
+def _same_bits(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+def test_built_in_specs_pickle_as_their_builder_call(name):
+    model = PICKLED_MODELS[name]()
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy is not model and copy.recipe is not None
+    assert _same_bits(copy.sigma, model.sigma) and _same_bits(copy.x0, model.x0)
+    rng = np.random.default_rng(17)
+    x = rng.normal(scale=2.0, size=(model.n, 6))  # components-first: six points
+    a = rng.integers(1, model.rates.m0 + 1, size=6)
+    assert _same_bits(copy.drift(x, a), model.drift(x, a))
+    assert _same_bits(copy.drift_jac(x, a), model.drift_jac(x, a))
+    for point in x.T:
+        assert _same_bits(copy.rates.at(point), model.rates.at(point))
+    assert copy.rates.state_dependent == model.rates.state_dependent
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: constant_field([[0.0], [1.0]]),
+        lambda: scaled_cos_field(np.eye(2), amp=2.0, freq=1.5),
+    ],
+    ids=["constant", "scaled_cos"],
+)
+def test_test_fields_pickle_as_their_builder_call(make):
+    fld = make()
+    copy = pickle.loads(pickle.dumps(fld))
+    x = np.random.default_rng(19).normal(size=(5, 3, 2))  # paths-first
+    assert copy.name == fld.name and copy.dv == fld.dv
+    assert _same_bits(copy.value(x, 1), fld.value(x, 1))
+    assert _same_bits(copy.jac(x, 1), fld.jac(x, 1))
+
+
+def test_a_replaced_spec_keeps_no_recipe():
+    # replace does not copy the recipe, which would rebuild the affine data
+    model = replace(make_kalman(), affine=None)
+    assert model.recipe is None
+    with pytest.raises(Exception):
+        pickle.dumps(model)
+
+
+def _terminal_states(model, noise, lo, hi):
+    return batch_flows(model, noise, want_Q=False, want_K=False).X
+
+
+def test_map_bundles_runs_an_unpicklable_spec_in_this_process():
+    ranges = bundle_ranges(130, 16, 1, tasks=2)
+    assert len(ranges) == 2
+    runs = {}
+    replaced = replace(make_kalman(), affine=None)
+    for label, model in (("built", make_kalman()), ("replaced", replaced)):
+        for workers in (1, 2):
+            body = partial(_terminal_states, model)
+            parts, used = map_bundles(body, model, LEVY, 1.0, 16, 3, 11, ranges, workers)
+            runs[label, workers] = (np.concatenate(parts), used)
+    assert runs["built", 2][1] == 2 and runs["replaced", 2][1] == 1
+    assert runs["built", 1][1] == runs["replaced", 1][1] == 1
+    want = runs["built", 1][0]
+    assert want.shape == (130, 2)
+    assert all(_same_bits(x, want) for x, _ in runs.values())
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # concurrent.futures costs 11-22 ms at import, which every CLI call would pay
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, switchsde; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0 and out.stdout.strip() == "False"
 
 
 def test_grid_building_and_lookup():
