@@ -206,7 +206,6 @@ class HormanderConfig(_Section):
     depth: int = setting(3, minimum=1)
     radius: float = setting(1.0, positive=True)
     n_samples: int = setting(64, minimum=1)
-    mode: str = setting("auto", choices=("auto", "analytic", "fd"))
     threshold: float = setting(1e-8, positive=True)
 
 
@@ -245,7 +244,6 @@ class NorrisConfig(_Section):
 class GradRepConfig(_Section):
     eta: float = setting(1e-3, positive=True)
     weights: list[float] = setting([1.0, 0.7])
-    truncate: bool = setting(True)
 
 
 @section

@@ -104,27 +104,27 @@ def ks_calibration(
 
 
 def decomposition_ks_test(
-    levy: LevyMeasureSpec, horizon: float, n_samples: int, seed: int = 0, d: int = 1
+    levy: LevyMeasureSpec, horizon: float, n_samples: int, seed: int = 0
 ) -> KSResult:
     """Compare the driver marginal against its split-at-unit-cutoff rebuild.
 
     Route one subordinates a Gaussian by the full clock increment; route two
     uses the truncated clock plus an independent compound Poisson sum of
-    mixed-Gaussian heavy displacements.  Equality in law is checked on the
-    first coordinate with the two-sample KS test.
+    mixed-Gaussian heavy displacements.  Equality in law is checked on one
+    coordinate with the two-sample KS test.
     """
     decomp = decompose_large_jumps(levy)
     rng_a = as_rng(np.random.SeedSequence([seed, 9201]))
     rng_b = as_rng(np.random.SeedSequence([seed, 9202]))
     dt = np.array([horizon])
     s_full = sample_increments(levy, dt, n_samples, rng_a)[:, 0]
-    x_full = np.sqrt(s_full)[:, None] * rng_a.standard_normal((n_samples, d))
+    x_full = np.sqrt(s_full)[:, None] * rng_a.standard_normal((n_samples, 1))
     s_trunc = sample_increments(decomp.truncated, dt, n_samples, rng_b)[:, 0]
-    x_trunc = np.sqrt(s_trunc)[:, None] * rng_b.standard_normal((n_samples, d))
+    x_trunc = np.sqrt(s_trunc)[:, None] * rng_b.standard_normal((n_samples, 1))
     counts = rng_b.poisson(decomp.lambda1 * horizon, size=n_samples)
     total = int(counts.sum())
     if total:
-        xi = sample_xi(decomp, d, rng_b, size=total)
+        xi = sample_xi(decomp, 1, rng_b, size=total)
         idx = np.repeat(np.arange(n_samples), counts)
         np.add.at(x_trunc, idx, xi)
     return two_sample_ks(x_full[:, 0], x_trunc[:, 0])
@@ -534,7 +534,6 @@ def gradient_representation_check(
     grad_f: Callable,
     eta: float = 1e-3,
     seed: int = 0,
-    truncate: bool = True,
     workers: int = 1,
 ) -> GradRepResult:
     """Check the derivative-transfer identity by common-random-number bundles.
@@ -548,14 +547,14 @@ def gradient_representation_check(
     holding one tile's noise and its half-resolution copy at a time; each
     tile is reduced to per-path values, which are averaged once in path
     order, so the result depends on neither the tiling nor the workers.
-    f and grad_f must pickle for the tiles to leave this process.
+    f and grad_f must pickle for the tiles to leave this process.  The clock
+    levy is integrated as given; ``decompose_large_jumps(levy).truncated``
+    is its small-jump part.
     """
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
     if n_steps % 2:
         raise ValueError("n_steps must be even so the half-resolution run exists")
-    if truncate and levy.upper_cutoff is None:
-        levy = decompose_large_jumps(levy).truncated
     x0 = model.x0
     shifts = [scale * e for scale in (eta, 2.0 * eta) for e in np.eye(model.n)]
     bundle = np.stack([x0] + [x for h in shifts for x in (x0 + h, x0 - h)])[:, None, :]

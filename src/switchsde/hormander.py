@@ -189,38 +189,32 @@ class KappaEstimate:
 def estimate_kappa1(
     model: ModelSpec,
     depth: int,
-    center=None,
     radius: float = 1.0,
     n_samples: int = 64,
-    regimes=None,
-    mode: str = "auto",
     seed: int = 0,
     threshold: float = 1e-8,
-    n_directions: int = 256,
 ) -> KappaEstimate:
-    """Minimize the smallest cumulative-Gram eigenvalue over points and regimes.
+    """Minimize the smallest cumulative-Gram eigenvalue over every regime and
+    the ball around model.x0, with analytic brackets when the model has
+    drift_derivs and central differences otherwise.
 
-    The inner minimum over unit directions is exact (an eigenvalue); a
-    random-direction sweep at the witness cross-checks it from above.
+    The inner minimum over unit directions is exact (an eigenvalue); a sweep
+    of 256 random directions at the witness cross-checks it from above.
     """
-    if center is None:
-        center = model.x0
-    pts = ball_points(center, radius, n_samples, seed=seed)
-    if regimes is None:
-        regimes = range(1, model.rates.m0 + 1)
+    pts = ball_points(model.x0, radius, n_samples, seed=seed)
     best = None
     per_regime: dict[int, float] = {}
-    for a in regimes:
+    for a in range(1, model.rates.m0 + 1):
         for x in pts:
-            bs = build_brackets(model, x, int(a), depth, mode=mode)
+            bs = build_brackets(model, x, a, depth)
             lam = bs.min_eig()
-            if int(a) not in per_regime or lam < per_regime[int(a)]:
-                per_regime[int(a)] = lam
+            if a not in per_regime or lam < per_regime[a]:
+                per_regime[a] = lam
             if best is None or lam < best[0]:
                 best = (lam, bs)
     lam, bs = best
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_directions, model.n))
+    dirs = rng.standard_normal((256, model.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     gram = bs.gram()
     sweep = float(np.einsum("ij,jk,ik->i", dirs, gram, dirs).min())

@@ -322,7 +322,6 @@ def run_hormander(cfg: RunConfig, out: OutputDir):
         depth=h.depth,
         radius=h.radius,
         n_samples=h.n_samples,
-        mode=h.mode,
         seed=cfg.seed,
         threshold=h.threshold,
     )
@@ -466,7 +465,7 @@ def run_gradrep(cfg: RunConfig, out: OutputDir):
     f, grad_f = partial(_sin_of_projection, w), partial(_sin_of_projection_grad, w)
     res = gradient_representation_check(
         model, levy, sim.horizon, sim.n_steps, sim.n_paths, f, grad_f,
-        eta=gr.eta, seed=cfg.seed, truncate=gr.truncate, workers=cfg.workers,
+        eta=gr.eta, seed=cfg.seed, workers=cfg.workers,
     )
     summary = {"max_ratio": res.max_ratio(), "passes": res.passes()}
     write_json(out / "gradrep.json", dict(vars(res), **summary))

@@ -134,7 +134,7 @@ SECTIONS = {
     ),
     "hormander": _section({
         "depth": st.integers(1, 6), "radius": _positive, "n_samples": st.integers(1, 10**4),
-        "mode": st.sampled_from(["auto", "analytic", "fd"]), "threshold": _positive,
+        "threshold": _positive,
     }),
     "tails": _section({
         "n_thresholds": st.integers(3, 50),
@@ -147,7 +147,7 @@ SECTIONS = {
         "beta": st.floats(0.01, 0.99), "theta": st.floats(1e-6, 1.99),
         "field_name": st.sampled_from(["scaled_cos", "constant"]), "amp": _number, "freq": _number,
     }, _fit_norris),
-    "gradrep": _section({"eta": _positive, "weights": _floats, "truncate": st.booleans()}),
+    "gradrep": _section({"eta": _positive, "weights": _floats}),
     "density": _section({
         "component": st.integers(0, 5), "n_grid": st.integers(8, 4096),
         "bandwidth": st.one_of(st.none(), _positive),
@@ -161,11 +161,12 @@ VALID_CONFIGS = st.fixed_dictionaries(
 
 
 def test_valid_configs_name_every_field():
-    # a new setting must be added to VALID_CONFIGS, or this fails
+    # a new setting must be added to VALID_CONFIGS, and a deleted one removed, or this fails
     assert set(TOP_LEVEL) | set(SECTIONS) == {f.name for f in fields(RunConfig)}
     defaults = RunConfig()
     for name, (names, _) in SECTIONS.items():
-        assert {f.name for f in fields(getattr(defaults, name))} <= names, name
+        sec = getattr(defaults, name)
+        assert {f.name for f in fields(sec)} | sec.inputs == names, name
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,6 +194,11 @@ def test_unknown_keys_get_dotted_paths():
         RunConfig.from_dict({"simulation": {"stepsize": 0.1}})
     with pytest.raises(ConfigError, match="norris"):
         RunConfig.from_dict({"norris": {"epsilon": [0.1]}})
+    # deleted settings: gradrep integrates the declared clock, hormander's model picks its brackets
+    with pytest.raises(ConfigError, match="'truncate' in gradrep"):
+        RunConfig.from_dict({"gradrep": {"truncate": True}})
+    with pytest.raises(ConfigError, match="'mode' in hormander"):
+        RunConfig.from_dict({"hormander": {"mode": "fd"}})
 
 
 def test_type_and_range_errors():
@@ -521,6 +527,41 @@ def test_gradrep_rejects_state_dependent_rates_before_simulating(tmp_path, capsy
     cfg = write_config(tmp_path, dict(SMALL, model=state))
     assert main(["gradrep", "--config", cfg, "--out", str(tmp_path / "g")]) == 2
     assert "state-dependent" in capsys.readouterr().err
+
+
+def test_gradrep_runs_a_table_that_ends_below_the_unit_cutoff(tmp_path, capsys):
+    # the u^-1.5 table on (1e-4, 0.5) has no mass above 1, so no unit-cutoff split exists
+    u = np.geomspace(1e-4, 0.5, 50)
+    table = tmp_path / "measure.csv"
+    np.savetxt(table, np.column_stack([u, u**-1.5]), delimiter=",", header="u,density")
+    payload = dict(
+        SMALL,
+        levy={"kind": "tabulated", "table": str(table)},
+        simulation={"horizon": 1.0, "n_steps": 16, "n_paths": 128},
+    )
+    cfg = write_config(tmp_path, payload)
+    code, report = run_cli(capsys, "gradrep", "--config", cfg, "--out", str(tmp_path / "g"))
+    assert code == 0 and report["summary"]["passes"]
+
+
+def test_gradrep_integrates_the_declared_clock(tmp_path, capsys, monkeypatch):
+    clocks, real = [], sde_core.map_bundles
+
+    def spy(body, model, levy, *args):
+        clocks.append(levy)
+        return real(body, model, levy, *args)
+
+    monkeypatch.setattr(sde_core, "map_bundles", spy)
+    payload = dict(
+        SMALL,
+        levy={"alpha": 1.0, "upper_cutoff": None},
+        simulation={"horizon": 1.0, "n_steps": 16, "n_paths": 128},
+    )
+    cfg = write_config(tmp_path, payload)
+    code, _ = run_cli(capsys, "gradrep", "--config", cfg, "--out", str(tmp_path / "g"))
+    assert code == 0
+    assert clocks == [RunConfig.load(cfg).levy.build()]
+    assert clocks[0].upper_cutoff is None
 
 
 def test_tails_rejects_too_few_paths_before_simulating(tmp_path, capsys, monkeypatch):

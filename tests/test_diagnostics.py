@@ -47,6 +47,8 @@ from switchsde import diagnostics, runner, sde_core
 from switchsde.flows import sample_covariances
 
 LEVY = LevyMeasureSpec(alpha=1.0)
+# the small-jump part of LEVY, decompose_large_jumps(LEVY).truncated
+LEVY_UNIT = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
 
 
 # -- binomial intervals ------------------------------------------------------
@@ -402,7 +404,7 @@ def test_gradient_representation_quick():
     w = np.array([1.0, 0.7])
     res = gradient_representation_check(
         model,
-        LEVY,
+        LEVY_UNIT,
         horizon=1.0,
         n_steps=64,
         n_paths=4000,
@@ -430,7 +432,7 @@ def test_gradient_representation_coarse_run_integrates_the_starts_it_reads(monke
     monkeypatch.setattr(diagnostics, "batch_flows", spy)
     w = np.array([1.0, 0.7])
     gradient_representation_check(
-        model, LEVY, 1.0, 16, 100, f=lambda x: np.sin(x @ w),
+        model, LEVY_UNIT, 1.0, 16, 100, f=lambda x: np.sin(x @ w),
         grad_f=lambda x: np.cos(x @ w)[:, None] * w, seed=2,
     )
     assert calls == [(16, (9, 1, 2)), (8, (5, 1, 2))]
@@ -451,8 +453,8 @@ def test_gradient_representation_affine_path_is_bitwise(model):
         grad_f=lambda x: np.cos(x @ w)[:, None] * w,
         seed=4,
     )
-    fast = gradient_representation_check(model, LEVY, **kw)
-    slow = gradient_representation_check(replace(model, affine=None), LEVY, **kw)
+    fast = gradient_representation_check(model, LEVY_UNIT, **kw)
+    slow = gradient_representation_check(replace(model, affine=None), LEVY_UNIT, **kw)
     for name in ("residual", "se_mc", "fd_bias", "dt_bias", "lhs"):
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
 
@@ -475,7 +477,6 @@ def test_tiles_of_one_seed_block_change_no_bit(model, monkeypatch):
         grad_f=lambda x: np.cos(x @ w)[:, None] * w,
         seed=5,
     )
-    levy = LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0)
     calls = []
     sample = sde_core.sample_batch_noise
 
@@ -491,8 +492,8 @@ def test_tiles_of_one_seed_block_change_no_bit(model, monkeypatch):
             m.setattr(sde_core, "BUNDLE_BYTES", budget)
             m.setattr(sde_core, "sample_batch_noise", spy)
             runs[tile] = (
-                gradient_representation_check(model, LEVY, **gradrep),
-                sample_covariances(model, levy, 1.0, 16, 330, seed=9),
+                gradient_representation_check(model, LEVY_UNIT, **gradrep),
+                sample_covariances(model, LEVY_UNIT, 1.0, 16, 330, seed=9),
             )
     assert [size for size, _ in calls] == [330, 330] + [64] * 5 + [10] + [64] * 5 + [10]
     # per-path grids whenever the model switches
