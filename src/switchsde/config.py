@@ -4,9 +4,9 @@ One file drives every CLI subcommand.  Each setting is declared once, as a
 dataclass field built by ``setting``, which carries its default and the rule
 its values must meet; parsing is derived from those declarations.  Parsing is
 strict: unknown keys are rejected with their dotted path, values are
-type-checked, and a parsed configuration serializes back to the exact
-dictionary it came from, so run manifests can embed the configuration
-verbatim.  Rules that tie several fields of a section together live in that
+type-checked, and a parsed configuration serializes back to the dictionary
+it came from, less the inputs that other fields fix, so run manifests can
+embed it.  Rules that tie several fields of a section together live in that
 section's ``check``.
 """
 
@@ -140,19 +140,20 @@ class ModelConfig(_Section):
 
 @section
 class LevyConfig(_Section):
-    kind: str = setting("stable", choices=("stable", "tabulated"))
     alpha: float = setting(1.0, positive=True)
     small_jump_cutoff: float = setting(1e-4, positive=True)
     upper_cutoff: float | None = setting(positive=True)
     table: str | None = setting()
+    inputs = frozenset({"kind"})  # "tabulated" when a table is given, else "stable"
 
     def check(self, raw):
-        if self.kind == "tabulated" and not self.table:
-            raise ConfigError("levy.table is required when levy.kind is 'tabulated'")
+        kind = "stable" if self.table is None else "tabulated"
+        if raw.get("kind", kind) != kind:
+            raise ConfigError("levy.kind must be 'tabulated' with a levy.table and 'stable' without")
 
     def build(self) -> LevyMeasureSpec:
         cutoffs = dict(small_jump_cutoff=self.small_jump_cutoff, upper_cutoff=self.upper_cutoff)
-        if self.kind == "tabulated":
+        if self.table is not None:
             try:
                 table = load_tabulated_csv(self.table)
             except (DataError, SpecError) as e:
@@ -160,7 +161,7 @@ class LevyConfig(_Section):
             except OSError as e:  # a directory, a missing file, no permission
                 raise ConfigError(f"levy.table {self.table!r}: {e.strerror or e}") from e
             return replace(table, **cutoffs)
-        return LevyMeasureSpec(kind="stable", alpha=self.alpha, **cutoffs)
+        return LevyMeasureSpec(alpha=self.alpha, **cutoffs)
 
 
 @section
@@ -223,7 +224,6 @@ class NorrisConfig(_Section):
     direction: list[float] | None = setting()
     eps_grid: list[float] = setting([0.03, 0.01, 0.003, 0.001], positive=True, length=(2, None))
     beta: float = setting(0.5)
-    theta: float = setting(1.0, positive=True)
     field_name: str = setting("scaled_cos", choices=("scaled_cos", "constant"))
     amp: float = setting(1.0)
     freq: float = setting(3.0)
@@ -233,11 +233,8 @@ class NorrisConfig(_Section):
             raise ConfigError("norris.window must satisfy 0 <= t1 < t2")
         if self.direction is not None and not any(self.direction):
             raise ConfigError("norris.direction must be a nonzero vector")
-        lo = max(0.0, 4.0 * self.theta - 7.0)
-        if not lo < self.beta < 1.0:
-            raise ConfigError(
-                f"norris.beta must lie in ({lo!r}, 1) for norris.theta = {self.theta!r}"
-            )
+        if not 0.0 < self.beta < 1.0:
+            raise ConfigError("norris.beta must lie in (0, 1)")
 
 
 @section

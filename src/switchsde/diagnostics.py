@@ -322,6 +322,11 @@ def drift_field_bracket(model: ModelSpec, fld: TestField, x, a) -> np.ndarray:
     return np.einsum("...crv,...c->...rv", jv, b) - np.einsum("...rc,...cv->...rv", jb, v)
 
 
+def beta_floor(levy: LevyMeasureSpec) -> float:
+    """max(0, 4 theta - 7): NorrisParams.beta must exceed it on this clock."""
+    return max(0.0, 4.0 * levy.theta - 7.0)
+
+
 @dataclass
 class NorrisParams:
     """Joint-event geometry: {I_bracket >= eps^q} with q = (1-beta)/(18-beta),
@@ -332,7 +337,6 @@ class NorrisParams:
     direction: np.ndarray
     eps_grid: np.ndarray
     beta: float = 0.5
-    theta: float = 1.0
 
     def __post_init__(self):
         self.direction = np.asarray(self.direction, dtype=float)
@@ -343,9 +347,8 @@ class NorrisParams:
         self.eps_grid = np.sort(np.asarray(self.eps_grid, dtype=float))[::-1]
         if np.any(self.eps_grid <= 0):
             raise ValueError("eps grid must be positive")
-        lo = max(0.0, 4.0 * self.theta - 7.0)
-        if not lo < self.beta < 1.0:
-            raise ValueError(f"beta must lie in ({lo}, 1) for theta={self.theta}")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         t1, t2 = self.window
         if not 0 <= t1 < t2:
             raise ValueError("window must satisfy 0 <= t1 < t2")
@@ -392,7 +395,6 @@ class NorrisCurve:
     counts: np.ndarray
     thresholds: np.ndarray
     n_paths: int
-    params: NorrisParams = field(repr=False, default=None)
 
     def is_nonincreasing(self, z: float = 2.0) -> bool:
         """Monotone decay along shrinking eps, modulo z combined standard errors."""
@@ -426,7 +428,6 @@ def norris_curve(params: NorrisParams, i_field, i_bracket) -> NorrisCurve:
         counts=counts,
         thresholds=thresholds,
         n_paths=n_paths,
-        params=params,
     )
 
 
@@ -450,6 +451,8 @@ def norris_joint_probability(
     """
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
+    if params.beta <= beta_floor(levy):
+        raise ValueError(f"beta must exceed {beta_floor(levy)} for theta = {levy.theta}")
     ranges = bundle_ranges(n_paths, n_steps, model.d, norris_recorded(model), tasks=workers)
     body = partial(_window_bundle, model, params, fld)
     pairs, _ = sde_core.map_bundles(

@@ -13,10 +13,10 @@ decomposition of the driving noise; below the small-jump cutoff delta, jumps
 are replaced by their compensating drift integral(0,delta) u nu(du) and the
 rest arrive as a thinned compound Poisson stream.
 
-Three measure kinds are supported: "stable" (the family above, optionally
-truncated), "tabulated" (the linear interpolant of a table of (u, density)
-points, whose mass, mean and jump-size law are exact interval by interval,
-with no quadrature), and "atoms" (a finite list of (size, rate) point masses).
+A measure's kind follows from its data: "tabulated" with a table of (u,
+density) points (their linear interpolant, whose mass, mean and jump-size law
+are exact interval by interval, with no quadrature), "atoms" with a list of
+(size, rate) point masses, and "stable" (the family above) with neither.
 """
 
 from __future__ import annotations
@@ -98,32 +98,30 @@ def standard_positive_stable(beta: float, size, rng: np.random.Generator) -> np.
 
 @dataclass(frozen=True)
 class LevyMeasureSpec:
-    """Levy measure of the subordinator S.
+    """Levy measure of the subordinator S, of the kind its data tell.
 
-    kind "stable": density u**-(1+alpha/2) on (0, upper_cutoff), alpha in (0,2).
-    kind "tabulated": `table` = ((u, density), ...), two or more points with
+    "tabulated": `table` = ((u, density), ...), two or more points with
         0 < u increasing; the density is their linear interpolant on
         `support` = (first u, last u) and zero outside it.
-    kind "atoms": finite point masses `atoms` = ((size, rate), ...).
+    "atoms": finite point masses `atoms` = ((size, rate), ...).
+    "stable", with neither: density u**-(1+alpha/2) on (0, upper_cutoff), alpha in (0,2).
 
     small_jump_cutoff is the delta below which jumps are replaced by their
     compensating drift when the measure is sampled as a compound Poisson
     stream.  upper_cutoff=None means no truncation.
     """
 
-    kind: str = "stable"
     alpha: float | None = 1.0
-    table: tuple[tuple[float, float], ...] = ()
-    atoms: tuple[tuple[float, float], ...] = ()
+    table: tuple[tuple[float, float], ...] | None = None
+    atoms: tuple[tuple[float, float], ...] | None = None
     small_jump_cutoff: float = 1e-4
     upper_cutoff: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("stable", "tabulated", "atoms"):
-            raise SpecError(f"unknown measure kind {self.kind!r}")
-        if self.kind == "stable":
-            if self.alpha is None or not 0.0 < self.alpha < 2.0:
-                raise SpecError(f"alpha must lie in (0,2), got {self.alpha}")
+        if self.table is not None and self.atoms is not None:
+            raise SpecError("a measure takes a table or atoms, not both")
+        if self.kind == "stable" and (self.alpha is None or not 0.0 < self.alpha < 2.0):
+            raise SpecError(f"alpha must lie in (0,2), got {self.alpha}")
         if self.kind == "tabulated":
             pts = np.asarray(self.table, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
@@ -147,6 +145,17 @@ class LevyMeasureSpec:
         if self.upper_cutoff is not None and self.upper_cutoff <= 0.0:
             raise SpecError(f"upper_cutoff must be positive, got {self.upper_cutoff}")
 
+    @property
+    def kind(self) -> str:
+        if self.table is not None:
+            return "tabulated"
+        return "stable" if self.atoms is None else "atoms"
+
+    @property
+    def theta(self) -> float:
+        """theta of the small-jump hypothesis H3: alpha for a stable clock, 1 otherwise."""
+        return self.alpha if self.kind == "stable" else 1.0
+
     # -- effective support ------------------------------------------------
 
     @cached_property
@@ -155,13 +164,12 @@ class LevyMeasureSpec:
 
         u holds the kinks of the density, where quadrature must cut its pieces.
         """
-        return np.array(self.table).reshape(-1, 2).T
+        return np.array(self.table or ()).reshape(-1, 2).T
 
     @property
     def support(self) -> tuple[float, float]:
         """(lo, hi) outside which the density vanishes, before upper_cutoff."""
-        tabulated = self.kind == "tabulated"
-        return (self.table[0][0], self.table[-1][0]) if tabulated else (0.0, math.inf)
+        return (self.table[0][0], self.table[-1][0]) if self.table else (0.0, math.inf)
 
     def _hi(self) -> float:
         return min(self.support[1], self.upper_cutoff or math.inf)
@@ -221,12 +229,10 @@ class LevyMeasureSpec:
         Near zero the integrable singularity is removed by u = v**2, turning
         integral(0,c) u nu(u) du into integral(0,sqrt(c)) 2 v**3 nu(v**2) dv.
         """
-        hi = min(b, self._hi())
-        a = max(a, self.support[0])
-        if hi <= a:
-            return 0.0
         if self.kind == "atoms":
-            return float(sum(s * w for s, w in self.atoms if a < s <= hi))
+            return self.mean_between(a, b)
+        hi = min(b, self._hi())
+        a = max(a, self.support[0])  # hi <= a integrates to 0 below
 
         def dens(u):
             if self.kind == "stable":
@@ -263,7 +269,7 @@ def load_tabulated_csv(path) -> LevyMeasureSpec:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as e:
             raise DataError(f"measure table is not a numeric CSV: {e}") from e
-    return LevyMeasureSpec(kind="tabulated", alpha=None, table=data)
+    return LevyMeasureSpec(alpha=None, table=data)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +279,9 @@ def load_tabulated_csv(path) -> LevyMeasureSpec:
 def _truncated_size_sampler(spec: LevyMeasureSpec, lo: float) -> Callable:
     """Inverse-CDF sampler for jump sizes on (lo, hi] under the normalized tail of nu."""
     hi = spec._hi()
+    lo = max(lo, spec.support[0])
+    if hi <= lo:
+        return np.zeros_like
     if spec.kind == "stable":
         beta = spec.alpha / 2.0
         top = 0.0 if math.isinf(hi) else hi ** (-beta)
@@ -300,9 +309,6 @@ def _truncated_size_sampler(spec: LevyMeasureSpec, lo: float) -> Callable:
         return draw
     # tabulated: on each interval of the clipped table the cumulative mass is
     # f0 t + slope t**2 / 2 at t = u - u0, inverted by its stable root
-    lo = max(lo, spec.support[0])
-    if hi <= lo:
-        return np.zeros_like
     u, f = spec._clipped(lo, hi)
     w = np.diff(u)
     slope = np.diff(f) / w
@@ -449,10 +455,10 @@ class DecompositionSpec:
     `truncated` keeps the measure on (0, 1); jumps larger than 1 arrive at
     finite rate lambda1 and contribute an independent compound Poisson sum of
     heavy displacements xi, each a centered Gaussian with variance mixed over
-    the normalized tail of nu above 1, up to the measure's upper cutoff.
+    the normalized tail of nu above 1, up to the measure's upper cutoff.  A
+    measure with no mass above 1 splits trivially, with lambda1 = 0.
     """
 
-    original: LevyMeasureSpec
     truncated: LevyMeasureSpec
     lambda1: float
     _mixing_inverse: Callable = field(repr=False, default=None)
@@ -463,31 +469,21 @@ class DecompositionSpec:
 
 
 def decompose_large_jumps(spec: LevyMeasureSpec) -> DecompositionSpec:
-    if spec.upper_cutoff is not None and spec.upper_cutoff <= LARGE_JUMP_CUTOFF:
-        raise SpecError("measure has no mass above the unit cutoff; nothing to split")
     lam1 = spec.mass(LARGE_JUMP_CUTOFF)
     if not math.isfinite(lam1):
         raise SpecError("tail mass above the unit cutoff must be finite")
-    if lam1 <= 0:
-        raise SpecError("measure has no mass above the unit cutoff; nothing to split")
+    cut = min(spec.upper_cutoff or math.inf, LARGE_JUMP_CUTOFF)
     return DecompositionSpec(
-        original=spec,
-        truncated=replace(spec, upper_cutoff=LARGE_JUMP_CUTOFF),
+        truncated=replace(spec, upper_cutoff=cut),
         lambda1=lam1,
         _mixing_inverse=_truncated_size_sampler(spec, LARGE_JUMP_CUTOFF),
     )
 
 
-def sample_xi(
-    decomp: DecompositionSpec, d: int, seed=None, size: int | None = None, return_mixing=False
-):
-    """Draw heavy displacements xi: variance s from the normalized tail, then N(0, s I_d)."""
+def sample_xi(decomp: DecompositionSpec, d: int, seed=None, size: int = 1, return_mixing=False):
+    """(size, d) heavy displacements xi: variance s from the normalized tail, then N(0, s I_d)."""
     rng = as_rng(seed)
-    m = 1 if size is None else size
-    s = decomp.sample_mixing(m, rng)
-    xi = np.sqrt(s)[:, None] * rng.standard_normal((m, d))
-    if size is None:
-        xi = xi[0]
-        s = s[0]
+    s = decomp.sample_mixing(size, rng)
+    xi = np.sqrt(s)[:, None] * rng.standard_normal((size, d))
     return (xi, s) if return_mixing else xi
 

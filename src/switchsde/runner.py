@@ -56,6 +56,7 @@ from . import __version__, sde_core
 from .config import RunConfig
 from .diagnostics import (
     TAIL_SAMPLES_PER_COUNT,
+    beta_floor,
     constant_field,
     decomposition_ks_test,
     eigen_tail,
@@ -375,14 +376,13 @@ def run_decompose_check(cfg: RunConfig, out: OutputDir):
     ks = decomposition_ks_test(
         levy, cfg.simulation.horizon, cfg.simulation.n_paths, seed=cfg.seed
     )
-    theta = levy.alpha if levy.kind == "stable" else 1.0
-    h3 = check_H3(levy, theta, np.geomspace(1e-1, 1e-4, 7))
+    h3 = check_H3(levy, levy.theta, np.geomspace(1e-1, 1e-4, 7))
     report = {
         "lambda1": decomp.lambda1,
         "ks_statistic": ks.statistic,
         "ks_pvalue": ks.pvalue,
         "n_samples": ks.n1,
-        "h3_theta": theta,
+        "h3_theta": levy.theta,
         "h3_verdict": h3.verdict,
         "h3_c_theta": h3.c_theta,
         "h3_values": h3.values.tolist(),
@@ -392,9 +392,11 @@ def run_decompose_check(cfg: RunConfig, out: OutputDir):
     return summary, 1
 
 
-def _norris_setup(cfg: RunConfig, model):
-    """The NorrisParams and test field that cfg declares, after checking them against model."""
+def _norris_setup(cfg: RunConfig, model, levy):
+    """The NorrisParams and test field that cfg declares, checked against model and clock."""
     nc, sim = cfg.norris, cfg.simulation
+    if nc.beta <= beta_floor(levy):
+        raise ConfigError(f"norris.beta must exceed {beta_floor(levy)!r}, the clock's floor")
     if nc.regime > model.rates.m0:
         raise ConfigError(f"norris.regime must lie in 1..{model.rates.m0}")
     grid = np.linspace(0.0, sim.horizon, sim.n_steps + 1)
@@ -407,14 +409,7 @@ def _norris_setup(cfg: RunConfig, model):
     direction = nc.direction if nc.direction is not None else [1.0] + [0.0] * (model.n - 1)
     if len(direction) != model.n:
         raise ConfigError(f"norris.direction must have one entry per state component ({model.n})")
-    params = NorrisParams(
-        window=(nc.window[0], nc.window[1]),
-        regime=nc.regime,
-        direction=np.asarray(direction, dtype=float),
-        eps_grid=np.asarray(nc.eps_grid, dtype=float),
-        beta=nc.beta,
-        theta=nc.theta,
-    )
+    params = NorrisParams(tuple(nc.window), nc.regime, direction, nc.eps_grid, nc.beta)
     if nc.field_name == "scaled_cos":
         return params, scaled_cos_field(model.sigma, amp=nc.amp, freq=nc.freq)
     return params, constant_field(model.sigma)
@@ -423,10 +418,10 @@ def _norris_setup(cfg: RunConfig, model):
 @pipeline("norris", "joint probability curve on a frozen-regime window",
           verdict=lambda s: s["nonincreasing"])
 def run_norris(cfg: RunConfig, out: OutputDir):
-    model, sim = cfg.model.build(), cfg.simulation
-    params, fld = _norris_setup(cfg, model)  # a bad setting exits 2 before any path is simulated
+    model, levy, sim = cfg.model.build(), cfg.levy.build(), cfg.simulation
+    params, fld = _norris_setup(cfg, model, levy)  # a bad setting exits 2 before any simulation
     curve = norris_joint_probability(
-        model, cfg.levy.build(), sim.horizon, sim.n_steps, params, fld, sim.n_paths, cfg.seed,
+        model, levy, sim.horizon, sim.n_steps, params, fld, sim.n_paths, cfg.seed,
         cfg.workers,
     )
     write_csv(

@@ -91,9 +91,9 @@ def _fit_model(d):
 
 
 def _fit_levy(d):
-    # a tabulated measure needs its table
-    if d.get("kind") == "tabulated":
-        d.setdefault("table", "measure.csv")
+    # a given kind must agree with whether a table is given
+    if "kind" in d:
+        d["kind"] = "tabulated" if d.get("table") is not None else "stable"
     return d
 
 
@@ -101,14 +101,6 @@ def _fit_simulation(d):
     # grid_step is drawn as a step count, so that it agrees with horizon and n_steps
     if "grid_step" in d:
         d["grid_step"] = d.get("horizon", 1.0) / d.get("n_steps", d["grid_step"])
-    return d
-
-
-def _fit_norris(d):
-    # beta is drawn as a fraction of its open range (max(0, 4 theta - 7), 1)
-    if "beta" in d or "theta" in d:
-        lo = max(0.0, 4.0 * d.get("theta", 1.0) - 7.0)
-        d["beta"] = lo + d.get("beta", 0.5) * (1.0 - lo)
     return d
 
 
@@ -144,9 +136,9 @@ SECTIONS = {
     "norris": _section({
         "window": _window, "regime": st.integers(1, 4), "direction": st.one_of(st.none(), _nonzero),
         "eps_grid": st.lists(_positive, min_size=2, max_size=5),
-        "beta": st.floats(0.01, 0.99), "theta": st.floats(1e-6, 1.99),
+        "beta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         "field_name": st.sampled_from(["scaled_cos", "constant"]), "amp": _number, "freq": _number,
-    }, _fit_norris),
+    }),
     "gradrep": _section({"eta": _positive, "weights": _floats}),
     "density": _section({
         "component": st.integers(0, 5), "n_grid": st.integers(8, 4096),
@@ -185,6 +177,8 @@ def test_valid_configs_round_trip(raw):
 def test_shipped_configs_round_trip(path):
     cfg = RunConfig.load(path)
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    # a shipped config's clock is the kind its levy section names
+    assert cfg.levy.build().kind == json.loads(path.read_text())["levy"].get("kind", "stable")
 
 
 def test_unknown_keys_get_dotted_paths():
@@ -199,6 +193,9 @@ def test_unknown_keys_get_dotted_paths():
         RunConfig.from_dict({"gradrep": {"truncate": True}})
     with pytest.raises(ConfigError, match="'mode' in hormander"):
         RunConfig.from_dict({"hormander": {"mode": "fd"}})
+    # norris takes theta from its clock
+    with pytest.raises(ConfigError, match="'theta' in norris"):
+        RunConfig.from_dict({"norris": {"theta": 1.0}})
 
 
 def test_type_and_range_errors():
@@ -384,6 +381,46 @@ def test_decompose_check_fails_h3_on_every_table(tmp_path, capsys):
     assert detail["h3_values"][-1] == 0.0
 
 
+def _short_power_table(tmp_path):
+    """The 50-point u^-1.5 table on (1e-4, 0.5): a clock with no mass above 1."""
+    u = np.geomspace(1e-4, 0.5, 50)
+    table = tmp_path / "short.csv"
+    np.savetxt(table, np.column_stack([u, u**-1.5]), delimiter=",", header="u,density")
+    return str(table)
+
+
+def test_decompose_check_splits_a_clock_below_one_trivially(tmp_path, capsys):
+    # no mass above the unit cutoff is a valid clock with lambda1 = 0, not a config error
+    for name, levy in [
+        ("stable", {"alpha": 1.0, "upper_cutoff": 0.5}),
+        ("table", {"table": _short_power_table(tmp_path)}),
+    ]:
+        out = tmp_path / name
+        cfg = write_config(tmp_path, dict(SMALL, levy=levy))
+        code, _ = run_cli(capsys, "decompose-check", "--config", cfg, "--out", str(out))
+        assert code in (0, 1)
+        assert json.loads((out / "decomposition.json").read_text())["lambda1"] == 0
+        assert sorted(p.name for p in out.iterdir()) == ["decomposition.json", "manifest.json"]
+
+
+def test_a_table_config_is_a_tabulated_clock_with_or_without_kind(tmp_path, capsys):
+    table = _short_power_table(tmp_path)
+    sim = {"horizon": 1.0, "n_steps": 16, "n_paths": 256}
+    terminals = []
+    for levy in ({"table": table}, {"kind": "tabulated", "table": table}):
+        out = tmp_path / f"sim{len(terminals)}"
+        cfg = write_config(tmp_path, dict(SMALL, levy=levy, simulation=sim))
+        assert run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))[0] == 0
+        terminals.append((out / "terminals.csv").read_bytes())
+    assert terminals[0] == terminals[1]
+    # a kind that disagrees with the table is a config error
+    out = tmp_path / "stable"
+    cfg = write_config(tmp_path, dict(SMALL, levy={"kind": "stable", "table": table}))
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "levy.kind" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "absent.json")])
     assert code == 2
@@ -404,7 +441,8 @@ def test_bad_override_is_usage_error(tmp_path, capsys):
 
 ESCAPED_ERRORS = {
     "beta": ("norris", {"norris": {"beta": 1.5}}, "norris.beta"),
-    "theta": ("norris", {"norris": {"theta": 3.0}}, "norris.beta"),
+    # the alpha = 1.9 clock has theta 1.9, so beta must exceed 4 * 1.9 - 7 = 0.6
+    "theta": ("norris", {"levy": {"alpha": 1.9}, "norris": {"beta": 0.5}}, "norris.beta"),
     "zero_direction": ("norris", {"norris": {"direction": [0, 0]}}, "norris.direction"),
     "long_direction": ("norris", {"norris": {"direction": [1, 0, 0]}}, "norris.direction"),
     "q_top": ("tails", {"tails": {"q_top": 2.0}}, "tails.q_top"),
@@ -530,13 +568,9 @@ def test_gradrep_rejects_state_dependent_rates_before_simulating(tmp_path, capsy
 
 
 def test_gradrep_runs_a_table_that_ends_below_the_unit_cutoff(tmp_path, capsys):
-    # the u^-1.5 table on (1e-4, 0.5) has no mass above 1, so no unit-cutoff split exists
-    u = np.geomspace(1e-4, 0.5, 50)
-    table = tmp_path / "measure.csv"
-    np.savetxt(table, np.column_stack([u, u**-1.5]), delimiter=",", header="u,density")
     payload = dict(
         SMALL,
-        levy={"kind": "tabulated", "table": str(table)},
+        levy={"kind": "tabulated", "table": _short_power_table(tmp_path)},
         simulation={"horizon": 1.0, "n_steps": 16, "n_paths": 128},
     )
     cfg = write_config(tmp_path, payload)
@@ -633,10 +667,10 @@ def test_norris_writes_the_library_curve(tmp_path, capsys):
         norris={"window": [0.125, 0.375], "regime": 2, "amp": 6.0, "eps_grid": [0.3, 0.25, 0.2]},
     )
     cfg = RunConfig.from_dict(payload)
-    model, sim = cfg.model.build(), cfg.simulation
-    params, fld = runner._norris_setup(cfg, model)
+    model, levy, sim = cfg.model.build(), cfg.levy.build(), cfg.simulation
+    params, fld = runner._norris_setup(cfg, model, levy)
     curve = norris_joint_probability(
-        model, cfg.levy.build(), sim.horizon, sim.n_steps, params, fld, sim.n_paths, cfg.seed
+        model, levy, sim.horizon, sim.n_steps, params, fld, sim.n_paths, cfg.seed
     )
     assert 0 < curve.counts.min() < curve.counts.max() < sim.n_paths
     for workers in (1, 2):

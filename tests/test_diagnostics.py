@@ -241,6 +241,12 @@ def test_norris_params_validation():
         NorrisParams(window=(0.0, 0.5), regime=1, direction=[1.0], eps_grid=[0.1], beta=1.5)
     with pytest.raises(ValueError):
         NorrisParams(window=(0.5, 0.2), regime=1, direction=[1.0], eps_grid=[0.1])
+    # beta = 0.5 is below the floor 4 * 1.9 - 7 = 0.6 of the alpha = 1.9 clock
+    assert diagnostics.beta_floor(LEVY) == 0.0
+    with pytest.raises(ValueError, match="beta must exceed"):
+        norris_joint_probability(
+            make_kalman(), LevyMeasureSpec(alpha=1.9), 1.0, 4, p, constant_field(np.eye(2)), 8
+        )
 
 
 def _window_integrals(model, horizon, n_steps, seed, params, fld):

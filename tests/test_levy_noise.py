@@ -38,7 +38,7 @@ from switchsde.levy_noise import _truncated_size_sampler, stable_laplace_coeffic
 def _table(lo, hi, points, density):
     """Tabulated measure through `points` geometric points of `density` on [lo, hi]."""
     u = np.geomspace(lo, hi, points)
-    return LevyMeasureSpec(kind="tabulated", alpha=None, table=np.column_stack([u, density(u)]))
+    return LevyMeasureSpec(alpha=None, table=np.column_stack([u, density(u)]))
 
 
 # frozen closed-form constants for alpha = 1
@@ -141,20 +141,20 @@ def test_small_jump_drift_values():
 
 
 def test_spec_validation_errors():
-    with pytest.raises(SpecError):
-        LevyMeasureSpec(kind="weird")
+    with pytest.raises(SpecError, match="not both"):
+        LevyMeasureSpec(table=((0.1, 1.0), (0.2, 1.0)), atoms=((1.0, 2.0),))
     with pytest.raises(SpecError):
         LevyMeasureSpec(alpha=2.0)
     with pytest.raises(SpecError):
         LevyMeasureSpec(alpha=0.0)
     with pytest.raises(SpecError):
-        LevyMeasureSpec(kind="tabulated", alpha=None)
+        LevyMeasureSpec(alpha=None)
     with pytest.raises(SpecError):
         LevyMeasureSpec(small_jump_cutoff=0.0)
     with pytest.raises(SpecError):
         LevyMeasureSpec(upper_cutoff=-1.0)
     with pytest.raises(SpecError):
-        LevyMeasureSpec(kind="atoms", atoms=((1.0, -2.0),))
+        LevyMeasureSpec(atoms=((1.0, -2.0),))
     bad_tables = [
         (),  # no points
         ((0.1, 1.0),),  # one point
@@ -169,7 +169,7 @@ def test_spec_validation_errors():
     ]
     for table in bad_tables:
         with pytest.raises(SpecError):
-            LevyMeasureSpec(kind="tabulated", alpha=None, table=table)
+            LevyMeasureSpec(alpha=None, table=table)
 
 
 def test_truncated_moments():
@@ -205,7 +205,7 @@ def test_path_and_batch_share_one_law():
         LevyMeasureSpec(alpha=1.0),
         LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0),
         _table(0.05, 2.0, 200, lambda u: u**-1.5),
-        LevyMeasureSpec(kind="atoms", alpha=None, atoms=((0.5, 40.0), (2.0, 10.0))),
+        LevyMeasureSpec(alpha=None, atoms=((0.5, 40.0), (2.0, 10.0))),
     ],
     ids=["stable", "truncated", "tabulated", "atoms"],
 )
@@ -280,7 +280,7 @@ ORACLE_CASES = {
         LevyMeasureSpec(alpha=1.0, upper_cutoff=1.0, small_jump_cutoff=1e-13), MANY_JUMPS, 3
     ),
     "atoms": (
-        LevyMeasureSpec(kind="atoms", alpha=None, atoms=((0.5, 40.0), (2.0, 10.0))),
+        LevyMeasureSpec(alpha=None, atoms=((0.5, 40.0), (2.0, 10.0))),
         _padded_rows(150, 16, 2), 150,
     ),
     "tabulated": (
@@ -357,7 +357,7 @@ def test_truncated_split_draws_below_upper_cutoff():
 
 def test_atom_split_matches_tail_rate():
     # the atom at 2 is the whole tail (lambda1 = 1); the atom at 0.5 stays in the truncated part
-    spec = LevyMeasureSpec(kind="atoms", alpha=None, atoms=((0.5, 2.0), (2.0, 1.0)))
+    spec = LevyMeasureSpec(alpha=None, atoms=((0.5, 2.0), (2.0, 1.0)))
     decomp = decompose_large_jumps(spec)
     assert decomp.lambda1 == pytest.approx(1.0)
     assert np.all(decomp.sample_mixing(1000, seed=3) == 2.0)
@@ -366,7 +366,7 @@ def test_atom_split_matches_tail_rate():
 
 def test_atom_at_unit_cutoff_belongs_to_truncated_part():
     # atoms count on (a, hi], so the split at 1 partitions the mass: 2 below, 1 above
-    spec = LevyMeasureSpec(kind="atoms", alpha=None, atoms=((1.0, 2.0), (2.0, 1.0)))
+    spec = LevyMeasureSpec(alpha=None, atoms=((1.0, 2.0), (2.0, 1.0)))
     decomp = decompose_large_jumps(spec)
     assert decomp.truncated.mass(0.0) + decomp.lambda1 == spec.mass(0.0) == 3.0
     assert decomp.truncated.mass(0.0) == 2.0
@@ -376,9 +376,41 @@ def test_atom_at_unit_cutoff_belongs_to_truncated_part():
     assert incr.max() > 0.0
 
 
-def test_decomposition_rejects_trivial_split():
-    with pytest.raises(SpecError):
-        decompose_large_jumps(LevyMeasureSpec(alpha=1.0, upper_cutoff=0.5))
+def test_a_clock_with_no_mass_above_one_splits_trivially():
+    # lambda1 = 0, and the truncated part is the clock itself, cut at min(upper_cutoff, 1)
+    dts = np.full(4, 0.25)
+    for spec, cut in [
+        (LevyMeasureSpec(alpha=1.0, upper_cutoff=0.5), 0.5),
+        (_table(1e-4, 0.5, 50, lambda u: u**-1.5), 1.0),
+    ]:
+        decomp = decompose_large_jumps(spec)
+        assert decomp.lambda1 == 0.0
+        assert decomp.truncated == replace(spec, upper_cutoff=cut)
+        assert np.array_equal(
+            sample_increments(decomp.truncated, dts, 64, seed=5),
+            sample_increments(spec, dts, 64, seed=5),
+        )
+        # the tail above 1 is empty, so its size sampler gives zeros for every kind
+        assert np.array_equal(decomp.sample_mixing(8, seed=6), np.zeros(8))
+
+
+def test_a_measure_is_told_by_its_data(tmp_path):
+    u = np.geomspace(1e-4, 0.5, 50)
+    pts = np.column_stack([u, u**-1.5])
+    spec = LevyMeasureSpec(table=pts)
+    assert spec.kind == "tabulated" and spec.theta == 1.0
+    path = tmp_path / "table.csv"
+    np.savetxt(path, pts, delimiter=",", header="u,density")
+    dts = np.full(16, 1 / 16)
+    assert np.array_equal(
+        sample_increments(spec, dts, 256, seed=9),
+        sample_increments(load_tabulated_csv(path), dts, 256, seed=9),
+    )
+    stable = LevyMeasureSpec(alpha=0.7)
+    assert stable.kind == "stable" and stable.theta == 0.7
+    assert LevyMeasureSpec(atoms=((0.5, 2.0),)).kind == "atoms"
+    with pytest.raises(SpecError, match="not both"):
+        LevyMeasureSpec(table=pts, atoms=((0.5, 2.0),))
 
 
 def test_xi_moments_and_density():
@@ -452,7 +484,7 @@ def test_tabulated_csv_rejects_bad_tables(tmp_path):
 
 
 def test_table_is_stored_as_float_pairs():
-    spec = LevyMeasureSpec(kind="tabulated", alpha=None, table=np.array([[0.5, 2.0], [1.0, 1.0]]))
+    spec = LevyMeasureSpec(alpha=None, table=np.array([[0.5, 2.0], [1.0, 1.0]]))
     assert spec.table == ((0.5, 2.0), (1.0, 1.0)) and spec.support == (0.5, 1.0)
     assert spec.density_at(np.array([0.4, 0.75, 0.9, 1.5])) == pytest.approx([0.0, 1.5, 1.2, 0.0])
     assert replace(spec, upper_cutoff=0.75).density_at(0.75) == 0.0
@@ -461,9 +493,7 @@ def test_table_is_stored_as_float_pairs():
 
 def test_table_sampler_inverts_the_interpolated_mass():
     # first interval rises from density 0: q = 0 maps to its left end, not 0 / 0
-    spec = LevyMeasureSpec(
-        kind="tabulated", alpha=None, table=((0.1, 0.0), (0.5, 2.0), (1.0, 1.0))
-    )
+    spec = LevyMeasureSpec(alpha=None, table=((0.1, 0.0), (0.5, 2.0), (1.0, 1.0)))
     assert spec.mass(0.0) == pytest.approx(1.15, rel=1e-15)
     assert spec.mean_between(0.0, 2.0) == pytest.approx(0.4 / 6 * 2.2 + 0.5 / 6 * 6.5, rel=1e-15)
     draw = _truncated_size_sampler(spec, 1e-4)
@@ -476,7 +506,7 @@ def test_table_sampler_inverts_the_interpolated_mass():
     assert cum == pytest.approx(q, abs=1e-12)
     assert x[3] == pytest.approx(0.5, rel=1e-12)
     # a zero-mass leading interval is skipped
-    flat = LevyMeasureSpec(kind="tabulated", alpha=None, table=((0.1, 0.0), (0.2, 0.0), (0.3, 1.0)))
+    flat = LevyMeasureSpec(alpha=None, table=((0.1, 0.0), (0.2, 0.0), (0.3, 1.0)))
     assert _truncated_size_sampler(flat, 1e-4)(np.array([0.0]))[0] == 0.2
     # a cutoff at the table's first point leaves no mass and no jumps
     cut = replace(spec, upper_cutoff=0.1)
@@ -532,7 +562,7 @@ def test_gamma_table_gives_a_gamma_clock():
 
 
 def test_atoms_measure():
-    spec = LevyMeasureSpec(kind="atoms", alpha=None, atoms=((0.5, 2.0), (2.0, 1.0)))
+    spec = LevyMeasureSpec(alpha=None, atoms=((0.5, 2.0), (2.0, 1.0)))
     assert spec.mass(0.0) == pytest.approx(3.0)
     assert spec.mean_between(0.0, 1.0) == pytest.approx(1.0)
     incr = sample_increments(spec, np.array([1.0]), 50_000, seed=31)[:, 0]
