@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 when the pipeline ran and its verification verdict (if any) is
-positive, 1 when it ran but a check came out negative or the numerics gave
-up, 2 for configuration or usage errors, including files that cannot be read
-or written.  The subcommands, their help lines and their verdicts are those
-declared in ``runner.PIPELINES``.
+Exit codes: 0 when the pipeline ran and every verdict in its manifest holds
+(``simulate`` and ``density`` record none), 1 when it ran but a verdict failed
+or the numerics gave up, 2 for configuration or usage errors, including files
+that cannot be read or written.  The subcommands and their help lines are
+those declared in ``runner.PIPELINES``; ``diagnostics`` decides the verdicts.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     summary = manifest["summary"]
-    ok = pipeline.verdict(summary)
+    ok = all(v["holds"] for v in manifest["verdicts"])
     print(json.dumps({"command": args.command, "ok": ok, "summary": summary}, sort_keys=True))
     return 0 if ok else 1
 

@@ -140,7 +140,7 @@ class ModelConfig(_Section):
 
 @section
 class LevyConfig(_Section):
-    alpha: float = setting(1.0, positive=True)
+    alpha: float | None = setting(positive=True)  # a stable clock's; 1 when omitted
     small_jump_cutoff: float = setting(1e-4, positive=True)
     upper_cutoff: float | None = setting(positive=True)
     table: str | None = setting()
@@ -150,6 +150,8 @@ class LevyConfig(_Section):
         kind = "stable" if self.table is None else "tabulated"
         if raw.get("kind", kind) != kind:
             raise ConfigError("levy.kind must be 'tabulated' with a levy.table and 'stable' without")
+        if self.table is not None and self.alpha is not None:
+            raise ConfigError("levy.alpha sets a stable clock; a levy.table fixes its own law")
 
     def build(self) -> LevyMeasureSpec:
         cutoffs = dict(small_jump_cutoff=self.small_jump_cutoff, upper_cutoff=self.upper_cutoff)
@@ -161,7 +163,7 @@ class LevyConfig(_Section):
             except OSError as e:  # a directory, a missing file, no permission
                 raise ConfigError(f"levy.table {self.table!r}: {e.strerror or e}") from e
             return replace(table, **cutoffs)
-        return LevyMeasureSpec(alpha=self.alpha, **cutoffs)
+        return LevyMeasureSpec(alpha=self.alpha or 1.0, **cutoffs)  # alpha is positive or None
 
 
 @section
@@ -225,8 +227,8 @@ class NorrisConfig(_Section):
     eps_grid: list[float] = setting([0.03, 0.01, 0.003, 0.001], positive=True, length=(2, None))
     beta: float = setting(0.5)
     field_name: str = setting("scaled_cos", choices=("scaled_cos", "constant"))
-    amp: float = setting(1.0)
-    freq: float = setting(3.0)
+    amp: float | None = setting()  # scaled_cos only; 1 when omitted
+    freq: float | None = setting()  # scaled_cos only; 3 when omitted
 
     def check(self, raw):
         if not 0 <= self.window[0] < self.window[1]:
@@ -235,6 +237,8 @@ class NorrisConfig(_Section):
             raise ConfigError("norris.direction must be a nonzero vector")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError("norris.beta must lie in (0, 1)")
+        if self.field_name == "constant" and (self.amp, self.freq) != (None, None):
+            raise ConfigError("norris.amp and norris.freq shape only the scaled_cos field")
 
 
 @section

@@ -4,10 +4,10 @@ Everything here turns simulated samples into a number with an honest error
 bar: two-sample distribution comparisons, capped negative moments, spectral
 tail curves, the small-time joint-probability curve for the time-change
 lemma, the integration-by-parts residual for first derivatives, and a kernel
-density smoother.  Each check reports the estimate together with the
-uncertainty it was judged against; nothing returns a bare boolean.  The
-Monte Carlo checks run on ``sde_core.map_bundles``, as the pipelines do, and
-draw their paths from 64-path seed blocks on streams of their own.
+density smoother.  The Monte Carlo checks run on ``sde_core.map_bundles``, as
+the pipelines do, and draw their paths from 64-path seed blocks on streams of
+their own.  Each exit verdict is one ``Verdict``, built beside its statistic
+by one ``*_verdict`` builder against a level written once, as a constant.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, NumericError
-from .flows import batch_flows
+from .flows import batch_flows, product_defect_tolerance
 from .levy_noise import (
+    H3_RTOL,
+    H3Result,
     LevyMeasureSpec,
     as_rng,
     decompose_large_jumps,
@@ -36,6 +38,42 @@ from .sde_core import (
     BatchNoise,
     bundle_ranges,
 )
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One exit verdict: statistic judged against bound; stderr is None where it has none."""
+
+    name: str
+    statistic: float
+    bound: float
+    stderr: float | None
+    holds: bool
+    certifies: str
+
+
+KS_LEVEL = 0.01  # the split's KS test, and ks_calibration, reject below this p-value
+EXP_BOUND_STEPS = 10.0  # the flows' exp-bound excess allowed, in grid steps
+TAIL_Z = 2.0  # standard errors by which the tail slope must exceed 0
+NORRIS_Z = 2.0  # combined standard errors by which the norris curve may rise
+GRADREP_Z = 3.0  # budgets (combined_se) each gradrep residual may reach
+
+
+def product_defect_verdict(defect: float, model: ModelSpec, horizon: float, dt: float) -> Verdict:
+    tol = product_defect_tolerance(model.n, model.grad_bound, horizon, dt)
+    return Verdict("product_defect", float(defect), tol, None, bool(defect <= tol),
+                   "the Euler pair J, K inverts to first order in the grid step")
+
+
+def exp_bound_verdict(excess: float, grid_step: float) -> Verdict:
+    bound = EXP_BOUND_STEPS * grid_step
+    return Verdict("exp_bound", float(excess), bound, None, bool(excess <= bound),
+                   "both flows stay inside their Gronwall envelope on the sampled paths")
+
+
+def kappa1_verdict(kappa1: float, threshold: float) -> Verdict:
+    return Verdict("kappa1", kappa1, threshold, None, kappa1 > threshold,
+                   "the span at sampled points only: their minimum overstates the infimum")
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -87,19 +125,17 @@ def two_sample_ks(a, b) -> KSResult:
     return KSResult(statistic=d, pvalue=min(1.0, max(0.0, p)), n1=a.size, n2=b.size)
 
 
-def ks_calibration(
-    sampler: Callable, n: int, reps: int = 100, level: float = 0.01, seed: int = 0
-) -> tuple[float, int]:
+def ks_calibration(sampler: Callable, n: int, reps: int = 100, seed: int = 0) -> tuple[float, int]:
     """Null rejection rate of the KS machinery on same-law sample pairs.
 
     sampler(n, rng) must return n iid draws.  Returns (fraction, count) of
-    replications with p-value below `level`.
+    replications with p-value below KS_LEVEL.
     """
     hits = 0
     for r in range(reps):
         rng = as_rng(np.random.SeedSequence([seed, 9101, r]))
         res = two_sample_ks(sampler(n, rng), sampler(n, rng))
-        hits += res.pvalue < level
+        hits += res.pvalue < KS_LEVEL
     return hits / reps, hits
 
 
@@ -128,6 +164,18 @@ def decomposition_ks_test(
         idx = np.repeat(np.arange(n_samples), counts)
         np.add.at(x_trunc, idx, xi)
     return two_sample_ks(x_full[:, 0], x_trunc[:, 0])
+
+
+def ks_verdict(ks: KSResult) -> Verdict:
+    return Verdict("ks_split", ks.pvalue, KS_LEVEL, None, ks.pvalue >= KS_LEVEL,
+                   "the large-jump split is not rejected at the 1% level")
+
+
+def h3_verdict(h3: H3Result) -> Verdict:
+    med = float(np.median(h3.values))  # the statistic: the values' spread over their median
+    spread = float(np.ptp(h3.values)) / med if med > 0 else float("inf")
+    return Verdict("h3_balance", spread, H3_RTOL, None, h3.verdict == "holds",
+                   "the small-jump balance is flat on the probed grid; its limit is untested")
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +246,11 @@ class TailCurve:
     slope_stderr: float
     n_samples: int
 
-    def is_decaying(self, z: float = 2.0) -> bool:
-        """Positive log-log slope, resolved against its fit error."""
-        return self.slope > z * self.slope_stderr
+
+def tail_verdict(curve: TailCurve) -> Verdict:
+    bound = TAIL_Z * curve.slope_stderr
+    return Verdict("tail_slope", curve.slope, bound, curve.slope_stderr, curve.slope > bound,
+                   "the empirical CDF rises; a positive slope bounds no tail order or moment")
 
 
 TAIL_SAMPLES_PER_COUNT = 10  # eigen_tail needs at least this many samples per min_count
@@ -396,13 +446,12 @@ class NorrisCurve:
     thresholds: np.ndarray
     n_paths: int
 
-    def is_nonincreasing(self, z: float = 2.0) -> bool:
-        """Monotone decay along shrinking eps, modulo z combined standard errors."""
-        for i in range(self.probs.size - 1):
-            slack = z * np.hypot(self.se[i], self.se[i + 1])
-            if self.probs[i + 1] > self.probs[i] + slack:
-                return False
-        return True
+
+def norris_verdict(curve: NorrisCurve) -> Verdict:
+    rises = np.diff(curve.probs) / np.hypot(curve.se[:-1], curve.se[1:])  # in combined se
+    rise = float(np.max(rises, initial=-np.inf))
+    return Verdict("norris_monotone", rise, NORRIS_Z, None, rise <= NORRIS_Z,
+                   "the joint probability does not rise as eps shrinks; its rate is untested")
 
 
 def norris_recorded(model: ModelSpec) -> int:
@@ -489,16 +538,15 @@ class GradRepResult:
     n_paths: int
     n_steps: int
 
-    def max_ratio(self) -> float:
-        return float(np.max(np.abs(self.residual) / self.combined_se))
 
-    def passes(self, z: float = 3.0) -> bool:
-        return bool(np.all(np.abs(self.residual) <= z * self.combined_se))
+def gradrep_verdict(res: GradRepResult) -> Verdict:
+    ratio = float(np.max(np.abs(res.residual) / res.combined_se))
+    return Verdict("gradrep_ratio", ratio, GRADREP_Z, None, ratio <= GRADREP_Z,
+                   "the first-derivative transfer identity holds within its error budget")
 
 
 def _gradrep_residual_rows(model, f, x_all, k_all, eta, rows):
     """Per-path residual vector from a start bundle; rows = (plus_i, minus_i) pairs."""
-    n = model.n
     f_center = f(x_all[0])
     r = None
     for i, (ip, im) in enumerate(rows):

@@ -172,7 +172,7 @@ def ball_points(center, radius: float, n_samples: int, seed: int = 0) -> np.ndar
 
 @dataclass
 class KappaEstimate:
-    """Sampled lower bound of the bracket-span certificate over a ball."""
+    """The span certificate's minimum at sampled points of a ball, at or above its infimum."""
 
     kappa1: float
     depth: int
@@ -183,7 +183,7 @@ class KappaEstimate:
     depth_profile: np.ndarray | None = None
     cross_check_min: float = float("nan")
     n_points: int = 0
-    verdict: str = ""
+    verdict: str = ""  # "holds" or "fails" once diagnostics.kappa1_verdict has judged kappa1
 
 
 def estimate_kappa1(
@@ -192,7 +192,6 @@ def estimate_kappa1(
     radius: float = 1.0,
     n_samples: int = 64,
     seed: int = 0,
-    threshold: float = 1e-8,
 ) -> KappaEstimate:
     """Minimize the smallest cumulative-Gram eigenvalue over every regime and
     the ball around model.x0, with analytic brackets when the model has
@@ -230,5 +229,4 @@ def estimate_kappa1(
         depth_profile=bs.depth_profile(),
         cross_check_min=sweep,
         n_points=pts.shape[0],
-        verdict="holds" if lam > threshold else "fails",
     )

@@ -34,6 +34,7 @@ from .errors import DataError, SpecError, UnsupportedConfigError
 LARGE_JUMP_CUTOFF = 1.0
 COUNT_CELLS = 1 << 18  # Poisson counts drawn at a time by sample_increments
 QUAD_ABS_TOL = 1e-10
+H3_RTOL = 0.05  # the relative spread within which check_H3 takes its probe values as constant
 
 
 def _quad(*args, **kwargs):
@@ -406,20 +407,14 @@ class H3Result:
     verdict: str  # "holds" | "tends_to_zero" | "diverges"
     c_theta: float | None
 
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "holds"
 
-
-def check_H3(
-    spec: LevyMeasureSpec, theta: float, eps_grid: Sequence[float], rtol: float = 0.05
-) -> H3Result:
+def check_H3(spec: LevyMeasureSpec, theta: float, eps_grid: Sequence[float]) -> H3Result:
     """Probe the small-jump balance value eps**(theta/2-1) * integral(0,eps) u nu(du).
 
     The integral is always evaluated by quadrature so the probe is an honest
     numerical check even when a closed form exists.  The limit is declared to
-    hold when the values stabilize to a positive constant within rtol across
-    the grid; otherwise the log-log trend separates decay to zero from
+    hold when the values stabilize to a positive constant within H3_RTOL
+    across the grid; otherwise the log-log trend separates decay to zero from
     divergence.
     """
     if theta <= 0:
@@ -437,7 +432,7 @@ def check_H3(
         return H3Result(theta, eps, vals, "tends_to_zero", None)
     med = float(np.median(vals))
     spread = float((vals.max() - vals.min()) / med)
-    if spread <= rtol:
+    if spread <= H3_RTOL:
         return H3Result(theta, eps, vals, "holds", med)
     slope = float(np.polyfit(np.log(eps), np.log(vals), 1)[0])
     verdict = "tends_to_zero" if slope > 0 else "diverges"

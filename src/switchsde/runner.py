@@ -28,7 +28,7 @@ tasks that ran in parallel.  It also records what the run ran on
 variables, workers requested and used) and ``peak_rss_mb``.
 
 ``PIPELINES`` is the one declaration of each subcommand: ``@pipeline`` registers
-a body under its name, help line, exit verdict and whether it takes --paths.
+a body under its name, help line and whether it takes --paths; the body returns its verdicts.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import partial
+from operator import methodcaller
 from pathlib import Path
 from typing import Callable
 
@@ -52,7 +53,7 @@ try:
 except ImportError:  # no getrusage on this platform
     resource = None
 
-from . import __version__, sde_core
+from . import __version__, diagnostics, sde_core
 from .config import RunConfig
 from .diagnostics import (
     TAIL_SAMPLES_PER_COUNT,
@@ -72,7 +73,6 @@ from .flows import (
     batch_flows,
     exp_bound_excess,
     product_defect,
-    product_defect_tolerance,
     sample_covariances,
 )
 from .hormander import estimate_kappa1
@@ -106,7 +106,7 @@ def file_digest(path: Path) -> str:
 
 def write_json(path: Path, value) -> None:
     """Indented JSON with sorted keys; numpy arrays and scalars are written as lists and numbers."""
-    text = json.dumps(value, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    text = json.dumps(value, indent=2, sort_keys=True, default=methodcaller("tolist"))
     path.write_text(text + "\n")
 
 
@@ -160,7 +160,6 @@ class Pipeline:
     """One CLI subcommand; run(cfg) writes its files and returns the manifest."""
 
     help: str
-    verdict: Callable[[dict], bool]  # the summary's exit verdict: False exits 1
     paths: bool  # whether --paths overrides simulation.n_paths
     run: Callable[[RunConfig], dict]
 
@@ -168,8 +167,8 @@ class Pipeline:
 PIPELINES: dict[str, Pipeline] = {}
 
 
-def pipeline(name: str, help: str, verdict=lambda summary: True, paths: bool = True):
-    """Register body(cfg, out) -> (summary, workers_used) as the subcommand name.
+def pipeline(name: str, help: str, paths: bool = True):
+    """Register body(cfg, out) -> (summary, verdicts, workers_used) as the subcommand name.
 
     The registered run creates output.dir, times the body and writes
     manifest.json, which digests exactly the files the body named through out.
@@ -180,7 +179,7 @@ def pipeline(name: str, help: str, verdict=lambda summary: True, paths: bool = T
             t0 = time.perf_counter()
             out = OutputDir(cfg.output.dir)
             out.path.mkdir(parents=True, exist_ok=True)
-            summary, workers_used = body(cfg, out)
+            summary, verdicts, workers_used = body(cfg, out)
             elapsed = time.perf_counter() - t0
             written = [out.path / n for n in sorted(out.files)]
             files = {p.name: {"sha256": file_digest(p), "bytes": p.stat().st_size} for p in written}
@@ -197,12 +196,13 @@ def pipeline(name: str, help: str, verdict=lambda summary: True, paths: bool = T
                 "environment": environment(cfg.workers, workers_used),
                 "peak_rss_mb": peak_rss_mb(),
                 "summary": summary,
+                "verdicts": [asdict(v) for v in verdicts],
                 "files": files,
             }
             write_json(out.path / "manifest.json", manifest)
             return manifest
 
-        PIPELINES[name] = Pipeline(help, verdict, paths, run)
+        PIPELINES[name] = Pipeline(help, paths, run)
         return run
 
     return register
@@ -273,7 +273,7 @@ def run_simulate(cfg: RunConfig, out: OutputDir):
         "terminal_std": terminals.std(axis=0, ddof=1).tolist() if terminals.shape[0] > 1 else None,
         "mean_switch_events": float(events.mean()),
     }
-    return summary, used
+    return summary, [], used
 
 
 def _flows_bundle(model, n_steps: int, noise, lo: int, hi: int):
@@ -289,8 +289,7 @@ def _flows_bundle(model, n_steps: int, noise, lo: int, hi: int):
     return defects.max(), excess, min_eig, profile
 
 
-@pipeline("flows", "evolve the forward and inverse flows and report defect bounds",
-          verdict=lambda s: s["within_defect_tolerance"] and s["within_exp_bound"])
+@pipeline("flows", "evolve the forward and inverse flows and report defect bounds")
 def run_flows(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
     sim = cfg.simulation
@@ -299,42 +298,36 @@ def run_flows(cfg: RunConfig, out: OutputDir):
     results, used = _map(body, STREAM_FLOWS, cfg, model, recorded)
     defects, excesses, min_eigs, profiles = zip(*results)
     write_csv(out / "defect_profile.csv", "t,defect", profiles[0])
-    tol = product_defect_tolerance(model.n, model.grad_bound, sim.horizon, sim.grid_step)
+    defect = diagnostics.product_defect_verdict(max(defects), model, sim.horizon, sim.grid_step)
+    excess = diagnostics.exp_bound_verdict(max(excesses), sim.grid_step)
     summary = {
         "n_paths": sim.n_paths,
-        "max_product_defect": float(max(defects)),
-        "defect_tolerance": tol,
-        "max_exp_bound_excess": float(max(excesses)),
+        "max_product_defect": defect.statistic,
+        "defect_tolerance": defect.bound,
+        "max_exp_bound_excess": excess.statistic,
         "min_covariance_eigenvalue": float(min(min_eigs)),
-        "within_defect_tolerance": bool(max(defects) <= tol),
-        "within_exp_bound": bool(max(excesses) <= 10.0 * sim.grid_step),
+        "within_defect_tolerance": defect.holds,
+        "within_exp_bound": excess.holds,
     }
-    return summary, used
+    return summary, [defect, excess], used
 
 
 # hormander samples hormander.n_samples points, not paths, so it takes no --paths
-@pipeline("hormander", "evaluate the bracket-span certificate over a state ball",
-          verdict=lambda s: s["verdict"] == "holds", paths=False)
+@pipeline("hormander", "evaluate the bracket-span certificate over a state ball", paths=False)
 def run_hormander(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
     h = cfg.hormander
-    est = estimate_kappa1(
-        model,
-        depth=h.depth,
-        radius=h.radius,
-        n_samples=h.n_samples,
-        seed=cfg.seed,
-        threshold=h.threshold,
-    )
+    est = estimate_kappa1(model, h.depth, h.radius, h.n_samples, seed=cfg.seed)
+    verdict = diagnostics.kappa1_verdict(est.kappa1, h.threshold)
+    est.verdict = "holds" if verdict.holds else "fails"
     # str keys, which sort_keys orders as text, not as numbers
     per_regime = {str(k): v for k, v in est.per_regime.items()}
     write_json(out / "hormander.json", dict(vars(est), per_regime=per_regime))
     summary = {"kappa1": est.kappa1, "verdict": est.verdict}
-    return summary, 1
+    return summary, [verdict], 1
 
 
-@pipeline("tails", "tail curve of the smallest reduced-covariance eigenvalue",
-          verdict=lambda s: s["decaying"])
+@pipeline("tails", "tail curve of the smallest reduced-covariance eigenvalue")
 def run_tails(cfg: RunConfig, out: OutputDir):
     need = TAIL_SAMPLES_PER_COUNT * cfg.tails.min_count
     if cfg.simulation.n_paths < need:
@@ -358,18 +351,18 @@ def run_tails(cfg: RunConfig, out: OutputDir):
         "threshold,prob,lo,hi,count",
         [curve.thresholds, curve.probs, curve.lo, curve.hi, curve.counts],
     )
+    verdict = diagnostics.tail_verdict(curve)
     summary = {
         "n_samples": curve.n_samples,
         "slope": curve.slope,
         "slope_stderr": curve.slope_stderr,
-        "decaying": curve.is_decaying(),
+        "decaying": verdict.holds,
     }
     # the processes sample_covariances ran its bundles on: a config's specs always pickle
-    return summary, min(cfg.workers, len(_chunk_ranges(cfg, model.d, 0)))
+    return summary, [verdict], min(cfg.workers, len(_chunk_ranges(cfg, model.d, 0)))
 
 
-@pipeline("decompose-check", "verify the large-jump split and the small-jump scaling probe",
-          verdict=lambda s: s["ks_pvalue"] >= 0.01 and s["h3_verdict"] == "holds")
+@pipeline("decompose-check", "verify the large-jump split and the small-jump scaling probe")
 def run_decompose_check(cfg: RunConfig, out: OutputDir):
     levy = cfg.levy.build()
     decomp = decompose_large_jumps(levy)
@@ -389,7 +382,7 @@ def run_decompose_check(cfg: RunConfig, out: OutputDir):
     }
     write_json(out / "decomposition.json", report)
     summary = {"ks_pvalue": ks.pvalue, "h3_verdict": h3.verdict}
-    return summary, 1
+    return summary, [diagnostics.ks_verdict(ks), diagnostics.h3_verdict(h3)], 1
 
 
 def _norris_setup(cfg: RunConfig, model, levy):
@@ -410,13 +403,13 @@ def _norris_setup(cfg: RunConfig, model, levy):
     if len(direction) != model.n:
         raise ConfigError(f"norris.direction must have one entry per state component ({model.n})")
     params = NorrisParams(tuple(nc.window), nc.regime, direction, nc.eps_grid, nc.beta)
-    if nc.field_name == "scaled_cos":
-        return params, scaled_cos_field(model.sigma, amp=nc.amp, freq=nc.freq)
-    return params, constant_field(model.sigma)
+    if nc.field_name == "constant":
+        return params, constant_field(model.sigma)
+    shape = {k: v for k, v in (("amp", nc.amp), ("freq", nc.freq)) if v is not None}
+    return params, scaled_cos_field(model.sigma, **shape)
 
 
-@pipeline("norris", "joint probability curve on a frozen-regime window",
-          verdict=lambda s: s["nonincreasing"])
+@pipeline("norris", "joint probability curve on a frozen-regime window")
 def run_norris(cfg: RunConfig, out: OutputDir):
     model, levy, sim = cfg.model.build(), cfg.levy.build(), cfg.simulation
     params, fld = _norris_setup(cfg, model, levy)  # a bad setting exits 2 before any simulation
@@ -429,17 +422,18 @@ def run_norris(cfg: RunConfig, out: OutputDir):
         "eps,threshold,prob,se,count",
         [curve.eps, curve.thresholds, curve.probs, curve.se, curve.counts],
     )
+    verdict = diagnostics.norris_verdict(curve)
     summary = {
         "n_paths": curve.n_paths,
-        "nonincreasing": curve.is_nonincreasing(),
+        "nonincreasing": verdict.holds,
         "probs": curve.probs.tolist(),
     }
     # the processes norris_joint_probability ran its bundles on: a config's specs always pickle
-    return summary, min(cfg.workers, len(_chunk_ranges(cfg, model.d, norris_recorded(model))))
+    used = min(cfg.workers, len(_chunk_ranges(cfg, model.d, norris_recorded(model))))
+    return summary, [verdict], used
 
 
-@pipeline("gradrep", "residual of the first-derivative transfer identity",
-          verdict=lambda s: s["passes"])
+@pipeline("gradrep", "residual of the first-derivative transfer identity")
 def run_gradrep(cfg: RunConfig, out: OutputDir):
     model = cfg.model.build()
     levy = cfg.levy.build()
@@ -462,10 +456,11 @@ def run_gradrep(cfg: RunConfig, out: OutputDir):
         model, levy, sim.horizon, sim.n_steps, sim.n_paths, f, grad_f,
         eta=gr.eta, seed=cfg.seed, workers=cfg.workers,
     )
-    summary = {"max_ratio": res.max_ratio(), "passes": res.passes()}
+    verdict = diagnostics.gradrep_verdict(res)
+    summary = {"max_ratio": verdict.statistic, "passes": verdict.holds}
     write_json(out / "gradrep.json", dict(vars(res), **summary))
     # the processes its PATH_TILE tiles ran on: a config's specs, f and grad_f always pickle
-    return summary, min(cfg.workers, -(-sim.n_paths // PATH_TILE))
+    return summary, [verdict], min(cfg.workers, -(-sim.n_paths // PATH_TILE))
 
 
 def _sin_of_projection(w, x):
@@ -499,5 +494,5 @@ def run_density(cfg: RunConfig, out: OutputDir):
         "bandwidth": est.bandwidth,
         "grid_mass": est.mass,
     }
-    return summary, used
+    return summary, [], used
 

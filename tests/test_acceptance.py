@@ -45,6 +45,14 @@ from switchsde import (
     scaled_cos_field,
     constant_rates,
 )
+from switchsde.diagnostics import (
+    gradrep_verdict,
+    h3_verdict,
+    kappa1_verdict,
+    ks_verdict,
+    norris_verdict,
+    tail_verdict,
+)
 from switchsde.runner import run_simulate
 
 LEVY = LevyMeasureSpec(alpha=1.0)
@@ -161,9 +169,9 @@ def test_ac06_small_jump_balance_constants():
     res2 = check_H3(LevyMeasureSpec(alpha=0.5), theta=0.5, eps_grid=eps)
     # c_theta = 2/(2 - alpha): 2 at alpha=1, 4/3 at alpha=0.5
     ok = (
-        res1.holds
+        h3_verdict(res1).holds
         and abs(res1.c_theta - 2.0) <= 0.05 * 2.0
-        and res2.holds
+        and h3_verdict(res2).holds
         and abs(res2.c_theta - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
     )
     report(
@@ -180,9 +188,9 @@ def test_ac07_span_certificate_and_degenerate_witness():
     est0 = estimate_kappa1(degenerate, depth=3, radius=1.0, n_samples=64)
     ok = (
         abs(est.kappa1 - 1.0) <= 1e-6
-        and est.verdict == "holds"
+        and kappa1_verdict(est.kappa1, 1e-8).holds
         and est0.kappa1 <= 1e-10
-        and est0.verdict == "fails"
+        and not kappa1_verdict(est0.kappa1, 1e-8).holds
     )
     report(
         "AC-07",
@@ -234,10 +242,9 @@ def test_ac09_inverse_clock_moment():
 
 def test_ac10_decomposition_law_and_ks_calibration():
     res = decomposition_ks_test(LEVY, horizon=1.0, n_samples=20_000, seed=0)
-    frac, hits = ks_calibration(
-        lambda n, rng: rng.standard_normal(n), n=2000, reps=100, level=0.01, seed=0
-    )
-    ok = res.pvalue >= 0.01 and hits <= 2
+    # both reject below KS_LEVEL = 0.01
+    frac, hits = ks_calibration(lambda n, rng: rng.standard_normal(n), n=2000, reps=100, seed=0)
+    ok = ks_verdict(res).holds and hits <= 2
     report(
         "AC-10",
         ok,
@@ -268,7 +275,7 @@ def test_ac11_joint_window_curve():
         flat, LEVY, horizon=0.5, n_steps=32, params=params0,
         fld=constant_field(flat.sigma), n_paths=200, seed=1,
     )
-    ok = curve.is_nonincreasing(z=2.0) and np.all(curve0.probs == 0.0)
+    ok = norris_verdict(curve).holds and np.all(curve0.probs == 0.0)  # NORRIS_Z = 2
     report(
         "AC-11",
         ok,
@@ -306,8 +313,9 @@ def test_ac12_derivative_transfer_identity():
             seed=0,
             workers=2,
         )
-        ok = ok and res.passes(z=3.0)
-        details.append(f"{model.name}: max |residual|/budget = {res.max_ratio():.2f}")
+        verdict = gradrep_verdict(res)  # GRADREP_Z = 3
+        ok = ok and verdict.holds
+        details.append(f"{model.name}: max |residual|/budget = {verdict.statistic:.2f}")
     report("AC-12", ok, "; ".join(details) + " (<= 3)")
 
 
@@ -316,7 +324,7 @@ def test_ac13_spectral_tail_decay():
     samples = sample_covariances(model, LEVY, horizon=1.0, n_steps=16,
                                  n_paths=100_000, seed=13)
     curve = eigen_tail(samples)
-    ok = curve.is_decaying(z=2.0)
+    ok = tail_verdict(curve).holds  # TAIL_Z = 2
     report(
         "AC-13",
         ok,

@@ -5,10 +5,13 @@ keys are rejected with dotted paths, and each pipeline writes a manifest
 whose file digests are reproducible across worker counts.
 """
 
+import contextlib
+import io
 import json
 import multiprocessing
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 from switchsde import ConfigError, RunConfig, norris_joint_probability, runner, sde_core
 from switchsde.cli import build_parser, main
+from switchsde.diagnostics import Verdict
 
 SMALL = {
     "seed": 7,
@@ -91,9 +95,19 @@ def _fit_model(d):
 
 
 def _fit_levy(d):
-    # a given kind must agree with whether a table is given
+    # a given kind must agree with whether a table is given, and a table takes no alpha
     if "kind" in d:
         d["kind"] = "tabulated" if d.get("table") is not None else "stable"
+    if d.get("table") is not None:
+        d.pop("alpha", None)
+    return d
+
+
+def _fit_norris(d):
+    # amp and freq shape only the scaled_cos field
+    if d.get("field_name") == "constant":
+        for key in ("amp", "freq"):
+            d.pop(key, None)
     return d
 
 
@@ -138,7 +152,7 @@ SECTIONS = {
         "eps_grid": st.lists(_positive, min_size=2, max_size=5),
         "beta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         "field_name": st.sampled_from(["scaled_cos", "constant"]), "amp": _number, "freq": _number,
-    }),
+    }, _fit_norris),
     "gradrep": _section({"eta": _positive, "weights": _floats}),
     "density": _section({
         "component": st.integers(0, 5), "n_grid": st.integers(8, 4096),
@@ -345,6 +359,8 @@ def test_hormander_verdict_and_failure_exit(tmp_path, capsys):
     code2, report2 = run_cli(capsys, "hormander", "--config", cfg2, "--out", str(tmp_path / "h2"))
     assert code2 == 1
     assert not report2["ok"]
+    manifest = json.loads((tmp_path / "h2" / "manifest.json").read_text())
+    assert [(v["name"], v["holds"]) for v in manifest["verdicts"]] == [("kappa1", False)]
 
 
 def test_decompose_check(tmp_path, capsys):
@@ -379,6 +395,8 @@ def test_decompose_check_fails_h3_on_every_table(tmp_path, capsys):
     assert report["summary"]["ks_pvalue"] >= 0.01
     detail = json.loads((out / "decomposition.json").read_text())
     assert detail["h3_values"][-1] == 0.0
+    verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+    assert {v["name"]: v["holds"] for v in verdicts} == {"ks_split": True, "h3_balance": False}
 
 
 def _short_power_table(tmp_path):
@@ -419,6 +437,40 @@ def test_a_table_config_is_a_tabulated_clock_with_or_without_kind(tmp_path, caps
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     assert "levy.kind" in capsys.readouterr().err
     assert not out.exists()
+
+
+IGNORED_SETTINGS = {
+    # a table fixes its own law, so alpha 1.9 would neither shape it nor raise beta's floor
+    "alpha_beside_table": ({"levy": {"alpha": 1.9}, "norris": {"beta": 0.5}}, "levy.alpha"),
+    # the constant field has no amplitude or frequency
+    "amp_beside_constant": ({"norris": {"field_name": "constant", "amp": 5.0}}, "norris.amp"),
+    "freq_beside_constant": ({"norris": {"field_name": "constant", "freq": 2.0}}, "norris.freq"),
+}
+
+
+@pytest.mark.parametrize("payload, where", IGNORED_SETTINGS.values(), ids=IGNORED_SETTINGS.keys())
+def test_settings_that_the_clock_or_field_would_ignore_exit_2(tmp_path, capsys, payload, where):
+    if "levy" in payload:
+        payload = dict(payload, levy=dict(payload["levy"], table=_short_power_table(tmp_path)))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(SMALL, **payload))
+    assert main(["norris", "--config", cfg, "--out", str(out)]) == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_omitted_clock_and_field_settings_keep_their_values(tmp_path, capsys):
+    # stored as null, they stand for alpha = 1 and the scaled_cos field's amp = 1, freq = 3
+    cfg = RunConfig.from_dict({"levy": {"table": "absent.csv"}})
+    assert cfg.levy.alpha is None and cfg.norris.amp is None and cfg.norris.freq is None
+    assert RunConfig().levy.build() == RunConfig.from_dict({"levy": {"alpha": 1.0}}).levy.build()
+    curves = []
+    for norris in ({}, {"field_name": "scaled_cos", "amp": 1.0, "freq": 3.0}):
+        out = tmp_path / f"n{len(curves)}"
+        cfg = write_config(tmp_path, dict(SMALL, norris=norris))
+        assert run_cli(capsys, "norris", "--config", cfg, "--out", str(out))[0] == 0
+        curves.append((out / "norris_curve.csv").read_bytes())
+    assert curves[0] == curves[1]
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):
@@ -844,8 +896,23 @@ def test_manifest_lists_only_the_files_the_run_wrote(tmp_path, capsys):
     assert (out / "notes.txt").read_text() == "kept\n"
 
 
+@pytest.fixture(scope="module")
+def registry_runs(tmp_path_factory):
+    """Each registered pipeline run once on SMALL: name -> (exit code, report, manifest)."""
+    tmp = tmp_path_factory.mktemp("registry")
+    # tails needs 10 * tails.min_count samples, more than SMALL's 24 paths
+    cfg = write_config(tmp, dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=70)))
+    runs = {}
+    for name in runner.PIPELINES:
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            code = main([name, "--config", cfg, "--out", str(tmp / name)])
+        manifest = json.loads((tmp / name / "manifest.json").read_text())
+        runs[name] = code, json.loads(printed.getvalue()), manifest
+    return runs
+
+
 @pytest.mark.parametrize("name", runner.PIPELINES)
-def test_cli_follows_the_registry(tmp_path, capsys, name):
+def test_cli_follows_the_registry(capsys, registry_runs, name):
     spec = runner.PIPELINES[name]
     with pytest.raises(SystemExit) as exit_:
         main([name, "--help"])
@@ -856,12 +923,16 @@ def test_cli_follows_the_registry(tmp_path, capsys, name):
     else:
         with pytest.raises(SystemExit):
             build_parser().parse_args([name, "--paths", "5"])
-    capsys.readouterr()
-    # tails needs 10 * tails.min_count samples, more than SMALL's 24 paths
-    payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=70))
-    out = tmp_path / name
-    code, report = run_cli(capsys, name, "--config", write_config(tmp_path, payload), "--out", str(out))
-    assert json.loads((out / "manifest.json").read_text())["command"] == name
-    assert report["command"] == name
-    assert report["ok"] == spec.verdict(report["summary"])
+    code, report, manifest = registry_runs[name]
+    assert manifest["command"] == report["command"] == name
+    assert report["ok"] == all(v["holds"] for v in manifest["verdicts"])
     assert code == (0 if report["ok"] else 1)
+    assert all(set(v) == {f.name for f in fields(Verdict)} for v in manifest["verdicts"])
+    assert (manifest["verdicts"] == []) == (name in ("simulate", "density"))
+
+
+def test_readme_documents_every_verdict(registry_runs):
+    # README's verdict table names exactly the verdicts that the pipelines emit
+    emitted = [(name, v["name"]) for name, (_, _, m) in registry_runs.items() for v in m["verdicts"]]
+    rows = re.findall(r"^\| `([\w-]+)` \| `(\w+)` \|", (ROOT / "README.md").read_text(), re.M)
+    assert sorted(rows) == sorted(emitted)

@@ -6,9 +6,10 @@ on hand-picked samples, and the frozen-window integrals on the canonical
 degenerate pair where K(t) = I - t A holds exactly on the grid.
 """
 
+import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,22 @@ from switchsde import (
     window_integrals,
 )
 from switchsde import diagnostics, runner, sde_core
-from switchsde.flows import sample_covariances
+from switchsde.diagnostics import (
+    GradRepResult,
+    KSResult,
+    TailCurve,
+    Verdict,
+    exp_bound_verdict,
+    gradrep_verdict,
+    h3_verdict,
+    kappa1_verdict,
+    ks_verdict,
+    norris_verdict,
+    product_defect_verdict,
+    tail_verdict,
+)
+from switchsde.flows import product_defect_tolerance, sample_covariances
+from switchsde.levy_noise import check_H3
 
 LEVY = LevyMeasureSpec(alpha=1.0)
 # the small-jump part of LEVY, decompose_large_jumps(LEVY).truncated
@@ -92,14 +108,10 @@ def test_ks_statistic_hand_case():
 
 
 def test_ks_calibration_null_rate():
-    frac, hits = ks_calibration(
-        lambda n, rng: rng.standard_normal(n), n=300, reps=40, level=0.01, seed=0
-    )
+    frac, hits = ks_calibration(lambda n, rng: rng.standard_normal(n), n=300, reps=40, seed=0)
     assert hits == frac * 40
     assert frac <= 0.1
-    again = ks_calibration(
-        lambda n, rng: rng.standard_normal(n), n=300, reps=40, level=0.01, seed=0
-    )
+    again = ks_calibration(lambda n, rng: rng.standard_normal(n), n=300, reps=40, seed=0)
     assert again == (frac, hits)
 
 
@@ -167,7 +179,7 @@ def test_eigen_tail_power_law():
     lam = rng.uniform(size=100_000) ** 0.5
     curve = eigen_tail(lam)
     assert abs(curve.slope - 2.0) < 0.2
-    assert curve.is_decaying()
+    assert tail_verdict(curve).holds
     assert np.all(curve.lo <= curve.probs) and np.all(curve.probs <= curve.hi)
     assert np.all(np.diff(curve.thresholds) > 0)
     assert np.all(curve.counts >= 5)
@@ -355,6 +367,67 @@ def test_window_integrals_equal_the_recorded_base_recipe(model, t1):
         assert got.tobytes() == ref.tobytes()
 
 
+# -- exit verdicts --------------------------------------------------------------
+
+
+def _tail(slope, stderr):
+    three = np.array([0.1, 0.2, 0.3])
+    return TailCurve(three, three, three, three, np.array([5, 10, 15]), slope, stderr, 100)
+
+
+def _norris(probs):
+    two = np.array([0.1, 0.01])
+    return NorrisCurve(two, np.array(probs), np.array([0.01, 0.01]), np.zeros(2, int), two, 100)
+
+
+def _gradrep(residual):
+    two = np.array([0.1, 0.1])
+    return GradRepResult(np.array(residual), two, two, two, two, two, 1e-3, 100, 16)
+
+
+def _verdict_pairs():
+    """Each builder on hand-built statistics: (holding verdict, failing verdict)."""
+    model = make_kalman()
+    eps = np.geomspace(1e-1, 1e-4, 7)
+    tol = product_defect_tolerance(model.n, model.grad_bound, 1.0, 0.01)
+    return {
+        "product_defect": [product_defect_verdict(d, model, 1.0, 0.01) for d in (tol, 1.01 * tol)],
+        "exp_bound": [exp_bound_verdict(e, 0.01) for e in (0.1, 0.101)],  # 10 grid steps
+        "kappa1": [kappa1_verdict(k, 1e-8) for k in (2e-8, 1e-8)],
+        "tail_slope": [tail_verdict(_tail(s, 0.25)) for s in (0.51, 0.5)],  # slope > 2 se
+        "ks_split": [ks_verdict(KSResult(0.1, p, 100, 100)) for p in (0.01, 0.0099)],
+        "h3_balance": [
+            h3_verdict(check_H3(LevyMeasureSpec(alpha=1.0), theta, eps)) for theta in (1.0, 1.5)
+        ],
+        "norris_monotone": [norris_verdict(_norris(p)) for p in ([0.1, 0.12], [0.1, 0.13])],
+        "gradrep_ratio": [gradrep_verdict(_gradrep(r)) for r in ([0.3, -0.1], [0.1, -0.31])],
+    }
+
+
+@pytest.mark.parametrize("name", list(_verdict_pairs()))
+def test_each_verdict_flips_at_its_bound(name):
+    holding, failing = _verdict_pairs()[name]
+    assert holding.holds and not failing.holds
+    assert holding.name == failing.name == name and holding.bound == failing.bound
+    for v in (holding, failing):
+        record = json.loads(json.dumps(asdict(v)))
+        assert set(record) == {f.name for f in fields(Verdict)} and record["certifies"]
+        assert isinstance(record["holds"], bool) and isinstance(record["statistic"], float)
+
+
+def test_each_verdict_is_decided_by_its_statistic_and_bound():
+    # the comparison behind holds reads only the record's own statistic and bound
+    pairs = _verdict_pairs()
+    at_most = ["product_defect", "exp_bound", "h3_balance", "norris_monotone", "gradrep_ratio"]
+    for name in at_most:
+        assert all(v.holds == (v.statistic <= v.bound) for v in pairs[name]), name
+    assert all(v.holds == (v.statistic >= v.bound) for v in pairs["ks_split"])
+    for name in ("kappa1", "tail_slope"):
+        assert all(v.holds == (v.statistic > v.bound) for v in pairs[name]), name
+    slope = pairs["tail_slope"][1]
+    assert slope.stderr == 0.25 and slope.bound == 0.5
+
+
 def test_norris_curve_monotonicity_rule():
     mk = lambda probs, se: NorrisCurve(
         eps=np.array([0.1, 0.01]),
@@ -364,9 +437,9 @@ def test_norris_curve_monotonicity_rule():
         thresholds=np.zeros(2),
         n_paths=100,
     )
-    assert mk([0.3, 0.1], [0.01, 0.01]).is_nonincreasing()
-    assert mk([0.10, 0.11], [0.01, 0.01]).is_nonincreasing()  # within slack
-    assert not mk([0.1, 0.3], [0.01, 0.01]).is_nonincreasing()
+    assert norris_verdict(mk([0.3, 0.1], [0.01, 0.01])).holds
+    assert norris_verdict(mk([0.10, 0.11], [0.01, 0.01])).holds  # within slack
+    assert not norris_verdict(mk([0.1, 0.3], [0.01, 0.01])).holds
 
 
 def test_norris_probability_curve_zero_drift_vanishes():
@@ -380,7 +453,7 @@ def test_norris_probability_curve_zero_drift_vanishes():
     )
     assert np.all(curve.probs == 0.0)
     assert np.all(curve.counts == 0)
-    assert curve.is_nonincreasing()
+    assert norris_verdict(curve).holds
 
 
 def test_norris_probability_curve_deterministic():
@@ -418,7 +491,7 @@ def test_gradient_representation_quick():
         grad_f=lambda x: np.cos(x @ w)[:, None] * w,
         seed=0,
     )
-    assert res.passes(z=3.0)
+    assert gradrep_verdict(res).holds
     assert res.combined_se.shape == (2,)
     assert np.all(res.combined_se > 0)
     with pytest.raises(ValueError):

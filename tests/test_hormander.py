@@ -21,6 +21,7 @@ from switchsde import (
     make_two_regime_linear,
     make_zero_drift,
 )
+from switchsde.diagnostics import kappa1_verdict
 
 A_KALMAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -63,7 +64,7 @@ def test_kalman_certificate_exact():
     np.testing.assert_allclose(bs.depth_profile(), [0.0, 1.0], atol=1e-14)
     est = estimate_kappa1(model, depth=2, radius=1.0, n_samples=32)
     assert est.kappa1 == pytest.approx(1.0, abs=1e-12)
-    assert est.verdict == "holds"
+    assert kappa1_verdict(est.kappa1, 1e-8).holds
     assert est.cross_check_min >= est.kappa1 - 1e-9
 
 
@@ -71,7 +72,7 @@ def test_degenerate_zero_drift_fails_with_witness():
     model = make_zero_drift(n=2, d=1, sigma=[[0.0], [1.0]])
     est = estimate_kappa1(model, depth=3, radius=1.0, n_samples=16)
     assert est.kappa1 <= 1e-10
-    assert est.verdict == "fails"
+    assert not kappa1_verdict(est.kappa1, 1e-8).holds
     # noise never reaches the first coordinate; the dead direction is e_1
     np.testing.assert_allclose(np.abs(est.witness_direction), [1.0, 0.0], atol=1e-12)
     assert est.depth_profile is not None and np.all(est.depth_profile <= 1e-10)

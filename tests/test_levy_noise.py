@@ -431,9 +431,9 @@ def test_h3_probe_verdicts():
     eps = np.geomspace(1e-1, 1e-5, 9)
     spec = LevyMeasureSpec(alpha=1.0)
     res = check_H3(spec, theta=1.0, eps_grid=eps)
-    assert res.holds and res.c_theta == pytest.approx(2.0, rel=1e-6)
+    assert res.verdict == "holds" and res.c_theta == pytest.approx(2.0, rel=1e-6)
     res_half = check_H3(LevyMeasureSpec(alpha=0.5), theta=0.5, eps_grid=eps)
-    assert res_half.holds and res_half.c_theta == pytest.approx(4.0 / 3.0, rel=1e-6)
+    assert res_half.verdict == "holds" and res_half.c_theta == pytest.approx(4.0 / 3.0, rel=1e-6)
     # theta above alpha: probe decays; below: diverges
     assert check_H3(spec, theta=1.5, eps_grid=eps).verdict == "tends_to_zero"
     assert check_H3(spec, theta=0.5, eps_grid=eps).verdict == "diverges"
