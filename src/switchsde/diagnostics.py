@@ -73,7 +73,7 @@ def exp_bound_verdict(excess: float, grid_step: float) -> Verdict:
 
 def kappa1_verdict(kappa1: float, threshold: float) -> Verdict:
     return Verdict("kappa1", kappa1, threshold, None, kappa1 > threshold,
-                   "the span at sampled points only: their minimum overstates the infimum")
+                   "the span at the sampled points only; the infimum over the ball may be lower")
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
