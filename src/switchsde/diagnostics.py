@@ -565,7 +565,8 @@ def _gradrep_tile(model, f, grad_f, eta, bundle, tile, lo, hi):
     rows_eta = [(1 + 2 * i, 2 + 2 * i) for i in range(n)]
     rows_2eta = [(1 + 2 * n + 2 * i, 2 + 2 * n + 2 * i) for i in range(n)]
     res = batch_flows(model, tile, x0=bundle, want_Q=False)
-    # the half-resolution residual reads only the center and the +-eta starts
+    # the half-resolution residual reads only the center and the +-eta starts; its
+    # noise is the tile's own, merged in place now that the fine run is done
     res_c = batch_flows(model, tile.coarsen(), x0=bundle[: 2 * n + 1], want_Q=False)
     gf = grad_f(res.X[0])  # (tile, n)
     r_fine = gf - _gradrep_residual_rows(model, f, res.X, res.K, eta, rows_eta)
@@ -595,7 +596,8 @@ def gradient_representation_check(
     The doubled-step and doubled-increment residuals estimate the two bias
     components.  Paths are drawn from their seed blocks and integrated in
     tiles of PATH_TILE on up to `workers` processes (``map_bundles``), each
-    holding one tile's noise and its half-resolution copy at a time; each
+    holding one tile's noise at a time, which ``BatchNoise.coarsen`` merges
+    in place for the half-resolution run; each
     tile is reduced to per-path values, which are averaged once in path
     order, so the result depends on neither the tiling nor the workers.
     f and grad_f must pickle for the tiles to leave this process.  The clock

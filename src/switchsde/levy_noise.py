@@ -341,10 +341,14 @@ def sample_increments(
     A compound-Poisson clock draws, per chunk of rows holding about 5e6
     expected jumps, every cell's jump count and then every jump's size, in
     C order.  The counts are drawn COUNT_CELLS cells of rows at a time and
-    kept only as each jump's cell index; the sizes are drawn, mapped in place
-    and summed into their zeroed cells in the same order, and the drift
-    integral is added last.  Beyond the result, memory holds one int64 per
-    jump of a chunk plus a few COUNT_CELLS-sized arrays.
+    kept only as each sub-chunk's nonzero cells and their counts; then, at
+    most COUNT_CELLS jumps at a time, the counts are expanded to cell indices
+    and the sizes are drawn, mapped in place and added to their zeroed cells
+    one by one in the same order, and the drift integral is added last.
+    Beyond the result, memory holds each nonzero cell of a chunk as an int32
+    index and a count of the smallest type that holds the largest (five bytes
+    a cell on low-rate grids, and never more than one int64 per jump), plus a
+    few COUNT_CELLS-sized arrays, however many jumps a cell has.
     """
     rng = as_rng(seed)
     dts = np.asarray(dts, dtype=float)
@@ -362,7 +366,6 @@ def sample_increments(
         raise SpecError("jump intensity above the cutoff is infinite; lower alpha or truncate")
     draw = _truncated_size_sampler(spec, delta)
     out = np.zeros((n_paths, k))
-    flat = out.reshape(-1)
     # chunk rows so the jumps drawn at once stay modest; the chunk fixes the draws
     mean_jumps = lam * float(dts.sum(axis=-1).max())
     rows = max(1, min(n_paths, int(5e6 / max(mean_jumps, 1.0)) + 1))
@@ -370,12 +373,22 @@ def sample_increments(
     for start in range(0, n_paths, rows):
         stop = min(start + rows, n_paths)
         subs = [(a, min(a + sub, stop)) for a in range(start, stop, sub)]
-        cells = []  # each jump's cell, one array per sub-chunk of rows
+        held = []  # each sub-chunk's nonzero cells (int32) and counts (the smallest type)
         for a, b in subs:
-            counts = rng.poisson(lam * (dts[a:b] if dts.ndim == 2 else dts), (b - a, k))
-            cells.append(np.repeat(np.arange(a * k, b * k), counts.ravel()))
-        for idx in cells:
-            np.add.at(flat, idx, draw(rng.uniform(size=idx.size)))
+            counts = rng.poisson(lam * (dts[a:b] if dts.ndim == 2 else dts), (b - a, k)).ravel()
+            hit = np.flatnonzero(counts > 0)  # nonzero on a bool array is the fast one
+            n = counts[hit]
+            held.append((hit.astype(np.int32), n.astype(np.min_scalar_type(n.max(initial=0)))))
+        for (a, b), (hit, n) in zip(subs, held):
+            cells = out[a:b].reshape(-1)
+            ends = np.cumsum(n, dtype=np.int64)
+            total = int(ends[-1]) if ends.size else 0
+            for lo in range(0, total, COUNT_CELLS):
+                # jumps lo..hi-1 of the sub-chunk in C order, each added to its cell in turn
+                hi = min(lo + COUNT_CELLS, total)
+                i, j = np.searchsorted(ends, lo, "right"), np.searchsorted(ends, hi) + 1
+                span = np.minimum(ends[i:j], hi) - np.maximum(ends[i:j] - n[i:j], lo)
+                np.add.at(cells, np.repeat(hit[i:j], span), draw(rng.uniform(size=hi - lo)))
         for a, b in subs:  # sum + drift dt, the bits of drift dt + sum
             out[a:b] += drift * (dts[a:b] if dts.ndim == 2 else dts)
     return out

@@ -43,8 +43,9 @@ a contiguous run of seed blocks that ``sample_batch_noise`` stacks into one
 padded bundle for one ``batch_flows`` call; ``bundle_ranges`` sizes it by
 memory (BUNDLE_BYTES) and by the number of tasks wanted.
 ``gradient_representation_check`` instead takes tiles of PATH_TILE rows, so
-its state stays in cache, plus each tile's half-resolution copy, which
-``BatchNoise.coarsen`` merges one seed block of rows at a time.
+its state stays in cache, and integrates each tile twice: on its fine noise,
+then at half resolution on the same arrays, whose step pairs
+``BatchNoise.coarsen`` merges in place, one seed block of rows at a time.
 ``map_bundles`` is the one Monte Carlo loop, for the pipelines and the
 library alike: it hands each range's fresh noise to a body, on --workers
 processes when the body pickles (a built-in spec pickles as its builder's call).
@@ -148,30 +149,37 @@ class BatchNoise:
     events: list = field(default_factory=list)
 
     def coarsen(self) -> "BatchNoise":
-        """Merge adjacent step pairs into one step of the same driver path.
+        """Merge adjacent step pairs into one step of the same driver path, in place.
 
-        The merged normal is (sqrt(dS_even) Z_even + sqrt(dS_odd) Z_odd) /
-        sqrt(dS_even + dS_odd), and 0 where the merged step has no clock.  It
-        is formed one SEED_BLOCK of rows at a time into the returned array, so
-        no temporary is larger than a block's.  An event at fine grid index j
-        takes effect at coarse index ceil(j/2).
+        The merged increment is dS_even + dS_odd and the merged normal is
+        (sqrt(dS_even) Z_even + sqrt(dS_odd) Z_odd) / sqrt(dS_even + dS_odd),
+        and 0 where the merged step has no clock.  Both are written into the
+        first half of this bundle's own dS and normals, one SEED_BLOCK of rows
+        at a time, so no temporary is larger than a block's; the result's dS
+        and normals are views over that first half.  The call consumes this
+        bundle, and any bundle sharing its arrays through ``rows``: integrate
+        the fine noise first.  An event at fine grid index j takes effect at
+        coarse index ceil(j/2).
         """
         k = self.dS.shape[1]
         if k % 2:
             raise DataError("coarsening needs an even number of steps")
-        d2 = self.dS[:, 0::2] + self.dS[:, 1::2]
-        z2 = np.empty(d2.shape + self.normals.shape[2:])
-        for lo in range(0, d2.shape[0], SEED_BLOCK):
+        half = k // 2
+        for lo in range(0, self.dS.shape[0], SEED_BLOCK):
             rows = slice(lo, lo + SEED_BLOCK)
-            dS, z, m = self.dS[rows], self.normals[rows], d2[rows]
+            dS, z = self.dS[rows], self.normals[rows]
+            m = dS[:, 0::2] + dS[:, 1::2]
             num = (
                 np.sqrt(dS[:, 0::2])[..., None] * z[:, 0::2]
                 + np.sqrt(dS[:, 1::2])[..., None] * z[:, 1::2]
             )
             with np.errstate(invalid="ignore", divide="ignore"):
-                z2[rows] = np.where(m[..., None] > 0, num / np.sqrt(m)[..., None], 0.0)
+                z[:, :half] = np.where(m[..., None] > 0, num / np.sqrt(m)[..., None], 0.0)
+            dS[:, :half] = m
         events = [(p, (j + 1) // 2, mark) for p, j, mark in self.events]
-        return BatchNoise(self.times[..., 0::2], d2, z2, self.n_paths, events)
+        return BatchNoise(
+            self.times[..., 0::2], self.dS[:, :half], self.normals[:, :half], self.n_paths, events
+        )
 
     def rows(self, lo: int, hi: int) -> "BatchNoise":
         """Paths lo..hi-1, their events re-indexed from lo; a shared grid stays shared."""
@@ -294,19 +302,20 @@ def _block_grid(model: ModelSpec, grid: np.ndarray, n_paths: int, rng):
         return grid, []
     total = int(counts.sum())
     path = np.repeat(np.arange(n_paths), counts)
-    col = n_steps + 1 + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    pts = np.full((n_paths, n_steps + 1 + extra + extra % 2), horizon)
-    pts[:, : n_steps + 1] = grid
-    pts[path, col] = rng.uniform(0.0, horizon, total)
+    t = rng.uniform(0.0, horizon, total)
     marks = rng.uniform(0.0, rate, total)
-    # a stable sort puts an event after a grid point at the same time
-    order = np.argsort(pts, axis=1, kind="stable")
-    times = np.take_along_axis(pts, order, axis=1)
-    landed = np.empty_like(order)  # the inverse permutation: where each column landed
-    np.put_along_axis(landed, order, np.arange(order.shape[1]), axis=1)
-    index = landed[path, col]
-    keep = np.lexsort((index, path))
-    return times, list(zip(path[keep].tolist(), index[keep].tolist(), marks[keep].tolist()))
+    # each path's events in time order, ties in draw order; an event lands after
+    # the grid points at or before its time and after its path's earlier events
+    order = np.lexsort((t, path))
+    path, t, marks = path[order], t[order], marks[order]
+    index = np.searchsorted(grid, t, side="right") + np.arange(total)
+    index -= np.repeat(np.cumsum(counts) - counts, counts)
+    times = np.full((n_paths, n_steps + 1 + extra + extra % 2), horizon)
+    times[path, index] = t
+    free = np.arange(times.shape[1]) < (n_steps + 1 + counts)[:, None]
+    free[path, index] = False
+    times[free] = np.tile(grid, n_paths)  # row by row, the grid fills the other slots
+    return times, list(zip(path.tolist(), index.tolist(), marks.tolist()))
 
 
 def sample_batch_noise(

@@ -18,6 +18,7 @@ the diffusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,6 +51,29 @@ class RateMatrixSpec:
         if q.shape != (self.m0, self.m0):
             raise SpecError(f"rate matrix must have shape {(self.m0, self.m0)}, got {q.shape}")
         return q
+
+    @cached_property
+    def _mark_ends(self) -> list:
+        """For state-independent rates, per current state: the (target, right end) pairs.
+
+        The rates are read once, at x = None, and the ends are the sums
+        partition_point's loop forms, in its order; a negative width ends the
+        list, with the message of the error the loop raises there.
+        """
+        q, table = self.at(None), []
+        for i in range(1, self.m0 + 1):
+            pairs, error, left = [], None, 0.0
+            for j in range(1, self.m0 + 1):
+                if j == i:
+                    continue
+                width = q[i - 1, j - 1]
+                if width < 0:
+                    error = f"negative rate q[{i},{j}] = {width}"
+                    break
+                left += width
+                pairs.append((j, float(left)))
+            table.append((pairs, error))
+        return table
 
 
 def constant_rates(matrix, bound: float | None = None) -> RateMatrixSpec:
@@ -123,12 +147,22 @@ def partition_point(spec: RateMatrixSpec, x, i: int, z: float) -> int:
 
     Target intervals for the current state are packed consecutively from 0 in
     increasing target order and are closed on the left, open on the right.
+    State-independent rates look z up in their interval ends, summed once per
+    spec; z >= 0 lies in the first interval whose right end exceeds it.
     """
     if not 1 <= i <= spec.m0:
         raise ValueError(f"state must lie in 1..{spec.m0}, got {i}")
     total = spec.mark_space()
     if not 0.0 <= z < total:
         raise ValueError(f"mark must lie in [0, {total}), got {z}")
+    if not spec.state_dependent:
+        pairs, error = spec._mark_ends[i - 1]
+        for j, end in pairs:
+            if z < end:
+                return j
+        if error is not None:
+            raise SpecError(error)
+        return i
     q = spec.at(x)
     left = 0.0
     for j in range(1, spec.m0 + 1):

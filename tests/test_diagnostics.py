@@ -638,10 +638,10 @@ def _traced_peak(call):
 
 
 def test_gradient_representation_memory_scales_with_a_tile():
-    # kalman at 512 steps: one tile's noise (17 MB), its half-resolution copy,
-    # the flows and the per-path values, about 30 MB whether 8000 paths (the
-    # benchmark's gradrep size) or 20000; a previous tile still held while the
-    # next is drawn would read 37 MB
+    # kalman at 512 steps: one tile's noise (17 MB), merged in place for the
+    # half-resolution run, the flows and the per-path values, about 22 MB
+    # whether 8000 paths (the benchmark's gradrep size) or 20000; a separate
+    # half-resolution copy would read 30 MB
     w = np.array([1.0, 0.7])
     levy = LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0)
     for n_paths in (8000, 20000):
@@ -649,7 +649,7 @@ def test_gradient_representation_memory_scales_with_a_tile():
             make_kalman(), levy, 1.0, 512, n_paths,
             f=lambda x: np.sin(x @ w), grad_f=lambda x: np.cos(x @ w)[:, None] * w,
         ))
-        assert peak <= 33e6, n_paths
+        assert peak <= 24e6, n_paths
     # sin_bounded at 8192 paths x 256 steps, in the 512-path bundles of
     # bundle_ranges: one bundle's noise is 3.1 MB and the call peaks at about
     # 7.3 MB; a previous bundle still held would read 11.8 MB

@@ -311,8 +311,8 @@ def test_stable_size_draw_in_place_keeps_scalars():
 
 
 def test_compound_poisson_memory_is_about_its_output():
-    # 8000 x 512 cells of a truncated clock: the result plus one int64 per jump
-    # and a few count-chunk arrays, about 1.5 times the result
+    # 8000 x 512 cells of a truncated clock: the result plus five bytes per
+    # nonzero cell and a few count-chunk arrays, about 1.35 times the result
     spec = LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0)
     tracemalloc.start()
     try:
@@ -321,6 +321,20 @@ def test_compound_poisson_memory_is_about_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * out.nbytes
+
+
+def test_compound_poisson_memory_does_not_grow_with_a_cells_jumps():
+    # decompose-check's shape: 8000 rows of one whole-horizon cell of kalman's
+    # clock, about 200 jumps a cell; the jumps are expanded COUNT_CELLS at a
+    # time, about 4 MB at most, where one int64 per jump would read 26 MB
+    spec = LevyMeasureSpec(alpha=1.0, upper_cutoff=4.0)
+    tracemalloc.start()
+    try:
+        sample_increments(spec, np.array([1.0]), 8000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_path_rejects_bad_horizon_and_grid():

@@ -301,6 +301,58 @@ def test_events_land_on_their_own_times():
     assert [(p, times[p, j], mark) for p, j, mark in events] == want
 
 
+class _PlantedDraws:
+    """A generator stub whose poisson and uniform calls return planted arrays, in call order."""
+
+    def __init__(self, *draws):
+        self.draws = [np.asarray(v) for v in draws]
+
+    def _next(self, *args):
+        size = args[-1]
+        value = self.draws.pop(0)
+        assert value.shape == (size,)
+        return value
+
+    poisson = uniform = _next
+
+
+def _sorted_block_grid(grid, counts, drawn, marks):
+    """The refined grid and events by a stable sort of each padded row, the reference rule."""
+    n_steps, horizon, extra = grid.size - 1, grid[-1], int(counts.max())
+    path = np.repeat(np.arange(counts.size), counts)
+    col = n_steps + 1 + np.arange(drawn.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pts = np.full((counts.size, n_steps + 1 + extra + extra % 2), horizon)
+    pts[:, : n_steps + 1] = grid
+    pts[path, col] = drawn
+    order = np.argsort(pts, axis=1, kind="stable")  # grid first, then events in draw order
+    index = np.argsort(order, axis=1)[path, col]  # where each event's column landed
+    keep = np.lexsort((index, path))
+    events = list(zip(path[keep].tolist(), index[keep].tolist(), marks[keep].tolist()))
+    return np.take_along_axis(pts, order, axis=1), events
+
+
+@pytest.mark.parametrize("n_steps", [1, 4, 9])
+def test_block_grid_places_events_as_a_stable_sort_does(n_steps):
+    # event times planted on grid points (0 and the horizon included), on each
+    # other and between: each lands after the grid points at its time and after
+    # its path's earlier-drawn events at the same time, as a stable sort puts it
+    model = make_two_regime_linear(switch_rate=2.0)
+    grid = np.linspace(0.0, 1.0, n_steps + 1)
+    rng = np.random.default_rng(n_steps)
+    for _ in range(50):
+        counts = rng.integers(0, 6, 7)
+        counts[rng.integers(7)] += 1  # one event at least
+        total = int(counts.sum())
+        pool = np.concatenate([grid, rng.uniform(0.0, 1.0, 3)])
+        planted = rng.uniform(size=total) < 0.7
+        drawn = np.where(planted, rng.choice(pool, total), rng.uniform(size=total))
+        marks = rng.uniform(0.0, model.rates.mark_space(), total)
+        times, events = _block_grid(model, grid, 7, _PlantedDraws(counts, drawn, marks))
+        want_times, want_events = _sorted_block_grid(grid, counts, drawn, marks)
+        assert times.tobytes() == want_times.tobytes()
+        assert events == want_events
+
+
 def _one_path(model, levy, n_steps, seed, **kw):
     """A one-path bundle, its recorded run and its real grid times."""
     noise = sample_batch_noise(model, levy, 1.0, n_steps, 1, seed)
@@ -809,22 +861,28 @@ def test_coarsen_preserves_driver_increments(family, n_steps, n_paths, seed):
         with pytest.raises(DataError):
             noise.coarsen()
         return
-    half = noise.coarsen()
-    assert half.dS.shape == (n_paths, steps // 2)
-    assert half.times.tobytes() == noise.times[..., ::2].tobytes()
-    assert half.dS.tobytes() == (noise.dS[:, ::2] + noise.dS[:, 1::2]).tobytes()
+    # coarsen() merges into the fine arrays, so everything expected is formed first
     dS, z = noise.dS, noise.normals
-    d2 = dS[:, 0::2] + dS[:, 1::2]
+    times, d2 = noise.times[..., ::2].tobytes(), dS[:, 0::2] + dS[:, 1::2]
     num = np.sqrt(dS[:, 0::2])[..., None] * z[:, 0::2] + np.sqrt(dS[:, 1::2])[..., None] * z[:, 1::2]
     with np.errstate(invalid="ignore", divide="ignore"):
         whole = np.where(d2[..., None] > 0, num / np.sqrt(d2)[..., None], 0.0)
-    assert half.normals.tobytes() == whole.tobytes()
     fine = np.sqrt(dS)[..., None] * z
     merged = fine[:, 0::2] + fine[:, 1::2]
+    events = [(p, (j + 1) // 2, mark) for p, j, mark in noise.events]
+    half = noise.coarsen()
+    # the merged arrays are views over the first half of the fine ones
+    for got, own in ((half.dS, dS), (half.normals, z)):
+        assert got.base is not None and got.ctypes.data == own.ctypes.data
+        assert got.strides == own.strides
+    assert half.dS.shape == (n_paths, steps // 2)
+    assert half.times.tobytes() == times
+    assert half.dS.tobytes() == d2.tobytes()
+    assert half.normals.tobytes() == whole.tobytes()
     np.testing.assert_allclose(
         np.sqrt(half.dS)[..., None] * half.normals, merged, rtol=1e-12, atol=1e-14
     )
-    assert half.events == [(p, (j + 1) // 2, mark) for p, j, mark in noise.events]
+    assert half.events == events
 
 
 def test_coarsened_switching_noise_keeps_fine_regimes_at_even_points():

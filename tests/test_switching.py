@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from switchsde import (
     LevyMeasureSpec,
+    RateMatrixSpec,
     SpecError,
     UnsupportedConfigError,
     batch_flows,
@@ -71,6 +72,42 @@ def test_partition_point_rejects_bad_inputs():
         partition_point(spec, None, 1, -0.1)
     with pytest.raises(ValueError):
         partition_point(spec, None, 1, 18.0)
+
+
+def _loop_rule(q, i, z):
+    """The mark rule read off q interval by interval: the reference."""
+    left = 0.0
+    for j in range(1, q.shape[0] + 1):
+        if j == i:
+            continue
+        if left <= z < left + q[i - 1, j - 1]:
+            return j
+        left += q[i - 1, j - 1]
+    return i
+
+
+def test_partition_point_lookup_matches_the_loop_rule():
+    # state-independent rates look marks up in interval ends summed once:
+    # three regimes, the zero-width interval 2 -> 3 and the stay region
+    spec = constant_rates(Q3, bound=3.0)
+    rng = np.random.default_rng(12)
+    marks = np.concatenate([rng.uniform(0.0, 3.5, 3000), rng.uniform(0.0, 18.0, 1000),
+                            [0.0, 0.5, 1.0, 2.0, 3.0, np.nextafter(1.0, 0.0)]])
+    for i in (1, 2, 3):
+        got = [partition_point(spec, None, i, z) for z in marks]
+        assert got == [_loop_rule(Q3, i, z) for z in marks]
+        assert set(got) == ({1, 2, 3} if i != 2 else {1, 2})
+
+
+def test_partition_point_negative_width_raises_where_the_loop_does():
+    # a negative width raises once the mark passes the intervals before it,
+    # with the same error for state-independent and state-dependent rates
+    q = np.array([[-0.5, 1.0, -0.5], [0.5, -0.5, 0.0], [1.0, 1.0, -2.0]])
+    for state_dependent in (False, True):
+        spec = RateMatrixSpec(3, 3.0, lambda x: q, state_dependent=state_dependent)
+        assert partition_point(spec, None, 1, 0.5) == 2
+        with pytest.raises(SpecError, match=r"negative rate q\[1,3\] = -0.5"):
+            partition_point(spec, None, 1, 1.5)
 
 
 @given(
