@@ -157,10 +157,12 @@ class BatchNoise:
         first half of this bundle's own dS and normals, one SEED_BLOCK of rows
         at a time, so no temporary is larger than a block's; the result's dS
         and normals are views over that first half.  The call consumes this
-        bundle, and any bundle sharing its arrays through ``rows``: integrate
-        the fine noise first.  An event at fine grid index j takes effect at
-        coarse index ceil(j/2).
+        bundle, whose dS and normals become None, and any bundle sharing its
+        arrays through ``rows``: integrate the fine noise first.  An event at
+        fine grid index j takes effect at coarse index ceil(j/2).
         """
+        if self.dS is None:
+            raise DataError("this noise was consumed by an earlier coarsen()")
         k = self.dS.shape[1]
         if k % 2:
             raise DataError("coarsening needs an even number of steps")
@@ -177,9 +179,9 @@ class BatchNoise:
                 z[:, :half] = np.where(m[..., None] > 0, num / np.sqrt(m)[..., None], 0.0)
             dS[:, :half] = m
         events = [(p, (j + 1) // 2, mark) for p, j, mark in self.events]
-        return BatchNoise(
-            self.times[..., 0::2], self.dS[:, :half], self.normals[:, :half], self.n_paths, events
-        )
+        dS, z = self.dS[:, :half], self.normals[:, :half]
+        self.dS = self.normals = None
+        return BatchNoise(self.times[..., 0::2], dS, z, self.n_paths, events)
 
     def rows(self, lo: int, hi: int) -> "BatchNoise":
         """Paths lo..hi-1, their events re-indexed from lo; a shared grid stays shared."""
@@ -413,6 +415,8 @@ def batch_flows(
     want_Q (Q needs K); a flow not evolved is None in the result, and with
     neither flow the Jacobian is never evaluated.  Results are paths-first.
     """
+    if noise.dS is None:
+        raise DataError("this noise was consumed by an earlier coarsen()")
     x0 = np.asarray(model.x0 if x0 is None else x0, dtype=float)
     lead = np.broadcast_shapes(x0.shape[:-1], (noise.n_paths,))
     n = model.n

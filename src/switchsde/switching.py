@@ -54,26 +54,27 @@ class RateMatrixSpec:
 
     @cached_property
     def _mark_ends(self) -> list:
-        """For state-independent rates, per current state: the (target, right end) pairs.
+        """For state-independent rates, ``_ends`` of each current state, read once at x = None."""
+        q = self.at(None)
+        return [_ends(q, i) for i in range(1, self.m0 + 1)]
 
-        The rates are read once, at x = None, and the ends are the sums
-        partition_point's loop forms, in its order; a negative width ends the
-        list, with the message of the error the loop raises there.
-        """
-        q, table = self.at(None), []
-        for i in range(1, self.m0 + 1):
-            pairs, error, left = [], None, 0.0
-            for j in range(1, self.m0 + 1):
-                if j == i:
-                    continue
-                width = q[i - 1, j - 1]
-                if width < 0:
-                    error = f"negative rate q[{i},{j}] = {width}"
-                    break
-                left += width
-                pairs.append((j, float(left)))
-            table.append((pairs, error))
-        return table
+
+def _ends(q: np.ndarray, i: int) -> tuple:
+    """The (target, right end) pairs of state i's mark intervals, packed from 0.
+
+    A negative width ends the pairs and gives the message of the SpecError a
+    mark beyond them raises; the error is None when every width is valid.
+    """
+    pairs, left = [], 0.0
+    for j in range(1, q.shape[0] + 1):
+        if j == i:
+            continue
+        width = float(q[i - 1, j - 1])
+        if width < 0:
+            return pairs, f"negative rate q[{i},{j}] = {width}"
+        left += width
+        pairs.append((j, left))
+    return pairs, None
 
 
 def constant_rates(matrix, bound: float | None = None) -> RateMatrixSpec:
@@ -147,31 +148,18 @@ def partition_point(spec: RateMatrixSpec, x, i: int, z: float) -> int:
 
     Target intervals for the current state are packed consecutively from 0 in
     increasing target order and are closed on the left, open on the right.
-    State-independent rates look z up in their interval ends, summed once per
-    spec; z >= 0 lies in the first interval whose right end exceeds it.
+    z >= 0 lies in the first interval whose right end exceeds it; for
+    state-independent rates the ends are summed once per spec.
     """
     if not 1 <= i <= spec.m0:
         raise ValueError(f"state must lie in 1..{spec.m0}, got {i}")
     total = spec.mark_space()
     if not 0.0 <= z < total:
         raise ValueError(f"mark must lie in [0, {total}), got {z}")
-    if not spec.state_dependent:
-        pairs, error = spec._mark_ends[i - 1]
-        for j, end in pairs:
-            if z < end:
-                return j
-        if error is not None:
-            raise SpecError(error)
-        return i
-    q = spec.at(x)
-    left = 0.0
-    for j in range(1, spec.m0 + 1):
-        if j == i:
-            continue
-        width = q[i - 1, j - 1]
-        if width < 0:
-            raise SpecError(f"negative rate q[{i},{j}] = {width}")
-        if left <= z < left + width:
+    pairs, error = spec._mark_ends[i - 1] if not spec.state_dependent else _ends(spec.at(x), i)
+    for j, end in pairs:
+        if z < end:
             return j
-        left += width
+    if error is not None:
+        raise SpecError(error)
     return i

@@ -885,6 +885,20 @@ def test_coarsen_preserves_driver_increments(family, n_steps, n_paths, seed):
     assert half.events == events
 
 
+def test_coarsen_consumes_its_noise():
+    # the fine arrays hold the merged pairs after coarsen(), so the consumed
+    # bundle refuses a second coarsen() and a fine run instead of reading them
+    model = PADDING_MODELS["zero_drift"]
+    noise = sample_batch_noise(model, LEVY, 1.0, 16, 3, seed=5)
+    half = noise.coarsen()
+    assert noise.dS is None and noise.normals is None
+    with pytest.raises(DataError, match="consumed"):
+        noise.coarsen()
+    with pytest.raises(DataError, match="consumed"):
+        batch_flows(model, noise, want_Q=False)
+    assert half.coarsen().dS.shape == (3, 4)
+
+
 def test_coarsened_switching_noise_keeps_fine_regimes_at_even_points():
     model = make_two_regime_linear(switch_rate=4.0)
     noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 20, seed=31)

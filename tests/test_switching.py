@@ -86,10 +86,12 @@ def _loop_rule(q, i, z):
     return i
 
 
-def test_partition_point_lookup_matches_the_loop_rule():
-    # state-independent rates look marks up in interval ends summed once:
-    # three regimes, the zero-width interval 2 -> 3 and the stay region
-    spec = constant_rates(Q3, bound=3.0)
+@pytest.mark.parametrize("state_dependent", [False, True], ids=["summed_once", "per_call"])
+def test_partition_point_lookup_matches_the_loop_rule(state_dependent):
+    # marks are looked up in interval ends, summed once per spec for
+    # state-independent rates and per call otherwise: three regimes, the
+    # zero-width interval 2 -> 3 and the stay region
+    spec = RateMatrixSpec(3, 3.0, lambda x: Q3, state_dependent=state_dependent)
     rng = np.random.default_rng(12)
     marks = np.concatenate([rng.uniform(0.0, 3.5, 3000), rng.uniform(0.0, 18.0, 1000),
                             [0.0, 0.5, 1.0, 2.0, 3.0, np.nextafter(1.0, 0.0)]])
