@@ -12,6 +12,7 @@ by one ``*_verdict`` builder against a level written once, as a constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -113,16 +114,35 @@ def ks_statistic(a, b) -> float:
     return float(np.abs(cdf1 - cdf2).max())
 
 
-def two_sample_ks(a, b) -> KSResult:
-    """KS test with the asymptotic null law for the p-value."""
-    from scipy import special  # heavy to import, and only this test needs it
+def kolmogorov_sf(lam: float) -> float:
+    """Q(lam) = P(sup |B_t| > lam) for a Brownian bridge B: the Kolmogorov limit law's tail.
 
+    Below lam = 1 it is one minus the CDF's theta series,
+    sqrt(2 pi)/lam * sum_k exp(-(2k-1)^2 pi^2 / (8 lam^2)); from 1 up it is the
+    alternating series 2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2).  Either series'
+    fifth term is below 1e-20 of its first on its side of 1, so eight terms
+    reach rounding.
+    """
+    if lam <= 0.0:
+        return 1.0
+    terms = range(1, 9)
+    if lam >= 1.0:
+        w = 2.0 * lam * lam
+        return math.fsum(2.0 * (-1) ** (k - 1) * math.exp(-k * k * w) for k in terms)
+    r = math.pi / lam
+    w = r * r / 8.0
+    s = math.fsum(math.exp(-(2 * k - 1) ** 2 * w) for k in terms)
+    # s underflows to 0 (lam below about 0.04) before sqrt(2 pi) / lam can overflow
+    return 1.0 - math.sqrt(2.0 * math.pi) / lam * s if s else 1.0
+
+
+def two_sample_ks(a, b) -> KSResult:
+    """KS test with the asymptotic null law (``kolmogorov_sf``) for the p-value."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     d = ks_statistic(a, b)
-    en = np.sqrt(a.size * b.size / (a.size + b.size))
-    p = float(special.kolmogorov(en * d))
-    return KSResult(statistic=d, pvalue=min(1.0, max(0.0, p)), n1=a.size, n2=b.size)
+    en = math.sqrt(a.size * b.size / (a.size + b.size))
+    return KSResult(statistic=d, pvalue=kolmogorov_sf(en * d), n1=a.size, n2=b.size)
 
 
 def ks_calibration(sampler: Callable, n: int, reps: int = 100, seed: int = 0) -> tuple[float, int]:

@@ -33,23 +33,7 @@ from .errors import DataError, SpecError, UnsupportedConfigError
 
 LARGE_JUMP_CUTOFF = 1.0
 COUNT_CELLS = 1 << 18  # Poisson counts drawn at a time by sample_increments
-QUAD_ABS_TOL = 1e-10
 H3_RTOL = 0.05  # the relative spread within which check_H3 takes its probe values as constant
-
-
-def _quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on first use: most runs never integrate."""
-    from scipy import integrate
-
-    return integrate.quad(*args, **kwargs)
-
-
-def _quad_kinked(f, lo: float, hi: float, kinks, limit: int) -> float:
-    """integral(lo, hi) f, quad told of the kinks of f inside; each kink adds one to limit."""
-    inside = [k for k in kinks if lo < k < hi]
-    return _quad(
-        f, lo, hi, epsabs=QUAD_ABS_TOL, limit=limit + len(inside), points=inside or None
-    )[0]
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -161,9 +145,9 @@ class LevyMeasureSpec:
 
     @cached_property
     def _points(self) -> np.ndarray:
-        """The table's (u, density) columns, built once: quadrature reads them per point.
+        """The table's (u, density) columns, built once: every integral and lookup reads them.
 
-        u holds the kinks of the density, where quadrature must cut its pieces.
+        u holds the kinks of the density, the ends of its linear pieces.
         """
         return np.array(self.table or ()).reshape(-1, 2).T
 
@@ -223,37 +207,6 @@ class LevyMeasureSpec:
         u, f = self._clipped(a, hi)
         u0, u1, f0, f1 = u[:-1], u[1:], f[:-1], f[1:]
         return float(np.sum((u1 - u0) / 6.0 * (f0 * (2.0 * u0 + u1) + f1 * (u0 + 2.0 * u1))))
-
-    def mean_between_quad(self, a: float, b: float) -> float:
-        """Same integral by adaptive quadrature.
-
-        Near zero the integrable singularity is removed by u = v**2, turning
-        integral(0,c) u nu(u) du into integral(0,sqrt(c)) 2 v**3 nu(v**2) dv.
-        """
-        if self.kind == "atoms":
-            return self.mean_between(a, b)
-        hi = min(b, self._hi())
-        a = max(a, self.support[0])  # hi <= a integrates to 0 below
-
-        def dens(u):
-            if self.kind == "stable":
-                return u ** (-(1.0 + self.alpha / 2.0))
-            return float(self.density_at(u))
-
-        total = 0.0
-        sub_end = min(hi, 1e-2)
-        if a < sub_end:
-            total += _quad_kinked(
-                lambda v: 2.0 * v**3 * dens(v * v),
-                math.sqrt(a),
-                math.sqrt(sub_end),
-                np.sqrt(self._points[0]),
-                limit=200,
-            )
-            a = sub_end
-        if a < hi:
-            total += _quad_kinked(lambda u: u * dens(u), a, hi, self._points[0], limit=200)
-        return total
 
 
 def load_tabulated_csv(path) -> LevyMeasureSpec:
@@ -424,11 +377,10 @@ class H3Result:
 def check_H3(spec: LevyMeasureSpec, theta: float, eps_grid: Sequence[float]) -> H3Result:
     """Probe the small-jump balance value eps**(theta/2-1) * integral(0,eps) u nu(du).
 
-    The integral is always evaluated by quadrature so the probe is an honest
-    numerical check even when a closed form exists.  The limit is declared to
-    hold when the values stabilize to a positive constant within H3_RTOL
-    across the grid; otherwise the log-log trend separates decay to zero from
-    divergence.
+    The integral is ``spec.mean_between(0, eps)``, exact for every measure
+    kind.  The limit is declared to hold when the values stabilize to a
+    positive constant within H3_RTOL across the grid; otherwise the log-log
+    trend separates decay to zero from divergence.
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
@@ -437,9 +389,7 @@ def check_H3(spec: LevyMeasureSpec, theta: float, eps_grid: Sequence[float]) -> 
         raise ValueError("eps grid must hold at least three positive points")
     if eps[0] / eps[-1] < 1e3:
         raise ValueError("eps grid must span at least three decades")
-    vals = np.array(
-        [e ** (theta / 2.0 - 1.0) * spec.mean_between_quad(0.0, e) for e in eps]
-    )
+    vals = np.array([e ** (theta / 2.0 - 1.0) * spec.mean_between(0.0, e) for e in eps])
     positive = vals > 0
     if not positive.all():
         return H3Result(theta, eps, vals, "tends_to_zero", None)

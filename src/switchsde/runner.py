@@ -113,9 +113,8 @@ def write_json(path: Path, value) -> None:
 def environment(workers: int, workers_used: int) -> dict:
     """What a run ran on: versions, CPU count, BLAS thread variables and its workers.
 
-    scipy is loaded only by runs that integrate numerically (``levy_noise._quad``),
-    sample hormander's Halton points (``scipy.stats.qmc``) or run the two-sample
-    KS test (``scipy.special``); its version is None when this process has not
+    scipy is loaded only by runs that sample hormander's Halton points
+    (``scipy.stats.qmc``); its version is None when this process has not
     loaded it, since reading it from the package metadata keeps about 2.5 MiB
     resident for good.
     """

@@ -156,13 +156,18 @@ class BatchNoise:
         and 0 where the merged step has no clock.  Both are written into the
         first half of this bundle's own dS and normals, one SEED_BLOCK of rows
         at a time, so no temporary is larger than a block's; the result's dS
-        and normals are views over that first half.  The call consumes this
-        bundle, whose dS and normals become None, and any bundle sharing its
-        arrays through ``rows``: integrate the fine noise first.  An event at
-        fine grid index j takes effect at coarse index ceil(j/2).
+        and normals are views over that first half, and the result coarsens
+        again.  The call consumes this bundle, whose dS and normals become
+        None: integrate the fine noise first.  A bundle from ``rows`` shares its parent's
+        arrays read-only, so it raises DataError and writes nothing; coarsen a
+        copy of it instead.  An event at fine grid index j takes effect at
+        coarse index ceil(j/2).
         """
         if self.dS is None:
             raise DataError("this noise was consumed by an earlier coarsen()")
+        if not (self.dS.flags.writeable and self.normals.flags.writeable):
+            raise DataError("coarsen() merges in place, and this noise is read-only "
+                            "(rows() shares its parent's arrays): coarsen a copy")
         k = self.dS.shape[1]
         if k % 2:
             raise DataError("coarsening needs an even number of steps")
@@ -184,10 +189,16 @@ class BatchNoise:
         return BatchNoise(self.times[..., 0::2], dS, z, self.n_paths, events)
 
     def rows(self, lo: int, hi: int) -> "BatchNoise":
-        """Paths lo..hi-1, their events re-indexed from lo; a shared grid stays shared."""
+        """Paths lo..hi-1, their events re-indexed from lo; a shared grid stays shared.
+
+        dS and normals are read-only views of this bundle's rows, so nothing
+        done to the slice, ``coarsen`` included, can write into this bundle.
+        """
         times = self.times if self.times.ndim == 1 else self.times[lo:hi]
         events = [(p - lo, j, mark) for p, j, mark in self.events if lo <= p < hi]
-        return BatchNoise(times, self.dS[lo:hi], self.normals[lo:hi], hi - lo, events)
+        dS, z = self.dS[lo:hi], self.normals[lo:hi]
+        dS.flags.writeable = z.flags.writeable = False
+        return BatchNoise(times, dS, z, hi - lo, events)
 
     def clock(self) -> np.ndarray:
         """The subordinator S at every grid point, (P, K+1): S_0 = 0, S = cumsum(dS)."""

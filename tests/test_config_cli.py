@@ -598,6 +598,37 @@ def test_density_on_a_table_writes_nothing_to_stderr(tmp_path):
     assert json.loads(proc.stdout)
 
 
+def test_decompose_check_loads_no_scipy(tmp_path):
+    # its H3 integrals are closed forms and its KS p-value is kolmogorov_sf, so
+    # a fresh process that runs it, on a stable clock and on a table, never
+    # imports scipy (this suite's process has); the table fails H3 by design,
+    # see test_decompose_check_fails_h3_on_every_table
+    u = np.geomspace(1e-4, 4.0, 400)
+    table = tmp_path / "measure.csv"
+    np.savetxt(table, np.column_stack([u, u**-1.5]), delimiter=",", header="u,density")
+    payload = json.loads((ROOT / "configs" / "kalman.json").read_text())
+    payload["levy"] = {"kind": "tabulated", "table": str(table)}
+    runs = [
+        [str(ROOT / "configs" / "kalman.json"), str(tmp_path / "stable")],
+        [write_config(tmp_path, payload), str(tmp_path / "table")],
+    ]
+    argvs = [["decompose-check", "--config", cfg, "--paths", "2000", "--out", out] for cfg, out in runs]
+    script = (
+        "import json, sys\n"
+        "from switchsde.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True, env=env
+    )
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "[0, 1] []"
+    for _, out in runs:
+        assert json.loads((Path(out) / "manifest.json").read_text())["environment"]["scipy"] is None
+
+
 def test_overflowing_density_bandwidth_is_a_numeric_error(tmp_path, capsys):
     # RuntimeWarnings are errors in this suite, so an overflow warning fails it too
     payload = dict(SMALL, simulation=dict(SMALL["simulation"], n_paths=100))

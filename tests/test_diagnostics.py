@@ -14,7 +14,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from switchsde import (
     DataError,
@@ -55,6 +55,7 @@ from switchsde.diagnostics import (
     gradrep_verdict,
     h3_verdict,
     kappa1_verdict,
+    kolmogorov_sf,
     ks_verdict,
     norris_verdict,
     product_defect_verdict,
@@ -101,6 +102,19 @@ def test_ks_matches_scipy_asymptotic():
     assert (res.n1, res.n2) == (400, 600)
     with pytest.raises(DataError):
         ks_statistic([], [1.0])
+
+
+def test_kolmogorov_sf_matches_scipy():
+    # both series against scipy's implementation, across the switch at lambda = 1;
+    # a RuntimeWarning (overflow, division by zero) would fail this suite
+    lam = np.concatenate([np.linspace(0.0, 8.0, 8001), [1.0 - 2**-52], np.geomspace(1e-300, 0.1, 50)])
+    lam.sort()
+    q = np.array([kolmogorov_sf(float(x)) for x in lam])
+    ref = special.kolmogorov(lam)
+    live = ref > 1e-300
+    assert np.all(np.abs(q[live] - ref[live]) <= 1e-13 * ref[live])
+    assert kolmogorov_sf(0.0) == 1.0 and kolmogorov_sf(5e-324) == 1.0
+    assert np.all((q >= 0.0) & (q <= 1.0)) and np.all(np.diff(q) <= 0.0)
 
 
 def test_ks_statistic_hand_case():

@@ -123,10 +123,31 @@ def test_tail_mass_closed_form(alpha):
     assert spec.mass(0.25, 1.0) == pytest.approx(num, rel=1e-9)
 
 
+H3_EPS = np.geomspace(1e-1, 1e-4, 7)  # the grid decompose-check probes H3 on
+
+
+def _quad_mean(density, eps: float, kinks=()) -> float:
+    """integral(0, eps) u density(u) du by QUADPACK, in v = sqrt(u) to remove the singularity at 0.
+
+    The density's kinks, mapped to v, are passed to quad as breakpoints.
+    """
+    inside = [math.sqrt(k) for k in kinks if 0.0 < k < eps]
+    return integrate.quad(
+        lambda v: 2.0 * v**3 * density(v * v), 0.0, math.sqrt(eps),
+        epsabs=1e-10, limit=200 + len(inside), points=inside or None,
+    )[0]
+
+
 def test_mean_between_dual_route():
+    # the closed form check_H3 reads, against adaptive quadrature on its grid
+    for alpha in (0.5, 1.0, 1.5, 1.9):
+        for upper_cutoff in (None, 4.0):
+            spec = LevyMeasureSpec(alpha=alpha, upper_cutoff=upper_cutoff)
+            for e in H3_EPS:
+                ref = _quad_mean(lambda u: u ** -(1.0 + alpha / 2.0), e)
+                assert spec.mean_between(0.0, e) == pytest.approx(ref, rel=1e-8), (alpha, e)
     spec = LevyMeasureSpec(alpha=1.0)
     assert spec.mean_between(0.0, 1.0) == pytest.approx(2.0, abs=1e-12)
-    assert spec.mean_between_quad(0.0, 1.0) == pytest.approx(2.0, rel=1e-8)
     assert spec.mean_between(0.0, 0.25) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -528,11 +549,9 @@ def test_table_sampler_inverts_the_interpolated_mass():
     assert np.all(sample_increments(cut, np.full(4, 0.25), 10, seed=3) == 0.0)
 
 
-def test_tables_never_integrate_numerically(monkeypatch):
-    def no_quad(*args, **kwargs):
-        raise AssertionError("quad called on a table's sampling route")
-
-    monkeypatch.setattr(levy_noise, "_quad", no_quad)
+def test_tables_never_integrate_numerically():
+    # nothing in src/ integrates numerically; test_decompose_check_loads_no_scipy
+    # runs a table's decompose-check in a fresh process that loads no scipy
     spec = _table(1e-4, 4.0, 400, lambda u: u**-1.5)
     assert spec.mass(1e-4) > 0 and spec.mean_between(0.0, 4.0) > 0
     decomp = decompose_large_jumps(spec)
@@ -542,19 +561,16 @@ def test_tables_never_integrate_numerically(monkeypatch):
 
 
 def test_table_quadrature_is_told_of_the_table_points():
-    # check_H3 integrates the interpolant by quadrature; given the table's
-    # points, quad sees smooth pieces and warns of nothing (this suite turns an
-    # IntegrationWarning into an error)
+    # the interpolant's closed-form mean against quad, given the table's points
+    # as breakpoints so each piece is smooth and quad warns of nothing (this
+    # suite turns an IntegrationWarning into an error)
     spec = _table(1e-4, 4.0, 400, lambda u: u**-1.5)
-    eps = np.geomspace(1e-1, 1e-4, 7)
-    res = check_H3(spec, theta=1.0, eps_grid=eps)
-    expected = [e**-0.5 * spec.mean_between(0.0, e) for e in eps]
-    np.testing.assert_allclose(res.values, expected, rtol=1e-8)
-    # a stable measure has no kinks: its probe is the plain quad call, bit for bit
-    plain = integrate.quad(
-        lambda v: 2.0 * v**3 * (v * v) ** -1.5, 0.0, 0.1, epsabs=levy_noise.QUAD_ABS_TOL, limit=200
-    )[0]
-    assert LevyMeasureSpec(alpha=1.0).mean_between_quad(0.0, 0.01) == plain
+    u, f = np.array(spec.table).T
+    for e in H3_EPS:
+        ref = _quad_mean(lambda x: np.interp(x, u, f, left=0.0, right=0.0), e, kinks=u)
+        assert spec.mean_between(0.0, e) == pytest.approx(ref, rel=1e-8)
+    res = check_H3(spec, theta=1.0, eps_grid=H3_EPS)
+    assert res.values.tolist() == [e**-0.5 * spec.mean_between(0.0, e) for e in H3_EPS]
 
 
 def test_power_table_has_the_law_of_the_truncated_stable_clock():

@@ -899,6 +899,31 @@ def test_coarsen_consumes_its_noise():
     assert half.coarsen().dS.shape == (3, 4)
 
 
+def test_coarsen_refuses_a_rows_slice_and_leaves_its_parent():
+    # rows() views the parent's arrays, so merging its pairs in place would
+    # overwrite the parent's rows; the slice refuses, and a copy coarsens
+    model = PADDING_MODELS["zero_drift"]
+    noise = sample_batch_noise(model, LEVY, 1.0, 16, 2 * SEED_BLOCK, seed=7)
+    before = batch_flows(model, noise, want_J=True, want_Q=True)
+    dS, z = noise.dS.copy(), noise.normals.copy()
+    part = noise.rows(0, SEED_BLOCK)
+    with pytest.raises(DataError, match="read-only"):
+        part.coarsen()
+    with pytest.raises(DataError, match="read-only"):
+        part.rows(0, 8).coarsen()
+    assert part.dS is not None and noise.dS is not None
+    assert noise.dS.tobytes() == dS.tobytes() and noise.normals.tobytes() == z.tobytes()
+    after = batch_flows(model, noise, want_J=True, want_Q=True)
+    for name in ("X", "J", "K", "Q"):
+        assert getattr(after, name).tobytes() == getattr(before, name).tobytes(), name
+    copied = replace(part, dS=part.dS.copy(), normals=part.normals.copy()).coarsen()
+    assert copied.dS.shape == (SEED_BLOCK, 8)
+    assert noise.dS.tobytes() == dS.tobytes()
+    # a coarsened bundle's own rows() slice is read-only too
+    with pytest.raises(DataError, match="read-only"):
+        noise.coarsen().rows(0, SEED_BLOCK).coarsen()
+
+
 def test_coarsened_switching_noise_keeps_fine_regimes_at_even_points():
     model = make_two_regime_linear(switch_rate=4.0)
     noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 20, seed=31)
