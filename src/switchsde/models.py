@@ -86,7 +86,8 @@ class ModelSpec(Rebuilt):
     bracket recursion.  grad_bound must dominate the operator norm of the
     Jacobian over all (x, regime).  affine = (mats (m0, n, n), shifts (m0, n)),
     when set, states that b(x, i) = mats[i-1] x + shifts[i-1]; the step loop
-    then evolves the flows once per regime path instead of once per start.
+    then takes the drift from that data (``affine_rows``) instead of calling
+    drift, and evolves the flows once per regime path instead of once per start.
     A spec from a built-in builder pickles as that builder's call (``Rebuilt``).
     """
 
@@ -232,19 +233,23 @@ def _linear_terms(mats: np.ndarray, shifts: np.ndarray) -> list:
     return terms
 
 
-def _linear_callbacks(mats: np.ndarray, shifts: np.ndarray):
-    n = mats.shape[1]
-    terms = _linear_terms(mats, shifts)
-    table = np.moveaxis(mats, 0, -1)  # (n, n, m0): entry [r, c] over the regimes
+def affine_rows(mats: np.ndarray, shifts: np.ndarray):
+    """The row evaluator of b(x, i) = A_i x + c_i, and the rows it can move.
 
-    def drift(x, a):
-        x = np.asarray(x, dtype=float)
+    fill(x, a, out, lo=0) writes rows lo..lo+len(out)-1 of b(x, a) into out,
+    x components-first, each row summed over its ``_linear_terms`` in column
+    order, then shifted: no fused multiply-adds.  moved marks the rows with a
+    nonzero coefficient, or a shift other than +0.0, in some regime; every
+    other row of b is +0.0.
+    """
+    terms = _linear_terms(mats, shifts)
+    moved = mats.any(axis=(0, 2)) | ((shifts != 0) | np.signbit(shifts)).any(axis=0)
+
+    def fill(x, a, out, lo=0):
         ai = 0 if mats.shape[0] == 1 else _regime_index(a)  # one regime: scalar coefficients
         A, c = mats[ai], shifts[ai]  # (..., n, n) and (..., n), one per regime in a
-        out = np.empty(x.shape)
-        for r, row_terms in enumerate(terms):
-            # each row summed column by column, then shifted; no fused multiply-adds
-            row = out[r, ...]  # a view, also when x is one point
+        for r, row_terms in enumerate(terms[lo : lo + len(out)], lo):
+            row = out[r - lo, ...]  # a view, also when x is one point
             if not row_terms:
                 row[...] = c[..., r]
                 continue
@@ -257,6 +262,18 @@ def _linear_callbacks(mats: np.ndarray, shifts: np.ndarray):
                 row += x[col] if unit else A[..., r, col] * x[col]
             row += c[..., r]
         return out
+
+    return fill, moved
+
+
+def _linear_callbacks(mats: np.ndarray, shifts: np.ndarray):
+    n = mats.shape[1]
+    fill, _ = affine_rows(mats, shifts)
+    table = np.moveaxis(mats, 0, -1)  # (n, n, m0): entry [r, c] over the regimes
+
+    def drift(x, a):
+        x = np.asarray(x, dtype=float)
+        return fill(x, a, np.empty(x.shape))
 
     def jac(x, a):
         ai = _regime_index(a)

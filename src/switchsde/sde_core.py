@@ -18,10 +18,16 @@ shares one uniform grid.  A bundle's noise with ``batch_flows(record=True)``
 is the one path record: perturbed runs re-integrate the same noise with a
 shift, and ``BatchNoise.window`` slices it in time, keeping its events.  The loop
 holds the state components-first, as (n, ..., paths), and updates it in
-place: x += b dt, x += sigma dw, x += shift, each a ufunc pass into
-preallocated buffers, with the drift and its Jacobian called on the same
-layout (see ``models``).  The flows J and K and the reduced covariance Q are
-held with the paths innermost too, as (n, n, ..., paths), so a flow update
+place, each add one ufunc pass over one slice of rows: b dt over the rows
+that a model's affine data can move (every row without such data), sigma dw
+and the shift over the rows where sigma or the shift is nonzero.  A skipped
+add adds an exact +-0, and x + 0 differs from x only at x = -0.0, which a
+state entry can hold only if its start entry does (round-to-nearest addition
+gives -0.0 only from -0.0 + -0.0), so a row that a start holds -0.0 in keeps
+every add.  The drift and its Jacobian are called on the same layout (see
+``models``); an affine drift's rows are evaluated from its data.  The flows J
+and K and the reduced covariance Q are held with the paths innermost too, as
+(n, n, ..., paths), so a flow update
 K -= sum_c K[:, c] g[c] (J += sum_c g[:, c] J[c]) is n ufunc passes over
 contiguous path rows, summed in column order, r = sigma^T K is one matrix
 product over the path rows, and each increment sum_c r_c r_c^T dS is a few
@@ -69,7 +75,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, SpecError, UnsupportedConfigError
 from .levy_noise import LevyMeasureSpec, as_rng, sample_increments
-from .models import ModelSpec
+from .models import ModelSpec, affine_rows
 from .switching import partition_point
 
 OVERFLOW_GUARD = 1e12
@@ -419,6 +425,15 @@ def batch_flows(
     (n_paths, K, n) is added to the state increments.  After step j - 1 an
     event (p, j, mark) moves path p's regime by the mark rule at X_j.
 
+    Each step adds b dt, sigma dw and the shift, in that order, only over the
+    rows each can move (see the module docstring).  For a model with affine
+    data the drift callback is not called: b is evaluated from that data by
+    ``models.affine_rows``, which the linear builders' drift also calls, on
+    the rows the data can move, straight into the step buffer.  sigma dw (one
+    product per row when d = 1) and the shift go only to the rows where sigma
+    or the shift is nonzero.  A row that some start holds -0.0 in keeps
+    every add.
+
     For a model with affine data the Jacobian does not depend on x, so J, K
     and Q are evolved once per path (once per bundle for one regime on a
     shared grid) from a components-first (n, n, m0) table of the A_i, and
@@ -435,9 +450,27 @@ def batch_flows(
     # its lead + (n,) view for the recorder and the mark rule
     x = np.moveaxis(np.broadcast_to(x0, lead + (n,)), -1, 0).copy()
     xv = np.moveaxis(x, 0, -1)
-    step = np.empty_like(x)  # b dt, then |x| for the overflow guard
+    step = np.empty_like(x)  # b dt
     sdw = np.empty((n, noise.n_paths))  # sigma dw
-    per_component = (n,) + (1,) * (len(lead) - 1) + (noise.n_paths,)  # an (n, P) array against x
+    sig = model.sigma
+    # the rows each add can move, as one slice covering them: x + 0 differs from x
+    # only at x = -0.0, which a row can hold only if a start holds it there
+    held = ((x0 == 0) & np.signbit(x0)).reshape(-1, n).any(axis=0)
+    fill = None
+    if model.affine is not None:
+        fill, moved = affine_rows(*model.affine)
+        drift_rows = _covering(moved | held)
+        x_drift, b_dt = x[drift_rows], step[drift_rows]
+    noisy = sig.any(axis=1) | held
+    if shift is not None:
+        noisy |= shift.any(axis=(0, 1))
+    noise_rows = _covering(noisy)
+    # sigma dw by one product per row when d = 1 (the same rounding as the matrix
+    # product, bar the sign of a zero, which matters only on a row holding -0.0)
+    by_row = model.d == 1 and not held[noise_rows].any()
+    per_row = (-1,) + (1,) * (len(lead) - 1) + (noise.n_paths,)  # (rows, P) against x
+    x_noise, sig_rows, sdw_rows = x[noise_rows], sig[noise_rows], sdw[noise_rows]
+    sdw_x = sdw_rows.reshape(per_row)
     steps = noise.dS.shape[1]
     times = noise.times.T  # (K+1,) shared grid, (K+1, P) per-path grids
     # sqrt(dS) and sqrt(dS) Z for NOISE_PANEL steps, allocated once and refilled
@@ -470,7 +503,6 @@ def batch_flows(
     events: dict[int, list] = {}
     for p, j, mark in noise.events:
         events.setdefault(j, []).append((p, mark))
-    sig = model.sigma
     Xs = np.empty(lead + (steps + 1, n)) if record else None
     alphas = np.empty((noise.n_paths, steps + 1), dtype=np.int64) if record else None
     Js = np.empty(flow_lead + (steps + 1, n, n)) if record and want_J else None
@@ -523,11 +555,20 @@ def batch_flows(
                 np.multiply(root[:, :m], noise.normals[:, k : k + m, c], out=panel[:, :m, c])
         dw = panel[:, k % NOISE_PANEL]
         # x + b dt, then + sigma dw, then + shift: the per-point recursion's order and bits
-        x += np.multiply(model.drift(x, a), dt, out=step)
-        x += np.matmul(sig, dw.T, out=sdw).reshape(per_component)
+        if fill is None:
+            x += np.multiply(model.drift(x, a), dt, out=step)
+        else:
+            fill(x, a, b_dt, drift_rows.start)
+            b_dt *= dt
+            x_drift += b_dt
+        if by_row:
+            np.multiply(sig_rows, dw.T, out=sdw_rows)
+        else:
+            np.matmul(sig, dw.T, out=sdw)
+        x_noise += sdw_x
         if shift is not None:
-            x += shift[:, k].T.reshape(per_component)
-        if not np.abs(x, out=step).max() <= OVERFLOW_GUARD:
+            x_noise += shift[:, k, noise_rows].T.reshape(per_row)
+        if not (x.max() <= OVERFLOW_GUARD and x.min() >= -OVERFLOW_GUARD):  # NaN fails too
             raise NumericError(f"a state left the trusted range at step {k + 1}")
     J, K, Q = (None if v is None else _widen(_paths_first(v), lead + (n, n)) for v in (J, K, Q))
     Js, Ks, Qs = (_widen(v, lead + (steps + 1, n, n)) for v in (Js, Ks, Qs))
@@ -535,6 +576,12 @@ def batch_flows(
         X=np.ascontiguousarray(xv), J=J, K=K, Q=Q,
         X_path=Xs, alpha_path=alphas, J_path=Js, K_path=Ks, Q_path=Qs,
     )
+
+
+def _covering(rows):
+    """The shortest slice holding every marked row; an empty slice when none is."""
+    marked = np.flatnonzero(rows)
+    return slice(marked[0], marked[-1] + 1) if marked.size else slice(0, 0)
 
 
 def _components_first(v):

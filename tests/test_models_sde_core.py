@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -40,6 +41,7 @@ from switchsde import (
     make_sin_bounded,
     make_two_regime_linear,
     make_zero_drift,
+    no_switching,
     perturbation_shift,
     sample_batch_noise,
     sample_increments,
@@ -508,13 +510,52 @@ def test_overflow_raises_numeric_error():
     noise = sample_batch_noise(model, LEVY, 1.0, 512, 4, seed=0)
     with pytest.raises(NumericError):
         batch_flows(model, noise)
+    # a drift of 1 that turns NaN from x = 0.5 on: x grows by dt = 1/16 a step and
+    # reaches 0.5 after step 8, so step 9 adds NaN, which the guard names without a
+    # RuntimeWarning
+    def drift(x, a):
+        return np.where(x < 0.5, 1.0, np.nan)
+
+    nan_model = ModelSpec(name="nan_past_half", n=1, d=1, sigma=[[0.0]], rates=no_switching(),
+                          drift=drift, drift_jac=lambda x, a: np.zeros((1, 1) + np.shape(x)[1:]),
+                          grad_bound=0.0)
+    noise = sample_batch_noise(nan_model, LEVY, 1.0, 16, 4, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match="at step 9$"):
+            batch_flows(nan_model, noise)
+
+
+# degenerate noise (sigma with zero rows) and drifts whose data leave rows unmoved
+PER_ROW_MODELS = {
+    "two_regime_linear": make_two_regime_linear(),
+    "kalman": make_kalman(),
+    "sin_bounded_degenerate": make_sin_bounded(d=1, sigma=[[0.0], [1.0]]),
+    "linear_zero_row": make_linear(
+        [[0.0, 0.0], [1.0, -0.5]], shifts=[0.0, 0.3], sigma=[[0.0], [1.0]]
+    ),
+    "two_regime_sigma_0.7": make_two_regime_linear(sigma=[[0.0], [0.7]], switch_rate=3.0),
+    "d2_zero_row": make_linear(
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.3, -0.5]],
+        sigma=[[0.0, 0.0], [1.0, 0.0], [0.0, 0.7]],
+    ),
+}
 
 
 def test_batch_matches_per_row_arithmetic():
     # every row of the bundle is the per-point Euler recursion bit for bit:
-    # x + b dt, then + sigma dw, then + the perturbation shift, in that order
-    model = make_two_regime_linear()
-    _check_per_row_arithmetic(model, sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 8, seed=17))
+    # x + b dt, then + sigma dw, then + the perturbation shift, in that order;
+    # also where sigma or the affine data leave rows unmoved, on fine, coarsened
+    # and padded noise, from starts holding +0.0 and -0.0
+    for model in PER_ROW_MODELS.values():
+        for kind in ("fine", "coarsened", "padded"):
+            if kind == "padded":
+                rng = np.random.default_rng(17)
+                noise = _padded_bundle([_noise_record(model, m, rng) for m in (16, 9, 13, 16)])
+            else:
+                noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 8, seed=17)
+                noise = noise.coarsen() if kind == "coarsened" else noise
+            _check_per_row_arithmetic(model, noise)
 
 
 @pytest.mark.parametrize("coarsen", [False, True], ids=["fine", "coarsened"])
@@ -531,31 +572,36 @@ def test_batch_matches_per_row_arithmetic_across_noise_panels(coarsen):
 
 
 def _check_per_row_arithmetic(model, noise):
-    steps = noise.dS.shape[1]  # uniform steps refined to the event times
-    pert = PerturbationSpec(breakpoints=[0.0, 0.3, 1.5], values=[[1.0], [-0.6]], eps=0.2)
+    n, steps = model.n, noise.dS.shape[1]  # uniform steps refined to the event times
+    times = np.broadcast_to(noise.times, (noise.n_paths, steps + 1))
+    pert = PerturbationSpec(breakpoints=[0.0, 0.3, 1.5], values=[[1.0] * model.d,
+                                                                 [-0.6] * model.d], eps=0.2)
     shift = perturbation_shift(model, noise, pert)
-    starts = np.array([[0.0, 0.0], [0.4, -0.3], [-1.2, 0.7]])
-    runs = [
-        (batch_flows(model, noise, want_Q=False, record=True), model.x0[None], None),
-        (batch_flows(model, noise, x0=starts[:, None], shift=shift, want_Q=False, record=True),
-         starts, shift),
-    ]
-    for res, x0s, sh in runs:
+    odd = np.arange(n) % 2 == 1
+    zero_starts = np.array([np.where(odd, -0.0, 0.0), np.where(odd, 0.0, -0.0), -np.zeros(n)])
+    starts = np.array([np.zeros(n), np.linspace(0.4, -0.3, n), np.linspace(-1.2, 0.7, n)])
+    runs = [(None, None), (starts, shift), (zero_starts, None),
+            (np.concatenate([starts, -zero_starts]), shift)]
+    for x0s, sh in runs:
+        res = batch_flows(model, noise, x0=None if x0s is None else x0s[:, None], shift=sh,
+                          want_Q=False, record=True)
+        x0s = model.x0[None] if x0s is None else x0s
         alpha = res.alpha_path
-        assert np.any(alpha != model.alpha0)  # the recorded regime paths switch
-        X_path = res.X_path.reshape((len(x0s), noise.n_paths, steps + 1, 2))
-        X = res.X.reshape((len(x0s), noise.n_paths, 2))
+        if model.rates.m0 > 1:
+            assert np.any(alpha != model.alpha0)  # the recorded regime paths switch
+        X_path = res.X_path.reshape((len(x0s), noise.n_paths, steps + 1, n))
+        X = res.X.reshape((len(x0s), noise.n_paths, n))
         for s, x0 in enumerate(x0s):
             for p in range(noise.n_paths):
                 x = x0.copy()
                 for k in range(steps):
-                    dt = noise.times[p, k + 1] - noise.times[p, k]
+                    dt = times[p, k + 1] - times[p, k]
                     dw = math.sqrt(noise.dS[p, k]) * noise.normals[p, k]
                     x = x + model.drift(x, alpha[p, k]) * dt + model.sigma @ dw
                     if sh is not None:
                         x = x + sh[p, k]
-                    assert np.array_equal(X_path[s, p, k + 1], x)
-                assert np.array_equal(X[s, p], x)
+                    assert X_path[s, p, k + 1].tobytes() == x.tobytes()
+                assert X[s, p].tobytes() == x.tobytes()
 
 
 def test_aligned_row_runs_integrate_like_the_bundle():
@@ -702,8 +748,9 @@ def test_drift_jac_takes_components_first(family, n, m0, lead, seed):
     ids=lambda m: m.name,
 )
 def test_one_drift_call_per_step(model):
-    # one drift route: one components-first call per step, and drift_jac only
-    # when the model has no affine data
+    # one drift route: without affine data, one components-first drift call and one
+    # drift_jac call per step; with it, neither callback is called, the step taking
+    # the drift rows from the data, bit for bit as the callback route
     seen = {"drift": [], "drift_jac": 0}
 
     def drift(x, a):
@@ -718,11 +765,15 @@ def test_one_drift_call_per_step(model):
     noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 6, seed=3)
     starts = model.x0 + np.array([[[0.0, 0.0]], [[0.5, -0.5]]])
     kw = dict(x0=starts, want_J=True, record=True)
+    names = ("X", "J", "K", "Q", "X_path")
     res = batch_flows(counted, noise, **kw)
     steps = noise.dS.shape[1]
+    if model.affine is not None:
+        assert seen == {"drift": [], "drift_jac": 0}
+        _assert_bitwise(res, batch_flows(replace(counted, affine=None), noise, **kw), names)
     assert seen["drift"] == [(model.n, 2, 6)] * steps
-    assert seen["drift_jac"] == (0 if model.affine is not None else steps)
-    _assert_bitwise(res, batch_flows(model, noise, **kw), ("X", "J", "K", "Q", "X_path"))
+    assert seen["drift_jac"] == steps
+    _assert_bitwise(res, batch_flows(model, noise, **kw), names)
 
 
 @pytest.mark.parametrize(
