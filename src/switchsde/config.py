@@ -135,7 +135,10 @@ class ModelConfig(_Section):
 
     def build(self) -> ModelSpec:
         # looked up as a module global, so perfbench's tracer can wrap it
-        return make_model(self.name, **self.params)
+        try:
+            return make_model(self.name, **self.params)
+        except (TypeError, ValueError) as e:  # a value the builder cannot convert
+            raise ConfigError(f"model.params do not fit model {self.name!r}: {e}") from e
 
 
 @section

@@ -156,15 +156,52 @@ def build_brackets(
     return BracketSet(x=x, regime=regime, depth=depth, fields=fields, mode=mode)
 
 
-def ball_points(center, radius: float, n_samples: int, seed: int = 0) -> np.ndarray:
-    """Low-discrepancy points of the closed ball: scrambled Halton cube points
-    clamped radially, with the center prepended."""
-    from scipy.stats import qmc  # heavy to import, and only this sampler needs it
+# ball_points' shift draws on [seed, SHIFT_STREAM], apart from the direction
+# sweep's default_rng(seed) and from sde_core's path streams
+SHIFT_STREAM = 16
 
+
+def _primes(n: int) -> list[int]:
+    """The first n primes."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _radical_inverse(k, base: int) -> np.ndarray:
+    """Each integer k >= 0 with its base-`base` digits mirrored about the radix
+    point (Halton, Numer. Math. 1960): 1, 2, 3 -> 1/2, 1/4, 3/4 in base 2.
+
+    The mirrored digits are summed as an integer and divided once, so each
+    value is the correctly rounded fraction.
+    """
+    k = np.asarray(k, dtype=np.int64)
+    mirrored, scale = np.zeros_like(k), 1
+    while k.any():
+        k, digit = np.divmod(k, base)
+        mirrored = mirrored * base + digit
+        scale *= base
+    return mirrored / scale
+
+
+def ball_points(center, radius: float, n_samples: int, seed: int = 0) -> np.ndarray:
+    """Low-discrepancy points of the closed ball, the center first.
+
+    Points k = 1..n_samples of the Halton sequence (coordinate c the radical
+    inverse of k in the c-th prime base), shifted by one uniform vector
+    modulo 1 (Cranley & Patterson 1976) drawn from seed, mapped to
+    [-1, 1]^n and clamped radially into the unit ball.
+    """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     n = center.size
-    h = qmc.Halton(d=n, scramble=True, seed=seed)
-    y = 2.0 * h.random(n_samples) - 1.0
+    k = np.arange(1, n_samples + 1)
+    cube = np.column_stack([_radical_inverse(k, b) for b in _primes(n)])
+    shift = np.random.default_rng([seed, SHIFT_STREAM]).random(n)
+    y = 2.0 * ((cube + shift) % 1.0) - 1.0
     r = np.linalg.norm(y, axis=1, keepdims=True)
     y = y / np.maximum(r, 1.0)
     return np.vstack([center, center + radius * y])

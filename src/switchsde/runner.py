@@ -24,7 +24,7 @@ A path's results do not depend on its bundle, so results are bit-identical
 for any worker count; the manifest records a sha256 digest of each data file
 the run wrote to make that checkable, and ``workers_used``, the number of
 tasks that ran in parallel.  It also records what the run ran on
-(``environment``: Python, numpy and scipy versions, CPU count, BLAS thread
+(``environment``: Python and numpy versions, CPU count, BLAS thread
 variables, workers requested and used) and ``peak_rss_mb``.
 
 ``PIPELINES`` is the one declaration of each subcommand: ``@pipeline`` registers
@@ -111,18 +111,11 @@ def write_json(path: Path, value) -> None:
 
 
 def environment(workers: int, workers_used: int) -> dict:
-    """What a run ran on: versions, CPU count, BLAS thread variables and its workers.
-
-    scipy is loaded only by runs that sample hormander's Halton points
-    (``scipy.stats.qmc``); its version is None when this process has not
-    loaded it, since reading it from the package metadata keeps about 2.5 MiB
-    resident for good.
-    """
-    scipy = sys.modules.get("scipy")
+    """What a run ran on: Python and numpy versions, CPU count, BLAS thread
+    variables and its workers.  numpy is the only package the runtime loads."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__ if scipy is not None else None,
         "cpu_count": os.cpu_count(),
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
         "workers_requested": workers,
@@ -478,6 +471,8 @@ def _density_bundle(model, component: int, noise, lo: int, hi: int):
 
 @pipeline("density", "kernel density of one terminal state component")
 def run_density(cfg: RunConfig, out: OutputDir):
+    if cfg.simulation.n_paths < 2:
+        raise ConfigError(f"density needs simulation.n_paths >= 2, got {cfg.simulation.n_paths}")
     model = cfg.model.build()
     if cfg.density.component >= model.n:
         raise ConfigError(f"density.component must be below {model.n}")

@@ -365,11 +365,6 @@ def sample_batch_noise(
     # first every block's events, which fix the bundle's width
     rngs = [as_rng(s) for s in seeds]
     grids = [_block_grid(model, grid, size, rng) for size, rng in zip(sizes, rngs)]
-    if len(sizes) == 1:  # the block's own arrays are the bundle; no copy
-        (times, events), (rng,) = grids[0], rngs
-        dS = sample_increments(levy, np.diff(times, axis=-1), sizes[0], rng)
-        z = rng.standard_normal(dS.shape + (model.d,))
-        return BatchNoise(times=times, dS=dS, normals=z, n_paths=sizes[0], events=events)
     # then each block's increments and normals at its own width, into its rows
     total, width = sum(sizes), max(t.shape[-1] for t, _ in grids)
     shared = all(t.ndim == 1 for t, _ in grids)

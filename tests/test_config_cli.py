@@ -16,7 +16,6 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -501,6 +500,18 @@ ESCAPED_ERRORS = {
     "odd_n_steps": (
         "gradrep", {"simulation": {"horizon": 0.5, "n_steps": 15, "n_paths": 24}}, "n_steps"
     ),
+    # model.params of a type the builder cannot convert
+    "text_x0": (
+        "simulate", {"model": {"name": "kalman", "params": {"x0": ["a", "b"]}}}, "model.params"
+    ),
+    "text_sigma": (
+        "simulate",
+        {"model": {"name": "zero_drift", "params": {"sigma": [[1.0, "x"]]}}},
+        "model.params",
+    ),
+    "ragged_mats": (
+        "simulate", {"model": {"name": "linear", "params": {"mats": [[1, 2], [3]]}}}, "model.params"
+    ),
 }
 
 
@@ -518,6 +529,7 @@ def test_config_errors_exit_2_without_traceback(tmp_path, command, payload, wher
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and where in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
     assert not out.exists() or not any(out.iterdir())
 
@@ -598,35 +610,39 @@ def test_density_on_a_table_writes_nothing_to_stderr(tmp_path):
     assert json.loads(proc.stdout)
 
 
-def test_decompose_check_loads_no_scipy(tmp_path):
-    # its H3 integrals are closed forms and its KS p-value is kolmogorov_sf, so
-    # a fresh process that runs it, on a stable clock and on a table, never
-    # imports scipy (this suite's process has); the table fails H3 by design,
-    # see test_decompose_check_fails_h3_on_every_table
+def test_pipelines_run_without_scipy(tmp_path):
+    # a fresh process in which importing scipy fails (this suite's process has
+    # it) runs every pipeline on kalman.json, and decompose-check on a table,
+    # which fails H3 by design (see test_decompose_check_fails_h3_on_every_table)
     u = np.geomspace(1e-4, 4.0, 400)
     table = tmp_path / "measure.csv"
     np.savetxt(table, np.column_stack([u, u**-1.5]), delimiter=",", header="u,density")
-    payload = json.loads((ROOT / "configs" / "kalman.json").read_text())
+    kalman = ROOT / "configs" / "kalman.json"
+    payload = json.loads(kalman.read_text())
     payload["levy"] = {"kind": "tabulated", "table": str(table)}
-    runs = [
-        [str(ROOT / "configs" / "kalman.json"), str(tmp_path / "stable")],
-        [write_config(tmp_path, payload), str(tmp_path / "table")],
-    ]
-    argvs = [["decompose-check", "--config", cfg, "--paths", "2000", "--out", out] for cfg, out in runs]
+    outs = [tmp_path / name for name in runner.PIPELINES] + [tmp_path / "table"]
+    argvs = [[name, "--config", str(kalman), "--out", str(out)]
+             for name, out in zip(runner.PIPELINES, outs)]
+    argvs.append(["decompose-check", "--config", write_config(tmp_path, payload),
+                  "--paths", "2000", "--out", str(outs[-1])])
     script = (
         "import json, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
         "from switchsde.cli import main\n"
-        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print([main(argv) for argv in json.loads(sys.argv[1])])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True, env=env
     )
     assert proc.stderr == ""
-    assert proc.stdout.splitlines()[-1] == "[0, 1] []"
-    for _, out in runs:
-        assert json.loads((Path(out) / "manifest.json").read_text())["environment"]["scipy"] is None
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runner.PIPELINES) + [1]
+    for out in outs:
+        assert "scipy" not in json.loads((out / "manifest.json").read_text())["environment"]
 
 
 def test_overflowing_density_bandwidth_is_a_numeric_error(tmp_path, capsys):
@@ -689,6 +705,16 @@ def test_tails_rejects_too_few_paths_before_simulating(tmp_path, capsys, monkeyp
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and "tails.min_count" in out.err and "24" in out.err
+
+
+def test_density_rejects_one_path_before_simulating(tmp_path, capsys, monkeypatch):
+    # a kernel density needs two samples
+    monkeypatch.setattr(sde_core, "map_bundles", lambda *a, **k: pytest.fail("simulated"))
+    cfg = write_config(tmp_path, SMALL)
+    assert main(["density", "--config", cfg, "--paths", "1", "--out", str(tmp_path / "d")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "simulation.n_paths >= 2" in out.err
 
 
 def test_density_pipeline(tmp_path, capsys):
@@ -861,11 +887,9 @@ def test_manifest_records_environment_and_peak_rss(tmp_path, capsys, monkeypatch
     assert code == 0 and set(report) == {"command", "ok", "summary"}
     manifest = json.loads((out / "manifest.json").read_text())
     env = manifest["environment"]
-    scipy = sys.modules.get("scipy")  # imported by other test modules, not by simulate
     assert env == {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__ if scipy is not None else None,
         "cpu_count": os.cpu_count(),
         "blas_threads": {name: os.environ.get(name) for name in runner.BLAS_THREAD_VARS},
         "workers_requested": 2,
@@ -875,11 +899,6 @@ def test_manifest_records_environment_and_peak_rss(tmp_path, capsys, monkeypatch
     assert manifest["peak_rss_mb"] > 20
     monkeypatch.setattr(runner, "resource", None)
     assert runner.peak_rss_mb() is None
-    # scipy's version is the loaded module's, and None before any run loads it
-    monkeypatch.setitem(sys.modules, "scipy", SimpleNamespace(__version__="9.9"))
-    assert runner.environment(1, 1)["scipy"] == "9.9"
-    monkeypatch.delitem(sys.modules, "scipy")
-    assert runner.environment(1, 1)["scipy"] is None
 
 
 OS_ERRORS = ("out_is_a_file", "out_under_a_file", "config_is_a_directory", "table_is_a_directory")

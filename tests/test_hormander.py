@@ -22,6 +22,7 @@ from switchsde import (
     make_zero_drift,
 )
 from switchsde.diagnostics import kappa1_verdict
+from switchsde.hormander import _radical_inverse
 
 A_KALMAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -106,6 +107,14 @@ def test_ball_points_stay_inside_and_replay():
     again = ball_points(center, 0.7, 40, seed=3)
     assert np.array_equal(pts, again)
     assert not np.array_equal(pts, ball_points(center, 0.7, 40, seed=4))
+
+
+def test_radical_inverse_mirrors_the_digits():
+    # Halton's coordinates before the shift: k = 1, 2, 3, ... in base 2 and base 3
+    k = np.arange(1, 9)
+    assert _radical_inverse(k, 2).tolist() == [1 / 2, 1 / 4, 3 / 4, 1 / 8, 5 / 8, 3 / 8, 7 / 8, 1 / 16]
+    assert _radical_inverse(k, 3).tolist() == [1 / 3, 2 / 3, 1 / 9, 4 / 9, 7 / 9, 2 / 9, 5 / 9, 8 / 9]
+    assert _radical_inverse(np.array([0, 25]), 5).tolist() == [0.0, 1 / 125]
 
 
 def test_estimate_is_deterministic():
