@@ -33,7 +33,7 @@ path of the bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -63,20 +63,43 @@ def exp_bound_excess(
 
     J and K are (..., K+1, n, n) with any leading axes; times broadcasts
     against their grid axes.  The SVD runs only at the points where the
-    maximum can be: |A|_F / sqrt(n) <= |A|_2 <= |A|_F brackets each point's
-    ratio, and a point whose upper bracket is below the best lower bracket
-    (less a 1e-12 relative slack for rounding) cannot attain it.
+    maximum can be.  |A|_2^2 is the largest eigenvalue of the Gram matrix A^T A,
+    so it lies between the Gram's largest diagonal entry (a column's squared
+    norm) and its largest absolute row sum (Gershgorin); a point whose upper
+    bound is below the best lower bound (less a 1e-12 relative slack for
+    rounding) cannot attain the maximum.  The Gram entries are elementwise
+    sums over the whole stack, with no per-point matrix product.
     """
     n = J.shape[-1]
     lead = np.broadcast_shapes(J.shape[:-2], K.shape[:-2], np.shape(times))
     J, K = (np.broadcast_to(v, lead + (n, n)) for v in (J, K))
     envelope = np.broadcast_to(np.exp(grad_bound * times), lead)
-    frob = np.maximum(np.linalg.norm(J, axis=(-2, -1)), np.linalg.norm(K, axis=(-2, -1)))
-    upper = frob / envelope
-    at = ~(upper < upper.max() / np.sqrt(n) * (1.0 - 1e-12))  # every point when NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN bounds select the point
+        (low_j, high_j), (low_k, high_k) = _gram_bounds(J), _gram_bounds(K)
+    lower = np.sqrt(np.maximum(low_j, low_k)) / envelope
+    upper = np.sqrt(np.maximum(high_j, high_k)) / envelope
+    at = ~(upper < lower.max() * (1.0 - 1e-12))  # every point when NaN
     nj = np.linalg.svd(J[at], compute_uv=False)[:, 0]
     nk = np.linalg.svd(K[at], compute_uv=False)[:, 0]
     return float((np.maximum(nj, nk) / envelope[at]).max() - 1.0)
+
+
+def _gram_bounds(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest diagonal entry and the largest absolute row sum of each A^T A in a stack.
+
+    Each Gram entry is summed over the rows of A elementwise over the whole stack.
+    """
+    n = A.shape[-1]
+    gram = {}
+    for i in range(n):
+        for j in range(i, n):
+            g = A[..., 0, i] * A[..., 0, j]
+            for r in range(1, n):
+                g += A[..., r, i] * A[..., r, j]
+            gram[i, j] = gram[j, i] = g
+    diagonal = reduce(np.maximum, (gram[i, i] for i in range(n)))
+    row_sums = reduce(np.maximum, (sum(np.abs(gram[i, j]) for j in range(n)) for i in range(n)))
+    return diagonal, row_sums
 
 
 def product_defect_tolerance(n: int, grad_bound: float, horizon: float, dt: float) -> float:

@@ -63,15 +63,18 @@ def standard_positive_stable(beta: float, size, rng: np.random.Generator) -> np.
     e = rng.standard_exponential(size)
     with np.errstate(all="ignore"):
         s = np.sin(beta * u)
-        # at beta = 1/2 (alpha = 1) the factor sin((1 - beta) u) is sin(beta u) itself
-        a = (
-            s ** (beta / (1.0 - beta))
-            * (s if 1.0 - beta == beta else np.sin((1.0 - beta) * u))
-            / np.sin(u) ** (1.0 / (1.0 - beta))
-        )
-        x = (a / e) ** ((1.0 - beta) / beta)
-        bad = ~((x > 0.0) & (x < math.inf))
-        if bad.any():  # near beta = 1 the powers of sin(u) leave the float range: take logs
+        if beta == 0.5:  # alpha = 1: A(u) = s s / sin(u)^2 and X = A / E, no other powers
+            x = s * s / np.square(np.sin(u)) / e
+        else:
+            a = (
+                s ** (beta / (1.0 - beta))
+                * np.sin((1.0 - beta) * u)
+                / np.sin(u) ** (1.0 / (1.0 - beta))
+            )
+            x = (a / e) ** ((1.0 - beta) / beta)
+        # near beta = 1 the powers of sin(u) leave the float range: take logs
+        if not (x.min(initial=math.inf) > 0.0 and x.max(initial=0.0) < math.inf):  # or NaN
+            bad = ~((x > 0.0) & (x < math.inf))
             v = u[bad]
             beta_log_x = (  # (1 - beta) log(A / E)
                 beta * np.log(np.sin(beta * v)) - np.log(np.sin(v))
@@ -372,6 +375,7 @@ class H3Result:
     values: np.ndarray
     verdict: str  # "holds" | "tends_to_zero" | "diverges"
     c_theta: float | None
+    spread: float  # the values' range over their median; inf unless the median is positive
 
 
 def check_H3(spec: LevyMeasureSpec, theta: float, eps_grid: Sequence[float]) -> H3Result:
@@ -390,16 +394,15 @@ def check_H3(spec: LevyMeasureSpec, theta: float, eps_grid: Sequence[float]) -> 
     if eps[0] / eps[-1] < 1e3:
         raise ValueError("eps grid must span at least three decades")
     vals = np.array([e ** (theta / 2.0 - 1.0) * spec.mean_between(0.0, e) for e in eps])
-    positive = vals > 0
-    if not positive.all():
-        return H3Result(theta, eps, vals, "tends_to_zero", None)
     med = float(np.median(vals))
-    spread = float((vals.max() - vals.min()) / med)
+    spread = float((vals.max() - vals.min()) / med) if med > 0 else math.inf
+    if not (vals > 0).all():
+        return H3Result(theta, eps, vals, "tends_to_zero", None, spread)
     if spread <= H3_RTOL:
-        return H3Result(theta, eps, vals, "holds", med)
+        return H3Result(theta, eps, vals, "holds", med, spread)
     slope = float(np.polyfit(np.log(eps), np.log(vals), 1)[0])
     verdict = "tends_to_zero" if slope > 0 else "diverges"
-    return H3Result(theta, eps, vals, verdict, None)
+    return H3Result(theta, eps, vals, verdict, None, spread)
 
 
 # ---------------------------------------------------------------------------

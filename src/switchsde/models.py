@@ -8,7 +8,11 @@ callbacks are batched, in two layouts:
   (n,) + lead: x[r] is component r over every path, with the paths on the
   last axis.  drift returns b in that layout and drift_jac returns
   (n, n) + lead, jac[r, c] = d b_r / d x_c.  The step loop holds its state
-  and its flows that way and updates them in place.
+  and its flows that way and updates them in place.  A builder may also
+  set drift_and_jac(x, a), which returns (drift(x, a), drift_jac(x, a))
+  bit for bit from one call sharing their work; the step loop calls it
+  when it needs the Jacobian, and drift and drift_jac apart when it is
+  None.
 - drift_derivs(x, a, m) takes x paths-first, lead + (n,), and puts its
   component axes last.
 
@@ -88,6 +92,10 @@ class ModelSpec(Rebuilt):
     when set, states that b(x, i) = mats[i-1] x + shifts[i-1]; the step loop
     then takes the drift from that data (``affine_rows``) instead of calling
     drift, and evolves the flows once per regime path instead of once per start.
+    drift_and_jac(x, a), when a builder sets it, returns (drift(x, a),
+    drift_jac(x, a)) bit for bit from one call; like ``recipe`` it is an
+    init=False field, which ``dataclasses.replace`` does not copy, so a spec
+    with a changed drift never keeps a joint call of the old one.
     A spec from a built-in builder pickles as that builder's call (``Rebuilt``).
     """
 
@@ -103,6 +111,7 @@ class ModelSpec(Rebuilt):
     x0: np.ndarray = None
     alpha0: int = 1
     affine: tuple | None = None
+    drift_and_jac: Callable | None = field(default=None, init=False, repr=False, compare=False)
     recipe: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -395,13 +404,21 @@ def make_sin_bounded(
         y *= amp_at[a]
         return y
 
-    def jac(x, a):
-        y = freq_at[a] * np.asarray(x, dtype=float)[cols]
+    def jac_at(y, a):  # the Jacobian from y = freq x[cols], which it overwrites
         np.cos(y, out=y)
         y *= slope_at[a]
         out = np.zeros((n,) + y.shape)
         out[rows, cols] = y
         return out
+
+    def jac(x, a):
+        return jac_at(freq_at[a] * np.asarray(x, dtype=float)[cols], a)
+
+    def drift_and_jac(x, a):  # one freq x, then its sin and its cos
+        y = freq_at[a] * np.asarray(x, dtype=float)[cols]
+        b = np.sin(y)
+        b *= amp_at[a]
+        return b, jac_at(y, a)
 
     def derivs(x, a, order):
         x = np.asarray(x, dtype=float)
@@ -418,7 +435,7 @@ def make_sin_bounded(
             out[idx] = v[..., r]
         return out
 
-    return ModelSpec(
+    spec = ModelSpec(
         name="sin_bounded",
         n=n,
         d=d,
@@ -431,6 +448,8 @@ def make_sin_bounded(
         x0=x0,
         alpha0=alpha0,
     )
+    spec.drift_and_jac = drift_and_jac
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ shift, and ``BatchNoise.window`` slices it in time, keeping its events.  The loo
 holds the state components-first, as (n, ..., paths), and updates it in
 place, each add one ufunc pass over one slice of rows: b dt over the rows
 that a model's affine data can move (every row without such data), sigma dw
-and the shift over the rows where sigma or the shift is nonzero.  A skipped
+and the shift over the rows where sigma or the shift is nonzero, sigma dw as
+one product per row when no row of sigma holds two nonzeros.  A skipped
 add adds an exact +-0, and x + 0 differs from x only at x = -0.0, which a
 state entry can hold only if its start entry does (round-to-nearest addition
 gives -0.0 only from -0.0 + -0.0), so a row that a start holds -0.0 in keeps
@@ -29,15 +30,17 @@ every add.  The drift and its Jacobian are called on the same layout (see
 and K and the reduced covariance Q are held with the paths innermost too, as
 (n, n, ..., paths), so a flow update
 K -= sum_c K[:, c] g[c] (J += sum_c g[:, c] J[c]) is n ufunc passes over
-contiguous path rows, summed in column order, r = sigma^T K is one matrix
-product over the path rows, and each increment sum_c r_c r_c^T dS is a few
-ufunc passes.  One flow shared by a whole bundle is (n, n) and takes the same
+contiguous path rows, summed in column order, r = K sigma is one product per
+column of sigma when no column holds two nonzeros (else one matrix product
+over the path rows), and each increment sum_c r_c r_c^T dS is a few ufunc
+passes.  One flow shared by a whole bundle is (n, n) and takes the same
 column-order sums.  X, J, K and Q are moved back to paths-first once, at the
-end; the records are written through views.  The driver increments
-sqrt(dS_k) Z_k are formed NOISE_PANEL steps at a time, one pass per noise
-column over contiguous runs of each path's noise row instead of a strided
-column per step, into buffers allocated once per call; the same elementwise
-operations, so the same bits.
+end; the records are written through views.  The noise is taken
+NOISE_PANEL steps at a time: each panel of dt, sqrt(dS_k) Z_k and, for Q,
+dS is formed over contiguous runs of each path's noise row and transposed
+once to steps-first, PANEL_ROWS paths at a time, into buffers allocated once
+per call, so a step reads contiguous path rows instead of strided columns;
+the same elementwise operations, so the same bits.
 
 Seed blocks and integration bundles are different things.  A seed block is
 SEED_BLOCK = 64 paths drawn from one generator, SeedSequence([seed, stream,
@@ -59,10 +62,11 @@ processes when the body pickles (a built-in spec pickles as its builder's call).
 Alignment rule: padding is an exact no-op and rows never mix, and a path's
 results do not depend on which run of rows integrated it, provided that the
 run starts at a multiple of SEED_BLOCK within its bundle.  The vectorised
-kernels (BLAS products over the path axis, SIMD ufunc loops) may round a
-path by its position within a short run of columns, and an aligned cut keeps
-that position; a cut at another row has no such guarantee.  Seed blocks,
-bundles and path tiles all start at multiples of SEED_BLOCK.
+kernels (the BLAS products over the path axis that a dense sigma takes, SIMD
+ufunc loops) may round a path by its position within a short run of
+columns, and an aligned cut keeps that position; a cut at another row has no
+such guarantee.  Seed blocks, bundles and path tiles all start at multiples
+of SEED_BLOCK.
 """
 
 from __future__ import annotations
@@ -83,7 +87,8 @@ GRID_TOL = 1e-10  # a time within this of a grid point is that grid point
 SEED_BLOCK = 64  # paths per generator, see the module docstring
 BUNDLE_BYTES = 4 << 20  # noise plus recorded paths held by one integration bundle
 PATH_TILE = 32 * SEED_BLOCK  # paths per tile in gradient_representation_check
-NOISE_PANEL = 64  # steps of driver increments batch_flows forms at a time
+NOISE_PANEL = 64  # steps of noise batch_flows forms at a time
+PANEL_ROWS = 4 * SEED_BLOCK  # paths per transposed block of a noise panel
 
 
 @dataclass
@@ -379,7 +384,10 @@ def sample_batch_noise(
             times[rows, : steps + 1] = t
             times[rows, steps + 1 :] = horizon
         dS[rows, :steps] = sample_increments(levy, np.diff(t, axis=-1), size, rng)
-        z[rows, :steps] = rng.standard_normal((size, steps, model.d))
+        if steps == width - 1:  # rows of z that are one contiguous run: draw in place
+            rng.standard_normal(out=z[rows])
+        else:
+            z[rows, :steps] = rng.standard_normal((size, steps, model.d))
         events.extend((p + row, j, mark) for p, j, mark in ev)
         row += size
     return BatchNoise(times=times, dS=dS, normals=z, n_paths=total, events=events)
@@ -424,10 +432,12 @@ def batch_flows(
     rows each can move (see the module docstring).  For a model with affine
     data the drift callback is not called: b is evaluated from that data by
     ``models.affine_rows``, which the linear builders' drift also calls, on
-    the rows the data can move, straight into the step buffer.  sigma dw (one
-    product per row when d = 1) and the shift go only to the rows where sigma
-    or the shift is nonzero.  A row that some start holds -0.0 in keeps
-    every add.
+    the rows the data can move, straight into the step buffer; otherwise,
+    when the flows need the Jacobian, b comes with it from one
+    ``drift_and_jac`` call where the model has one.  sigma dw (one product
+    per row when no row of sigma holds two nonzeros) and the shift go only
+    to the rows where sigma or the shift is nonzero.  A row that some start
+    holds -0.0 in keeps every add.
 
     For a model with affine data the Jacobian does not depend on x, so J, K
     and Q are evolved once per path (once per bundle for one regime on a
@@ -446,7 +456,7 @@ def batch_flows(
     x = np.moveaxis(np.broadcast_to(x0, lead + (n,)), -1, 0).copy()
     xv = np.moveaxis(x, 0, -1)
     step = np.empty_like(x)  # b dt
-    sdw = np.empty((n, noise.n_paths))  # sigma dw
+    sdw = np.empty((n, noise.n_paths))  # sigma dw, or one row of it
     sig = model.sigma
     # the rows each add can move, as one slice covering them: x + 0 differs from x
     # only at x = -0.0, which a row can hold only if a start holds it there
@@ -460,21 +470,21 @@ def batch_flows(
     if shift is not None:
         noisy |= shift.any(axis=(0, 1))
     noise_rows = _covering(noisy)
-    # sigma dw by one product per row when d = 1 (the same rounding as the matrix
-    # product, bar the sign of a zero, which matters only on a row holding -0.0)
-    by_row = model.d == 1 and not held[noise_rows].any()
+    # sigma dw by one product per row, added straight to that row (dw itself for a 1),
+    # when no row of sigma there holds two nonzeros: the rounding of the matrix
+    # product, bar the sign of a zero, which matters only on a row holding -0.0; a
+    # row of zeros adds nothing
+    sig_rows = sig[noise_rows]
+    by_row = not held[noise_rows].any() and (np.count_nonzero(sig_rows, axis=1) <= 1).all()
+    row_terms = [(x[r], c, sig[r, c]) for r in range(noise_rows.start, noise_rows.stop)
+                 for c in np.flatnonzero(sig[r]).tolist()] if by_row else []
     per_row = (-1,) + (1,) * (len(lead) - 1) + (noise.n_paths,)  # (rows, P) against x
-    x_noise, sig_rows, sdw_rows = x[noise_rows], sig[noise_rows], sdw[noise_rows]
-    sdw_x = sdw_rows.reshape(per_row)
+    x_noise, sdw_x = x[noise_rows], sdw[noise_rows].reshape(per_row)
     steps = noise.dS.shape[1]
-    times = noise.times.T  # (K+1,) shared grid, (K+1, P) per-path grids
-    # sqrt(dS) and sqrt(dS) Z for NOISE_PANEL steps, allocated once and refilled
-    root = np.empty((noise.n_paths, NOISE_PANEL))
-    panel = np.empty((noise.n_paths, NOISE_PANEL, model.d))
     jac, flow_lead = model.drift_jac, lead
     if model.affine is not None:
         mats, m0 = model.affine[0], model.rates.m0
-        per_path = (noise.n_paths,) if m0 > 1 or times.ndim == 2 else ()
+        per_path = (noise.n_paths,) if m0 > 1 or noise.times.ndim == 2 else ()
         flow_lead = np.broadcast_shapes(np.shape(K0)[:-2] if K0 is not None else (), per_path)
         # the A_i components-first, (n, n, 1, ..., m0), their regimes against the path axis
         table = np.moveaxis(mats, 0, -1).reshape((n, n) + (1,) * (len(flow_lead) - 1) + (m0,))
@@ -490,7 +500,27 @@ def batch_flows(
     # Q is held as (n, n) + q_lead, so its update loops over contiguous path rows
     q_lead = np.broadcast_shapes(flow_lead, (noise.n_paths,))
     Q = np.zeros((n, n) + q_lead) if want_Q else None
-    r_shape = (n, model.d) + (flow_lead or (1,))  # sigma^T K per path, or of the shared flow
+    # Q's increment sums r_c r_c^T dS over the columns of r = K sigma, per path or of
+    # the shared flow, (n, d) + r_lead.  When no column of sigma holds two nonzeros,
+    # r_c is K[:, j] sigma[j, c] for its one nonzero (K[:, j] itself for a 1): the
+    # matrix product's rounding, bar the sign of a zero, which Q, summed from +0.0,
+    # never holds; an all-zero column adds nothing, and sigma = 0 no increment
+    r_lead = flow_lead or (1,)
+    by_col = bool((np.count_nonzero(sig, axis=0) <= 1).all())
+    col_terms = [(int(j[0]), sig[j[0], c]) for c, j in
+                 enumerate(np.flatnonzero(col) for col in sig.T) if j.size]
+    q_step = want_Q and bool(col_terms or not by_col)
+    if q_step and by_col:  # views of K's columns, which change in place
+        K_cols = K.reshape((n, n) + r_lead)
+        r_terms = [(K_cols[:, j], s) for j, s in col_terms]
+    # the noise of NOISE_PANEL steps, steps-first, refilled at each panel's first step:
+    # dt (one per step on a shared grid), sqrt(dS) Z and, for Q, dS
+    dts = np.empty((NOISE_PANEL,) + noise.times.shape[:-1])
+    dws = np.empty((NOISE_PANEL, model.d, noise.n_paths))
+    dSs = np.empty((NOISE_PANEL, noise.n_paths)) if q_step else None
+    grid = np.empty((NOISE_PANEL + 1, noise.n_paths)) if noise.times.ndim == 2 else None
+    # one call for b and the Jacobian when the model has it and the flows need both
+    joint = model.drift_and_jac if fill is None and (want_J or want_K) else None
     a = np.full(noise.n_paths, model.alpha0 if alpha0 is None else alpha0, dtype=np.int64)
     at_state = model.rates.state_dependent
     if at_state and len(lead) > 1 and noise.events:
@@ -519,17 +549,30 @@ def batch_flows(
                 Qs_at[k] = Q
         if k == steps:
             break
-        if Q is not None:
-            # r r^T summed over the noise columns in order, each product over all paths at once
-            r = K @ sig if not flow_lead else np.matmul(sig.T, K.reshape(n, n, -1))
-            r = r.reshape(r_shape)
-            rr = r[:, None, 0] * r[None, :, 0]
-            for c in range(1, model.d):
-                rr += r[:, None, c] * r[None, :, c]
-            Q += rr * noise.dS[:, k]
-        dt = times[k + 1] - times[k]  # this step's column of the grid's differences
+        i = k % NOISE_PANEL
+        if i == 0:
+            _steps_first(noise, k, min(NOISE_PANEL, steps - k), dts, dSs, dws, grid)
+        dt, dw = dts[i], dws[i]
+        if q_step:
+            if by_col:
+                rs = [K_j if s == 1.0 else K_j * s for K_j, s in r_terms]
+            else:
+                # one product for the shared flow, else one over the path rows
+                r = np.matmul(sig.T, K.reshape(n, n, -1)) if flow_lead else np.matmul(K, sig)
+                r = r.reshape((n, model.d) + r_lead)
+                rs = [r[:, c] for c in range(model.d)]
+            # r r^T summed over the columns in order, each product over all paths at once
+            rr = rs[0][:, None] * rs[0][None, :]
+            for r_c in rs[1:]:
+                rr += r_c[:, None] * r_c[None, :]
+            Q += rr * dSs[i]
+        b = None
         if want_J or want_K:
-            g = jac(x, a) * dt
+            if joint is None:
+                g = jac(x, a)
+            else:
+                b, g = joint(x, a)
+            g = g * dt
             if g.ndim != 2 + len(flow_lead):  # broadcasting would align the wrong axes
                 raise SpecError(f"drift_jac must return (n, n) + {lead}, got {g.shape}")
             # J += sum_c g[:, c] J[c] and K -= sum_c K[:, c] g[c], summed in column order
@@ -543,24 +586,19 @@ def batch_flows(
                 for c in range(1, n):
                     Kg += K[:, c, None] * g[c]
                 K -= Kg
-        if k % NOISE_PANEL == 0:  # sqrt(dS) Z of the next NOISE_PANEL steps, read row by row
-            m = min(NOISE_PANEL, steps - k)
-            np.sqrt(noise.dS[:, k : k + m], out=root[:, :m])
-            for c in range(model.d):  # one column of Z at a time: long inner loops
-                np.multiply(root[:, :m], noise.normals[:, k : k + m, c], out=panel[:, :m, c])
-        dw = panel[:, k % NOISE_PANEL]
         # x + b dt, then + sigma dw, then + shift: the per-point recursion's order and bits
         if fill is None:
-            x += np.multiply(model.drift(x, a), dt, out=step)
+            x += np.multiply(model.drift(x, a) if b is None else b, dt, out=step)
         else:
             fill(x, a, b_dt, drift_rows.start)
             b_dt *= dt
             x_drift += b_dt
         if by_row:
-            np.multiply(sig_rows, dw.T, out=sdw_rows)
+            for x_r, c, s in row_terms:
+                x_r += dw[c] if s == 1.0 else np.multiply(s, dw[c], out=sdw[0])
         else:
-            np.matmul(sig, dw.T, out=sdw)
-        x_noise += sdw_x
+            np.matmul(sig, dw, out=sdw)
+            x_noise += sdw_x
         if shift is not None:
             x_noise += shift[:, k, noise_rows].T.reshape(per_row)
         if not (x.max() <= OVERFLOW_GUARD and x.min() >= -OVERFLOW_GUARD):  # NaN fails too
@@ -571,6 +609,33 @@ def batch_flows(
         X=np.ascontiguousarray(xv), J=J, K=K, Q=Q,
         X_path=Xs, alpha_path=alphas, J_path=Js, K_path=Ks, Q_path=Qs,
     )
+
+
+def _steps_first(noise: BatchNoise, k: int, m: int, dts, dSs, dws, grid) -> None:
+    """Steps k..k+m-1 of the noise into the first m rows of the steps-first panels.
+
+    dts gets the grid's differences, (m,) on a shared grid and (m, P) on per-path
+    grids, which pass grid, an (NOISE_PANEL + 1, P) buffer; dws gets sqrt(dS) Z as
+    (m, d, P) and dSs, unless None, dS as (m, P).  sqrt(dS) Z is formed over
+    contiguous runs of each path's row, PANEL_ROWS paths at a time, and each
+    block is transposed once: the same elementwise operations as a step's
+    column, so the same bits.
+    """
+    times = noise.times
+    if grid is None:
+        np.subtract(times[k + 1 : k + m + 1], times[k : k + m], out=dts[:m])
+    for lo in range(0, noise.n_paths, PANEL_ROWS):
+        rows = slice(lo, lo + PANEL_ROWS)
+        dS = noise.dS[rows, k : k + m]
+        root = np.sqrt(dS)
+        for c in range(dws.shape[1]):  # one column of Z at a time: long inner loops
+            np.copyto(dws[:m, c, rows], (root * noise.normals[rows, k : k + m, c]).T)
+        if dSs is not None:
+            np.copyto(dSs[:m, rows], dS.T)
+        if grid is not None:
+            np.copyto(grid[: m + 1, rows], times[rows, k : k + m + 1].T)
+    if grid is not None:
+        np.subtract(grid[1 : m + 1], grid[:m], out=dts[:m])
 
 
 def _covering(rows):

@@ -102,6 +102,41 @@ def test_exp_bound_excess_is_the_full_svd_value(model, seed):
         assert exp_bound_excess(res.J_path, res.K_path, noise.times, bound) == full
 
 
+def _full_svd_excess(J, K, times, bound):
+    nj = np.linalg.svd(J, compute_uv=False)[..., 0]
+    nk = np.linalg.svd(K, compute_uv=False)[..., 0]
+    return float((np.maximum(nj, nk) / np.exp(bound * times)).max() - 1.0)
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except np.linalg.LinAlgError as e:
+        return type(e).__name__
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exp_bound_excess_gram_bounds_keep_the_full_svd_value(n):
+    # each point's norm lies between its Gram's largest diagonal entry and its
+    # largest absolute row sum: on random stacks, with every start tied at the
+    # identity and with all points tied, the value is the full SVD's bit for bit;
+    # a stack holding NaN gives what the full SVD gives
+    rng = np.random.default_rng(n)
+    t = np.linspace(0.0, 1.0, 30)
+    for bound in (0.0, 0.7):
+        for _ in range(50):
+            J, K = rng.normal(scale=rng.uniform(0.2, 2.0), size=(2, 4, 30, n, n))
+            J[:, 0] = K[:, 0] = np.eye(n)
+            assert exp_bound_excess(J, K, t, bound) == _full_svd_excess(J, K, t, bound)
+    eye = np.broadcast_to(np.eye(n), (4, 30, n, n))
+    assert exp_bound_excess(eye, eye, t, 0.0) == _full_svd_excess(eye, eye, t, 0.0) == 0.0
+    for bad in (np.nan, np.inf):
+        J = eye.copy()
+        J[1, 7, 0, n - 1] = bad
+        want = _outcome(_full_svd_excess, J, eye, t, 0.7)
+        assert _outcome(exp_bound_excess, J, eye, t, 0.7) == want
+
+
 def test_flow_against_matrix_exponential():
     # constant drift matrix, no switching: J_t = exp(A t) up to O(dt)
     A = np.array([[0.0, 1.0], [-1.0, -0.5]])

@@ -32,6 +32,7 @@ from switchsde import (
     standard_positive_stable,
 )
 from switchsde import levy_noise
+from switchsde.diagnostics import h3_verdict
 from switchsde.levy_noise import _truncated_size_sampler, stable_laplace_coefficient
 
 
@@ -65,20 +66,59 @@ def test_stable_sampler_laplace_transform(alpha):
     assert abs(vals.mean() - target) < 4 * se
 
 
-@pytest.mark.parametrize("beta", [0.35, 0.5, 0.75])
+def _kanter_powers(beta, u, e):
+    """Kanter's X factor by factor with every power, and the log form where that fails."""
+    with np.errstate(all="ignore"):
+        a = (
+            np.sin(beta * u) ** (beta / (1.0 - beta))
+            * np.sin((1.0 - beta) * u)
+            / np.sin(u) ** (1.0 / (1.0 - beta))
+        )
+        x = (a / e) ** ((1.0 - beta) / beta)
+        bad = ~((x > 0.0) & (x < math.inf))
+        v = u[bad]
+        x[bad] = np.exp((beta * np.log(np.sin(beta * v)) - np.log(np.sin(v))
+                         + (1.0 - beta) * np.log(np.sin((1.0 - beta) * v) / e[bad])) / beta)
+    return x, bad
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.35, 0.5, 0.75, 0.95])
 def test_stable_sampler_is_bitwise_the_unshared_formula(beta):
-    # at beta = 1/2 (alpha = 1) sin((1 - beta) u) reuses sin(beta u); every
-    # exponent keeps the bits of Kanter's formula evaluated factor by factor
-    x = standard_positive_stable(beta, (40, 33), np.random.default_rng(19))
+    # at beta = 1/2 (alpha = 1) X = s s / sin(u)^2 / E with s = sin(u / 2), which
+    # drops the powers 1 and takes sin(u)^2 as a square; every exponent keeps the
+    # bits of Kanter's formula evaluated factor by factor with every power
+    shape = (200, 330)
+    x = standard_positive_stable(beta, shape, np.random.default_rng(19))
     rng = np.random.default_rng(19)
-    u = rng.uniform(0.0, math.pi, (40, 33))
-    e = rng.standard_exponential((40, 33))
-    a = (
-        np.sin(beta * u) ** (beta / (1.0 - beta))
-        * np.sin((1.0 - beta) * u)
-        / np.sin(u) ** (1.0 / (1.0 - beta))
-    )
-    assert x.tobytes() == ((a / e) ** ((1.0 - beta) / beta)).tobytes()
+    u, e = rng.uniform(0.0, math.pi, shape), rng.standard_exponential(shape)
+    want, bad = _kanter_powers(beta, u, e)
+    assert not bad.any() and x.tobytes() == want.tobytes()
+
+
+class _FixedDraws:
+    """A stand-in generator whose uniforms and exponentials are given arrays."""
+
+    def __init__(self, u, e):
+        self.u, self.e = np.asarray(u, dtype=float), np.asarray(e, dtype=float)
+
+    def uniform(self, low, high, size):
+        return self.u.copy()
+
+    def standard_exponential(self, size):
+        return self.e.copy()
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.95])
+def test_stable_sampler_takes_logs_where_the_powers_fail(beta):
+    # u near 0 or pi sends the powers of sin(u) out of the float range (to 0/0 at
+    # beta = 1/2, where s s underflows with sin(u)^2); those draws, and only
+    # those, take the log form, the same bits as the formula with every power
+    u = np.array([1e-200, 1e-20, 0.3, 1.7, math.pi - 1e-15, 2.9])
+    e = np.array([0.4, 1.3, 0.01, 2.2, 0.7, 1e-300])
+    x = standard_positive_stable(beta, u.shape, _FixedDraws(u, e))
+    want, bad = _kanter_powers(beta, u, e)
+    assert bad.any() and not bad.all()
+    assert np.all(np.isfinite(x) & (x > 0)) and x.tobytes() == want.tobytes()
 
 
 def test_stable_sampler_rejects_bad_exponent():
@@ -474,6 +514,26 @@ def test_h3_probe_verdicts():
     assert check_H3(spec, theta=0.5, eps_grid=eps).verdict == "diverges"
     with pytest.raises(ValueError):
         check_H3(spec, theta=1.0, eps_grid=[0.1, 0.05, 0.02])
+
+
+def test_h3_spread_is_the_verdicts_statistic():
+    # check_H3 stores the values' range over their median, which h3_verdict reports:
+    # holds, decays, diverges, a table whose last probe is 0 and one with no mass
+    # on the grid (median 0, so an infinite spread)
+    eps = np.geomspace(1e-1, 1e-4, 7)
+    stable = LevyMeasureSpec(alpha=1.0)
+    cases = [check_H3(stable, theta, eps) for theta in (1.0, 1.5, 0.5)] + [
+        check_H3(_table(lo, 4.0, 400, lambda u: u**-1.5), 1.0, eps) for lo in (3e-4, 0.5)
+    ]
+    assert [h3.verdict for h3 in cases] == ["holds", "tends_to_zero", "diverges"] + [
+        "tends_to_zero"
+    ] * 2
+    for h3 in cases:
+        med = float(np.median(h3.values))
+        want = float(np.ptp(h3.values)) / med if med > 0 else float("inf")
+        assert h3.spread == want and h3_verdict(h3).statistic == want
+    assert cases[3].values[-1] == 0.0 < np.median(cases[3].values)
+    assert cases[4].spread == math.inf
 
 
 def test_tabulated_csv_round_trip(tmp_path):

@@ -539,6 +539,13 @@ PER_ROW_MODELS = {
         [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.3, -0.5]],
         sigma=[[0.0, 0.0], [1.0, 0.0], [0.0, 0.7]],
     ),
+    # switchsde tails' model: sin_bounded with sigma = I and two regimes
+    "sin_bounded_tails": make_sin_bounded(),
+    "sin_bounded_swapped": make_sin_bounded(sigma=[[0.0, 0.7], [-1.3, 0.0]], switch_rate=3.0),
+    "sigma_zero": make_sin_bounded(sigma=np.zeros((2, 2))),
+    "zero_row_inside": make_linear(
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, -0.5]], sigma=[[0.5], [0.0], [1.0]]
+    ),
 }
 
 
@@ -584,7 +591,8 @@ def _check_per_row_arithmetic(model, noise):
             (np.concatenate([starts, -zero_starts]), shift)]
     for x0s, sh in runs:
         res = batch_flows(model, noise, x0=None if x0s is None else x0s[:, None], shift=sh,
-                          want_Q=False, record=True)
+                          record=True)
+        assert res.Q_path.tobytes() == _matmul_Q_path(model, noise, res.K_path).tobytes()
         x0s = model.x0[None] if x0s is None else x0s
         alpha = res.alpha_path
         if model.rates.m0 > 1:
@@ -602,6 +610,51 @@ def _check_per_row_arithmetic(model, noise):
                         x = x + sh[p, k]
                     assert X_path[s, p, k + 1].tobytes() == x.tobytes()
                 assert X[s, p].tobytes() == x.tobytes()
+
+
+def _matmul_Q_path(model, noise, K_path):
+    """Q at every grid point from the recorded K, as the step loop once summed it.
+
+    r = K sigma is one np.matmul over the path rows, and r r^T dS is summed over
+    every column of r in order, zero columns included.
+    """
+    n, d, steps = model.n, model.d, noise.dS.shape[1]
+    lead = K_path.shape[:-3]
+    K = np.moveaxis(K_path, (-3, -2, -1), (0, 1, 2)).reshape(steps + 1, n, n, -1)
+    dS = np.broadcast_to(noise.dS, lead + (steps,)).reshape(-1, steps)
+    Q = np.zeros((steps + 1, n, n, dS.shape[0]))
+    for k in range(steps):
+        r = np.matmul(model.sigma.T, K[k])  # (n, d, paths)
+        rr = r[:, None, 0] * r[None, :, 0]
+        for c in range(1, d):
+            rr += r[:, None, c] * r[None, :, c]
+        Q[k + 1] = Q[k] + rr * dS[:, k]
+    return np.moveaxis(Q.reshape((steps + 1, n, n) + lead), (0, 1, 2), (-3, -2, -1))
+
+
+@pytest.mark.parametrize(
+    "model, dense",
+    [(PER_ROW_MODELS["sin_bounded_tails"], False), (make_two_regime_linear(), False),
+     (make_sin_bounded(sigma=[[1.0, 0.5], [0.0, 1.0]]), True)],
+    ids=["sin_bounded", "two_regime_linear", "dense_sigma"],
+)
+def test_step_loop_calls_matmul_only_for_a_dense_sigma(model, dense, monkeypatch):
+    # with one nonzero per row and per column of sigma, sigma dw is one product per
+    # row and r = K sigma one product per column, so a run that records every flow
+    # calls np.matmul nowhere; a dense sigma takes it at every step
+    noise = sample_batch_noise(model, LEVY, 1.0, 80, 8, seed=5)
+    matmul, calls = np.matmul, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    res = batch_flows(model, noise, want_J=True, record=True)
+    monkeypatch.undo()
+    assert noise.dS.shape[1] > NOISE_PANEL
+    assert len(calls) == (2 * noise.dS.shape[1] if dense else 0)
+    assert res.Q_path.tobytes() == _matmul_Q_path(model, noise, res.K_path).tobytes()
 
 
 def test_aligned_row_runs_integrate_like_the_bundle():
@@ -748,10 +801,11 @@ def test_drift_jac_takes_components_first(family, n, m0, lead, seed):
     ids=lambda m: m.name,
 )
 def test_one_drift_call_per_step(model):
-    # one drift route: without affine data, one components-first drift call and one
-    # drift_jac call per step; with it, neither callback is called, the step taking
-    # the drift rows from the data, bit for bit as the callback route
-    seen = {"drift": [], "drift_jac": 0}
+    # one drift route: without affine data, one components-first drift_and_jac call
+    # per step when the model has one, else one drift and one drift_jac call; with
+    # affine data no callback is called, the step taking the drift rows from the
+    # data; every route gives the same bits
+    seen = {"drift": [], "drift_jac": 0, "drift_and_jac": []}
 
     def drift(x, a):
         seen["drift"].append(np.shape(x))
@@ -761,7 +815,14 @@ def test_one_drift_call_per_step(model):
         seen["drift_jac"] += 1
         return model.drift_jac(x, a)
 
+    def drift_and_jac(x, a):
+        seen["drift_and_jac"].append(np.shape(x))
+        return model.drift_and_jac(x, a)
+
     counted = replace(model, drift=drift, drift_jac=drift_jac)
+    assert counted.drift_and_jac is None  # replace drops the joint call of the old drift
+    if model.drift_and_jac is not None:
+        counted.drift_and_jac = drift_and_jac
     noise = sample_batch_noise(model, LEVY_TRUNC, 1.0, 16, 6, seed=3)
     starts = model.x0 + np.array([[[0.0, 0.0]], [[0.5, -0.5]]])
     kw = dict(x0=starts, want_J=True, record=True)
@@ -769,11 +830,43 @@ def test_one_drift_call_per_step(model):
     res = batch_flows(counted, noise, **kw)
     steps = noise.dS.shape[1]
     if model.affine is not None:
-        assert seen == {"drift": [], "drift_jac": 0}
-        _assert_bitwise(res, batch_flows(replace(counted, affine=None), noise, **kw), names)
+        assert seen == {"drift": [], "drift_jac": 0, "drift_and_jac": []}
+        counted = replace(counted, affine=None)
+        _assert_bitwise(res, batch_flows(counted, noise, **kw), names)
+    if model.drift_and_jac is not None:
+        assert seen == {"drift": [], "drift_jac": 0, "drift_and_jac": [(model.n, 2, 6)] * steps}
+        counted.drift_and_jac = None
+        _assert_bitwise(res, batch_flows(counted, noise, **kw), names)
     assert seen["drift"] == [(model.n, 2, 6)] * steps
     assert seen["drift_jac"] == steps
     _assert_bitwise(res, batch_flows(model, noise, **kw), names)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(sorted(MODEL_BUILDERS)),
+    n=st.integers(1, 3),
+    m0=st.integers(1, 3),
+    lead=st.sampled_from([(), (5,), (3, 5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_drift_and_jac_is_drift_and_drift_jac_bitwise(family, n, m0, lead, seed):
+    # a builder's joint call returns its drift and its Jacobian bit for bit, on a
+    # components-first bundle with per-path regimes; a spec whose drift is
+    # replaced has none, so it can never return the old drift
+    rng = np.random.default_rng(seed)
+    model = _drift_model(family, n, m0, rng)
+    if family == "sin_bounded":
+        assert model.drift_and_jac is not None
+    x = rng.normal(scale=2.0, size=(model.n,) + lead)
+    regimes = rng.integers(1, model.rates.m0 + 1, size=lead[-1:])
+    a = regimes if lead else int(regimes)
+    if model.drift_and_jac is not None:
+        b, jac = model.drift_and_jac(x, a)
+        assert b.tobytes() == model.drift(x, a).tobytes()
+        assert jac.tobytes() == model.drift_jac(x, a).tobytes()
+        assert pickle.loads(pickle.dumps(model)).drift_and_jac is not None
+    assert replace(model, drift=model.drift).drift_and_jac is None
 
 
 @pytest.mark.parametrize(
